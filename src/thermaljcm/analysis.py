@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
 
 from . import perturbation
 from .coherence import PHYS_EPS
@@ -177,8 +176,22 @@ def envelope(series: TimeSeries, window_width: float) -> TimeSeries:
     if window_width < 2.0 * series.dt:
         raise ValueError("envelope window must span at least two samples")
     size = max(int(round(window_width / series.dt)), 2)
-    env = maximum_filter1d(np.abs(series.values - 0.5), size=size, mode="nearest")
-    return TimeSeries(t0=series.t0, dt=series.dt, values=env)
+    return TimeSeries(t0=series.t0, dt=series.dt,
+                      values=_sliding_max(np.abs(series.values - 0.5), size))
+
+
+def _sliding_max(x: np.ndarray, size: int) -> np.ndarray:
+    """Maximum over the window [i - size//2, i - size//2 + size - 1] of every
+    sample i, with the edge values repeated past both ends (a centred
+    maximum filter in 'nearest' mode)."""
+    padded = np.pad(x, (size // 2, size - 1 - size // 2), mode="edge")
+    # doubling: m[i] = max(padded[i : i + span]) with span the largest power
+    # of two <= size; two such windows cover [i, i + size)
+    m, span = padded, 1
+    while 2 * span <= size:
+        m = np.maximum(m[:-span], m[span:])
+        span *= 2
+    return np.maximum(m[: x.size], m[size - span : size - span + x.size])
 
 
 def _parabolic_offset(y0: float, y1: float, y2: float) -> float:

@@ -259,26 +259,22 @@ PRESETS = tuple(sorted([*_FIG1, "fig2", *_SWEEP_LS, *_MAP_LS]))
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        if math.isnan(value):
-            return "nan"
-        return f"{value:.12g}"
-    return str(value)
+_CELL_FORMATS = {"f": "%.12g", "b": "%d", "i": "%d", "u": "%d"}
 
 
-def _write_table(stream, columns: list[str], rows: list[tuple], out_format: str) -> None:
+def _write_table(stream, columns: list[str], cols: list, out_format: str) -> None:
+    """Write a table given column-wise: one equal-length array or list per name.
+
+    CSV rows are formatted with one %-format string per row: floats as
+    %.12g (nan, inf and -0 included), booleans and integers as %d, anything
+    else as %s.  JSON rows keep the values of :func:`_coerce_json`.
+    """
+    arrays = [np.asarray(c) for c in cols]
+    rows = zip(*(a.tolist() for a in arrays))
     if out_format == "csv":
-        import csv
-
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fmt = ",".join(_CELL_FORMATS.get(a.dtype.kind, "%s") for a in arrays) + "\n"
+        stream.write(",".join(columns) + "\n")
+        stream.writelines(fmt % row for row in rows)
     else:
         doc = {"columns": columns,
                "rows": [[_coerce_json(v) for v in row] for row in rows]}
@@ -289,10 +285,8 @@ def _write_table(stream, columns: list[str], rows: list[tuple], out_format: str)
 def _coerce_json(value):
     if isinstance(value, bool):
         return int(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return None if math.isnan(value) else float(f"{value:.12g}")
+    if isinstance(value, float):
+        return None if math.isnan(value) else float("%.12g" % value)
     return value
 
 
@@ -316,7 +310,7 @@ def cmd_pe_series(config: RunConfig, stream) -> int:
     trunc = config.trunc
     t = _default_pe_grid(config)
 
-    orders = perturbation.pe_order_terms(t, params, trunc)
+    orders = perturbation.series_tables(t, params, trunc, coherence=False).pe_orders
     s2, c2 = thermal.sin_atom**2, thermal.cos_atom**2
     th = thermal.theta
     order0 = s2 * orders.p1[0] + c2 * orders.p2[0]
@@ -339,35 +333,26 @@ def cmd_pe_series(config: RunConfig, stream) -> int:
                   f"threshold {config.alpha_threshold:g}; pe_oracle column skipped",
                   file=sys.stderr)
 
-    rows = []
-    for i in range(t.size):
-        row = [t[i], pe[i], order0[i], order1[i], order2[i], bool(flags[i])]
-        if oracle_col is not None:
-            row.append(oracle_col[i])
-        rows.append(tuple(row))
-    _write_table(stream, columns, rows, config.out_format)
+    cols = [t, pe, order0, order1, order2, flags]
+    if oracle_col is not None:
+        cols.append(oracle_col)
+    _write_table(stream, columns, cols, config.out_format)
     return EXIT_OK
 
 
 def cmd_period_sweep(config: RunConfig, stream) -> int:
     """Revival period against temperature, with the closed-form prior."""
     params = config.params
-    rows_out = []
     sweep = period_vs_temperature_sweep(params, config.inv_betas, config.trunc,
                                         dt=config.dt)
-    n_missing = 0
-    for row in sweep:
-        if row.no_revival:
-            n_missing += 1
-            flag = "no-revival"
-            period = math.nan
-        else:
-            flag = "ok" if row.physical else "unstable"
-            period = row.period
-        rows_out.append((row.inv_beta, period, row.t0_prime, row.quantum, flag))
+    periods = [math.nan if row.no_revival else row.period for row in sweep]
+    flags = ["no-revival" if row.no_revival else "ok" if row.physical else "unstable"
+             for row in sweep]
+    n_missing = sum(row.no_revival for row in sweep)
     _write_table(stream, ["inv_beta", "extracted_period", "t0_prime",
-                          "tau1_quantum", "stability_flag"], rows_out,
-                 config.out_format)
+                          "tau1_quantum", "stability_flag"],
+                 [[row.inv_beta for row in sweep], periods, [row.t0_prime for row in sweep],
+                  [row.quantum for row in sweep], flags], config.out_format)
     return EXIT_NO_REVIVAL if n_missing == len(sweep) else EXIT_OK
 
 
@@ -376,17 +361,17 @@ def cmd_coherence_map(config: RunConfig, stream) -> int:
     params = config.params
     trunc = config.trunc
     t = _default_pe_grid(config)
-    rows = []
+    tables = perturbation.series_tables(t, params, trunc)
+    parts = []
     for inv_beta in config.inv_betas:
         thermal = thermal_from_inv_beta(inv_beta, params)
-        pe = perturbation.pe_thermal(t, params, thermal, trunc)
-        rho01 = perturbation.rho01_thermal(t, params, thermal, trunc)
-        p00, z, projected = project_values(pe, np.abs(rho01))
-        coh = coherence_values(p00, z)
-        for i in range(t.size):
-            rows.append((t[i], inv_beta, coh[i], p00[i], z[i], bool(projected[i])))
+        p00, z, projected = project_values(tables.pe(thermal), np.abs(tables.rho01(thermal)))
+        parts.append((coherence_values(p00, z), p00, z, projected))
+    coh, p00, z, projected = (np.concatenate(c) for c in zip(*parts))
     _write_table(stream, ["t", "inv_beta", "coherence", "rho00", "abs_rho01",
-                          "projection_applied"], rows, config.out_format)
+                          "projection_applied"],
+                 [np.tile(t, len(parts)), np.repeat(config.inv_betas, t.size), coh, p00, z,
+                  projected], config.out_format)
     return EXIT_OK
 
 
@@ -397,8 +382,8 @@ def cmd_approx_check(config: RunConfig, stream) -> int:
         raise ConfigError("model.alpha: approx-check requires alpha != 0")
     t = _default_pe_grid(config)
     lhs, rhs = approx_cos_sum(params.alpha, params.l, params.g, t)
-    rows = [(t[i], lhs[i], rhs[i], abs(lhs[i] - rhs[i])) for i in range(t.size)]
-    _write_table(stream, ["t", "lhs", "rhs", "abs_dev"], rows, config.out_format)
+    _write_table(stream, ["t", "lhs", "rhs", "abs_dev"], [t, lhs, rhs, np.abs(lhs - rhs)],
+                 config.out_format)
     return EXIT_OK
 
 
@@ -483,15 +468,13 @@ def main(argv=None) -> int:
         "pe-series": cmd_pe_series,
         "period-sweep": cmd_period_sweep,
         "coherence-map": cmd_coherence_map,
+        "oracle-validate": cmd_oracle_validate,
         "approx-check": cmd_approx_check,
     }
     try:
-        if args.command == "oracle-validate":
-            config = _load_config(args)
-        else:
-            config = _load_config(args)
-            if config is None:
-                raise ConfigError("config: pass --preset or --config")
+        config = _load_config(args)
+        if config is None and args.command != "oracle-validate":
+            raise ConfigError("config: pass --preset or --config")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -499,16 +482,11 @@ def main(argv=None) -> int:
     try:
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                if args.command == "oracle-validate":
-                    return cmd_oracle_validate(config, fh)
                 return handlers[args.command](config, fh)
-        if args.command == "oracle-validate":
-            return cmd_oracle_validate(config, sys.stdout)
         return handlers[args.command](config, sys.stdout)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -11,13 +11,30 @@ Convention: the S-type sums returned here carry the normalized Poisson
 weights, i.e. they equal exp(-|alpha|^2) times the bare sums written with
 |alpha|^(2n)/n! coefficients.  The order-term prefactors below already
 account for this.
+
+Engine: the temperature enters only the final combination with the
+Bogoliubov angles; every table before it depends on (params, trunc, t)
+alone.  :func:`series_tables` builds those tables once on a time grid and
+returns a :class:`SeriesTables`, which evaluates P_e and rho01 at any
+number of temperatures.  Every other entry point here is a view over one
+build.  Per time chunk a build takes one cos and one sin table of
+sqrt(D_m) t.  S1 and S2 come from their squares.  The coherence amplitudes
+A(m) and B(m) come from the same two tables.  The primed amplitudes reuse
+them through D'_n = D_(n-l), n >= l; only the l structurally zero columns
+n < l use the closed form of ``model._osc_pair``.  The shift equals a
+direct evaluation of D'_n bitwise while the photon-number products of
+:class:`EigenvalueTable` are exact integers, i.e. (n_max + l + 2)^l < 2^53.
+Every preset is far below that (at most 253^4, about 4e9); past it, both
+are roundings of the same exact value.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammainc, gammaln
@@ -29,14 +46,14 @@ __all__ = [
     "TruncationPolicy",
     "TruncationWarning",
     "PeOrders",
-    "Rho01Orders",
+    "SeriesTables",
     "poisson_log_weight",
+    "series_tables",
     "pe_zero_temperature",
     "series_S",
     "pe_order_terms",
     "pe_thermal",
     "tilde_S",
-    "rho01_order_terms",
     "rho01_thermal",
     "atom_state",
 ]
@@ -85,8 +102,18 @@ class TruncationPolicy:
                 f"Poisson tail mass {tail:.3e} beyond n_max={self.n_max} exceeds "
                 f"tolerance {tol:.1e}; increase n_max",
                 TruncationWarning,
-                stacklevel=3,
+                stacklevel=_outside_stacklevel(),
             )
+
+
+def _outside_stacklevel() -> int:
+    """``warnings.warn`` stacklevel of the first caller outside this module, so
+    a warning names the line that called into the series, however many
+    entry points it passed through."""
+    level, frame = 2, sys._getframe(2)
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        level, frame = level + 1, frame.f_back
+    return level
 
 
 @dataclass(frozen=True)
@@ -97,14 +124,6 @@ class PeOrders:
 
     p1: tuple
     p2: tuple
-
-
-@dataclass(frozen=True)
-class Rho01Orders:
-    """Coherence order terms, same channel convention as :class:`PeOrders`."""
-
-    r1: tuple
-    r2: tuple
 
 
 def poisson_log_weight(n, alpha: complex):
@@ -121,60 +140,207 @@ def poisson_log_weight(n, alpha: complex):
     return float(out) if np.ndim(n) == 0 else out
 
 
-def _weights(alpha: complex, n_max: int) -> np.ndarray:
-    return np.exp(poisson_log_weight(np.arange(n_max + 1), alpha))
-
-
-def _as_grid(t):
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if arr.ndim != 1:
-        raise ValueError("time must be a scalar or 1-d array")
-    return arr, np.ndim(t) == 0
-
-
-def _unwrap(out, scalar: bool):
-    if not scalar:
-        return out
-    return complex(out[0]) if np.iscomplexobj(out) else float(out[0])
-
-
 def _reduce_n(prod: np.ndarray) -> np.ndarray:
     """Fixed summation order over the trailing (ascending-n) axis."""
     return np.add.reduce(np.ascontiguousarray(prod), axis=-1)
 
 
-def _sin_sq_over(d: np.ndarray, arg: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sin^2(sqrt(D) t)/D columnwise, with the t^2 limit where D is exactly 0."""
-    zero = d == 0.0
-    s = np.sin(arg)
-    out = s * s / np.where(zero, 1.0, d)[None, :]
-    if zero.any():
-        out[:, zero] = (t * t)[:, None]
-    return out
+#: conj(alpha) exponent carried by each of the six series per family
+_ALPHA_POWERS = (0, -1, 1, -2, 2, 0)  # offsets relative to l
+
+#: photon-index offset of the oscillator product of each of the six series
+_OFFSETS = (0, 0, 1, 0, 2, 1)
 
 
-def _s_tables(params: ModelParams, trunc: TruncationPolicy, t: np.ndarray):
-    """e^(-|alpha|^2)-scaled S1(k), S2(k) for k = 0, 1, 2; shapes (3, nt)."""
+def _check_index(j: int, k: int, n_k: int) -> None:
+    if j not in (1, 2):
+        raise ValueError("j must be 1 or 2")
+    if k not in range(n_k):
+        raise ValueError(f"k must be in 0..{n_k - 1}")
+
+
+@dataclass(frozen=True, eq=False)
+class SeriesTables:
+    """The temperature-independent series tables of one (params, trunc, t).
+
+    ``S1``/``S2`` are the sums S_j(k) of :func:`series_S`, shape (3, nt);
+    ``tilde`` holds the twelve coherence series of :func:`tilde_S` as
+    printed, shape (2, 6, nt), or is None for a P_e-only build.  The order
+    terms are formed once, on first use; :meth:`pe` and :meth:`rho01` then
+    only combine them with the Bogoliubov angles of the temperature asked
+    for.  Values come back as floats/complex for a scalar time and as
+    arrays for a grid.
+    """
+
+    params: ModelParams
+    S1: np.ndarray
+    S2: np.ndarray
+    tilde: np.ndarray | None
+    scalar: bool
+
+    def _unwrap(self, out):
+        if not self.scalar:
+            return out
+        return complex(out[0]) if np.iscomplexobj(out) else float(out[0])
+
+    @cached_property
+    def _pe_arrays(self):
+        S1, S2 = self.S1, self.S2
+        aa = self.params.abs_alpha_sq
+        g2 = self.params.g**2
+        l = self.params.l
+        p01 = S1[0]
+        p02 = g2 * aa**l * S2[0]
+        p11 = -2.0 * aa * (S1[0] - S1[1])
+        p12 = 2.0 * g2 * aa**l * ((l - aa) * S2[0] + aa * S2[1])
+        p21 = 2.0 * (
+            -(1.0 + aa - 2.0 * aa * aa) * S1[0]
+            + (1.0 - 4.0 * aa * aa) * S1[1]
+            + aa * (1.0 + 2.0 * aa) * S1[2]
+        )
+        p22 = (
+            2.0
+            * g2
+            * (1.0 + 2.0 * aa)
+            * aa ** (l - 1)
+            * (
+                (l * l - (1.0 + 2.0 * l) * aa + aa * aa) * S2[0]
+                - aa * (-1.0 - 2.0 * l + 2.0 * aa) * S2[1]
+                + aa * aa * S2[2]
+            )
+        )
+        return (p01, p11, p21), (p02, p12, p22)
+
+    @cached_property
+    def _rho01_arrays(self):
+        if self.tilde is None:
+            raise ValueError("these tables were built without the coherence series")
+        S = self.tilde
+        aa = self.params.abs_alpha_sq
+        alpha = self.params.alpha
+        ac = np.conj(alpha)
+        r0 = S[:, 0]
+        r1 = -2.0 * aa * S[:, 0] + ac * S[:, 1] + alpha * S[:, 2]
+        r2 = (
+            2.0 * (-1.0 - aa + 2.0 * aa * aa) * S[:, 0]
+            - (1.0 + 4.0 * aa) * ac * S[:, 1]
+            - (1.0 + 4.0 * aa) * alpha * S[:, 2]
+            + ac * ac * S[:, 3]
+            + alpha * alpha * S[:, 4]
+            + 2.0 * (1.0 + aa) * S[:, 5]
+        )
+        return r0, r1, r2  # each (2, nt)
+
+    @property
+    def pe_orders(self) -> PeOrders:
+        """All six order terms of the excitation probability."""
+        p1, p2 = self._pe_arrays
+        return PeOrders(p1=tuple(self._unwrap(x) for x in p1),
+                        p2=tuple(self._unwrap(x) for x in p2))
+
+    def pe(self, thermal: ThermalParams):
+        """Excitation probability at the temperature of ``thermal``, raw."""
+        p1, p2 = self._pe_arrays
+        th = thermal.theta
+        pe1 = p1[0] + th * p1[1] + 0.5 * th * th * p1[2]
+        pe2 = p2[0] + th * p2[1] + 0.5 * th * th * p2[2]
+        return self._unwrap(thermal.sin_atom**2 * pe1 + thermal.cos_atom**2 * pe2)
+
+    def rho01(self, thermal: ThermalParams):
+        """Atomic coherence at the temperature of ``thermal``, raw."""
+        r0, r1, r2 = self._rho01_arrays
+        th = thermal.theta
+        ch1 = r0[0] + th * r1[0] + 0.5 * th * th * r2[0]
+        ch2 = r0[1] + th * r1[1] + 0.5 * th * th * r2[1]
+        return self._unwrap(thermal.sin_atom**2 * ch1 + thermal.cos_atom**2 * ch2)
+
+
+def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
+                  coherence: bool = True) -> SeriesTables:
+    """Build the temperature-independent series tables on the time(s) t.
+
+    With ``coherence=False`` the twelve coherence series are skipped and the
+    trig tables are sized to the n_max + 3 columns the S sums need, for
+    callers that only want P_e.
+    """
+    trunc.warn_if_leaky(params.alpha)
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    if t_arr.ndim != 1:
+        raise ValueError("time must be a scalar or 1-d array")
     n_max = trunc.n_max
-    table = EigenvalueTable(params, n_max + 2)
-    w = _weights(params.alpha, n_max)
-    half_delta_sq = (params.delta / 2.0) ** 2
+    l = params.l
     n_cols = n_max + 1
+    n_pe = n_max + 3  # columns n + k, k <= 2, of the S sums and the coherence products
+    n_shift = min(l, n_pe)  # structurally zero D' columns
+    table = EigenvalueTable(params, n_max + l + 2 if coherence else n_max + 2)
+    w = np.exp(poisson_log_weight(np.arange(n_max + 1), params.alpha))
+    half_delta = params.delta / 2.0
+    half_delta_sq = half_delta**2
+    zero = table.d == 0.0  # only at g = 0 and resonance: limits t^2 and (1, t) below
+    d_safe = np.where(zero, 1.0, table.d)[None, :n_pe]
+    sqrt_d_safe = np.where(zero, 1.0, table.sqrt_d)[None, :]
 
-    S1 = np.empty((3, t.size))
-    S2 = np.empty((3, t.size))
-    for lo in range(0, t.size, _T_CHUNK):
+    S1 = np.empty((3, t_arr.size))
+    S2 = np.empty((3, t_arr.size))
+    tilde = None
+    if coherence:
+        tilde = np.empty((2, 6, t_arr.size), dtype=complex)
+        m = np.arange(n_max + 1, dtype=float)
+        # polynomial coefficients of the six series, folded into the weights
+        cw = (w, w * (m + l), w, w * ((m + l - 1) * (m + l)), w, w * (m + l + 1))
+
+    # one workspace reused by every chunk: tables allocated afresh per chunk
+    # are page-faulted in again each time (3x the faults on a fig3 grid)
+    n_chunk = min(t_arr.size, _T_CHUNK)
+    trig = np.empty((2, n_chunk, table.d.size))
+    sq = np.empty((2, n_chunk, n_pe))
+    prod = np.empty((n_chunk, n_cols))
+    for lo in range(0, t_arr.size, _T_CHUNK):
         sl = slice(lo, lo + _T_CHUNK)
-        tc = t[sl]
-        arg = tc[:, None] * table.sqrt_d[None, :]
-        c2 = np.cos(arg)
-        c2 *= c2
-        s2d = _sin_sq_over(table.d, arg, tc)
-        s1 = c2 + half_delta_sq * s2d
+        tc = t_arr[sl]
+        sin_t, cos_t = trig[:, : tc.size]
+        s1, s2d = sq[:, : tc.size]
+        np.multiply(tc[:, None], table.sqrt_d[None, :], out=sin_t)
+        np.cos(sin_t, out=cos_t)
+        np.sin(sin_t, out=sin_t)
+
+        # S2 summand sin^2/D, S1 summand cos^2 + (delta/2)^2 sin^2/D
+        np.multiply(sin_t[:, :n_pe], sin_t[:, :n_pe], out=s2d)
+        s2d /= d_safe
+        s2d[:, zero[:n_pe]] = (tc * tc)[:, None]
+        np.multiply(cos_t[:, :n_pe], cos_t[:, :n_pe], out=s1)
+        s1 += half_delta_sq * s2d
         for k in range(3):
-            S1[k, sl] = _reduce_n(s1[:, k : k + n_cols] * w[None, :])
-            S2[k, sl] = _reduce_n(s2d[:, k : k + n_cols] * w[None, :])
-    return S1, S2
+            S1[k, sl] = _reduce_n(np.multiply(s1[:, k : k + n_cols], w, out=prod[: tc.size]))
+            S2[k, sl] = _reduce_n(np.multiply(s2d[:, k : k + n_cols], w, out=prod[: tc.size]))
+        if not coherence:
+            continue
+
+        # A(m), B(m) on every column; A'(n) = A(n - l), B'(n) = B(n - l) for n >= l
+        b = sin_t
+        b /= sqrt_d_safe
+        b[:, zero] = tc[:, None]
+        a = cos_t - 1j * half_delta * b
+        ap_struct, _ = _osc_pair(table.sqrt_d_prime[None, :n_shift], table.d_prime[:n_shift],
+                                 tc[:, None], half_delta)
+        # family 1: A(m + l) B'(m + l) = A(m + l) B(m); family 2: B(m) A'(m)
+        ab1 = a[:, l : l + n_pe] * b[:, :n_pe]
+        ab2 = np.empty_like(ab1)
+        ab2[:, :n_shift] = b[:, :n_shift] * ap_struct
+        ab2[:, n_shift:] = b[:, n_shift:n_pe] * a[:, : n_pe - n_shift]
+        for k, off in enumerate(_OFFSETS):
+            tilde[0, k, sl] = _reduce_n(ab1[:, off : off + n_cols] * cw[k][None, :])
+            tilde[1, k, sl] = _reduce_n(ab2[:, off : off + n_cols] * cw[k][None, :])
+
+    if coherence:
+        alpha = params.alpha
+        ac = np.conj(alpha)
+        for k in range(6):
+            p = l + _ALPHA_POWERS[k]
+            pref = (1.0 if p == 0 else 0.0) if alpha == 0 else ac**p
+            tilde[0, k] *= -1j * params.g * pref
+            tilde[1, k] *= 1j * params.g * pref
+    return SeriesTables(params, S1, S2, tilde, scalar=np.ndim(t) == 0)
 
 
 def series_S(j: int, k: int, t, params: ModelParams, trunc: TruncationPolicy):
@@ -184,54 +350,14 @@ def series_S(j: int, k: int, t, params: ModelParams, trunc: TruncationPolicy):
     sin^2(sqrt(D_{n+k}) t)/D_{n+k}.  Returned with normalized weights (the
     module-level convention), so S1(k) -> 1 and S2(k) -> 0 at t = 0.
     """
-    if j not in (1, 2):
-        raise ValueError("j must be 1 or 2")
-    if k not in (0, 1, 2):
-        raise ValueError("k must be 0, 1 or 2")
-    trunc.warn_if_leaky(params.alpha)
-    t_arr, scalar = _as_grid(t)
-    S1, S2 = _s_tables(params, trunc, t_arr)
-    out = S1[k] if j == 1 else S2[k]
-    return _unwrap(out, scalar)
-
-
-def _pe_order_arrays(params: ModelParams, trunc: TruncationPolicy, t: np.ndarray):
-    S1, S2 = _s_tables(params, trunc, t)
-    aa = params.abs_alpha_sq
-    g2 = params.g**2
-    l = params.l
-    p01 = S1[0]
-    p02 = g2 * aa**l * S2[0]
-    p11 = -2.0 * aa * (S1[0] - S1[1])
-    p12 = 2.0 * g2 * aa**l * ((l - aa) * S2[0] + aa * S2[1])
-    p21 = 2.0 * (
-        -(1.0 + aa - 2.0 * aa * aa) * S1[0]
-        + (1.0 - 4.0 * aa * aa) * S1[1]
-        + aa * (1.0 + 2.0 * aa) * S1[2]
-    )
-    p22 = (
-        2.0
-        * g2
-        * (1.0 + 2.0 * aa)
-        * aa ** (l - 1)
-        * (
-            (l * l - (1.0 + 2.0 * l) * aa + aa * aa) * S2[0]
-            - aa * (-1.0 - 2.0 * l + 2.0 * aa) * S2[1]
-            + aa * aa * S2[2]
-        )
-    )
-    return (p01, p11, p21), (p02, p12, p22)
+    _check_index(j, k, 3)
+    tables = series_tables(t, params, trunc, coherence=False)
+    return tables._unwrap((tables.S1 if j == 1 else tables.S2)[k])
 
 
 def pe_order_terms(t, params: ModelParams, trunc: TruncationPolicy) -> PeOrders:
     """All six order terms of the excitation probability at time(s) t."""
-    trunc.warn_if_leaky(params.alpha)
-    t_arr, scalar = _as_grid(t)
-    p1, p2 = _pe_order_arrays(params, trunc, t_arr)
-    return PeOrders(
-        p1=tuple(_unwrap(x, scalar) for x in p1),
-        p2=tuple(_unwrap(x, scalar) for x in p2),
-    )
+    return series_tables(t, params, trunc, coherence=False).pe_orders
 
 
 def pe_zero_temperature(t, params: ModelParams, trunc: TruncationPolicy, clamp: bool = True):
@@ -242,17 +368,15 @@ def pe_zero_temperature(t, params: ModelParams, trunc: TruncationPolicy, clamp: 
     is clipped to [0, 1], and a clip that moves it by more than 1e-12 (which
     would indicate a real defect, not rounding) is reported as a warning.
     """
-    trunc.warn_if_leaky(params.alpha)
-    t_arr, scalar = _as_grid(t)
-    _, p2 = _pe_order_arrays(params, trunc, t_arr)
-    vals = p2[0]
+    tables = series_tables(t, params, trunc, coherence=False)
+    vals = tables._pe_arrays[1][0]
     if clamp:
         clipped = np.clip(vals, 0.0, 1.0)
         if np.any(np.abs(clipped - vals) > 1e-12):
             warnings.warn("zero-temperature probability left [0, 1] by more than 1e-12",
                           UserWarning, stacklevel=2)
         vals = clipped
-    return _unwrap(vals, scalar)
+    return tables._unwrap(vals)
 
 
 def pe_thermal(t, params: ModelParams, thermal: ThermalParams, trunc: TruncationPolicy):
@@ -262,118 +386,19 @@ def pe_thermal(t, params: ModelParams, thermal: ThermalParams, trunc: Truncation
     slightly; physicality is classified downstream (see :func:`atom_state`
     and the coherence module), never clamped here.
     """
-    trunc.warn_if_leaky(params.alpha)
-    t_arr, scalar = _as_grid(t)
-    p1, p2 = _pe_order_arrays(params, trunc, t_arr)
-    th = thermal.theta
-    pe1 = p1[0] + th * p1[1] + 0.5 * th * th * p1[2]
-    pe2 = p2[0] + th * p2[1] + 0.5 * th * th * p2[2]
-    out = thermal.sin_atom**2 * pe1 + thermal.cos_atom**2 * pe2
-    return _unwrap(out, scalar)
-
-
-# ---------------------------------------------------------------------------
-# coherence series
-
-#: conj(alpha) exponent carried by each of the six series per family
-_ALPHA_POWERS = (0, -1, 1, -2, 2, 0)  # offsets relative to l
-
-
-def _tilde_tables(params: ModelParams, trunc: TruncationPolicy, t: np.ndarray) -> np.ndarray:
-    """The twelve series of the coherence expansion, shape (2, 6, nt).
-
-    Family 1 weighs A(m+l) B'(m+l) style products (matrix elements through
-    the excited-state branch); family 2 weighs B A' products.  The printed
-    unit-step guards and shifted factorials are absorbed by summing over the
-    natural weight index m = 0..n_max, which shifts each series start so no
-    negative index is ever touched.
-    """
-    n_max = trunc.n_max
-    l = params.l
-    table = EigenvalueTable(params, n_max + l + 2)
-    w = _weights(params.alpha, n_max)
-    m = np.arange(n_max + 1, dtype=float)
-    half_delta = params.delta / 2.0
-    n_cols = n_max + 1
-
-    # polynomial coefficients of the six series, folded into the weights
-    cw = (
-        w,
-        w * (m + l),
-        w,
-        w * ((m + l - 1) * (m + l)),
-        w,
-        w * (m + l + 1),
-    )
-    # photon-index offset of the oscillator product for each series
-    off1 = (l, l, l + 1, l, l + 2, l + 1)
-    off2 = (0, 0, 1, 0, 2, 1)
-
-    out = np.empty((2, 6, t.size), dtype=complex)
-    for lo in range(0, t.size, _T_CHUNK):
-        sl = slice(lo, lo + _T_CHUNK)
-        tc = t[sl][:, None]
-        a, b = _osc_pair(table.sqrt_d[None, :], table.d, tc, half_delta)
-        ap, bp = _osc_pair(table.sqrt_d_prime[None, :], table.d_prime, tc, half_delta)
-        ab1 = a * bp
-        ab2 = b * ap
-        for k in range(6):
-            out[0, k, sl] = _reduce_n(ab1[:, off1[k] : off1[k] + n_cols] * cw[k][None, :])
-            out[1, k, sl] = _reduce_n(ab2[:, off2[k] : off2[k] + n_cols] * cw[k][None, :])
-
-    alpha = params.alpha
-    ac = np.conj(alpha)
-    for k in range(6):
-        p = l + _ALPHA_POWERS[k]
-        if alpha == 0:
-            pref = 1.0 if p == 0 else 0.0
-        else:
-            pref = ac**p
-        out[0, k] *= -1j * params.g * pref
-        out[1, k] *= 1j * params.g * pref
-    return out
+    return series_tables(t, params, trunc, coherence=False).pe(thermal)
 
 
 def tilde_S(j: int, k: int, t, params: ModelParams, trunc: TruncationPolicy):
     """One of the twelve coherence series, exactly as printed (j in {1, 2},
-    k in {0..5}), including sign, conj(alpha) power and unit-step shifts."""
-    if j not in (1, 2):
-        raise ValueError("j must be 1 or 2")
-    if k not in range(6):
-        raise ValueError("k must be in 0..5")
-    trunc.warn_if_leaky(params.alpha)
-    t_arr, scalar = _as_grid(t)
-    out = _tilde_tables(params, trunc, t_arr)[j - 1, k]
-    return _unwrap(out, scalar)
+    k in {0..5}), including sign, conj(alpha) power and unit-step shifts.
 
-
-def _rho01_order_arrays(params: ModelParams, trunc: TruncationPolicy, t: np.ndarray):
-    S = _tilde_tables(params, trunc, t)
-    aa = params.abs_alpha_sq
-    alpha = params.alpha
-    ac = np.conj(alpha)
-    r0 = S[:, 0]
-    r1 = -2.0 * aa * S[:, 0] + ac * S[:, 1] + alpha * S[:, 2]
-    r2 = (
-        2.0 * (-1.0 - aa + 2.0 * aa * aa) * S[:, 0]
-        - (1.0 + 4.0 * aa) * ac * S[:, 1]
-        - (1.0 + 4.0 * aa) * alpha * S[:, 2]
-        + ac * ac * S[:, 3]
-        + alpha * alpha * S[:, 4]
-        + 2.0 * (1.0 + aa) * S[:, 5]
-    )
-    return r0, r1, r2  # each (2, nt)
-
-
-def rho01_order_terms(t, params: ModelParams, trunc: TruncationPolicy) -> Rho01Orders:
-    """Order terms of the atomic coherence for both channels."""
-    trunc.warn_if_leaky(params.alpha)
-    t_arr, scalar = _as_grid(t)
-    r0, r1, r2 = _rho01_order_arrays(params, trunc, t_arr)
-    return Rho01Orders(
-        r1=tuple(_unwrap(x, scalar) for x in (r0[0], r1[0], r2[0])),
-        r2=tuple(_unwrap(x, scalar) for x in (r0[1], r1[1], r2[1])),
-    )
+    Family 1 weighs A(m+l) B'(m+l) products, family 2 B A' products; summing
+    over the weight index m = 0..n_max absorbs the printed unit-step guards.
+    """
+    _check_index(j, k, 6)
+    tables = series_tables(t, params, trunc)
+    return tables._unwrap(tables.tilde[j - 1, k])
 
 
 def rho01_thermal(t, params: ModelParams, thermal: ThermalParams, trunc: TruncationPolicy):
@@ -385,14 +410,7 @@ def rho01_thermal(t, params: ModelParams, thermal: ThermalParams, trunc: Truncat
     comparisons against the oracle must conjugate one side (verified in the
     test suite rather than asserted symbolically).
     """
-    trunc.warn_if_leaky(params.alpha)
-    t_arr, scalar = _as_grid(t)
-    r0, r1, r2 = _rho01_order_arrays(params, trunc, t_arr)
-    th = thermal.theta
-    ch1 = r0[0] + th * r1[0] + 0.5 * th * th * r2[0]
-    ch2 = r0[1] + th * r1[1] + 0.5 * th * th * r2[1]
-    out = thermal.sin_atom**2 * ch1 + thermal.cos_atom**2 * ch2
-    return _unwrap(out, scalar)
+    return series_tables(t, params, trunc).rho01(thermal)
 
 
 def atom_state(t: float, params: ModelParams, thermal: ThermalParams,
@@ -403,6 +421,5 @@ def atom_state(t: float, params: ModelParams, thermal: ThermalParams,
     carries a physicality flag; values are raw (no clamping) so that the
     residual scaling against the exact solver stays measurable.
     """
-    rho00 = pe_thermal(t, params, thermal, trunc)
-    rho01 = rho01_thermal(t, params, thermal, trunc)
-    return make_atom_state(rho00, rho01)
+    tables = series_tables(t, params, trunc)
+    return make_atom_state(tables.pe(thermal), tables.rho01(thermal))

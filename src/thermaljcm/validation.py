@@ -61,6 +61,7 @@ def _check_theta_scaling(params: ModelParams, t_values, trunc: TruncationPolicy)
     ftrunc = FockTruncation.auto(params, theta_for_angle(float(THETA_GRID[-1]),
                                                          params.omega, params.omega0))
     for t in t_values:
+        tables = perturbation.series_tables(float(t), params, trunc)
         pe_res = []
         rho_res = []
         conv_res = []
@@ -69,9 +70,8 @@ def _check_theta_scaling(params: ModelParams, t_values, trunc: TruncationPolicy)
             state = oracle.propagate(oracle.build_initial_state(params, thermal, ftrunc),
                                      float(t), params)
             exact = oracle.reduce_atom(state)
-            pe_res.append(abs(perturbation.pe_thermal(float(t), params, thermal, trunc)
-                              - exact.rho00))
-            series01 = perturbation.rho01_thermal(float(t), params, thermal, trunc)
+            pe_res.append(abs(tables.pe(thermal) - exact.rho00))
+            series01 = tables.rho01(thermal)
             rho_res.append(abs(abs(series01) - abs(exact.rho01)))
             # the series expands the conjugate orientation of <e|rho|g>; the
             # full complex residual in that orientation must stay cubic-small
@@ -129,10 +129,11 @@ def _check_tilde_series(params: ModelParams, t: float, trunc: TruncationPolicy,
 
 def _check_t0_identities(params: ModelParams, trunc: TruncationPolicy) -> list[dict]:
     checks = []
+    tables = perturbation.series_tables(0.0, params, trunc)
     for inv_beta in (0.0, 0.05, 0.1, 0.2):
         thermal = thermal_from_inv_beta(inv_beta, params)
-        pe0 = perturbation.pe_thermal(0.0, params, thermal, trunc)
-        rho0 = perturbation.rho01_thermal(0.0, params, thermal, trunc)
+        pe0 = tables.pe(thermal)
+        rho0 = tables.rho01(thermal)
         err_pe = abs(pe0 - thermal.sin_atom**2)
         err_rho = abs(rho0)
         checks.append({

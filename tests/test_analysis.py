@@ -138,6 +138,19 @@ class TestEnvelope:
         np.testing.assert_allclose(envelope(scaled, 0.6).values,
                                    3.0 * envelope(series, 0.6).values, rtol=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 61])
+    def test_matches_scipy_maximum_filter(self, n):
+        # scipy is the reference implementation of a centred 'nearest'-mode
+        # maximum filter; max is exact, so the agreement is bitwise
+        from scipy.ndimage import maximum_filter1d
+
+        values = 0.5 + np.random.default_rng(n).standard_normal(n)
+        series = TimeSeries(0.0, 0.1, values)
+        for size in range(2, n + 6):
+            env = envelope(series, size * 0.1)
+            ref = maximum_filter1d(np.abs(values - 0.5), size=size, mode="nearest")
+            assert env.values.tobytes() == ref.tobytes(), size
+
     def test_rejects_short_window(self):
         series = TimeSeries(0.0, 0.1, np.zeros(30))
         with pytest.raises(ValueError):
