@@ -7,7 +7,6 @@ that validates it, and collapse/revival period analysis on top.
 """
 
 from . import analysis, coherence, model, oracle, perturbation, validation
-from .coherence import AtomState, physicality_project, rel_entropy_coherence
 from .model import (
     EigenvalueTable,
     ModelParams,
@@ -26,9 +25,6 @@ __all__ = [
     "oracle",
     "perturbation",
     "validation",
-    "AtomState",
-    "physicality_project",
-    "rel_entropy_coherence",
     "EigenvalueTable",
     "ModelParams",
     "ThermalParams",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import perturbation
-from .coherence import PHYS_EPS
+from .coherence import physical_population
 from .model import (
     ModelParams,
     ThermalParams,
@@ -269,18 +269,23 @@ def period_vs_temperature_sweep(params: ModelParams, inv_betas, trunc: Truncatio
     the fast cycle), extracts the period, and pairs it with the closed-form
     prior.  A row whose curve leaves [0, 1] beyond the physicality tolerance
     is flagged rather than dropped; rows without a detectable revival carry
-    ``period = None``.
+    ``period = None``.  The series tables are built once, on the longest
+    row's grid; each time sample is reduced on its own, so a row's slice is
+    bitwise what a build on its own grid gives.
     """
     if dt is None:
         dt = rabi_period(params) / SAMPLES_PER_CYCLE
+    thermals = [thermal_from_inv_beta(inv_beta, params) for inv_beta in inv_betas]
+    priors = [t0_prime_period(params, thermal) for thermal in thermals]
+    spans = [int(math.ceil(span_factor * prior / dt)) + 1 for prior in priors]
+    if not spans:
+        return []
+    tables = perturbation.series_tables(dt * np.arange(max(spans)), params, trunc,
+                                        coherence=False)
     rows: list[SweepRow] = []
-    for inv_beta in inv_betas:
-        thermal = thermal_from_inv_beta(inv_beta, params)
-        prior = t0_prime_period(params, thermal)
-        n_samples = int(math.ceil(span_factor * prior / dt)) + 1
-        t_grid = dt * np.arange(n_samples)
-        pe = perturbation.pe_thermal(t_grid, params, thermal, trunc)
-        physical = bool(np.all((pe >= -PHYS_EPS) & (pe <= 1.0 + PHYS_EPS)))
+    for inv_beta, thermal, prior, n_samples in zip(inv_betas, thermals, priors, spans):
+        pe = tables.pe(thermal)[:n_samples]
+        physical = bool(np.all(physical_population(pe)))
         series = TimeSeries(t0=0.0, dt=dt, values=pe)
         quantum = tau1(params)
         try:

@@ -23,7 +23,7 @@ from .analysis import (
     approx_cos_sum,
     period_vs_temperature_sweep,
 )
-from .coherence import PHYS_EPS, coherence_values, project_values
+from .coherence import coherence_values, physical_population, project_values
 from .model import (
     ModelParams,
     rabi_period,
@@ -317,7 +317,7 @@ def cmd_pe_series(config: RunConfig, stream) -> int:
     order1 = th * (s2 * orders.p1[1] + c2 * orders.p2[1])
     order2 = 0.5 * th * th * (s2 * orders.p1[2] + c2 * orders.p2[2])
     pe = order0 + order1 + order2
-    flags = (pe >= -PHYS_EPS) & (pe <= 1.0 + PHYS_EPS)
+    flags = physical_population(pe)
 
     columns = ["t", "pe_pert", "pe_order0", "pe_order1_contrib",
                "pe_order2_contrib", "physicality_flag"]

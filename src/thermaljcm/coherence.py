@@ -1,25 +1,25 @@
 """Relative entropy of coherence of the 2x2 atomic state.
 
-C = S(rho_diag) - S(rho) in the atomic energy basis, computed from the
-closed-form qubit eigenvalues.  Perturbative inputs can leave the physical
-set slightly; the projection here clamps the population and radially rescales
-the coherence to the positivity boundary, preserving its phase.
+The atomic state is carried as arrays of (rho00, |rho01|): rho11 = 1 - rho00
+and rho10 = conj(rho01) are implied, index 0 is the excited level, and the
+coherence does not depend on the phase of rho01.  C = S(rho_diag) - S(rho)
+in the atomic energy basis, computed from the closed-form qubit eigenvalues.
+Perturbative inputs can leave the physical set slightly;
+:func:`project_values` clamps the population and clips |rho01| to the
+positivity boundary, and :func:`physical_population` classifies a raw
+population against the tolerance ``PHYS_EPS``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import xlogy
 
 __all__ = [
-    "AtomState",
     "PHYS_EPS",
-    "make_atom_state",
-    "physicality_project",
-    "rel_entropy_coherence",
+    "physical_population",
     "coherence_values",
     "project_values",
 ]
@@ -33,55 +33,10 @@ _PROJ_TOL = 1e-12
 LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class AtomState:
-    """2x2 atomic density matrix written as (rho00, rho01); rho11 = 1 - rho00
-    and rho10 = conj(rho01) are implied.  Index 0 is the excited level, so
-    rho00 is the excitation probability."""
-
-    rho00: float
-    rho01: complex
-    physical: bool
-    projection_applied: bool = False
-    rho00_raw: float | None = None
-    rho01_raw: complex | None = None
-
-
-def _within_physical(rho00: float, rho01: complex, eps: float) -> bool:
-    if not (-eps <= rho00 <= 1.0 + eps):
-        return False
-    p = min(max(rho00, 0.0), 1.0)
-    return abs(rho01) ** 2 <= p * (1.0 - p) + eps
-
-
-def make_atom_state(rho00: float, rho01: complex, eps: float = PHYS_EPS) -> AtomState:
-    """Wrap raw matrix elements, classifying physicality within ``eps``."""
-    rho00 = float(rho00)
-    rho01 = complex(rho01)
-    return AtomState(rho00=rho00, rho01=rho01,
-                     physical=_within_physical(rho00, rho01, eps))
-
-
-def physicality_project(state: AtomState) -> AtomState:
-    """Project onto the physical set: clamp rho00 to [0, 1] and rescale rho01
-    radially onto the positivity boundary sqrt(rho00 (1 - rho00)) when it
-    exceeds it.  The coherence phase is preserved and |rho01| never grows.
-    Original values are kept for diagnostics."""
-    p = min(max(state.rho00, 0.0), 1.0)
-    z = state.rho01
-    bound = math.sqrt(p * (1.0 - p))
-    mag = abs(z)
-    if mag > bound:
-        z = z * (bound / mag) if mag > 0 else 0.0
-    changed = abs(p - state.rho00) > _PROJ_TOL or abs(abs(z) - mag) > _PROJ_TOL
-    return AtomState(
-        rho00=p,
-        rho01=z,
-        physical=True,
-        projection_applied=changed or state.projection_applied,
-        rho00_raw=state.rho00_raw if state.rho00_raw is not None else state.rho00,
-        rho01_raw=state.rho01_raw if state.rho01_raw is not None else state.rho01,
-    )
+def physical_population(rho00):
+    """True where a raw excitation probability lies in [0, 1] within
+    ``PHYS_EPS``; vectorized."""
+    return (rho00 >= -PHYS_EPS) & (rho00 <= 1.0 + PHYS_EPS)
 
 
 def _binary_entropy(x):
@@ -103,23 +58,13 @@ def coherence_values(rho00, abs_rho01):
     return float(out) if np.ndim(rho00) == 0 and np.ndim(abs_rho01) == 0 else out
 
 
-def rel_entropy_coherence(state: AtomState) -> float:
-    """Relative entropy of coherence of a physical atomic state, in [0, ln 2].
-
-    Raises on non-physical input; callers holding raw perturbative values
-    must run :func:`physicality_project` first.
-    """
-    if not _within_physical(state.rho00, state.rho01, _PROJ_TOL):
-        raise ValueError("state is not physical; apply physicality_project first")
-    p = min(max(state.rho00, 0.0), 1.0)
-    return coherence_values(p, abs(state.rho01))
-
-
 def project_values(rho00, abs_rho01):
     """Vectorized projection of (rho00, |rho01|) arrays onto the physical set.
 
-    Returns (rho00, |rho01|, projection_applied mask); the array counterpart
-    of :func:`physicality_project` for grid pipelines.
+    rho00 is clamped to [0, 1] and |rho01| is clipped to the positivity
+    boundary sqrt(rho00 (1 - rho00)), so it never grows.  Returns
+    (rho00, |rho01|, projection_applied mask); a change below 1e-12 does not
+    count as a projection.
     """
     p_raw = np.asarray(rho00, dtype=float)
     z_raw = np.asarray(abs_rho01, dtype=float)

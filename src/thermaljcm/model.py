@@ -21,7 +21,6 @@ __all__ = [
     "derived_detuning",
     "bogoliubov_angles",
     "thermal_from_inv_beta",
-    "block_amplitudes",
     "tau1",
     "t0_period",
     "t0_prime_period",
@@ -172,23 +171,6 @@ def _osc_pair(sqrt_d: np.ndarray, d: np.ndarray, t, half_delta: float):
     b = np.where(zero, np.broadcast_to(t, np.broadcast_shapes(d.shape, t.shape)), sinc)
     a = np.cos(arg) - 1j * half_delta * b
     return a, b
-
-
-def block_amplitudes(n: int, t: float, params: ModelParams):
-    """Propagator block amplitudes (A(n), A'(n), B(n), B'(n)) at photon index n.
-
-    A(n) = cos(sqrt(D_n) t) - i (delta/2) sin(sqrt(D_n) t)/sqrt(D_n),
-    B(n) = sin(sqrt(D_n) t)/sqrt(D_n); primed versions use D'_n.  When
-    D'_n = 0 (delta = 0 and n <= l-1) the limit values A' = 1, B' = t are
-    returned; no division by the vanishing eigenvalue ever happens.
-    """
-    if n < 0:
-        raise ValueError("photon index must be >= 0")
-    table = EigenvalueTable(params, n)
-    half_delta = params.delta / 2.0
-    a, b = _osc_pair(table.sqrt_d[n], table.d[n], t, half_delta)
-    ap, bp = _osc_pair(table.sqrt_d_prime[n], table.d_prime[n], t, half_delta)
-    return complex(a), complex(ap), float(b.real), float(bp.real)
 
 
 def _require_drive(params: ModelParams) -> None:

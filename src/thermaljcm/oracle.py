@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .coherence import AtomState, make_atom_state
 from .model import EigenvalueTable, ModelParams, ThermalParams, _osc_pair
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "reduce_atom",
     "pe_curve",
     "atom_block_matrices",
-    "apply_free_phase",
 ]
 
 
@@ -202,31 +200,21 @@ def _block_elements(params: ModelParams, t: float, n_fock: int):
     """Closed-form propagator pieces on the truncated basis.
 
     Returns (diag_e, diag_g, coup):
-      diag_e[n]  acts on |e, n>; equals conj(A(n)) where the partner
-                 |g, n+l> exists, and the bare detuning phase where the
-                 partner is past the cutoff (so the truncated propagator
-                 stays exactly unitary);
+      diag_e[n]  = conj(A(n)) acting on |e, n>;
       diag_g[m]  = A'(m) acting on |g, m>;
       coup[n]    = -i g sqrt((n+l)!/n!) B(n), the |e, n> <-> |g, n+l>
-                 coupling for n = 0 .. n_fock-1-l.
+                   coupling for n = 0 .. n_fock-1-l, in both directions
+                   because B'(n+l) = B(n).
     """
-    l, g = params.l, params.g
+    l = params.l
     table = EigenvalueTable(params, n_fock - 1)
     half_delta = params.delta / 2.0
     a_n, b_n = _osc_pair(table.sqrt_d, table.d, t, half_delta)
     ap_m, _ = _osc_pair(table.sqrt_d_prime, table.d_prime, t, half_delta)
-    diag_e = np.conj(np.asarray(a_n, dtype=complex))
-    diag_g = np.asarray(ap_m, dtype=complex)
-    ncpl = n_fock - l
-    if ncpl > 0:
-        nn = np.arange(ncpl, dtype=float)
-        beta = np.sqrt(np.prod(nn[:, None] + np.arange(1, l + 1)[None, :], axis=1))
-        coup = -1j * g * beta * np.asarray(b_n, dtype=float)[:ncpl]
-        diag_e[ncpl:] = np.exp(1j * params.delta * t / 2.0)
-    else:
-        coup = np.zeros(0, dtype=complex)
-        diag_e[:] = np.exp(1j * params.delta * t / 2.0)
-    return diag_e, diag_g, coup
+    nn = np.arange(max(n_fock - l, 0), dtype=float)
+    beta = np.sqrt(np.prod(nn[:, None] + np.arange(1, l + 1)[None, :], axis=1))
+    coup = -1j * params.g * beta * np.asarray(b_n, dtype=float)[: nn.size]
+    return np.conj(np.asarray(a_n, dtype=complex)), np.asarray(ap_m, dtype=complex), coup
 
 
 def propagate(state: DoubledFockState, t: float, params: ModelParams) -> DoubledFockState:
@@ -243,6 +231,9 @@ def propagate(state: DoubledFockState, t: float, params: ModelParams) -> Doubled
         raise ValueError("n_fock must exceed the photon multiplicity")
     diag_e, diag_g, coup = _block_elements(params, t, n)
     ncpl = n - l
+    # |e, n> whose partner |g, n+l> is past the cutoff takes the bare
+    # detuning phase, so the truncated propagator stays exactly unitary
+    diag_e[ncpl:] = np.exp(1j * params.delta * t / 2.0)
 
     old_g, old_e = state.amp[0], state.amp[1]  # (2, n, ntilde)
     new_e = diag_e[None, :, None] * old_e
@@ -273,15 +264,13 @@ def observe_pe(state: DoubledFockState) -> float:
     return float(np.sum(np.abs(state.amp[1]) ** 2))
 
 
-def reduce_atom(state: DoubledFockState) -> AtomState:
-    """Partial trace over the tilde atom and both boson modes.
+def reduce_atom(state: DoubledFockState) -> tuple[float, complex]:
+    """Partial trace over the tilde atom and both boson modes: (rho00, rho01).
 
-    rho01 is the excited-ground matrix element <e| rho |g>; Hermiticity is
-    automatic because rho10 is its conjugate by construction.
+    rho00 is the excitation probability and rho01 the excited-ground matrix
+    element <e| rho |g>; rho11 = 1 - rho00 and rho10 = conj(rho01) follow.
     """
-    rho00 = observe_pe(state)
-    rho01 = complex(np.sum(state.amp[1] * np.conj(state.amp[0])))
-    return make_atom_state(rho00, rho01)
+    return observe_pe(state), complex(np.sum(state.amp[1] * np.conj(state.amp[0])))
 
 
 def pe_curve(params: ModelParams, thermal: ThermalParams, times,
@@ -304,39 +293,10 @@ def atom_block_matrices(t: float, params: ModelParams, n_fock: int):
     Used to evaluate coherence-series operator expectations directly in the
     Fock basis, independently of the series code.
     """
-    l, g = params.l, params.g
-    table = EigenvalueTable(params, n_fock - 1)
-    half_delta = params.delta / 2.0
-    a_n, b_n = _osc_pair(table.sqrt_d, table.d, t, half_delta)
-    ap_m, bp_m = _osc_pair(table.sqrt_d_prime, table.d_prime, t, half_delta)
-    u00 = np.diag(np.conj(np.asarray(a_n, dtype=complex)))
-    u11 = np.diag(np.asarray(ap_m, dtype=complex))
+    diag_e, diag_g, coup = _block_elements(params, t, n_fock)
+    rows = np.arange(coup.size)
     u01 = np.zeros((n_fock, n_fock), dtype=complex)
     u10 = np.zeros((n_fock, n_fock), dtype=complex)
-    ncpl = n_fock - l
-    if ncpl > 0:
-        nn = np.arange(ncpl, dtype=float)
-        beta = np.sqrt(np.prod(nn[:, None] + np.arange(1, l + 1)[None, :], axis=1))
-        rows = np.arange(ncpl)
-        u01[rows, rows + l] = -1j * g * beta * np.asarray(b_n, dtype=float)[:ncpl]
-        u10[rows + l, rows] = -1j * g * beta * np.asarray(bp_m, dtype=float)[rows + l]
-    return u00, u01, u10, u11
-
-
-def apply_free_phase(state: DoubledFockState, t: float, params: ModelParams) -> DoubledFockState:
-    """Multiply in the free-evolution phase omega [l (f - f~) + (n - n~)].
-
-    It commutes with the interaction propagator and only rotates phases, so
-    every observable computed here (P_e, |rho01|, the coherence) is unchanged;
-    exposed to let tests assert exactly that.
-    """
-    n = state.trunc.n_fock
-    w = params.omega
-    phase_n = np.exp(-1j * w * t * np.arange(n))
-    f_phase = np.exp(-1j * w * t * params.l * np.arange(2))
-    amp = (state.amp
-           * f_phase[:, None, None, None]
-           * np.conj(f_phase)[None, :, None, None]
-           * phase_n[None, None, :, None]
-           * np.conj(phase_n)[None, None, None, :])
-    return DoubledFockState(amp=amp, trunc=state.trunc)
+    u01[rows, rows + params.l] = coup
+    u10[rows + params.l, rows] = coup
+    return np.diag(diag_e), u01, u10, np.diag(diag_g)

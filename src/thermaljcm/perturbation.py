@@ -39,7 +39,6 @@ from functools import cached_property
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from .coherence import AtomState, make_atom_state
 from .model import EigenvalueTable, ModelParams, ThermalParams, _osc_pair
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "pe_thermal",
     "tilde_S",
     "rho01_thermal",
-    "atom_state",
 ]
 
 DEFAULT_TAIL_TOL = 1e-9
@@ -360,31 +358,29 @@ def pe_order_terms(t, params: ModelParams, trunc: TruncationPolicy) -> PeOrders:
     return series_tables(t, params, trunc, coherence=False).pe_orders
 
 
-def pe_zero_temperature(t, params: ModelParams, trunc: TruncationPolicy, clamp: bool = True):
+def pe_zero_temperature(t, params: ModelParams, trunc: TruncationPolicy):
     """Zero-temperature excitation probability.
 
     g^2 |alpha|^(2l) e^(-|alpha|^2) sum_m |alpha|^(2m)/m! sin^2(sqrt(D_m) t)/D_m.
-    The truncated sum lies in [0, 1] up to rounding; with ``clamp`` the value
-    is clipped to [0, 1], and a clip that moves it by more than 1e-12 (which
-    would indicate a real defect, not rounding) is reported as a warning.
+    The truncated sum lies in [0, 1] up to rounding; the value is clipped to
+    [0, 1], and a clip that moves it by more than 1e-12 (which would indicate
+    a real defect, not rounding) is reported as a warning.
     """
     tables = series_tables(t, params, trunc, coherence=False)
     vals = tables._pe_arrays[1][0]
-    if clamp:
-        clipped = np.clip(vals, 0.0, 1.0)
-        if np.any(np.abs(clipped - vals) > 1e-12):
-            warnings.warn("zero-temperature probability left [0, 1] by more than 1e-12",
-                          UserWarning, stacklevel=2)
-        vals = clipped
-    return tables._unwrap(vals)
+    clipped = np.clip(vals, 0.0, 1.0)
+    if np.any(np.abs(clipped - vals) > 1e-12):
+        warnings.warn("zero-temperature probability left [0, 1] by more than 1e-12",
+                      UserWarning, stacklevel=2)
+    return tables._unwrap(clipped)
 
 
 def pe_thermal(t, params: ModelParams, thermal: ThermalParams, trunc: TruncationPolicy):
     """Excitation probability through second order in the Bogoliubov angle.
 
     Returned raw: at larger angles the truncated expansion may leave [0, 1]
-    slightly; physicality is classified downstream (see :func:`atom_state`
-    and the coherence module), never clamped here.
+    slightly; physicality is classified downstream (see the coherence
+    module), never clamped here.
     """
     return series_tables(t, params, trunc, coherence=False).pe(thermal)
 
@@ -411,15 +407,3 @@ def rho01_thermal(t, params: ModelParams, thermal: ThermalParams, trunc: Truncat
     test suite rather than asserted symbolically).
     """
     return series_tables(t, params, trunc).rho01(thermal)
-
-
-def atom_state(t: float, params: ModelParams, thermal: ThermalParams,
-               trunc: TruncationPolicy) -> AtomState:
-    """Perturbative 2x2 atomic state at a single time.
-
-    rho00 is the excitation probability, rho11 = 1 - rho00, and the state
-    carries a physicality flag; values are raw (no clamping) so that the
-    residual scaling against the exact solver stays measurable.
-    """
-    tables = series_tables(t, params, trunc)
-    return make_atom_state(tables.pe(thermal), tables.rho01(thermal))

@@ -243,6 +243,34 @@ class TestPeriodSweep:
         assert rows[0].no_revival
         assert rows[0].period is None
 
+    def test_one_build_serves_every_row(self, monkeypatch):
+        # rows of different spans slice one build on the longest grid; each
+        # row equals a fresh series on its own grid, bitwise
+        from thermaljcm import perturbation
+
+        p = make_params(l=1, alpha=3.0)
+        trunc = TruncationPolicy(50)
+        inv_betas = [0.3, 0.0, 0.1]
+        builds = []
+        build = perturbation.series_tables
+        monkeypatch.setattr(perturbation, "series_tables",
+                            lambda *a, **k: builds.append(a[0].size) or build(*a, **k))
+        rows = period_vs_temperature_sweep(p, inv_betas, trunc)
+        monkeypatch.undo()
+        dt = rabi_period(p) / 40
+        spans = []
+        for row, inv_beta in zip(rows, inv_betas):
+            thermal = thermal_from_inv_beta(inv_beta, p)
+            spans.append(int(math.ceil(1.85 * row.t0_prime / dt)) + 1)
+            pe = pe_thermal(dt * np.arange(spans[-1]), p, thermal, trunc)
+            est = extract_revival_period(TimeSeries(0.0, dt, pe), p, thermal)
+            assert row.period == est.period
+        assert len(set(spans)) == 3
+        assert builds == [max(spans)]
+
+    def test_empty_grid_returns_no_rows(self):
+        assert period_vs_temperature_sweep(make_params(), [], TruncationPolicy(50)) == []
+
     @pytest.mark.parametrize("alpha", [5.0, 7.0, 12.0])
     def test_two_photon_period_independent_of_amplitude(self, alpha):
         p = make_params(l=2, omega0=1.0, omega=1.0, alpha=alpha)

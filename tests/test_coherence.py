@@ -4,14 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermaljcm.coherence import (
     LN2,
+    PHYS_EPS,
     coherence_values,
-    make_atom_state,
-    physicality_project,
+    physical_population,
     project_values,
-    rel_entropy_coherence,
 )
 
 
@@ -29,53 +30,52 @@ def entropy_oracle(rho00, rho01):
 
 class TestProjection:
     def test_boundary_state_untouched(self):
-        s = physicality_project(make_atom_state(0.5, 0.5))
-        assert (s.rho00, s.rho01) == (0.5, 0.5)
-        assert not s.projection_applied
+        p, z, changed = project_values(0.5, 0.5)
+        assert (p, z) == (0.5, 0.5)
+        assert not changed
 
     def test_excess_coherence_rescaled(self):
-        s = physicality_project(make_atom_state(0.5, 0.6))
-        assert s.rho01 == pytest.approx(0.5)
-        assert s.rho00 == 0.5
-        assert s.projection_applied
-        assert s.rho01_raw == 0.6
+        p, z, changed = project_values(0.5, 0.6)
+        assert z == pytest.approx(0.5)
+        assert p == 0.5
+        assert changed
 
     def test_population_clamped(self):
-        s = physicality_project(make_atom_state(1.0000003, 0.0))
-        assert s.rho00 == 1.0
-        assert s.rho01 == 0.0
-        assert s.projection_applied
+        p, z, changed = project_values(1.0000003, 0.0)
+        assert p == 1.0
+        assert z == 0.0
+        assert changed
 
-    def test_phase_preserved(self):
-        z = 0.7 * np.exp(1.2j)
-        s = physicality_project(make_atom_state(0.5, z))
-        assert np.angle(s.rho01) == pytest.approx(1.2)
-        assert abs(s.rho01) == pytest.approx(0.5)
-
-    def test_vectorized_projection_matches_scalar(self):
-        rng = np.random.default_rng(7)
-        p_raw = rng.uniform(-0.05, 1.05, size=40)
-        z_raw = rng.uniform(0.0, 0.7, size=40)
-        p, z, changed = project_values(p_raw, z_raw)
-        for i in range(40):
-            s = physicality_project(make_atom_state(p_raw[i], z_raw[i]))
-            assert p[i] == pytest.approx(s.rho00, abs=1e-15)
-            assert z[i] == pytest.approx(abs(s.rho01), abs=1e-15)
-            assert changed[i] == s.projection_applied
+    @settings(max_examples=200, deadline=None)
+    @given(raw=st.lists(st.tuples(st.floats(-0.5, 1.5), st.floats(0.0, 2.0)),
+                        min_size=1, max_size=20))
+    def test_projection_properties(self, raw):
+        p_raw, z_raw = np.asarray(raw).T
+        p, z, _ = project_values(p_raw, z_raw)
+        assert np.all((p >= 0.0) & (p <= 1.0))
+        assert np.all(z <= z_raw)
+        assert np.all(z <= np.sqrt(p * (1.0 - p)))
+        assert np.all(z * z <= p * (1.0 - p) + 1e-15)  # up to rounding of the root
+        p2, z2, changed2 = project_values(p, z)
+        np.testing.assert_array_equal(p2, p)
+        np.testing.assert_array_equal(z2, z)
+        assert not changed2.any()
+        c = coherence_values(p, z)
+        assert np.all((c >= 0.0) & (c <= LN2))
 
 
 class TestRelativeEntropy:
     @pytest.mark.parametrize("rho00", [0.0, 0.17, 0.5, 0.93, 1.0])
     def test_diagonal_states_have_no_coherence(self, rho00):
-        assert rel_entropy_coherence(make_atom_state(rho00, 0.0)) == 0.0
+        assert coherence_values(rho00, 0.0) == 0.0
 
     def test_maximally_coherent(self):
-        c = rel_entropy_coherence(make_atom_state(0.5, 0.5))
+        c = coherence_values(0.5, 0.5)
         assert c == pytest.approx(LN2, abs=1e-12)
 
     def test_half_coherence_value(self):
         # lambda = {0.75, 0.25}: C = ln 2 - H(0.75) ~= 0.1308
-        c = rel_entropy_coherence(make_atom_state(0.5, 0.25))
+        c = coherence_values(0.5, 0.25)
         assert c == pytest.approx(0.1308, abs=5e-5)
         assert c == pytest.approx(entropy_oracle(0.5, 0.25), abs=1e-12)
 
@@ -85,16 +85,16 @@ class TestRelativeEntropy:
             p = rng.uniform(0.0, 1.0)
             zmax = math.sqrt(p * (1 - p))
             z = rng.uniform(0, zmax) * np.exp(1j * rng.uniform(0, 2 * math.pi))
-            c = rel_entropy_coherence(make_atom_state(p, z))
+            c = coherence_values(p, abs(z))
             assert c == pytest.approx(entropy_oracle(p, z), abs=1e-10)
             assert 0.0 <= c <= LN2
 
     def test_phase_invariance(self):
+        # the coherence of the full matrix does not see the phase of rho01
         rng = np.random.default_rng(11)
-        base = rel_entropy_coherence(make_atom_state(0.4, 0.3))
+        base = coherence_values(0.4, 0.3)
         for phi in rng.uniform(0, 2 * math.pi, size=20):
-            c = rel_entropy_coherence(make_atom_state(0.4, 0.3 * np.exp(1j * phi)))
-            assert c == pytest.approx(base, abs=1e-13)
+            assert entropy_oracle(0.4, 0.3 * np.exp(1j * phi)) == pytest.approx(base, abs=1e-13)
 
     def test_eigenvalues_sum_to_one_and_lie_in_range(self):
         rng = np.random.default_rng(5)
@@ -113,21 +113,13 @@ class TestRelativeEntropy:
         cs = coherence_values(np.full_like(zs, p), zs)
         assert np.all(np.diff(cs) > 0)
 
-    def test_rejects_nonphysical_input(self):
-        with pytest.raises(ValueError):
-            rel_entropy_coherence(make_atom_state(0.5, 0.6))
-        with pytest.raises(ValueError):
-            rel_entropy_coherence(make_atom_state(1.4, 0.0))
-
     def test_projected_input_is_always_accepted(self):
         rng = np.random.default_rng(13)
-        for _ in range(50):
-            raw = make_atom_state(rng.uniform(-0.2, 1.2),
-                                  rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 6)))
-            c = rel_entropy_coherence(physicality_project(raw))
-            assert 0.0 <= c <= LN2
+        p, z, _ = project_values(rng.uniform(-0.2, 1.2, size=50), rng.uniform(0, 1, size=50))
+        c = coherence_values(p, z)
+        assert np.all((c >= 0.0) & (c <= LN2))
 
     def test_classification_flag(self):
-        assert make_atom_state(0.5, 0.3).physical
-        assert not make_atom_state(0.5, 0.9).physical
-        assert make_atom_state(1.0 + 5e-7, 0.0).physical  # inside tolerance
+        flags = physical_population(np.array([0.5, 1.0 + 5e-7, -5e-7, 1.0 + 2 * PHYS_EPS,
+                                              -2 * PHYS_EPS]))
+        np.testing.assert_array_equal(flags, [True, True, True, False, False])

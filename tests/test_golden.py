@@ -83,3 +83,14 @@ def run_case(tmp_path, name: str, fmt: str) -> bytes:
 def test_output_bytes_match_golden(tmp_path, name, fmt):
     digest = hashlib.sha256(run_case(tmp_path, name, fmt)).hexdigest()
     assert digest == GOLDEN[f"{name}.{fmt}"]
+
+
+#: the default oracle-validate report, which runs the exact solver through
+#: ``oracle.reduce_atom`` and the propagator blocks
+ORACLE_VALIDATE_SHA256 = "f6fd6c4c0cc42df7e49ded458222b99928766ed94081dd66fb084935af894a56"
+
+
+def test_oracle_validate_report_matches_golden(tmp_path):
+    out = tmp_path / "oracle_validate.json"
+    assert main(["oracle-validate", "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ORACLE_VALIDATE_SHA256

@@ -8,7 +8,7 @@ import pytest
 from thermaljcm.model import (
     EigenvalueTable,
     ModelParams,
-    block_amplitudes,
+    _osc_pair,
     bogoliubov_angles,
     derived_detuning,
     interference_period,
@@ -138,38 +138,46 @@ class TestEigenvalueTable:
             EigenvalueTable(make_params(), -1)
 
 
+def block_pairs(p, n_max, t):
+    """(A, B) and (A', B') on photon indices 0..n_max through the closed form."""
+    table = EigenvalueTable(p, n_max)
+    half_delta = p.delta / 2.0
+    return (_osc_pair(table.sqrt_d, table.d, t, half_delta),
+            _osc_pair(table.sqrt_d_prime, table.d_prime, t, half_delta))
+
+
 class TestBlockAmplitudes:
     @pytest.mark.parametrize("n", [0, 3, 17])
     def test_identity_at_t_zero(self, n):
-        a, ap, b, bp = block_amplitudes(n, 0.0, make_params(l=2, omega0=1.0, omega=1.0))
-        assert a == 1.0 and ap == 1.0
-        assert b == 0.0 and bp == 0.0
+        (a, b), (ap, bp) = block_pairs(make_params(l=2, omega0=1.0, omega=1.0), n, 0.0)
+        assert a[n] == 1.0 and ap[n] == 1.0
+        assert b[n] == 0.0 and bp[n] == 0.0
 
     def test_degenerate_eigenvalue_limit(self):
         # delta = 0 and n <= l-1: the primed pair takes its limit values
         p = make_params(l=2, omega0=2.0, omega=1.0)
         assert p.delta == 0.0
         t = 0.83
-        _, ap, _, bp = block_amplitudes(1, t, p)
-        assert ap == 1.0
-        assert bp == t
+        _, (ap, bp) = block_pairs(p, 1, t)
+        assert ap[1] == 1.0
+        assert bp[1] == t
 
     def test_resonant_single_photon_value(self):
         # D_0 = 1 at l = 1, g = 1, delta = 0
         p = make_params(l=1, omega0=1.0, omega=1.0, g=1.0)
-        a, _, b, _ = block_amplitudes(0, math.pi / 2, p)
-        assert abs(a - math.cos(math.pi / 2)) < 1e-15
-        assert b == pytest.approx(1.0, abs=1e-15)
+        (a, b), _ = block_pairs(p, 0, math.pi / 2)
+        assert abs(a[0] - math.cos(math.pi / 2)) < 1e-15
+        assert b[0] == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
     def test_blockwise_unitarity(self, t):
         # |A'(n+l)|^2 + g^2 prod_{k=1..l}(n+k) B'(n+l)^2 = 1
         p = make_params(l=2, omega0=1.0, omega=1.0, g=0.9, alpha=3.0)
         table = EigenvalueTable(p, 52 + p.l)
+        _, (ap, bp) = block_pairs(p, 50 + p.l, t)
         for n in range(51):
-            _, ap, _, bp = block_amplitudes(n + p.l, t, p)
             prod = float(np.prod(np.arange(1, p.l + 1) + n))
-            assert abs(abs(ap) ** 2 + p.g**2 * prod * bp**2 - 1.0) < 1e-12
+            assert abs(abs(ap[n + p.l]) ** 2 + p.g**2 * prod * bp[n + p.l] ** 2 - 1.0) < 1e-12
         assert table.d_prime[p.l] == table.d[0]
 
 
@@ -257,8 +265,6 @@ class TestPeriods:
         with pytest.raises(ValueError):
             t0_prime_period(make_params(l=1, alpha=0.0),
                             bogoliubov_angles(math.inf, 1.0, 1.0))
-        with pytest.raises(ValueError):
-            block_amplitudes(-1, 0.5, make_params())
 
     def test_driveless_rejections(self):
         p = make_params(g=0.0)

@@ -6,24 +6,25 @@ import numpy as np
 import pytest
 
 from thermaljcm import oracle
+from thermaljcm.coherence import physical_population
 from thermaljcm.model import (
     EigenvalueTable,
     ModelParams,
+    _osc_pair,
     bogoliubov_angles,
-    block_amplitudes,
     thermal_from_inv_beta,
 )
 from thermaljcm.oracle import FockTruncation, coherent_state_vector
 from thermaljcm.perturbation import (
     TruncationPolicy,
     TruncationWarning,
-    atom_state,
     pe_order_terms,
     pe_thermal,
     pe_zero_temperature,
     poisson_log_weight,
     rho01_thermal,
     series_S,
+    series_tables,
     tilde_S,
 )
 from thermaljcm.validation import theta_for_angle
@@ -294,7 +295,9 @@ class TestTildeSeries:
         # at alpha = 0 only the series whose conj(alpha) power is zero survive
         trunc = TruncationPolicy(10)
         p1 = make_params(l=1, omega0=1.0, omega=1.0, alpha=0.0)
-        a1, _, _, bp1 = block_amplitudes(1, 0.7, p1)
+        table = EigenvalueTable(p1, 1)
+        a1 = _osc_pair(table.sqrt_d, table.d, 0.7, p1.delta / 2.0)[0][1]
+        bp1 = _osc_pair(table.sqrt_d_prime, table.d_prime, 0.7, p1.delta / 2.0)[1][1]
         expected = -1j * p1.g * (0 + 1) * a1 * bp1  # m = 0 term of (j, k) = (1, 1)
         assert tilde_S(1, 1, 0.7, p1, trunc) == pytest.approx(expected, abs=1e-14)
         assert tilde_S(1, 0, 0.7, p1, trunc) == 0.0
@@ -332,7 +335,7 @@ class TestRho01Thermal:
         thermal = thermal_from_inv_beta(0.05, p)
         state = oracle.propagate(
             oracle.build_initial_state(p, thermal, FockTruncation(40)), 0.8, p)
-        exact = oracle.reduce_atom(state).rho01
+        _, exact = oracle.reduce_atom(state)
         series = rho01_thermal(0.8, p, thermal, trunc)
         assert abs(series - np.conj(exact)) < 1e-10
         assert abs(series - exact) > 1e-3  # same orientation does not match
@@ -341,30 +344,30 @@ class TestRho01Thermal:
 class TestAtomState:
     def test_cold_initial_state_is_ground(self):
         p = make_params(l=1, alpha=2.0)
-        s = atom_state(0.0, p, COLD, TruncationPolicy.adaptive(p))
-        assert s.rho00 == 0.0 and s.rho01 == 0.0
-        assert s.physical
+        s = series_tables(0.0, p, TruncationPolicy.adaptive(p))
+        assert s.pe(COLD) == 0.0 and s.rho01(COLD) == 0.0
+        assert physical_population(s.pe(COLD))
 
     def test_warm_initial_state(self):
         p = make_params(l=1, alpha=2.0)
         thermal = thermal_from_inv_beta(0.1, p)
-        s = atom_state(0.0, p, thermal, TruncationPolicy.adaptive(p))
-        assert s.rho00 == pytest.approx(thermal.sin_atom**2, abs=1e-12)
-        assert s.rho01 == 0.0
+        s = series_tables(0.0, p, TruncationPolicy.adaptive(p))
+        assert s.pe(thermal) == pytest.approx(thermal.sin_atom**2, abs=1e-12)
+        assert s.rho01(thermal) == 0.0
 
     def test_trace_distance_to_oracle_is_cubic(self):
         p = make_params(l=2, omega0=1.0, omega=1.0, alpha=2.0)
         trunc = TruncationPolicy.adaptive(p)
         t = 1.0
         ftrunc = FockTruncation(50)
+        tables = series_tables(t, p, trunc)
 
         def trace_distance(theta):
             thermal = theta_for_angle(theta, p.omega, p.omega0)
-            s = atom_state(t, p, thermal, trunc)
-            exact = oracle.reduce_atom(oracle.propagate(
+            rho00, rho01 = oracle.reduce_atom(oracle.propagate(
                 oracle.build_initial_state(p, thermal, ftrunc), t, p))
-            dp = s.rho00 - exact.rho00
-            dz = s.rho01 - np.conj(exact.rho01)
+            dp = tables.pe(thermal) - rho00
+            dz = tables.rho01(thermal) - np.conj(rho01)
             return math.sqrt(dp * dp + abs(dz) ** 2)
 
         c_cubic = trace_distance(0.01) / 0.01**3
