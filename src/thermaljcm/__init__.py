@@ -14,7 +14,7 @@ from .model import (
     bogoliubov_angles,
     thermal_from_inv_beta,
 )
-from .perturbation import TruncationPolicy, pe_thermal, pe_zero_temperature, rho01_thermal
+from .perturbation import TruncationPolicy, series_tables
 
 __version__ = "0.1.0"
 
@@ -31,8 +31,6 @@ __all__ = [
     "bogoliubov_angles",
     "thermal_from_inv_beta",
     "TruncationPolicy",
-    "pe_thermal",
-    "pe_zero_temperature",
-    "rho01_thermal",
+    "series_tables",
     "__version__",
 ]

@@ -118,11 +118,6 @@ class SweepRow:
         return self.period is None
 
 
-def _as_grid(t):
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    return arr, np.ndim(t) == 0
-
-
 def approx_cos_sum(alpha: complex, l: int, g: float, t):
     """Both sides of the stationary-phase closed form for the Poisson cosine sum.
 
@@ -135,15 +130,12 @@ def approx_cos_sum(alpha: complex, l: int, g: float, t):
     aa = abs(alpha) ** 2
     n_max = math.ceil(aa + 12.0 * math.sqrt(aa + 1.0) + 10)
     w = np.exp(poisson_log_weight(np.arange(n_max + 1), alpha))
-    t_arr, scalar = _as_grid(t)
+    t = np.asarray(t, dtype=float)
     m_pow = np.arange(n_max + 1, dtype=float) ** (l / 2.0)
-    lhs = np.add.reduce(w[None, :] * np.cos(2.0 * g * m_pow[None, :] * t_arr[:, None]),
-                        axis=-1)
-    slow = g * abs(alpha) ** (l - 2) * l * t_arr
-    fast = g * abs(alpha) ** l * t_arr
+    lhs = np.add.reduce(w * np.cos(2.0 * g * m_pow * t[..., None]), axis=-1)
+    slow = g * abs(alpha) ** (l - 2) * l * t
+    fast = g * abs(alpha) ** l * t
     rhs = np.exp(aa * (np.cos(slow) - 1.0)) * np.cos(fast + aa * np.sin(slow))
-    if scalar:
-        return float(lhs[0]), float(rhs[0])
     return lhs, rhs
 
 
@@ -151,9 +143,8 @@ def revival_envelope(alpha: complex, l: int, g: float, t):
     """Normalized envelope factor exp(|a|^2 [cos(g |a|^(l-2) l t) - 1]) whose
     period sets the revival spacing."""
     aa = abs(alpha) ** 2
-    t_arr, scalar = _as_grid(t)
-    out = np.exp(aa * (np.cos(g * abs(alpha) ** (l - 2) * l * t_arr) - 1.0))
-    return float(out[0]) if scalar else out
+    t = np.asarray(t, dtype=float)
+    return np.exp(aa * (np.cos(g * abs(alpha) ** (l - 2) * l * t) - 1.0))
 
 
 def pe_collapse_revival_approx(t, params: ModelParams):

@@ -96,13 +96,19 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise ConfigError(f"{path}: {message}")
 
 
+def _is_number(value) -> bool:
+    """A JSON number that is a finite float: ``json.load`` also admits NaN,
+    Infinity and integers too large for a float."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _get_number(section: dict, path: str, key: str, default=None, required=False):
     if key not in section or section[key] is None:
         _expect(not required, f"{path}.{key}", "required field is missing")
         return default
     value = section[key]
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
-            f"{path}.{key}", f"expected a number, got {value!r}")
+    _expect(_is_number(value), f"{path}.{key}", f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -122,12 +128,12 @@ def parse_config(data: dict) -> RunConfig:
             "model.l", "must be an integer >= 1")
     alpha_raw = model.get("alpha", 0.0)
     if isinstance(alpha_raw, (list, tuple)):
-        _expect(len(alpha_raw) == 2 and all(isinstance(v, (int, float)) for v in alpha_raw),
-                "model.alpha", "complex amplitude must be [re, im]")
+        _expect(len(alpha_raw) == 2 and all(_is_number(v) for v in alpha_raw),
+                "model.alpha", "complex amplitude must be [re, im] of finite numbers")
         alpha = complex(alpha_raw[0], alpha_raw[1])
     else:
-        _expect(isinstance(alpha_raw, (int, float)) and not isinstance(alpha_raw, bool),
-                "model.alpha", f"expected a number or [re, im], got {alpha_raw!r}")
+        _expect(_is_number(alpha_raw),
+                "model.alpha", f"expected a finite number or [re, im], got {alpha_raw!r}")
         alpha = complex(alpha_raw)
     try:
         params = ModelParams(
@@ -148,8 +154,8 @@ def parse_config(data: dict) -> RunConfig:
                 "thermal.inv_beta_grid", "must be a non-empty list")
         inv_betas = []
         for i, v in enumerate(grid_raw):
-            _expect(isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0,
-                    f"thermal.inv_beta_grid[{i}]", "temperatures must be numbers >= 0")
+            _expect(_is_number(v) and v >= 0,
+                    f"thermal.inv_beta_grid[{i}]", "temperatures must be finite numbers >= 0")
             inv_betas.append(float(v))
     else:
         ib = _get_number(thermal, "thermal", "inv_beta", default=0.0)
@@ -310,12 +316,12 @@ def cmd_pe_series(config: RunConfig, stream) -> int:
     trunc = config.trunc
     t = _default_pe_grid(config)
 
-    orders = perturbation.series_tables(t, params, trunc, coherence=False).pe_orders
+    p1, p2 = perturbation.series_tables(t, params, trunc, coherence=False).pe_terms
     s2, c2 = thermal.sin_atom**2, thermal.cos_atom**2
     th = thermal.theta
-    order0 = s2 * orders.p1[0] + c2 * orders.p2[0]
-    order1 = th * (s2 * orders.p1[1] + c2 * orders.p2[1])
-    order2 = 0.5 * th * th * (s2 * orders.p1[2] + c2 * orders.p2[2])
+    order0 = s2 * p1[0] + c2 * p2[0]
+    order1 = th * (s2 * p1[1] + c2 * p2[1])
+    order2 = 0.5 * th * th * (s2 * p1[2] + c2 * p2[2])
     pe = order0 + order1 + order2
     flags = physical_population(pe)
 

@@ -5,7 +5,10 @@ order in the bosonic Bogoliubov angle.  Every series is a Poisson-weighted
 sum over photon number; weights are built in the log domain so that the
 alpha = 12, n_max = 250 regime never overflows, and all reductions run in a
 fixed ascending-n order (numpy pairwise over the contiguous n axis), so a
-value is bitwise independent of how the time grid is batched.
+value is bitwise independent of how the time grid is batched.  One known
+exception: at complex alpha the coherence series of a one-sample grid can
+differ in the last bit, because numpy's in-place complex multiply by the
+prefactor takes another path for a one-element array.
 
 Convention: the S-type sums returned here carry the normalized Poisson
 weights, i.e. they equal exp(-|alpha|^2) times the bare sums written with
@@ -14,24 +17,22 @@ account for this.
 
 Engine: the temperature enters only the final combination with the
 Bogoliubov angles; every table before it depends on (params, trunc, t)
-alone.  :func:`series_tables` builds those tables once on a time grid and
-returns a :class:`SeriesTables`, which evaluates P_e and rho01 at any
-number of temperatures.  Every other entry point here is a view over one
-build.  Per time chunk a build takes one cos and one sin table of
-sqrt(D_m) t.  S1 and S2 come from their squares.  The coherence amplitudes
-A(m) and B(m) come from the same two tables.  The primed amplitudes reuse
-them through D'_n = D_(n-l), n >= l; only the l structurally zero columns
-n < l use the closed form of ``model._osc_pair``.  The shift equals a
-direct evaluation of D'_n bitwise while the photon-number products of
-:class:`EigenvalueTable` are exact integers, i.e. (n_max + l + 2)^l < 2^53.
-Every preset is far below that (at most 253^4, about 4e9); past it, both
-are roundings of the same exact value.
+alone.  :func:`series_tables`, the one entry point, builds those tables once
+on a 1-d time grid and returns a :class:`SeriesTables`, which evaluates P_e
+and rho01 at any number of temperatures.  Per time chunk a build takes one
+cos and one sin table of sqrt(D_m) t.  S1 and S2 come from their squares.
+The coherence amplitudes A(m) and B(m) come from the same two tables.  The
+primed amplitudes reuse them through D'_n = D_(n-l), n >= l; only the l
+structurally zero columns n < l use the closed form of ``model._osc_pair``.
+The shift equals a direct evaluation of D'_n bitwise while the photon-number
+products of :class:`EigenvalueTable` are exact integers, i.e.
+(n_max + l + 2)^l < 2^53.  Every preset is far below that (at most 253^4,
+about 4e9); past it, both are roundings of the same exact value.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -44,16 +45,9 @@ from .model import EigenvalueTable, ModelParams, ThermalParams, _osc_pair
 __all__ = [
     "TruncationPolicy",
     "TruncationWarning",
-    "PeOrders",
     "SeriesTables",
     "poisson_log_weight",
     "series_tables",
-    "pe_zero_temperature",
-    "series_S",
-    "pe_order_terms",
-    "pe_thermal",
-    "tilde_S",
-    "rho01_thermal",
 ]
 
 DEFAULT_TAIL_TOL = 1e-9
@@ -100,28 +94,8 @@ class TruncationPolicy:
                 f"Poisson tail mass {tail:.3e} beyond n_max={self.n_max} exceeds "
                 f"tolerance {tol:.1e}; increase n_max",
                 TruncationWarning,
-                stacklevel=_outside_stacklevel(),
+                stacklevel=3,  # the line that called series_tables
             )
-
-
-def _outside_stacklevel() -> int:
-    """``warnings.warn`` stacklevel of the first caller outside this module, so
-    a warning names the line that called into the series, however many
-    entry points it passed through."""
-    level, frame = 2, sys._getframe(2)
-    while frame is not None and frame.f_globals.get("__name__") == __name__:
-        level, frame = level + 1, frame.f_back
-    return level
-
-
-@dataclass(frozen=True)
-class PeOrders:
-    """Excitation-probability order terms (zeroth, first, second) for the two
-    atomic-weight channels; channel 1 multiplies sin^2 and channel 2 cos^2 of
-    the atomic mixing angle."""
-
-    p1: tuple
-    p2: tuple
 
 
 def poisson_log_weight(n, alpha: complex):
@@ -150,39 +124,42 @@ _ALPHA_POWERS = (0, -1, 1, -2, 2, 0)  # offsets relative to l
 _OFFSETS = (0, 0, 1, 0, 2, 1)
 
 
-def _check_index(j: int, k: int, n_k: int) -> None:
-    if j not in (1, 2):
-        raise ValueError("j must be 1 or 2")
-    if k not in range(n_k):
-        raise ValueError(f"k must be in 0..{n_k - 1}")
-
-
 @dataclass(frozen=True, eq=False)
 class SeriesTables:
     """The temperature-independent series tables of one (params, trunc, t).
 
-    ``S1``/``S2`` are the sums S_j(k) of :func:`series_S`, shape (3, nt);
-    ``tilde`` holds the twelve coherence series of :func:`tilde_S` as
-    printed, shape (2, 6, nt), or is None for a P_e-only build.  The order
-    terms are formed once, on first use; :meth:`pe` and :meth:`rho01` then
-    only combine them with the Bogoliubov angles of the temperature asked
-    for.  Values come back as floats/complex for a scalar time and as
-    arrays for a grid.
+    ``S1``/``S2`` are the sums S_j(k), k in {0, 1, 2}, shape (3, nt).  S1
+    sums cos^2(sqrt(D_{n+k}) t) + (delta/2)^2 sin^2(...)/D_{n+k}; S2 sums
+    sin^2(sqrt(D_{n+k}) t)/D_{n+k}.  They carry the normalized weights (the
+    module-level convention), so S1(k) -> 1 and S2(k) -> 0 at t = 0.
+
+    ``tilde`` holds the twelve coherence series exactly as printed, shape
+    (2, 6, nt): ``tilde[j - 1, k]`` for j in {1, 2}, k in {0..5}, including
+    sign, conj(alpha) power and unit-step shifts.  Family 1 weighs
+    A(m+l) B'(m+l) products, family 2 B A' products; summing over the weight
+    index m = 0..n_max absorbs the printed unit-step guards.  It is None for
+    a P_e-only build.
+
+    The order terms are formed once, on first use; :meth:`pe` and
+    :meth:`rho01` then only combine them with the Bogoliubov angles of the
+    temperature asked for.  Every value is an array over the time grid.
     """
 
     params: ModelParams
     S1: np.ndarray
     S2: np.ndarray
     tilde: np.ndarray | None
-    scalar: bool
-
-    def _unwrap(self, out):
-        if not self.scalar:
-            return out
-        return complex(out[0]) if np.iscomplexobj(out) else float(out[0])
 
     @cached_property
-    def _pe_arrays(self):
+    def pe_terms(self):
+        """Excitation-probability order terms ((p1_0, p1_1, p1_2),
+        (p2_0, p2_1, p2_2)): zeroth, first and second order of the two
+        atomic-weight channels; channel 1 multiplies sin^2 and channel 2
+        cos^2 of the atomic mixing angle.
+
+        At zero temperature only p2_0 survives:
+        g^2 |alpha|^(2l) e^(-|alpha|^2) sum_m |alpha|^(2m)/m! sin^2(sqrt(D_m) t)/D_m.
+        """
         S1, S2 = self.S1, self.S2
         aa = self.params.abs_alpha_sq
         g2 = self.params.g**2
@@ -229,42 +206,50 @@ class SeriesTables:
         )
         return r0, r1, r2  # each (2, nt)
 
-    @property
-    def pe_orders(self) -> PeOrders:
-        """All six order terms of the excitation probability."""
-        p1, p2 = self._pe_arrays
-        return PeOrders(p1=tuple(self._unwrap(x) for x in p1),
-                        p2=tuple(self._unwrap(x) for x in p2))
+    def pe(self, thermal: ThermalParams) -> np.ndarray:
+        """Excitation probability through second order in the Bogoliubov
+        angle, at the temperature of ``thermal``.
 
-    def pe(self, thermal: ThermalParams):
-        """Excitation probability at the temperature of ``thermal``, raw."""
-        p1, p2 = self._pe_arrays
+        Returned raw: at larger angles the truncated expansion may leave
+        [0, 1] slightly; physicality is classified downstream (see the
+        coherence module), never clamped here.
+        """
+        p1, p2 = self.pe_terms
         th = thermal.theta
         pe1 = p1[0] + th * p1[1] + 0.5 * th * th * p1[2]
         pe2 = p2[0] + th * p2[1] + 0.5 * th * th * p2[2]
-        return self._unwrap(thermal.sin_atom**2 * pe1 + thermal.cos_atom**2 * pe2)
+        return thermal.sin_atom**2 * pe1 + thermal.cos_atom**2 * pe2
 
-    def rho01(self, thermal: ThermalParams):
-        """Atomic coherence at the temperature of ``thermal``, raw."""
+    def rho01(self, thermal: ThermalParams) -> np.ndarray:
+        """Atomic coherence through second order in the Bogoliubov angle, at
+        the temperature of ``thermal``, raw.
+
+        Note on orientation: this is the expansion of the expectation of
+        (u00^dag u10, u01^dag u11), which is the conjugate of the
+        excited-ground matrix element the exact reduced state yields;
+        magnitudes agree, complex comparisons against the oracle must
+        conjugate one side (verified in the test suite rather than asserted
+        symbolically).
+        """
         r0, r1, r2 = self._rho01_arrays
         th = thermal.theta
         ch1 = r0[0] + th * r1[0] + 0.5 * th * th * r2[0]
         ch2 = r0[1] + th * r1[1] + 0.5 * th * th * r2[1]
-        return self._unwrap(thermal.sin_atom**2 * ch1 + thermal.cos_atom**2 * ch2)
+        return thermal.sin_atom**2 * ch1 + thermal.cos_atom**2 * ch2
 
 
 def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
                   coherence: bool = True) -> SeriesTables:
-    """Build the temperature-independent series tables on the time(s) t.
+    """Build the temperature-independent series tables on the 1-d time grid t.
 
     With ``coherence=False`` the twelve coherence series are skipped and the
     trig tables are sized to the n_max + 3 columns the S sums need, for
     callers that only want P_e.
     """
-    trunc.warn_if_leaky(params.alpha)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    t_arr = np.asarray(t, dtype=float)
     if t_arr.ndim != 1:
-        raise ValueError("time must be a scalar or 1-d array")
+        raise ValueError("time must be a 1-d array")
+    trunc.warn_if_leaky(params.alpha)
     n_max = trunc.n_max
     l = params.l
     n_cols = n_max + 1
@@ -338,72 +323,5 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
             pref = (1.0 if p == 0 else 0.0) if alpha == 0 else ac**p
             tilde[0, k] *= -1j * params.g * pref
             tilde[1, k] *= 1j * params.g * pref
-    return SeriesTables(params, S1, S2, tilde, scalar=np.ndim(t) == 0)
+    return SeriesTables(params, S1, S2, tilde)
 
-
-def series_S(j: int, k: int, t, params: ModelParams, trunc: TruncationPolicy):
-    """Poisson-weighted trigonometric sum S_j(k), j in {1, 2}, k in {0, 1, 2}.
-
-    S1 sums cos^2(sqrt(D_{n+k}) t) + (delta/2)^2 sin^2(...)/D_{n+k}; S2 sums
-    sin^2(sqrt(D_{n+k}) t)/D_{n+k}.  Returned with normalized weights (the
-    module-level convention), so S1(k) -> 1 and S2(k) -> 0 at t = 0.
-    """
-    _check_index(j, k, 3)
-    tables = series_tables(t, params, trunc, coherence=False)
-    return tables._unwrap((tables.S1 if j == 1 else tables.S2)[k])
-
-
-def pe_order_terms(t, params: ModelParams, trunc: TruncationPolicy) -> PeOrders:
-    """All six order terms of the excitation probability at time(s) t."""
-    return series_tables(t, params, trunc, coherence=False).pe_orders
-
-
-def pe_zero_temperature(t, params: ModelParams, trunc: TruncationPolicy):
-    """Zero-temperature excitation probability.
-
-    g^2 |alpha|^(2l) e^(-|alpha|^2) sum_m |alpha|^(2m)/m! sin^2(sqrt(D_m) t)/D_m.
-    The truncated sum lies in [0, 1] up to rounding; the value is clipped to
-    [0, 1], and a clip that moves it by more than 1e-12 (which would indicate
-    a real defect, not rounding) is reported as a warning.
-    """
-    tables = series_tables(t, params, trunc, coherence=False)
-    vals = tables._pe_arrays[1][0]
-    clipped = np.clip(vals, 0.0, 1.0)
-    if np.any(np.abs(clipped - vals) > 1e-12):
-        warnings.warn("zero-temperature probability left [0, 1] by more than 1e-12",
-                      UserWarning, stacklevel=2)
-    return tables._unwrap(clipped)
-
-
-def pe_thermal(t, params: ModelParams, thermal: ThermalParams, trunc: TruncationPolicy):
-    """Excitation probability through second order in the Bogoliubov angle.
-
-    Returned raw: at larger angles the truncated expansion may leave [0, 1]
-    slightly; physicality is classified downstream (see the coherence
-    module), never clamped here.
-    """
-    return series_tables(t, params, trunc, coherence=False).pe(thermal)
-
-
-def tilde_S(j: int, k: int, t, params: ModelParams, trunc: TruncationPolicy):
-    """One of the twelve coherence series, exactly as printed (j in {1, 2},
-    k in {0..5}), including sign, conj(alpha) power and unit-step shifts.
-
-    Family 1 weighs A(m+l) B'(m+l) products, family 2 B A' products; summing
-    over the weight index m = 0..n_max absorbs the printed unit-step guards.
-    """
-    _check_index(j, k, 6)
-    tables = series_tables(t, params, trunc)
-    return tables._unwrap(tables.tilde[j - 1, k])
-
-
-def rho01_thermal(t, params: ModelParams, thermal: ThermalParams, trunc: TruncationPolicy):
-    """Atomic coherence through second order in the Bogoliubov angle.
-
-    Note on orientation: this is the expansion of the expectation of
-    (u00^dag u10, u01^dag u11), which is the conjugate of the excited-ground
-    matrix element the exact reduced state yields; magnitudes agree, complex
-    comparisons against the oracle must conjugate one side (verified in the
-    test suite rather than asserted symbolically).
-    """
-    return series_tables(t, params, trunc).rho01(thermal)

@@ -17,7 +17,7 @@ import numpy as np
 from . import oracle, perturbation
 from .model import ModelParams, ThermalParams, bogoliubov_angles, thermal_from_inv_beta
 from .oracle import FockTruncation
-from .perturbation import TruncationPolicy
+from .perturbation import SeriesTables, TruncationPolicy
 
 __all__ = ["run_validation_suite", "theta_for_angle", "SLOPE_BOUNDS"]
 
@@ -56,12 +56,12 @@ def _fit_slope(theta: np.ndarray, residual: np.ndarray):
     return float(coeffs[0])
 
 
-def _check_theta_scaling(params: ModelParams, t_values, trunc: TruncationPolicy) -> list[dict]:
+def _check_theta_scaling(params: ModelParams, t_values, tables: SeriesTables) -> list[dict]:
+    """Columns 1.. of ``tables`` hold the series at ``t_values``."""
     checks = []
     ftrunc = FockTruncation.auto(params, theta_for_angle(float(THETA_GRID[-1]),
                                                          params.omega, params.omega0))
-    for t in t_values:
-        tables = perturbation.series_tables(float(t), params, trunc)
+    for col, t in enumerate(t_values, start=1):
         pe_res = []
         rho_res = []
         conv_res = []
@@ -70,8 +70,8 @@ def _check_theta_scaling(params: ModelParams, t_values, trunc: TruncationPolicy)
             state = oracle.propagate(oracle.build_initial_state(params, thermal, ftrunc),
                                      float(t), params)
             rho00, rho01 = oracle.reduce_atom(state)
-            pe_res.append(abs(tables.pe(thermal) - rho00))
-            series01 = tables.rho01(thermal)
+            pe_res.append(abs(tables.pe(thermal)[col] - rho00))
+            series01 = tables.rho01(thermal)[col]
             rho_res.append(abs(abs(series01) - abs(rho01)))
             # the series expands the conjugate orientation of <e|rho|g>; the
             # full complex residual in that orientation must stay cubic-small
@@ -93,8 +93,9 @@ def _check_theta_scaling(params: ModelParams, t_values, trunc: TruncationPolicy)
     return checks
 
 
-def _check_tilde_series(params: ModelParams, t: float, trunc: TruncationPolicy,
+def _check_tilde_series(params: ModelParams, t: float, tilde: np.ndarray,
                         n_fock: int, tol: float = 1e-8) -> list[dict]:
+    """``tilde`` holds the twelve coherence series at time t, shape (2, 6)."""
     u00, u01, u10, u11 = oracle.atom_block_matrices(t, params, n_fock)
     a = np.diag(np.sqrt(np.arange(1, n_fock, dtype=float)), 1).astype(complex)
     ad = a.T.conj()
@@ -115,9 +116,8 @@ def _check_tilde_series(params: ModelParams, t: float, trunc: TruncationPolicy,
     checks = []
     for j in (1, 2):
         for k in range(6):
-            series = perturbation.tilde_S(j, k, t, params, trunc)
             direct = expect(sandwiches[k](base[j]))
-            err = abs(series - direct)
+            err = abs(tilde[j - 1, k] - direct)
             checks.append({
                 "name": f"tilde_series_vs_fock[j={j},k={k},l={params.l}]",
                 "passed": bool(err < tol),
@@ -127,15 +127,13 @@ def _check_tilde_series(params: ModelParams, t: float, trunc: TruncationPolicy,
     return checks
 
 
-def _check_t0_identities(params: ModelParams, trunc: TruncationPolicy) -> list[dict]:
+def _check_t0_identities(params: ModelParams, tables: SeriesTables) -> list[dict]:
+    """Column 0 of ``tables`` holds the series at t = 0."""
     checks = []
-    tables = perturbation.series_tables(0.0, params, trunc)
     for inv_beta in (0.0, 0.05, 0.1, 0.2):
         thermal = thermal_from_inv_beta(inv_beta, params)
-        pe0 = tables.pe(thermal)
-        rho0 = tables.rho01(thermal)
-        err_pe = abs(pe0 - thermal.sin_atom**2)
-        err_rho = abs(rho0)
+        err_pe = abs(tables.pe(thermal)[0] - thermal.sin_atom**2)
+        err_rho = abs(tables.rho01(thermal)[0])
         checks.append({
             "name": f"t0_identities[l={params.l},1/beta={inv_beta}]",
             "passed": bool(err_pe < 1e-12 and err_rho < 1e-12),
@@ -207,7 +205,7 @@ def _check_zero_temperature_degeneracy(params: ModelParams,
     ftrunc = FockTruncation.auto(params)
     t_grid = np.linspace(0.0, 3.0, 100)
     exact = oracle.pe_curve(params, thermal, t_grid, ftrunc)
-    series = perturbation.pe_thermal(t_grid, params, thermal, trunc)
+    series = perturbation.series_tables(t_grid, params, trunc, coherence=False).pe(thermal)
     err = float(np.max(np.abs(exact - series)))
     return {"name": f"zero_temperature_degeneracy[l={params.l}]",
             "passed": err < 1e-9, "max_error": err}
@@ -224,14 +222,18 @@ def run_validation_suite(l_values=(1, 2), alpha: complex = 2.0,
     for l in l_values:
         params = _default_params(l, alpha)
         trunc = TruncationPolicy.adaptive(params)
-        checks.extend(_check_t0_identities(params, trunc))
-        checks.extend(_check_theta_scaling(params, t_values, trunc))
-        checks.extend(_check_tilde_series(params, t_values[-1], trunc,
+        # one build serves the t = 0 identities, the scaling fits and the
+        # coherence series; each time sample is reduced on its own
+        tables = perturbation.series_tables([0.0, *t_values], params, trunc)
+        checks.extend(_check_t0_identities(params, tables))
+        checks.extend(_check_theta_scaling(params, t_values, tables))
+        checks.extend(_check_tilde_series(params, t_values[-1], tables.tilde[:, :, -1],
                                           FockTruncation.auto(params).n_fock + 10))
         checks.append(_check_zero_temperature_degeneracy(params, trunc))
     checks.extend(_check_thermal_states(_default_params(2, alpha), theta=0.2))
     # complex amplitude exercises the conjugate-power structure of the series
     cparams = _default_params(2, 1.1 + 0.6j)
-    checks.extend(_check_tilde_series(cparams, 0.9, TruncationPolicy.adaptive(cparams),
+    ctables = perturbation.series_tables([0.9], cparams, TruncationPolicy.adaptive(cparams))
+    checks.extend(_check_tilde_series(cparams, 0.9, ctables.tilde[:, :, -1],
                                       FockTruncation.auto(cparams).n_fock + 10))
     return {"passed": bool(all(c["passed"] for c in checks)), "checks": checks}

@@ -31,7 +31,7 @@ from thermaljcm.model import (
     thermal_from_inv_beta,
 )
 from thermaljcm.oracle import FockTruncation
-from thermaljcm.perturbation import TruncationPolicy, pe_thermal, rho01_thermal
+from thermaljcm.perturbation import TruncationPolicy, series_tables
 from thermaljcm.validation import theta_for_angle
 
 SWEEP_TEMPS = (0.0, 0.04, 0.08, 0.12, 0.16)
@@ -46,8 +46,9 @@ def make_params(l, alpha, g=1.0):
 
 
 def coherence_curve(params, thermal, t, trunc):
-    pe = pe_thermal(t, params, thermal, trunc)
-    rho01 = rho01_thermal(t, params, thermal, trunc)
+    tables = series_tables(t, params, trunc)
+    pe = tables.pe(thermal)
+    rho01 = tables.rho01(thermal)
     p00, z, _ = project_values(pe, np.abs(rho01))
     return coherence_values(np.atleast_1d(p00), np.atleast_1d(z))
 
@@ -74,11 +75,11 @@ def test_criterion_2_small_amplitude_suppression():
     for l, bound in bounds.items():
         params = make_params(l, 0.2)
         thermal = thermal_from_inv_beta(0.1, params)
-        peaks[l] = float(np.max(pe_thermal(t, params, thermal, trunc)))
+        peaks[l] = float(np.max(series_tables(t, params, trunc, coherence=False).pe(thermal)))
         ok &= peaks[l] < bound
     params1 = make_params(1, 0.2)
     thermal1 = thermal_from_inv_beta(0.1, params1)
-    pe1 = pe_thermal(t, params1, thermal1, trunc)
+    pe1 = series_tables(t, params1, trunc, coherence=False).pe(thermal1)
     try:
         extract_revival_period(TimeSeries(0.0, 0.02, pe1), params1, thermal1)
         no_revival = False
@@ -139,7 +140,7 @@ def _measured_comb_spacing(params, inv_beta, center, trunc, dt):
     thermal = thermal_from_inv_beta(inv_beta, params)
     width = 3.0 * rabi_period(params)
     t = np.arange(center - width, center + width, dt)
-    pe = pe_thermal(t, params, thermal, trunc)
+    pe = series_tables(t, params, trunc, coherence=False).pe(thermal)
     idx, _ = find_peaks(pe)
     return float(np.median(np.diff(t[idx])))
 
@@ -217,14 +218,15 @@ def test_criterion_7_cubic_residual_scaling(l, t):
     trunc = TruncationPolicy.adaptive(params)
     thetas = np.geomspace(0.02, 0.2, 7)
     ftrunc = FockTruncation.auto(params, theta_for_angle(0.2, 1.0, 1.0))
+    tables = series_tables([t], params, trunc)
     pe_res, rho_res = [], []
     for theta in thetas:
         thermal = theta_for_angle(float(theta), 1.0, 1.0)
         state = oracle.propagate(
             oracle.build_initial_state(params, thermal, ftrunc), t, params)
         rho00, rho01 = oracle.reduce_atom(state)
-        pe_res.append(abs(pe_thermal(t, params, thermal, trunc) - rho00))
-        rho_res.append(abs(abs(rho01_thermal(t, params, thermal, trunc)) - abs(rho01)))
+        pe_res.append(abs(tables.pe(thermal)[0] - rho00))
+        rho_res.append(abs(abs(tables.rho01(thermal)[0]) - abs(rho01)))
     slope_pe = float(np.polyfit(np.log(thetas), np.log(pe_res), 1)[0])
     slope_rho = float(np.polyfit(np.log(thetas), np.log(rho_res), 1)[0])
     ok = 2.7 <= slope_pe <= 3.3 and 2.7 <= slope_rho <= 3.3
@@ -243,12 +245,11 @@ def test_criterion_8_structural_identities():
     worst_pe, worst_rho = 0.0, 0.0
     for l, alpha in ((1, 12.0), (2, 2.5), (3, 7.0)):
         params = make_params(l, alpha)
-        trunc = TruncationPolicy(250)
+        tables = series_tables([0.0], params, TruncationPolicy(250))
         for inv_beta in (0.0, 0.1, 0.2):
             thermal = thermal_from_inv_beta(inv_beta, params)
-            worst_pe = max(worst_pe, abs(pe_thermal(0.0, params, thermal, trunc)
-                                         - thermal.sin_atom**2))
-            worst_rho = max(worst_rho, abs(rho01_thermal(0.0, params, thermal, trunc)))
+            worst_pe = max(worst_pe, abs(tables.pe(thermal)[0] - thermal.sin_atom**2))
+            worst_rho = max(worst_rho, abs(tables.rho01(thermal)[0]))
     ok &= worst_pe < 1e-12 and worst_rho < 1e-12
     details.append(f"t=0: pe {worst_pe:.1e}, rho01 {worst_rho:.1e} (<1e-12)")
 
@@ -332,13 +333,13 @@ def test_criterion_10_coupling_rescaling():
     thermal = bogoliubov_angles(beta, params.omega, params.omega0)
     t = np.linspace(0.0, 5.0, 500)
     trunc = TruncationPolicy(110)
-    base = pe_thermal(t, params, thermal, trunc)
+    base = series_tables(t, params, trunc, coherence=False).pe(thermal)
     worst = 0.0
     for c in (0.1, 10.0):
         scaled_params = ModelParams(l=2, g=c, omega0=c, omega=c, alpha=7.0)
         scaled_thermal = bogoliubov_angles(beta / c, scaled_params.omega,
                                            scaled_params.omega0)
-        scaled = pe_thermal(t / c, scaled_params, scaled_thermal, trunc)
+        scaled = series_tables(t / c, scaled_params, trunc, coherence=False).pe(scaled_thermal)
         worst = max(worst, float(np.max(np.abs(base - scaled))))
     ok = worst < 1e-12
     report("criterion 10 (coupling rescaling)", ok,

@@ -23,7 +23,7 @@ from thermaljcm.model import (
     tau1,
     thermal_from_inv_beta,
 )
-from thermaljcm.perturbation import TruncationPolicy, pe_thermal, pe_zero_temperature
+from thermaljcm.perturbation import TruncationPolicy, series_tables
 
 COLD = bogoliubov_angles(math.inf, 1.0, 1.0)
 
@@ -71,6 +71,16 @@ class TestApproxCosSum:
         with pytest.raises(ValueError):
             approx_cos_sum(0.0, 1, 1.0, 0.5)
 
+    def test_scalar_time_gives_the_grid_sample(self):
+        t = np.linspace(0.0, 2.0, 9)
+        grid_lhs, grid_rhs = approx_cos_sum(7.0, 2, 1.0, t)
+        grid_env = revival_envelope(7.0, 2, 1.0, t)
+        for i in (0, 4, 8):
+            lhs, rhs = approx_cos_sum(7.0, 2, 1.0, float(t[i]))
+            env = revival_envelope(7.0, 2, 1.0, float(t[i]))
+            assert np.ndim(lhs) == np.ndim(rhs) == np.ndim(env) == 0
+            assert (lhs, rhs, env) == (grid_lhs[i], grid_rhs[i], grid_env[i])
+
 
 class TestCollapseRevivalApprox:
     def test_zero_at_t_zero(self):
@@ -97,7 +107,7 @@ class TestCollapseRevivalApprox:
         dt = tau1(p) / 40
         t = np.arange(0.6 * T0, 1.4 * T0, dt)
         approx = pe_collapse_revival_approx(t, p)
-        exact = pe_zero_temperature(t, p, trunc)
+        exact = series_tables(t, p, trunc, coherence=False).pe(COLD)
         t_approx = t[np.argmax(np.abs(approx - 0.5))]
         t_exact = t[np.argmax(np.abs(exact - 0.5))]
         assert abs(t_approx - t_exact) <= 2 * tau1(p)
@@ -188,7 +198,7 @@ class TestExtractRevivalPeriod:
         dt = rabi_period(p) / 40
         n = int(math.ceil(1.85 * t0_period(p) / dt)) + 1
         t = dt * np.arange(n)
-        series = TimeSeries(0.0, dt, pe_zero_temperature(t, p, trunc))
+        series = TimeSeries(0.0, dt, series_tables(t, p, trunc, coherence=False).pe(COLD))
         est = extract_revival_period(series, p, COLD)
         assert abs(est.period - t0_period(p)) <= 2 * tau1(p)
 
@@ -197,7 +207,7 @@ class TestExtractRevivalPeriod:
         thermal = thermal_from_inv_beta(0.1, p)
         dt = rabi_period(p) / 40
         t = np.arange(0.0, 6.0, dt)
-        pe = pe_thermal(t, p, thermal, TruncationPolicy(110))
+        pe = series_tables(t, p, TruncationPolicy(110), coherence=False).pe(thermal)
         est = extract_revival_period(TimeSeries(0.0, dt, pe), p, thermal)
         assert abs(est.period - 3.142) <= tau1(p)
 
@@ -206,7 +216,7 @@ class TestExtractRevivalPeriod:
         thermal = thermal_from_inv_beta(0.1, p)
         dt = 0.02
         t = np.arange(0.0, 100.0, dt)
-        pe = pe_thermal(t, p, thermal, TruncationPolicy(80))
+        pe = series_tables(t, p, TruncationPolicy(80), coherence=False).pe(thermal)
         with pytest.raises(NoRevivalError):
             extract_revival_period(TimeSeries(0.0, dt, pe), p, thermal)
 
@@ -231,7 +241,7 @@ class TestPeriodSweep:
         dt = rabi_period(p) / 40
         n = int(math.ceil(1.85 * t0_period(p) / dt)) + 1
         t = dt * np.arange(n)
-        series = TimeSeries(0.0, dt, pe_zero_temperature(t, p, trunc))
+        series = TimeSeries(0.0, dt, series_tables(t, p, trunc, coherence=False).pe(COLD))
         est = extract_revival_period(series, p, COLD)
         assert rows[0].period == est.period
         assert rows[0].t0_prime == t0_period(p)
@@ -262,7 +272,7 @@ class TestPeriodSweep:
         for row, inv_beta in zip(rows, inv_betas):
             thermal = thermal_from_inv_beta(inv_beta, p)
             spans.append(int(math.ceil(1.85 * row.t0_prime / dt)) + 1)
-            pe = pe_thermal(dt * np.arange(spans[-1]), p, thermal, trunc)
+            pe = build(dt * np.arange(spans[-1]), p, trunc, coherence=False).pe(thermal)
             est = extract_revival_period(TimeSeries(0.0, dt, pe), p, thermal)
             assert row.period == est.period
         assert len(set(spans)) == 3
@@ -287,12 +297,13 @@ class TestCouplingRescaling:
         beta = 10.0
         thermal = bogoliubov_angles(beta, p.omega, p.omega0)
         t = np.linspace(0.0, 5.0, 400)
-        base = pe_thermal(t, p, thermal, TruncationPolicy(110))
+        base = series_tables(t, p, TruncationPolicy(110), coherence=False).pe(thermal)
         scaled_params = ModelParams(l=2, g=c * p.g, omega0=c * p.omega0,
                                     omega=c * p.omega, alpha=7.0)
         scaled_thermal = bogoliubov_angles(beta / c, scaled_params.omega,
                                            scaled_params.omega0)
-        scaled = pe_thermal(t / c, scaled_params, scaled_thermal, TruncationPolicy(110))
+        scaled = series_tables(t / c, scaled_params, TruncationPolicy(110),
+                               coherence=False).pe(scaled_thermal)
         assert np.max(np.abs(base - scaled)) < 1e-12
 
     def test_extracted_period_scales_inversely(self):

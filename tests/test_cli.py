@@ -67,6 +67,16 @@ class TestConfigParsing:
         (lambda d: d["output"].__setitem__("format", "xml")
          if "output" in d else d.__setitem__("output", {"format": "xml"}), "output.format"),
         (lambda d: d.__setitem__("extra", {}), "unknown"),
+        # json.load admits NaN and Infinity; none of them is a usable number
+        (lambda d: d.__setitem__("grid", {"t_stop": math.nan}), "grid.t_stop"),
+        (lambda d: d["grid"].__setitem__("t_stop", math.inf), "grid.t_stop"),
+        (lambda d: d["model"].__setitem__("g", math.nan), "model.g"),
+        (lambda d: d["model"].__setitem__("g", 10**400), "model.g"),
+        (lambda d: d["model"].__setitem__("alpha", [True, False]), "model.alpha"),
+        (lambda d: d["model"].__setitem__("alpha", [1.0, math.inf]), "model.alpha"),
+        (lambda d: d["model"].__setitem__("alpha", -math.inf), "model.alpha"),
+        (lambda d: d["thermal"].__setitem__("inv_beta_grid", [0.1, math.inf]),
+         r"inv_beta_grid\[1\]"),
     ])
     def test_field_errors_carry_paths(self, mutate, path_fragment):
         doc = small_config()
@@ -248,15 +258,16 @@ class TestOracleValidate:
         assert any(name.startswith("tilde_series_vs_fock") for name in names)
 
     def test_corrupted_series_fails_named_check(self, tmp_path, monkeypatch):
-        real = thermaljcm.perturbation.tilde_S
+        real = thermaljcm.perturbation.series_tables
 
-        def corrupted(j, k, t, params, trunc):
-            value = real(j, k, t, params, trunc)
-            if (j, k) == (2, 1):
-                return value * 1.05  # wrong polynomial coefficient, in effect
-            return value
+        def corrupted(*args, **kwargs):
+            tables = real(*args, **kwargs)
+            if tables.tilde is not None:
+                tables._rho01_arrays  # P_e and rho01 keep the true series
+                tables.tilde[1, 1] *= 1.05  # wrong polynomial coefficient, in effect
+            return tables
 
-        monkeypatch.setattr(thermaljcm.perturbation, "tilde_S", corrupted)
+        monkeypatch.setattr(thermaljcm.perturbation, "series_tables", corrupted)
         out = tmp_path / "report.json"
         rc = main(["oracle-validate", "--out", str(out)])
         assert rc == EXIT_VALIDATION
@@ -278,6 +289,13 @@ class TestErrorPaths:
 
     def test_unreadable_config_exits_2(self, capsys):
         assert main(["pe-series", "--config", "/nonexistent.json"]) == EXIT_CONFIG
+
+    def test_non_finite_number_exits_2(self, tmp_path, capsys):
+        doc = small_config(grid={"t_stop": math.nan})
+        path = write_config(tmp_path, doc)
+        assert "NaN" in open(path).read()
+        assert main(["pe-series", "--config", path]) == EXIT_CONFIG
+        assert "grid.t_stop" in capsys.readouterr().err
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

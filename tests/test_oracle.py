@@ -23,7 +23,7 @@ from thermaljcm.oracle import (
     two_mode_squeezed_vacuum,
 )
 from thermaljcm.coherence import coherence_values
-from thermaljcm.perturbation import TruncationPolicy, pe_thermal, pe_zero_temperature
+from thermaljcm.perturbation import TruncationPolicy, series_tables
 
 COLD = bogoliubov_angles(math.inf, 1.0, 1.0)
 
@@ -174,7 +174,7 @@ class TestPropagation:
         p = make_params(l=1, alpha=2.0)
         t_grid = np.linspace(0.0, 3.0, 31)
         exact = pe_curve(p, COLD, t_grid, FockTruncation.auto(p))
-        series = pe_zero_temperature(t_grid, p, TruncationPolicy.adaptive(p))
+        series = series_tables(t_grid, p, TruncationPolicy.adaptive(p), coherence=False).pe(COLD)
         np.testing.assert_allclose(exact, series, atol=1e-10)
 
     def test_leakage_error_on_undersized_basis(self):
@@ -201,7 +201,7 @@ class TestPropagation:
         trunc = FockTruncation.auto(p, thermal)
         state = propagate(build_initial_state(p, thermal, trunc), math.pi, p)
         exact = observe_pe(state)
-        series = pe_thermal(math.pi, p, thermal, TruncationPolicy(250))
+        series = series_tables([math.pi], p, TruncationPolicy(250), coherence=False).pe(thermal)[0]
         assert exact > 0.99
         assert exact == pytest.approx(series, abs=1e-8)
 

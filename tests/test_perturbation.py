@@ -18,14 +18,8 @@ from thermaljcm.oracle import FockTruncation, coherent_state_vector
 from thermaljcm.perturbation import (
     TruncationPolicy,
     TruncationWarning,
-    pe_order_terms,
-    pe_thermal,
-    pe_zero_temperature,
     poisson_log_weight,
-    rho01_thermal,
-    series_S,
     series_tables,
-    tilde_S,
 )
 from thermaljcm.validation import theta_for_angle
 
@@ -34,6 +28,11 @@ COLD = bogoliubov_angles(math.inf, 1.0, 1.0)
 
 def make_params(l=1, g=1.0, omega0=1.0, omega=1.0, alpha=2.0):
     return ModelParams(l=l, g=g, omega0=omega0, omega=omega, alpha=alpha)
+
+
+def at(t, params, trunc, **kwargs):
+    """Series tables on the one-sample grid [t]."""
+    return series_tables([t], params, trunc, **kwargs)
 
 
 class TestPoissonWeights:
@@ -71,7 +70,7 @@ class TestTruncationPolicy:
         p = make_params(alpha=4.0)
         trunc = TruncationPolicy(n_max=8, tail_tol=1e-6)
         with pytest.warns(TruncationWarning):
-            pe_zero_temperature(1.0, p, trunc)
+            at(1.0, p, trunc, coherence=False)
 
     @pytest.mark.parametrize("alpha", [0.2, 2.0, 7.0, 12.0])
     def test_adaptive_tail_mass_within_tolerance(self, alpha):
@@ -86,17 +85,17 @@ class TestTruncationPolicy:
 
 class TestZeroTemperature:
     def test_zero_at_t_zero(self):
-        assert pe_zero_temperature(0.0, make_params(), TruncationPolicy(50)) == 0.0
+        assert at(0.0, make_params(), TruncationPolicy(50), coherence=False).pe(COLD)[0] == 0.0
 
     def test_zero_for_vacuum_amplitude(self):
         p = make_params(alpha=0.0)
         t = np.linspace(0, 5, 7)
-        np.testing.assert_array_equal(pe_zero_temperature(t, p, TruncationPolicy(10)),
-                                      np.zeros(7))
+        pe = series_tables(t, p, TruncationPolicy(10), coherence=False).pe(COLD)
+        np.testing.assert_array_equal(pe, np.zeros(7))
 
     def test_matches_exact_propagation(self):
         p = make_params(l=1, alpha=2.0)
-        value = pe_zero_temperature(0.7, p, TruncationPolicy.adaptive(p))
+        value = at(0.7, p, TruncationPolicy.adaptive(p), coherence=False).pe(COLD)[0]
         exact = oracle.pe_curve(p, COLD, [0.7], FockTruncation(40))[0]
         assert value == pytest.approx(exact, abs=1e-10)
 
@@ -124,9 +123,10 @@ class TestSeriesS:
     def test_t_zero_identities(self):
         p = make_params(l=2, omega0=1.0, omega=1.0, alpha=3.0)
         trunc = TruncationPolicy.adaptive(p)
+        tables = at(0.0, p, trunc, coherence=False)
         for k in (0, 1, 2):
-            assert series_S(1, k, 0.0, p, trunc) == pytest.approx(1.0, abs=1e-12)
-            assert series_S(2, k, 0.0, p, trunc) == 0.0
+            assert tables.S1[k, 0] == pytest.approx(1.0, abs=1e-12)
+            assert tables.S2[k, 0] == 0.0
 
     def test_detuning_term_drops_on_resonance(self):
         # at delta = 0, S1 is the plain cos^2 sum
@@ -135,38 +135,32 @@ class TestSeriesS:
         table = EigenvalueTable(p, 60)
         w = np.exp(poisson_log_weight(np.arange(61), p.alpha))
         manual = float(np.sum(w * np.cos(np.sqrt(table.d) * 0.9) ** 2))
-        assert series_S(1, 0, 0.9, p, trunc) == pytest.approx(manual, abs=1e-14)
+        assert at(0.9, p, trunc).S1[0, 0] == pytest.approx(manual, abs=1e-14)
 
     @pytest.mark.parametrize("j, k", [(1, 0), (1, 2), (2, 0), (2, 1)])
     def test_against_oversampled_brute_force(self, j, k):
         p = make_params(l=2, omega0=1.0, omega=1.0, alpha=2.0)
         trunc = TruncationPolicy(60)
-        value = series_S(j, k, 1.3, p, trunc)
+        tables = at(1.3, p, trunc, coherence=False)
+        value = (tables.S1 if j == 1 else tables.S2)[k, 0]
         over = brute_force_series(j, k, 1.3, p, 60 + 500)
         assert value == pytest.approx(over, abs=1e-12)
-
-    def test_rejects_bad_indices(self):
-        p = make_params()
-        with pytest.raises(ValueError):
-            series_S(3, 0, 0.0, p, TruncationPolicy(10))
-        with pytest.raises(ValueError):
-            series_S(1, 5, 0.0, p, TruncationPolicy(10))
 
 
 class TestPeOrderTerms:
     def test_telescoping_at_t_zero(self):
         p = make_params(l=2, omega0=1.0, omega=1.0, alpha=2.5)
-        orders = pe_order_terms(0.0, p, TruncationPolicy.adaptive(p))
-        assert orders.p1[0] == pytest.approx(1.0, abs=1e-12)
-        assert abs(orders.p1[1]) < 1e-12
-        assert abs(orders.p1[2]) < 1e-10
-        assert orders.p2 == (0.0, 0.0, 0.0)
+        p1, p2 = at(0.0, p, TruncationPolicy.adaptive(p), coherence=False).pe_terms
+        assert p1[0][0] == pytest.approx(1.0, abs=1e-12)
+        assert abs(p1[1][0]) < 1e-12
+        assert abs(p1[2][0]) < 1e-10
+        assert [x[0] for x in p2] == [0.0, 0.0, 0.0]
 
     def test_coupling_squared_prefactor(self):
         # g = 0 kills every term of the coupled channel
         p = make_params(l=2, g=0.0, omega0=1.0, omega=3.0, alpha=2.0)
-        orders = pe_order_terms(1.7, p, TruncationPolicy(40))
-        assert orders.p2 == (0.0, 0.0, 0.0)
+        _, p2 = at(1.7, p, TruncationPolicy(40), coherence=False).pe_terms
+        assert [x[0] for x in p2] == [0.0, 0.0, 0.0]
 
     def test_first_order_matches_oracle_finite_difference(self):
         p = make_params(l=2, omega0=1.0, omega=1.0, alpha=2.0)
@@ -180,9 +174,8 @@ class TestPeOrderTerms:
         cold = oracle.observe_pe(oracle.propagate(
             oracle.build_initial_state(p, COLD, ftrunc), t, p))
         fd = (hot - cold) / eps
-        orders = pe_order_terms(t, p, trunc)
-        first = (thermal.sin_atom**2 * orders.p1[1]
-                 + thermal.cos_atom**2 * orders.p2[1])
+        p1, p2 = at(t, p, trunc, coherence=False).pe_terms
+        first = thermal.sin_atom**2 * p1[1][0] + thermal.cos_atom**2 * p2[1][0]
         assert fd == pytest.approx(first, rel=0.02)
 
 
@@ -192,16 +185,18 @@ class TestPeThermal:
     def test_initial_value_is_thermal_weight(self, l, inv_beta):
         p = make_params(l=l, alpha=2.5)
         thermal = thermal_from_inv_beta(inv_beta, p)
-        value = pe_thermal(0.0, p, thermal, TruncationPolicy.adaptive(p))
+        value = at(0.0, p, TruncationPolicy.adaptive(p), coherence=False).pe(thermal)[0]
         assert value == pytest.approx(thermal.sin_atom**2, abs=1e-12)
 
     def test_zero_angles_reduce_to_zero_temperature(self):
         p = make_params(l=2, omega0=1.0, omega=1.0, alpha=2.0)
         trunc = TruncationPolicy.adaptive(p)
         t = np.linspace(0.0, 4.0, 200)
-        a = pe_thermal(t, p, COLD, trunc)
-        b = pe_zero_temperature(t, p, trunc)
-        assert np.max(np.abs(a - b)) <= 1e-14
+        p1, p2 = series_tables(t, p, trunc).pe_terms
+        a = series_tables(t, p, trunc, coherence=False).pe(COLD)
+        assert np.max(np.abs(a - p2[0])) <= 1e-14
+        # the zeroth-order cold channel stays inside [0, 1] up to rounding
+        assert np.all((a >= -1e-12) & (a <= 1.0 + 1e-12))
 
     def test_third_order_residual_bound(self):
         # calibrate the cubic constant at a small angle, then check a larger one
@@ -214,7 +209,7 @@ class TestPeThermal:
             thermal = theta_for_angle(theta, p.omega, p.omega0)
             exact = oracle.observe_pe(oracle.propagate(
                 oracle.build_initial_state(p, thermal, ftrunc), t, p))
-            return abs(pe_thermal(t, p, thermal, trunc) - exact)
+            return abs(at(t, p, trunc, coherence=False).pe(thermal)[0] - exact)
 
         c_cubic = residual(0.01) / 0.01**3
         for theta in (0.05, 0.1):
@@ -225,11 +220,11 @@ class TestPeThermal:
         p = make_params(l=2, omega0=1.0, omega=1.0, alpha=12.0)
         thermal = thermal_from_inv_beta(0.1, p)
         t = np.linspace(0.0, 6.0, 50)
-        a = pe_thermal(t, p, thermal, TruncationPolicy(250, tail_tol=1e-9))
-        b = pe_thermal(t, p, thermal, TruncationPolicy(300, tail_tol=1e-9))
+        a = series_tables(t, p, TruncationPolicy(250, tail_tol=1e-9)).pe(thermal)
+        b = series_tables(t, p, TruncationPolicy(300, tail_tol=1e-9)).pe(thermal)
         assert np.max(np.abs(a - b)) < 1e-9
-        ra = rho01_thermal(1.7, p, thermal, TruncationPolicy(250))
-        rb = rho01_thermal(1.7, p, thermal, TruncationPolicy(300))
+        ra = at(1.7, p, TruncationPolicy(250)).rho01(thermal)[0]
+        rb = at(1.7, p, TruncationPolicy(300)).rho01(thermal)[0]
         assert abs(ra - rb) < 1e-9
 
 
@@ -250,22 +245,16 @@ class TestTildeSeries:
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_all_vanish_at_t_zero(self, l):
         p = make_params(l=l, alpha=1.5)
-        trunc = TruncationPolicy(40)
-        for j in (1, 2):
-            for k in range(6):
-                assert tilde_S(j, k, 0.0, p, trunc) == 0.0
+        assert np.all(at(0.0, p, TruncationPolicy(40)).tilde == 0.0)
 
     def test_all_vanish_without_coupling(self):
         p = make_params(l=1, g=0.0, omega0=1.0, omega=2.0, alpha=1.5)
-        trunc = TruncationPolicy(40)
-        for j in (1, 2):
-            for k in range(6):
-                assert tilde_S(j, k, 0.8, p, trunc) == 0.0
+        assert np.all(at(0.8, p, TruncationPolicy(40)).tilde == 0.0)
 
     def test_documented_example_series(self):
         # <alpha| u01^dag u11 |alpha> at l = 1, resonance
         p = make_params(l=1, omega0=1.0, omega=1.0, alpha=1.5)
-        value = tilde_S(2, 0, 0.8, p, TruncationPolicy.adaptive(p))
+        value = at(0.8, p, TruncationPolicy.adaptive(p)).tilde[1, 0, 0]
         direct = fock_expectation(2, 0, 0.8, p, 45)
         assert value == pytest.approx(direct, abs=1e-8)
 
@@ -279,7 +268,7 @@ class TestTildeSeries:
     ])
     def test_all_twelve_series_against_fock_basis(self, j, k, l, alpha, t):
         p = make_params(l=l, omega0=1.0, omega=1.0, alpha=alpha)
-        value = tilde_S(j, k, t, p, TruncationPolicy.adaptive(p))
+        value = at(t, p, TruncationPolicy.adaptive(p)).tilde[j - 1, k, 0]
         direct = fock_expectation(j, k, t, p, 45)
         assert value == pytest.approx(direct, abs=1e-8)
 
@@ -287,7 +276,7 @@ class TestTildeSeries:
         # l = 2 at resonance: the k = 3 series reaches the D' = 0 limit blocks
         p = make_params(l=2, omega0=2.0, omega=1.0, alpha=1.2)
         assert p.delta == 0.0
-        value = tilde_S(2, 3, 0.9, p, TruncationPolicy.adaptive(p))
+        value = at(0.9, p, TruncationPolicy.adaptive(p)).tilde[1, 3, 0]
         direct = fock_expectation(2, 3, 0.9, p, 45)
         assert value == pytest.approx(direct, abs=1e-8)
 
@@ -299,33 +288,34 @@ class TestTildeSeries:
         a1 = _osc_pair(table.sqrt_d, table.d, 0.7, p1.delta / 2.0)[0][1]
         bp1 = _osc_pair(table.sqrt_d_prime, table.d_prime, 0.7, p1.delta / 2.0)[1][1]
         expected = -1j * p1.g * (0 + 1) * a1 * bp1  # m = 0 term of (j, k) = (1, 1)
-        assert tilde_S(1, 1, 0.7, p1, trunc) == pytest.approx(expected, abs=1e-14)
-        assert tilde_S(1, 0, 0.7, p1, trunc) == 0.0
-        assert tilde_S(1, 3, 0.7, p1, trunc) == 0.0
+        tilde = at(0.7, p1, trunc).tilde[:, :, 0]
+        assert tilde[0, 1] == pytest.approx(expected, abs=1e-14)
+        assert tilde[0, 0] == 0.0
+        assert tilde[0, 3] == 0.0
         direct = fock_expectation(1, 1, 0.7, p1, 30)
-        assert tilde_S(1, 1, 0.7, p1, trunc) == pytest.approx(direct, abs=1e-10)
+        assert tilde[0, 1] == pytest.approx(direct, abs=1e-10)
 
 
 class TestRho01Thermal:
     def test_vanishes_at_t_zero(self):
         p = make_params(l=2, omega0=1.0, omega=1.0, alpha=2.0)
         thermal = thermal_from_inv_beta(0.1, p)
-        assert rho01_thermal(0.0, p, thermal, TruncationPolicy(60)) == 0.0
+        assert at(0.0, p, TruncationPolicy(60)).rho01(thermal)[0] == 0.0
 
     def test_zeroth_order_structure(self):
         # theta = 0 leaves exactly the channel-weighted zeroth series
         p = make_params(l=1, alpha=1.5)
         trunc = TruncationPolicy.adaptive(p)
-        t = 0.8
+        tables = at(0.8, p, trunc)
         for inv_beta in (0.0, 0.3):
             thermal = thermal_from_inv_beta(inv_beta, p)
             cold_angles = bogoliubov_angles(math.inf, 1.0, 1.0)
-            mix = (thermal.sin_atom**2 * tilde_S(1, 0, t, p, trunc)
-                   + thermal.cos_atom**2 * tilde_S(2, 0, t, p, trunc))
+            mix = (thermal.sin_atom**2 * tables.tilde[0, 0, 0]
+                   + thermal.cos_atom**2 * tables.tilde[1, 0, 0])
             frozen = type(thermal)(beta=thermal.beta, theta=0.0, cosh_theta=1.0,
                                    sinh_theta=0.0, cos_atom=thermal.cos_atom,
                                    sin_atom=thermal.sin_atom)
-            assert rho01_thermal(t, p, frozen, trunc) == pytest.approx(mix, abs=1e-14)
+            assert tables.rho01(frozen)[0] == pytest.approx(mix, abs=1e-14)
             assert cold_angles.theta == 0.0
 
     def test_conjugate_of_exact_reduced_state(self):
@@ -336,7 +326,7 @@ class TestRho01Thermal:
         state = oracle.propagate(
             oracle.build_initial_state(p, thermal, FockTruncation(40)), 0.8, p)
         _, exact = oracle.reduce_atom(state)
-        series = rho01_thermal(0.8, p, thermal, trunc)
+        series = at(0.8, p, trunc).rho01(thermal)[0]
         assert abs(series - np.conj(exact)) < 1e-10
         assert abs(series - exact) > 1e-3  # same orientation does not match
 
@@ -344,30 +334,30 @@ class TestRho01Thermal:
 class TestAtomState:
     def test_cold_initial_state_is_ground(self):
         p = make_params(l=1, alpha=2.0)
-        s = series_tables(0.0, p, TruncationPolicy.adaptive(p))
-        assert s.pe(COLD) == 0.0 and s.rho01(COLD) == 0.0
-        assert physical_population(s.pe(COLD))
+        s = at(0.0, p, TruncationPolicy.adaptive(p))
+        assert s.pe(COLD)[0] == 0.0 and s.rho01(COLD)[0] == 0.0
+        assert physical_population(s.pe(COLD)[0])
 
     def test_warm_initial_state(self):
         p = make_params(l=1, alpha=2.0)
         thermal = thermal_from_inv_beta(0.1, p)
-        s = series_tables(0.0, p, TruncationPolicy.adaptive(p))
-        assert s.pe(thermal) == pytest.approx(thermal.sin_atom**2, abs=1e-12)
-        assert s.rho01(thermal) == 0.0
+        s = at(0.0, p, TruncationPolicy.adaptive(p))
+        assert s.pe(thermal)[0] == pytest.approx(thermal.sin_atom**2, abs=1e-12)
+        assert s.rho01(thermal)[0] == 0.0
 
     def test_trace_distance_to_oracle_is_cubic(self):
         p = make_params(l=2, omega0=1.0, omega=1.0, alpha=2.0)
         trunc = TruncationPolicy.adaptive(p)
         t = 1.0
         ftrunc = FockTruncation(50)
-        tables = series_tables(t, p, trunc)
+        tables = at(t, p, trunc)
 
         def trace_distance(theta):
             thermal = theta_for_angle(theta, p.omega, p.omega0)
             rho00, rho01 = oracle.reduce_atom(oracle.propagate(
                 oracle.build_initial_state(p, thermal, ftrunc), t, p))
-            dp = tables.pe(thermal) - rho00
-            dz = tables.rho01(thermal) - np.conj(rho01)
+            dp = tables.pe(thermal)[0] - rho00
+            dz = tables.rho01(thermal)[0] - np.conj(rho01)
             return math.sqrt(dp * dp + abs(dz) ** 2)
 
         c_cubic = trace_distance(0.01) / 0.01**3
@@ -376,23 +366,24 @@ class TestAtomState:
 
 
 class TestDeterminism:
-    def test_scalar_equals_grid_column(self):
+    def test_single_sample_equals_grid_column(self):
         p = make_params(l=2, omega0=1.0, omega=1.0, alpha=7.0)
         thermal = thermal_from_inv_beta(0.1, p)
         trunc = TruncationPolicy(110)
         t = np.linspace(0.0, 4.0, 2500)  # crosses the internal chunk boundary
-        grid = pe_thermal(t, p, thermal, trunc)
-        rho_grid = rho01_thermal(t, p, thermal, trunc)
+        tables = series_tables(t, p, trunc)
+        grid, rho_grid = tables.pe(thermal), tables.rho01(thermal)
         for i in (0, 1, 1234, 2048, 2100, 2499):
-            assert pe_thermal(float(t[i]), p, thermal, trunc) == grid[i]
-            assert rho01_thermal(float(t[i]), p, thermal, trunc) == rho_grid[i]
+            one = at(float(t[i]), p, trunc)
+            assert one.pe(thermal)[0] == grid[i]
+            assert one.rho01(thermal)[0] == rho_grid[i]
 
     def test_grid_split_invariance(self):
         p = make_params(l=1, alpha=3.0)
         thermal = thermal_from_inv_beta(0.2, p)
         trunc = TruncationPolicy(60)
         t = np.linspace(0.0, 10.0, 777)
-        whole = pe_thermal(t, p, thermal, trunc)
-        parts = np.concatenate([pe_thermal(t[:300], p, thermal, trunc),
-                                pe_thermal(t[300:], p, thermal, trunc)])
+        whole = series_tables(t, p, trunc).pe(thermal)
+        parts = np.concatenate([series_tables(t[:300], p, trunc).pe(thermal),
+                                series_tables(t[300:], p, trunc).pe(thermal)])
         np.testing.assert_array_equal(whole, parts)

@@ -6,6 +6,7 @@ tables were built alongside P_e, and of how many temperatures one build
 serves.
 """
 
+import inspect
 from unittest import mock
 
 import numpy as np
@@ -16,15 +17,8 @@ from hypothesis import strategies as st
 from thermaljcm import perturbation
 from thermaljcm.cli import PRESETS, build_preset
 from thermaljcm.model import EigenvalueTable, ModelParams, _osc_pair, thermal_from_inv_beta
-from thermaljcm.perturbation import (
-    TruncationPolicy,
-    TruncationWarning,
-    pe_thermal,
-    pe_zero_temperature,
-    rho01_thermal,
-    series_tables,
-)
-from thermaljcm.validation import THETA_GRID, theta_for_angle
+from thermaljcm.perturbation import TruncationPolicy, TruncationWarning, series_tables
+from thermaljcm.validation import THETA_GRID, run_validation_suite, theta_for_angle
 
 INV_BETAS = (0.0, 0.04, 0.08, 0.12, 0.16)
 
@@ -87,10 +81,9 @@ class TestGridSplit:
     def test_rho01_split_across_chunk_boundary(self, params, trunc):
         thermal = thermal_from_inv_beta(0.12, params)
         t = np.linspace(0.0, 6.0, 2500)  # two chunks of the default 2048
-        whole = rho01_thermal(t, params, thermal, trunc)
-        parts = np.concatenate([rho01_thermal(t[:1000], params, thermal, trunc),
-                                rho01_thermal(t[1000:2100], params, thermal, trunc),
-                                rho01_thermal(t[2100:], params, thermal, trunc)])
+        whole = series_tables(t, params, trunc).rho01(thermal)
+        parts = np.concatenate([series_tables(t[a:b], params, trunc).rho01(thermal)
+                                for a, b in ((0, 1000), (1000, 2100), (2100, None))])
         assert_bitwise(whole, parts)
 
     @settings(max_examples=25, deadline=None)
@@ -118,19 +111,35 @@ class TestOneBuildManyTemperatures:
         tables = series_tables(t, params, trunc)
         for inv_beta in INV_BETAS:
             thermal = thermal_from_inv_beta(inv_beta, params)
-            assert_bitwise(tables.pe(thermal), pe_thermal(t, params, thermal, trunc))
-            assert_bitwise(tables.rho01(thermal), rho01_thermal(t, params, thermal, trunc))
+            fresh = series_tables(t, params, trunc)
+            assert_bitwise(tables.pe(thermal), fresh.pe(thermal))
+            assert_bitwise(tables.rho01(thermal), fresh.rho01(thermal))
+            assert_bitwise(tables.pe(thermal),
+                           series_tables(t, params, trunc, coherence=False).pe(thermal))
 
     @pytest.mark.parametrize("params, trunc", CASES)
-    def test_scalar_build_matches_fresh_build_per_theta(self, params, trunc):
-        tables = series_tables(0.7, params, trunc)
+    def test_single_sample_build_matches_fresh_build_per_theta(self, params, trunc):
+        tables = series_tables([0.7], params, trunc)
         for th in THETA_GRID:
             thermal = theta_for_angle(float(th), params.omega, params.omega0)
-            pe = tables.pe(thermal)
-            rho = tables.rho01(thermal)
-            assert isinstance(pe, float) and isinstance(rho, complex)
-            assert pe == pe_thermal(0.7, params, thermal, trunc)
-            assert rho == rho01_thermal(0.7, params, thermal, trunc)
+            fresh = series_tables([0.7], params, trunc)
+            assert_bitwise(tables.pe(thermal), fresh.pe(thermal))
+            assert_bitwise(tables.rho01(thermal), fresh.rho01(thermal))
+
+    @pytest.mark.parametrize("params, trunc", CASES[:2] + [
+        (make_params(l=l), TruncationPolicy.adaptive(make_params(l=l))) for l in (1, 2)])
+    def test_validation_grid_columns_match_single_sample_builds(self, params, trunc):
+        # the validation suite reads t = 0 and its check times off one build
+        # where it used to build once per time (real alpha; its complex-alpha
+        # case keeps a one-sample build)
+        grid = series_tables([0.0, 0.5, 1.0], params, trunc)
+        for col, t in enumerate((0.0, 0.5, 1.0)):
+            one = series_tables([t], params, trunc)
+            assert_bitwise(grid.tilde[:, :, col], one.tilde[:, :, 0])
+            for th in THETA_GRID:
+                thermal = theta_for_angle(float(th), params.omega, params.omega0)
+                assert_bitwise(grid.pe(thermal)[col], one.pe(thermal)[0])
+                assert_bitwise(grid.rho01(thermal)[col], one.rho01(thermal)[0])
 
 
 class TestPeOnlyBuild:
@@ -148,7 +157,7 @@ class TestPeOnlyBuild:
 
     def test_coherence_needs_a_full_build(self):
         params, trunc = CASES[0]
-        tables = series_tables(1.0, params, trunc, coherence=False)
+        tables = series_tables([1.0], params, trunc, coherence=False)
         assert tables.tilde is None
         with pytest.raises(ValueError):
             tables.rho01(thermal_from_inv_beta(0.1, params))
@@ -177,20 +186,33 @@ class TestPrimedIndexShift:
 
 def test_zero_time_identities_at_every_temperature():
     params, trunc = CASES[1]
-    tables = series_tables(0.0, params, trunc)
+    tables = series_tables([0.0], params, trunc)
     for inv_beta in INV_BETAS:
         thermal = thermal_from_inv_beta(inv_beta, params)
-        assert tables.pe(thermal) == pytest.approx(thermal.sin_atom**2, abs=1e-12)
-        assert abs(tables.rho01(thermal)) < 1e-12
+        assert tables.pe(thermal)[0] == pytest.approx(thermal.sin_atom**2, abs=1e-12)
+        assert abs(tables.rho01(thermal)[0]) < 1e-12
 
 
-@pytest.mark.parametrize("call", [
-    lambda p, tr: series_tables(1.0, p, tr),
-    lambda p, tr: pe_thermal(1.0, p, thermal_from_inv_beta(0.1, p), tr),
-    lambda p, tr: rho01_thermal(1.0, p, thermal_from_inv_beta(0.1, p), tr),
-    lambda p, tr: pe_zero_temperature(1.0, p, tr),
-])
-def test_truncation_warning_names_the_calling_line(call):
+def test_validation_suite_builds_at_most_five_tables(monkeypatch):
+    # one build per parameter set, plus the P_e-only zero-temperature grids
+    builds = []
+    build = perturbation.series_tables
+    monkeypatch.setattr(perturbation, "series_tables",
+                        lambda *a, **k: builds.append(a[0]) or build(*a, **k))
+    assert run_validation_suite()["passed"]
+    assert len(builds) <= 5
+
+
+@pytest.mark.parametrize("coherence", [True, False])
+def test_truncation_warning_names_the_calling_line(coherence):
     with pytest.warns(TruncationWarning) as record:
-        call(make_params(alpha=3.0), TruncationPolicy(5))
-    assert [w.filename for w in record] == [__file__]
+        line = inspect.currentframe().f_lineno + 1
+        series_tables([1.0], make_params(alpha=3.0), TruncationPolicy(5), coherence=coherence)
+    assert [(w.filename, w.lineno) for w in record] == [(__file__, line)]
+
+
+@pytest.mark.parametrize("t", [0.7, np.zeros((2, 3))])
+def test_time_must_be_a_1d_grid(t):
+    params, trunc = CASES[0]
+    with pytest.raises(ValueError, match="1-d"):
+        series_tables(t, params, trunc)
