@@ -29,7 +29,6 @@ from .perturbation import TruncationPolicy, poisson_log_weight
 
 __all__ = [
     "TimeSeries",
-    "PeriodEstimate",
     "SweepRow",
     "NoRevivalError",
     "approx_cos_sum",
@@ -40,6 +39,7 @@ __all__ = [
     "period_vs_temperature_sweep",
     "NO_REVIVAL_RATIO",
     "SAMPLES_PER_CYCLE",
+    "MIN_SAMPLES_PER_CYCLE",
 ]
 
 #: revival detection: the envelope maximum in the search window must exceed
@@ -54,6 +54,13 @@ PLATEAU_WINDOW = (0.1, 0.4)
 
 #: default sampling density: samples per fast-oscillation cycle
 SAMPLES_PER_CYCLE = 40
+
+#: coarsest grid period extraction accepts, in samples per fast cycle
+MIN_SAMPLES_PER_CYCLE = 20
+
+#: sweep rows span this multiple of the thermal period prior; must stay
+#: >= 1.8, the span :func:`extract_revival_period` requires
+SPAN_FACTOR = 1.85
 
 
 class NoRevivalError(RuntimeError):
@@ -79,28 +86,8 @@ class TimeSeries:
         object.__setattr__(self, "values", vals)
 
     @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.values.size)
-
-    @property
     def t_end(self) -> float:
         return self.t0 + self.dt * (self.values.size - 1)
-
-
-@dataclass(frozen=True)
-class PeriodEstimate:
-    """Extracted revival period plus its discreteness bookkeeping.
-
-    ``quantum`` is the spacing of the fast-oscillation peaks the estimate can
-    snap to; ``quantization_residual`` is the distance of the period from the
-    nearest integer multiple of that quantum.
-    """
-
-    period: float
-    quantum: float
-    method: str
-    window: tuple
-    quantization_residual: float
 
 
 @dataclass(frozen=True)
@@ -135,7 +122,7 @@ def approx_cos_sum(alpha: complex, l: int, g: float, t):
     lhs = np.add.reduce(w * np.cos(2.0 * g * m_pow * t[..., None]), axis=-1)
     slow = g * abs(alpha) ** (l - 2) * l * t
     fast = g * abs(alpha) ** l * t
-    rhs = np.exp(aa * (np.cos(slow) - 1.0)) * np.cos(fast + aa * np.sin(slow))
+    rhs = revival_envelope(alpha, l, g, t) * np.cos(fast + aa * np.sin(slow))
     return lhs, rhs
 
 
@@ -195,8 +182,8 @@ def _parabolic_offset(y0: float, y1: float, y2: float) -> float:
 
 
 def extract_revival_period(series: TimeSeries, params: ModelParams,
-                           thermal: ThermalParams) -> PeriodEstimate:
-    """Locate the first revival of a sampled excitation-probability curve.
+                           thermal: ThermalParams) -> float:
+    """Time of the first revival of a sampled excitation-probability curve.
 
     The envelope (window: one fast cycle) is searched over
     [0.4, 1.7] x thermal-period-prior; its argmax seeds a raw-peak search
@@ -206,9 +193,10 @@ def extract_revival_period(series: TimeSeries, params: ModelParams,
     ``ValueError`` when the grid is too coarse or too short.
     """
     window = rabi_period(params)
-    if series.dt > window / 20.0:
-        raise ValueError(f"dt = {series.dt:.3g} too coarse; need <= {window / 20:.3g} "
-                         "(one twentieth of the fast cycle)")
+    dt_max = window / MIN_SAMPLES_PER_CYCLE
+    if series.dt > dt_max:
+        raise ValueError(f"dt = {series.dt:.3g} too coarse; need <= {dt_max:.3g} "
+                         f"(1/{MIN_SAMPLES_PER_CYCLE} of the fast cycle)")
     prior = t0_prime_period(params, thermal)
     if series.t_end < 1.8 * prior:
         raise ValueError(f"series must span at least 1.8 x {prior:.3g}")
@@ -238,25 +226,15 @@ def extract_revival_period(series: TimeSeries, params: ModelParams,
     if 0 < peak < n - 1:
         shift = _parabolic_offset(series.values[peak - 1], series.values[peak],
                                   series.values[peak + 1])
-    period = series.t0 + (peak + shift) * series.dt
-    quantum = tau1(params)
-    residual = abs(period - round(period / quantum) * quantum)
-    return PeriodEstimate(
-        period=period,
-        quantum=quantum,
-        method="envelope-argmax",
-        window=(SEARCH_WINDOW[0] * prior, SEARCH_WINDOW[1] * prior),
-        quantization_residual=residual,
-    )
+    return series.t0 + (peak + shift) * series.dt
 
 
 def period_vs_temperature_sweep(params: ModelParams, inv_betas, trunc: TruncationPolicy,
-                                *, dt: float | None = None,
-                                span_factor: float = 1.85) -> list[SweepRow]:
+                                *, dt: float | None = None) -> list[SweepRow]:
     """Extract the revival period at each temperature of a 1/beta grid.
 
     Each row simulates the perturbative excitation probability over
-    [0, span_factor x thermal prior] on a shared dt (default: one fortieth of
+    [0, SPAN_FACTOR x thermal prior] on a shared dt (default: one fortieth of
     the fast cycle), extracts the period, and pairs it with the closed-form
     prior.  A row whose curve leaves [0, 1] beyond the physicality tolerance
     is flagged rather than dropped; rows without a detectable revival carry
@@ -268,20 +246,19 @@ def period_vs_temperature_sweep(params: ModelParams, inv_betas, trunc: Truncatio
         dt = rabi_period(params) / SAMPLES_PER_CYCLE
     thermals = [thermal_from_inv_beta(inv_beta, params) for inv_beta in inv_betas]
     priors = [t0_prime_period(params, thermal) for thermal in thermals]
-    spans = [int(math.ceil(span_factor * prior / dt)) + 1 for prior in priors]
+    spans = [int(math.ceil(SPAN_FACTOR * prior / dt)) + 1 for prior in priors]
     if not spans:
         return []
     tables = perturbation.series_tables(dt * np.arange(max(spans)), params, trunc,
                                         coherence=False)
+    quantum = tau1(params)
     rows: list[SweepRow] = []
     for inv_beta, thermal, prior, n_samples in zip(inv_betas, thermals, priors, spans):
         pe = tables.pe(thermal)[:n_samples]
         physical = bool(np.all(physical_population(pe)))
         series = TimeSeries(t0=0.0, dt=dt, values=pe)
-        quantum = tau1(params)
         try:
-            est = extract_revival_period(series, params, thermal)
-            period: float | None = est.period
+            period: float | None = extract_revival_period(series, params, thermal)
         except NoRevivalError:
             period = None
         rows.append(SweepRow(inv_beta=float(inv_beta), period=period,

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import oracle, perturbation, validation
 from .analysis import (
+    MIN_SAMPLES_PER_CYCLE,
     SAMPLES_PER_CYCLE,
     approx_cos_sum,
     period_vs_temperature_sweep,
@@ -124,8 +125,8 @@ def parse_config(data: dict) -> RunConfig:
     model = data.get("model")
     _expect(isinstance(model, dict), "model", "section is required")
     l_raw = model.get("l")
-    _expect(isinstance(l_raw, int) and not isinstance(l_raw, bool) and l_raw >= 1,
-            "model.l", "must be an integer >= 1")
+    _expect(isinstance(l_raw, int) and _is_number(l_raw) and l_raw >= 1,
+            "model.l", "must be an integer >= 1 within the float range")
     alpha_raw = model.get("alpha", 0.0)
     if isinstance(alpha_raw, (list, tuple)):
         _expect(len(alpha_raw) == 2 and all(_is_number(v) for v in alpha_raw),
@@ -298,8 +299,11 @@ def _coerce_json(value):
 
 def _default_pe_grid(config: RunConfig) -> np.ndarray:
     t0 = config.t_start if config.t_start is not None else 0.0
-    t1 = config.t_stop if config.t_stop is not None else 1.35 * t0_period(config.params)
-    dt = config.dt if config.dt is not None else rabi_period(config.params) / SAMPLES_PER_CYCLE
+    try:  # the defaults scale with periods that g = 0 or alpha = 0 leave undefined
+        t1 = config.t_stop if config.t_stop is not None else 1.35 * t0_period(config.params)
+        dt = config.dt if config.dt is not None else rabi_period(config.params) / SAMPLES_PER_CYCLE
+    except ValueError as exc:
+        raise ConfigError(f"grid: t_stop and dt have no default here, {exc}") from exc
     n = max(int(math.floor((t1 - t0) / dt + 0.5)), 0) + 1
     return t0 + dt * np.arange(n)
 
@@ -349,6 +353,11 @@ def cmd_pe_series(config: RunConfig, stream) -> int:
 def cmd_period_sweep(config: RunConfig, stream) -> int:
     """Revival period against temperature, with the closed-form prior."""
     params = config.params
+    _expect(params.alpha != 0, "model.alpha", "period-sweep requires alpha != 0")
+    _expect(params.g > 0, "model.g", "period-sweep requires g > 0")
+    dt_max = rabi_period(params) / MIN_SAMPLES_PER_CYCLE
+    _expect(config.dt is None or config.dt <= dt_max, "grid.dt",
+            f"{config.dt} too coarse for period extraction; need <= {dt_max:.3g}")
     sweep = period_vs_temperature_sweep(params, config.inv_betas, config.trunc,
                                         dt=config.dt)
     periods = [math.nan if row.no_revival else row.period for row in sweep]
@@ -455,28 +464,25 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="add the exact-solver column where applicable")
 
 
+#: subcommand name -> (handler, help text)
+COMMANDS = {
+    "pe-series": (cmd_pe_series, "excitation probability time series"),
+    "period-sweep": (cmd_period_sweep, "revival period vs temperature"),
+    "coherence-map": (cmd_coherence_map, "relative entropy of coherence over (t, 1/beta)"),
+    "oracle-validate": (cmd_oracle_validate, "series-vs-exact validation report (JSON)"),
+    "approx-check": (cmd_approx_check, "closed-form cosine-sum approximation table"),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="thermaljcm",
         description="Finite-temperature multiphoton Jaynes-Cummings dynamics")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("pe-series", "excitation probability time series"),
-        ("period-sweep", "revival period vs temperature"),
-        ("coherence-map", "relative entropy of coherence over (t, 1/beta)"),
-        ("oracle-validate", "series-vs-exact validation report (JSON)"),
-        ("approx-check", "closed-form cosine-sum approximation table"),
-    ):
+    for name, (_, help_text) in COMMANDS.items():
         _add_common(subs.add_parser(name, help=help_text))
     args = parser.parse_args(argv)
-
-    handlers = {
-        "pe-series": cmd_pe_series,
-        "period-sweep": cmd_period_sweep,
-        "coherence-map": cmd_coherence_map,
-        "oracle-validate": cmd_oracle_validate,
-        "approx-check": cmd_approx_check,
-    }
+    handler = COMMANDS[args.command][0]
     try:
         config = _load_config(args)
         if config is None and args.command != "oracle-validate":
@@ -488,8 +494,8 @@ def main(argv=None) -> int:
     try:
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                return handlers[args.command](config, fh)
-        return handlers[args.command](config, sys.stdout)
+                return handler(config, fh)
+        return handler(config, sys.stdout)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -18,7 +18,6 @@ __all__ = [
     "ModelParams",
     "ThermalParams",
     "EigenvalueTable",
-    "derived_detuning",
     "bogoliubov_angles",
     "thermal_from_inv_beta",
     "tau1",
@@ -27,15 +26,6 @@ __all__ = [
     "interference_period",
     "rabi_period",
 ]
-
-
-def derived_detuning(omega0: float, omega: float, l: int) -> float:
-    """Detuning between l cavity quanta and the atomic transition, l*omega - omega0."""
-    if omega0 <= 0 or omega <= 0:
-        raise ValueError("frequencies must be positive")
-    if l < 1:
-        raise ValueError("photon multiplicity must be >= 1")
-    return l * omega - omega0
 
 
 @dataclass(frozen=True)
@@ -63,10 +53,14 @@ class ModelParams:
             raise ValueError("frequencies must be positive")
         object.__setattr__(self, "l", int(self.l))
         object.__setattr__(self, "alpha", complex(self.alpha))
+        try:
+            self.abs_alpha_sq
+        except OverflowError:
+            raise ValueError(f"alpha = {self.alpha}: |alpha|^2 overflows a float") from None
 
     @property
     def delta(self) -> float:
-        return derived_detuning(self.omega0, self.omega, self.l)
+        return self.l * self.omega - self.omega0
 
     @property
     def abs_alpha_sq(self) -> float:
@@ -189,14 +183,9 @@ def tau1(params: ModelParams) -> float:
 def t0_period(params: ModelParams) -> float:
     """Zero-temperature revival period 2 pi / (g l |alpha|^(l-2)).
 
-    Written through (|alpha|^2)^(1 - l/2) so that the thermal period below
-    reduces to it bitwise at theta = 0.
+    The thermal period below at theta = 0.
     """
-    _require_drive(params)
-    if params.alpha == 0 and params.l != 2:
-        raise ValueError("revival period is undefined for alpha = 0 unless l = 2")
-    aa = params.abs_alpha_sq
-    return (2.0 * math.pi / (params.g * params.l)) * aa ** (1.0 - params.l / 2.0)
+    return t0_prime_period(params, bogoliubov_angles(math.inf, params.omega, params.omega0))
 
 
 def t0_prime_period(params: ModelParams, thermal: ThermalParams) -> float:

@@ -59,8 +59,7 @@ class FockTruncation:
             raise ValueError("leak_tol must be in (0, 1)")
 
     @classmethod
-    def auto(cls, params: ModelParams, thermal: ThermalParams | None = None,
-             leak_tol: float = 1e-8) -> "FockTruncation":
+    def auto(cls, params: ModelParams, thermal: ThermalParams | None = None) -> "FockTruncation":
         """Size the cutoff as mean + 8 standard deviations + l + 5.
 
         The mean photon number includes the thermal amplification
@@ -70,7 +69,7 @@ class FockTruncation:
         th = 0.0 if thermal is None else thermal.theta
         mean = params.abs_alpha_sq * math.exp(2.0 * th) + math.sinh(th) ** 2
         n = math.ceil(mean + 8.0 * math.sqrt(mean + 1.0) + params.l + 5)
-        return cls(n_fock=int(n), leak_tol=leak_tol)
+        return cls(n_fock=int(n))
 
 
 @dataclass
@@ -274,14 +273,12 @@ def reduce_atom(state: DoubledFockState) -> tuple[float, complex]:
 
 
 def pe_curve(params: ModelParams, thermal: ThermalParams, times,
-             trunc: FockTruncation | None = None) -> np.ndarray:
+             trunc: FockTruncation) -> np.ndarray:
     """Exact excitation probability over a time grid.
 
     Each sample propagates the initial state directly to its time with the
     closed-form propagator (no stepping, no error accumulation).
     """
-    if trunc is None:
-        trunc = FockTruncation.auto(params, thermal)
     init = build_initial_state(params, thermal, trunc)
     return np.array([observe_pe(propagate(init, float(t), params)) for t in np.atleast_1d(times)])
 

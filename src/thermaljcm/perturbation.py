@@ -5,10 +5,7 @@ order in the bosonic Bogoliubov angle.  Every series is a Poisson-weighted
 sum over photon number; weights are built in the log domain so that the
 alpha = 12, n_max = 250 regime never overflows, and all reductions run in a
 fixed ascending-n order (numpy pairwise over the contiguous n axis), so a
-value is bitwise independent of how the time grid is batched.  One known
-exception: at complex alpha the coherence series of a one-sample grid can
-differ in the last bit, because numpy's in-place complex multiply by the
-prefactor takes another path for a one-element array.
+value is bitwise independent of how the time grid is batched.
 
 Convention: the S-type sums returned here carry the normalized Poisson
 weights, i.e. they equal exp(-|alpha|^2) times the bare sums written with
@@ -318,10 +315,14 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
     if coherence:
         alpha = params.alpha
         ac = np.conj(alpha)
+        c = np.empty((2, 6, 1), dtype=complex)
         for k in range(6):
             p = l + _ALPHA_POWERS[k]
             pref = (1.0 if p == 0 else 0.0) if alpha == 0 else ac**p
-            tilde[0, k] *= -1j * params.g * pref
-            tilde[1, k] *= 1j * params.g * pref
+            c[:, k, 0] = (-1j * params.g * pref, 1j * params.g * pref)
+        # real arithmetic: numpy's complex multiply rounds one element differently
+        re, im = tilde.real.copy(), tilde.imag
+        tilde.real = re * c.real - im * c.imag
+        tilde.imag = re * c.imag + im * c.real
     return SeriesTables(params, S1, S2, tilde)
 

@@ -27,6 +27,9 @@ SLOPE_BOUNDS = (2.7, 3.3)
 #: angle grid for the residual-scaling fits
 THETA_GRID = np.geomspace(0.02, 0.2, 7)
 
+#: times of the scaling fits; the coherence series are checked at the last
+T_VALUES = (0.5, 1.0)
+
 #: residuals below this are indistinguishable from truncation noise and are
 #: excluded from the scaling fit
 RESIDUAL_FLOOR = 1e-12
@@ -56,12 +59,12 @@ def _fit_slope(theta: np.ndarray, residual: np.ndarray):
     return float(coeffs[0])
 
 
-def _check_theta_scaling(params: ModelParams, t_values, tables: SeriesTables) -> list[dict]:
-    """Columns 1.. of ``tables`` hold the series at ``t_values``."""
+def _check_theta_scaling(params: ModelParams, tables: SeriesTables) -> list[dict]:
+    """Columns 1.. of ``tables`` hold the series at ``T_VALUES``."""
     checks = []
     ftrunc = FockTruncation.auto(params, theta_for_angle(float(THETA_GRID[-1]),
                                                          params.omega, params.omega0))
-    for col, t in enumerate(t_values, start=1):
+    for col, t in enumerate(T_VALUES, start=1):
         pe_res = []
         rho_res = []
         conv_res = []
@@ -93,9 +96,10 @@ def _check_theta_scaling(params: ModelParams, t_values, tables: SeriesTables) ->
     return checks
 
 
-def _check_tilde_series(params: ModelParams, t: float, tilde: np.ndarray,
-                        n_fock: int, tol: float = 1e-8) -> list[dict]:
+def _check_tilde_series(params: ModelParams, t: float, tilde: np.ndarray) -> list[dict]:
     """``tilde`` holds the twelve coherence series at time t, shape (2, 6)."""
+    n_fock = FockTruncation.auto(params).n_fock + 10
+    tol = 1e-8
     u00, u01, u10, u11 = oracle.atom_block_matrices(t, params, n_fock)
     a = np.diag(np.sqrt(np.arange(1, n_fock, dtype=float)), 1).astype(complex)
     ad = a.T.conj()
@@ -211,8 +215,7 @@ def _check_zero_temperature_degeneracy(params: ModelParams,
             "passed": err < 1e-9, "max_error": err}
 
 
-def run_validation_suite(l_values=(1, 2), alpha: complex = 2.0,
-                         t_values=(0.5, 1.0)) -> dict:
+def run_validation_suite(l_values=(1, 2), alpha: complex = 2.0) -> dict:
     """Run every oracle-vs-series check and return a structured report.
 
     The report is a dict with ``passed`` (overall) and a ``checks`` list of
@@ -224,16 +227,14 @@ def run_validation_suite(l_values=(1, 2), alpha: complex = 2.0,
         trunc = TruncationPolicy.adaptive(params)
         # one build serves the t = 0 identities, the scaling fits and the
         # coherence series; each time sample is reduced on its own
-        tables = perturbation.series_tables([0.0, *t_values], params, trunc)
+        tables = perturbation.series_tables([0.0, *T_VALUES], params, trunc)
         checks.extend(_check_t0_identities(params, tables))
-        checks.extend(_check_theta_scaling(params, t_values, tables))
-        checks.extend(_check_tilde_series(params, t_values[-1], tables.tilde[:, :, -1],
-                                          FockTruncation.auto(params).n_fock + 10))
+        checks.extend(_check_theta_scaling(params, tables))
+        checks.extend(_check_tilde_series(params, T_VALUES[-1], tables.tilde[:, :, -1]))
         checks.append(_check_zero_temperature_degeneracy(params, trunc))
     checks.extend(_check_thermal_states(_default_params(2, alpha), theta=0.2))
     # complex amplitude exercises the conjugate-power structure of the series
     cparams = _default_params(2, 1.1 + 0.6j)
     ctables = perturbation.series_tables([0.9], cparams, TruncationPolicy.adaptive(cparams))
-    checks.extend(_check_tilde_series(cparams, 0.9, ctables.tilde[:, :, -1],
-                                      FockTruncation.auto(cparams).n_fock + 10))
+    checks.extend(_check_tilde_series(cparams, 0.9, ctables.tilde[:, :, -1]))
     return {"passed": bool(all(c["passed"] for c in checks)), "checks": checks}

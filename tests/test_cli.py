@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import thermaljcm.perturbation
 from thermaljcm.cli import (
@@ -39,6 +41,43 @@ def write_config(tmp_path, doc, name="cfg.json"):
     return str(path)
 
 
+#: what json.load can return: NaN, +-Infinity and integers past the float
+#: range included
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=5)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.integers() | st.integers(-(10**400), 10**400)
+    | st.sampled_from([0, 1, -1, 2.5, 1e200, -1e200, 1e-320, 10**400]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(["schema", "model", "thermal", "grid", "truncation",
+                                       "oracle", "output", "l", "g", "alpha", "inv_beta",
+                                       "n_max", "format", "x"]), children, max_size=4),
+    max_leaves=12)
+
+FIELD_PATHS = [
+    ("schema",), ("model",), ("thermal",), ("grid",), ("truncation",), ("oracle",),
+    ("output",),
+    *[("model", key) for key in ("l", "g", "omega0", "omega", "alpha")],
+    ("thermal", "inv_beta"), ("thermal", "inv_beta_grid"),
+    *[("grid", key) for key in ("t_start", "t_stop", "dt")],
+    *[("truncation", key) for key in ("n_max", "tail_tol", "adaptive")],
+    *[("oracle", key) for key in ("with_oracle", "n_fock", "alpha_threshold")],
+    ("output", "format"),
+]
+
+
+def assert_rejected_or_usable(doc):
+    """parse_config raises ConfigError, or its config evaluates what every
+    command derives from it."""
+    try:
+        cfg = parse_config(doc)
+    except ConfigError:
+        return
+    assert math.isfinite(cfg.params.abs_alpha_sq)
+    cfg.params.delta
+    cfg.trunc
+
+
 class TestConfigParsing:
     def test_round_trip_is_canonical(self):
         cfg = parse_config(small_config())
@@ -58,6 +97,7 @@ class TestConfigParsing:
         (lambda d: d.pop("model"), "model"),
         (lambda d: d["model"].__setitem__("l", 0), "model.l"),
         (lambda d: d["model"].__setitem__("l", 2.5), "model.l"),
+        (lambda d: d["model"].__setitem__("l", 10**400), "model.l"),
         (lambda d: d["model"].__setitem__("g", "strong"), "model.g"),
         (lambda d: d["model"].pop("omega"), "model.omega"),
         (lambda d: d["thermal"].__setitem__("inv_beta", -0.1), "thermal.inv_beta"),
@@ -83,6 +123,26 @@ class TestConfigParsing:
         mutate(doc)
         with pytest.raises(ConfigError, match=path_fragment):
             parse_config(doc)
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=JSON_VALUES)
+    def test_arbitrary_document_is_rejected_or_usable(self, doc):
+        assert_rejected_or_usable(doc)
+
+    @settings(max_examples=600, deadline=None)
+    @given(path=st.sampled_from(FIELD_PATHS), value=JSON_VALUES)
+    @example(path=("model", "alpha"), value=1e200)
+    @example(path=("model", "alpha"), value=[1e300, -1e300])
+    @example(path=("model", "l"), value=10**400)
+    def test_arbitrary_field_value_is_rejected_or_usable(self, path, value):
+        doc = small_config(oracle={"with_oracle": False, "n_fock": 20},
+                           output={"format": "csv"})
+        doc["truncation"]["adaptive"] = True
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        assert_rejected_or_usable(doc)
 
     def test_all_presets_parse(self):
         for name in PRESETS:
@@ -296,6 +356,42 @@ class TestErrorPaths:
         assert "NaN" in open(path).read()
         assert main(["pe-series", "--config", path]) == EXIT_CONFIG
         assert "grid.t_stop" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "grid"])
+    def test_too_coarse_sweep_grid_exits_2(self, tmp_path, capsys, source):
+        # period extraction needs 20 samples per fast cycle (pi/144 at fig3b)
+        if source == "flag":
+            argv = ["period-sweep", "--preset", "fig3b", "--dt", "0.1"]
+        else:
+            doc = build_preset("fig3b")
+            doc["grid"] = {"dt": 0.1}
+            argv = ["period-sweep", "--config", write_config(tmp_path, doc)]
+        assert main(argv) == EXIT_CONFIG
+        assert "grid.dt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, l", [
+        ("pe-series", 2), ("pe-series", 1), ("coherence-map", 2),
+        ("period-sweep", 2), ("period-sweep", 3),
+    ])
+    def test_zero_amplitude_without_grid_exits_2(self, tmp_path, capsys, command, l):
+        # the default grid and the sweep scale with the fast cycle, which
+        # alpha = 0 does not have
+        doc = small_config()
+        doc["model"].update(l=l, alpha=0)
+        del doc["grid"]
+        assert main([command, "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        field = "model.alpha" if command == "period-sweep" else "grid: t_stop and dt"
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pe-series", "period-sweep", "coherence-map",
+                                         "approx-check", "oracle-validate"])
+    @pytest.mark.parametrize("alpha", [1e200, [0.0, -1e200], [1e300, 1e300]])
+    def test_amplitude_whose_square_overflows_exits_2(self, tmp_path, capsys, command,
+                                                      alpha):
+        doc = small_config()
+        doc["model"]["alpha"] = alpha
+        assert main([command, "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        assert "model: alpha = " in capsys.readouterr().err
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -85,6 +85,23 @@ def test_output_bytes_match_golden(tmp_path, name, fmt):
     assert digest == GOLDEN[f"{name}.{fmt}"]
 
 
+#: preset outputs no other hash covers: approx-check prints both sides of the
+#: cosine-sum identity, and the fig1a pe-series grid ends at 1.35 x t0_period
+PRESET_GOLDEN = {
+    ("approx-check", "fig1a"): "0366682da594081ff12629d1ce76d50e8ee9feaa9d8844775858e18b472d8b5e",
+    ("approx-check", "fig1b"): "da301d77b583dea3e3c254c9c78c0c6cf32737995cf952c11fc08b6a1d25ad60",
+    ("pe-series", "fig1a"): "3b717077becc71c8c5e4ae4883d8c95f53d8336132e6b8df0dd235c60b829fe2",
+}
+
+
+@pytest.mark.parametrize("command, preset", sorted(PRESET_GOLDEN))
+def test_preset_output_matches_golden(tmp_path, command, preset):
+    out = tmp_path / f"{preset}.csv"
+    assert main([command, "--preset", preset, "--format", "csv", "--out", str(out)]) == EXIT_OK
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == PRESET_GOLDEN[(command, preset)]
+
+
 #: the default oracle-validate report, which runs the exact solver through
 #: ``oracle.reduce_atom`` and the propagator blocks
 ORACLE_VALIDATE_SHA256 = "f6fd6c4c0cc42df7e49ded458222b99928766ed94081dd66fb084935af894a56"

@@ -10,7 +10,6 @@ from thermaljcm.model import (
     ModelParams,
     _osc_pair,
     bogoliubov_angles,
-    derived_detuning,
     interference_period,
     rabi_period,
     t0_period,
@@ -31,7 +30,7 @@ class TestDetuning:
         (1.0, 1.0, 4, 3.0),
     ])
     def test_figure_caption_values(self, omega0, omega, l, expected):
-        assert derived_detuning(omega0, omega, l) == expected
+        assert make_params(l=l, omega0=omega0, omega=omega).delta == expected
 
     def test_always_recomputed(self):
         p = make_params(l=3, omega0=0.5, omega=2.0)
@@ -39,6 +38,8 @@ class TestDetuning:
 
     @pytest.mark.parametrize("kwargs", [
         {"l": 0}, {"g": -1.0}, {"omega0": 0.0}, {"omega": -2.0},
+        # |alpha|^2 past the float range
+        {"alpha": 1e200}, {"alpha": -1e200j}, {"alpha": complex(1e300, 1e300)},
     ])
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -62,8 +62,11 @@ def direct_tilde(params, trunc, t):
         out[1, k] = np.add.reduce(ab2[:, off : off + n_max + 1] * cw[k], axis=-1)
         p = l + (0, -1, 1, -2, 2, 0)[k]
         pref = (1.0 if p == 0 else 0.0) if params.alpha == 0 else ac**p
-        out[0, k] *= -1j * params.g * pref
-        out[1, k] *= 1j * params.g * pref
+        for j, c in enumerate((-1j * params.g * pref, 1j * params.g * pref)):
+            # the engine's real-arithmetic complex product
+            re, im = out[j, k].real.copy(), out[j, k].imag.copy()
+            out[j, k].real = re * c.real - im * c.imag
+            out[j, k].imag = re * c.imag + im * c.real
     return out
 
 
@@ -102,6 +105,20 @@ class TestGridSplit:
         assert_bitwise(whole.pe(thermal), np.concatenate([p.pe(thermal) for p in pieces]))
         assert_bitwise(whole.rho01(thermal),
                        np.concatenate([p.rho01(thermal) for p in pieces]))
+
+
+    @pytest.mark.parametrize("params, trunc", CASES + [
+        (make_params(l=3, alpha=1.2 + 0.5j), TruncationPolicy(40)),
+        (make_params(l=2, alpha=-0.8 - 1.3j), TruncationPolicy(40))])
+    def test_every_single_sample_build_equals_its_grid_column(self, params, trunc):
+        # at complex alpha the conj(alpha)^p prefactor must not take another
+        # arithmetic path for a one-element grid than for a long one
+        thermal = thermal_from_inv_beta(0.1, params)
+        t = np.linspace(0.0, 5.0, 50)
+        grid = series_tables(t, params, trunc)
+        ones = [series_tables(t[i : i + 1], params, trunc) for i in range(t.size)]
+        assert_bitwise(grid.pe(thermal), np.concatenate([o.pe(thermal) for o in ones]))
+        assert_bitwise(grid.rho01(thermal), np.concatenate([o.rho01(thermal) for o in ones]))
 
 
 class TestOneBuildManyTemperatures:
