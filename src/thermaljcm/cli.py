@@ -113,6 +113,30 @@ def _get_number(section: dict, path: str, key: str, default=None, required=False
     return float(value)
 
 
+#: from l = 171 on, l! = prod_k (0 + k) alone is past the float range
+_L_FACTORIAL_MAX = 170
+
+
+def _check_eigenvalue_range(params: ModelParams, n_max: int) -> None:
+    """Reject an l whose Rabi eigenvalues D_m overflow a float.
+
+    The products (m + 1)...(m + l) grow with m, so the largest series table,
+    rows m <= n_max + l + 2, overflows where its last row does.  Evaluated
+    the way :class:`EigenvalueTable` evaluates it, one row in O(l).
+    """
+    l = params.l
+    top = n_max + l + 2
+    try:
+        prod = (math.prod(float(top + k) for k in range(1, l + 1))
+                if l <= _L_FACTORIAL_MAX else math.inf)
+    except OverflowError:
+        raise ConfigError(f"truncation.n_max: {n_max} is past the float range") from None
+    _expect(math.isfinite(prod), "model.l",
+            f"l = {l}: the Rabi eigenvalues D_m overflow a float for m up to {top}")
+    _expect(math.isfinite(params.g * params.g * prod), "model.g",
+            f"g = {params.g}: the Rabi eigenvalues D_m overflow a float for m up to {top}")
+
+
 def parse_config(data: dict) -> RunConfig:
     """Validate a configuration document and return its canonical form."""
     _expect(isinstance(data, dict), "config", "document must be a JSON object")
@@ -197,10 +221,12 @@ def parse_config(data: dict) -> RunConfig:
     out_format = output.get("format", "csv")
     _expect(out_format in ("csv", "json"), "output.format", "must be 'csv' or 'json'")
 
-    return RunConfig(params=params, inv_betas=inv_betas, t_start=t_start,
-                     t_stop=t_stop, dt=dt, n_max=n_max_raw, tail_tol=tail_tol,
-                     adaptive=adaptive, with_oracle=with_oracle, n_fock=n_fock,
-                     alpha_threshold=alpha_threshold, out_format=out_format)
+    config = RunConfig(params=params, inv_betas=inv_betas, t_start=t_start,
+                       t_stop=t_stop, dt=dt, n_max=n_max_raw, tail_tol=tail_tol,
+                       adaptive=adaptive, with_oracle=with_oracle, n_fock=n_fock,
+                       alpha_threshold=alpha_threshold, out_format=out_format)
+    _check_eigenvalue_range(params, config.trunc.n_max)
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +466,7 @@ def _load_config(args) -> RunConfig | None:
     if getattr(args, "nmax", None) is not None:
         if args.nmax < 1:
             raise ConfigError("--nmax: must be an integer >= 1")
+        _check_eigenvalue_range(config.params, args.nmax)
         config.n_max = args.nmax
         config.adaptive = False
     if getattr(args, "dt", None) is not None:

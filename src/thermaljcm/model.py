@@ -126,9 +126,10 @@ class EigenvalueTable:
     D'_n = (delta/2)^2 + g^2 * prod_{k=1..l} (n - k + 1)   (zero product for n <= l-1)
 
     The photon-number products are evaluated in floating point; they stay well
-    inside double range for m <= 1e6 and l <= 8 (max ~1e48).  Arrays are
-    read-only after construction, so the table is safe to share across
-    threads.
+    inside double range for m <= 1e6 and l <= 8 (max ~1e48).  A table with an
+    eigenvalue past the double range raises ValueError instead of feeding inf
+    and nan to every series.  Arrays are read-only after construction, so the
+    table is safe to share across threads.
     """
 
     def __init__(self, params: ModelParams, n_max: int):
@@ -139,11 +140,15 @@ class EigenvalueTable:
         l, g = params.l, params.g
         half_delta_sq = (params.delta / 2.0) ** 2
         m = np.arange(self.n_max + 1, dtype=float)
-        prod_up = np.prod(m[:, None] + np.arange(1, l + 1)[None, :], axis=1)
-        prod_down = np.prod(m[:, None] - np.arange(l)[None, :], axis=1)
-        prod_down[: min(l, self.n_max + 1)] = 0.0
-        self.d = half_delta_sq + g * g * prod_up
-        self.d_prime = half_delta_sq + g * g * prod_down
+        with np.errstate(over="ignore", invalid="ignore"):
+            prod_up = np.prod(m[:, None] + np.arange(1, l + 1)[None, :], axis=1)
+            prod_down = np.prod(m[:, None] - np.arange(l)[None, :], axis=1)
+            prod_down[: min(l, self.n_max + 1)] = 0.0
+            self.d = half_delta_sq + g * g * prod_up
+            self.d_prime = half_delta_sq + g * g * prod_down
+        if not (np.isfinite(self.d).all() and np.isfinite(self.d_prime).all()):
+            raise ValueError(f"Rabi eigenvalues D_m overflow a float at l = {l}, "
+                             f"m up to {self.n_max}")
         self.sqrt_d = np.sqrt(self.d)
         self.sqrt_d_prime = np.sqrt(self.d_prime)
         for arr in (self.d, self.d_prime, self.sqrt_d, self.sqrt_d_prime):

@@ -6,7 +6,15 @@ thermal vacuum tensored with a thermal coherent state (a displaced two-mode
 squeezed vacuum), and propagation applies the closed-form blockwise
 propagator (the physical factor couples only |e, n> with |g, n+l>, and the
 tilde factor is its complex conjugate), so no exponential of the full
-Hamiltonian is ever formed and each time sample costs O(n_fock^2).
+Hamiltonian is ever formed.
+
+Two routes share that propagator.  :func:`pe_curve` works on the reduced
+state: P_e depends only on the photon populations of the thermal coherent
+state, because the atom starts diagonal and the tilde factor drops out of
+the partial trace, so a time sample costs O(n_fock) and the time grid is
+vectorized.  :func:`propagate` and :class:`DoubledFockState` carry the full
+doubled-space state at O(n_fock^2) per sample; they are the reference that
+:mod:`thermaljcm.validation` and the tests read exact values from.
 
 This module is the validation oracle for every perturbative series in
 :mod:`thermaljcm.perturbation`.
@@ -33,11 +41,15 @@ __all__ = [
     "thermal_coherent_state_via_generator",
     "build_initial_state",
     "propagate",
-    "observe_pe",
     "reduce_atom",
     "pe_curve",
     "atom_block_matrices",
 ]
+
+
+#: time-axis block size of :func:`pe_curve`; bounds its (t, n) tables
+#: without affecting any per-sample value
+_T_CHUNK = 512
 
 
 class LeakageError(RuntimeError):
@@ -177,7 +189,10 @@ def thermal_coherent_state_via_generator(alpha: complex, theta: float,
     n = trunc.n_fock
     a = _ladder(n).astype(complex)
     ad = a.T.conj()
-    gen = -theta * (np.kron(a, a) - np.kron(ad, ad))
+    # in place: at the validation cutoff each 900 x 900 temporary is 13 MB
+    gen = np.kron(a, a)
+    gen -= np.kron(ad, ad)
+    gen *= -theta
     vec = np.kron(coherent_state_vector(alpha, n), coherent_state_vector(np.conj(alpha), n))
     return (expm(gen) @ vec).reshape(n, n)
 
@@ -195,7 +210,7 @@ def build_initial_state(params: ModelParams, thermal: ThermalParams,
     return state
 
 
-def _block_elements(params: ModelParams, t: float, n_fock: int):
+def _block_elements(params: ModelParams, t, n_fock: int):
     """Closed-form propagator pieces on the truncated basis.
 
     Returns (diag_e, diag_g, coup):
@@ -204,6 +219,8 @@ def _block_elements(params: ModelParams, t: float, n_fock: int):
       coup[n]    = -i g sqrt((n+l)!/n!) B(n), the |e, n> <-> |g, n+l>
                    coupling for n = 0 .. n_fock-1-l, in both directions
                    because B'(n+l) = B(n).
+    ``t`` is a scalar or a column of times; a column puts its axis in front
+    of the photon axis of every piece.
     """
     l = params.l
     table = EigenvalueTable(params, n_fock - 1)
@@ -212,7 +229,7 @@ def _block_elements(params: ModelParams, t: float, n_fock: int):
     ap_m, _ = _osc_pair(table.sqrt_d_prime, table.d_prime, t, half_delta)
     nn = np.arange(max(n_fock - l, 0), dtype=float)
     beta = np.sqrt(np.prod(nn[:, None] + np.arange(1, l + 1)[None, :], axis=1))
-    coup = -1j * params.g * beta * np.asarray(b_n, dtype=float)[: nn.size]
+    coup = -1j * params.g * beta * np.asarray(b_n, dtype=float)[..., : nn.size]
     return np.conj(np.asarray(a_n, dtype=complex)), np.asarray(ap_m, dtype=complex), coup
 
 
@@ -258,29 +275,73 @@ def propagate(state: DoubledFockState, t: float, params: ModelParams) -> Doubled
     return out
 
 
-def observe_pe(state: DoubledFockState) -> float:
-    """Excitation probability: total weight on the excited physical level."""
-    return float(np.sum(np.abs(state.amp[1]) ** 2))
-
-
 def reduce_atom(state: DoubledFockState) -> tuple[float, complex]:
     """Partial trace over the tilde atom and both boson modes: (rho00, rho01).
 
-    rho00 is the excitation probability and rho01 the excited-ground matrix
-    element <e| rho |g>; rho11 = 1 - rho00 and rho10 = conj(rho01) follow.
+    rho00 is the excitation probability (the total weight on the excited
+    physical level) and rho01 the excited-ground matrix element <e| rho |g>;
+    rho11 = 1 - rho00 and rho10 = conj(rho01) follow.
     """
-    return observe_pe(state), complex(np.sum(state.amp[1] * np.conj(state.amp[0])))
+    amp = state.amp
+    return float(np.sum(np.abs(amp[1]) ** 2)), complex(np.sum(amp[1] * np.conj(amp[0])))
+
+
+def _abs_sq(z: np.ndarray) -> np.ndarray:
+    return z.real * z.real + z.imag * z.imag
 
 
 def pe_curve(params: ModelParams, thermal: ThermalParams, times,
              trunc: FockTruncation) -> np.ndarray:
-    """Exact excitation probability over a time grid.
+    """Exact excitation probability over a time grid, from the reduced state.
 
-    Each sample propagates the initial state directly to its time with the
-    closed-form propagator (no stepping, no error accumulation).
+    The atom starts diagonal, (cos|g g~> + sin|e e~>) x phi, and P_e and the
+    edge populations are sums of squared moduli, so the tilde factor of the
+    propagator drops out and no cross term survives: with rho[n] = sum over
+    n~ of |phi[n, n~]|^2,
+
+        P_e(t) = sum_n sin^2 |A_n|^2 rho[n] + cos^2 |c_n|^2 rho[n + l],
+
+    where |A_n| = 1 for the |e, n> whose partner |g, n + l> is past the
+    cutoff.  Each sample costs O(n_fock), and a sample's value does not
+    depend on the grid around it.  The checks are those of the doubled
+    space: the state-construction norms, and a LeakageError when the
+    population within l levels of either cutoff (physical: rho; tilde: the
+    other axis of |phi|^2) exceeds ``trunc.leak_tol``.
     """
-    init = build_initial_state(params, thermal, trunc)
-    return np.array([observe_pe(propagate(init, float(t), params)) for t in np.atleast_1d(times)])
+    n = trunc.n_fock
+    l = params.l
+    if n <= l:
+        raise ValueError("n_fock must exceed the photon multiplicity")
+    t_arr = np.atleast_1d(np.asarray(times, dtype=float))
+    if t_arr.ndim != 1:
+        raise ValueError("time must be a 1-d array")
+    pop = np.abs(thermal_coherent_state(params.alpha, thermal.theta, trunc)) ** 2
+    s2, c2 = thermal.sin_atom**2, thermal.cos_atom**2
+    _check_norm((c2 + s2) * float(np.sum(pop)), trunc.leak_tol, "initial state")
+    rho = np.sum(pop, axis=1)
+    axes = np.stack([rho, np.sum(pop, axis=0)])  # physical and tilde populations
+    ncpl = n - l
+    lo_x = max(ncpl - l, 0)  # |e, m - l> feeding an edge level |g, m>, m >= l
+
+    out = np.empty(t_arr.size)
+    for lo in range(0, t_arr.size, _T_CHUNK):
+        tc = t_arr[lo : lo + _T_CHUNK, None]
+        diag_e, diag_g, coup = _block_elements(params, tc, n)
+        ae = _abs_sq(diag_e)
+        ae[:, ncpl:] = 1.0  # the bare detuning phase of propagate
+        cc = _abs_sq(coup)
+        summand = s2 * ae * rho
+        summand[:, :ncpl] += c2 * cc * rho[l:]
+        out[lo : lo + tc.shape[0]] = np.add.reduce(summand, axis=-1)
+
+        ag = _abs_sq(diag_g[:, ncpl:])
+        edge = np.sum((s2 + c2 * ag) * axes[:, None, ncpl:], axis=(0, 2))
+        edge += s2 * np.sum(cc[:, lo_x:] * axes[:, None, lo_x:ncpl], axis=(0, 2))
+        bad = np.flatnonzero(edge > trunc.leak_tol)
+        if bad.size:
+            raise LeakageError(f"population {edge[bad[0]]:.3e} within {l} levels of the Fock "
+                               f"cutoff exceeds leak_tol at t = {tc[bad[0], 0]:g}")
+    return out
 
 
 def atom_block_matrices(t: float, params: ModelParams, n_fock: int):

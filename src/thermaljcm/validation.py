@@ -64,15 +64,15 @@ def _check_theta_scaling(params: ModelParams, tables: SeriesTables) -> list[dict
     checks = []
     ftrunc = FockTruncation.auto(params, theta_for_angle(float(THETA_GRID[-1]),
                                                          params.omega, params.omega0))
+    # propagate returns a fresh state, so each angle's initial state serves every t
+    thermals = [theta_for_angle(float(th), params.omega, params.omega0) for th in THETA_GRID]
+    inits = [oracle.build_initial_state(params, thermal, ftrunc) for thermal in thermals]
     for col, t in enumerate(T_VALUES, start=1):
         pe_res = []
         rho_res = []
         conv_res = []
-        for th in THETA_GRID:
-            thermal = theta_for_angle(float(th), params.omega, params.omega0)
-            state = oracle.propagate(oracle.build_initial_state(params, thermal, ftrunc),
-                                     float(t), params)
-            rho00, rho01 = oracle.reduce_atom(state)
+        for thermal, init in zip(thermals, inits):
+            rho00, rho01 = oracle.reduce_atom(oracle.propagate(init, float(t), params))
             pe_res.append(abs(tables.pe(thermal)[col] - rho00))
             series01 = tables.rho01(thermal)[col]
             rho_res.append(abs(abs(series01) - abs(rho01)))
@@ -208,7 +208,10 @@ def _check_zero_temperature_degeneracy(params: ModelParams,
     thermal = bogoliubov_angles(math.inf, params.omega, params.omega0)
     ftrunc = FockTruncation.auto(params)
     t_grid = np.linspace(0.0, 3.0, 100)
-    exact = oracle.pe_curve(params, thermal, t_grid, ftrunc)
+    # the doubled-space route, independent of the reduced-state pe_curve
+    init = oracle.build_initial_state(params, thermal, ftrunc)
+    exact = np.array([oracle.reduce_atom(oracle.propagate(init, float(t), params))[0]
+                      for t in t_grid])
     series = perturbation.series_tables(t_grid, params, trunc, coherence=False).pe(thermal)
     err = float(np.max(np.abs(exact - series)))
     return {"name": f"zero_temperature_degeneracy[l={params.l}]",

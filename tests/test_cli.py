@@ -20,6 +20,7 @@ from thermaljcm.cli import (
     main,
     parse_config,
 )
+from thermaljcm.model import EigenvalueTable, ModelParams
 
 
 def small_config(**overrides):
@@ -98,6 +99,9 @@ class TestConfigParsing:
         (lambda d: d["model"].__setitem__("l", 0), "model.l"),
         (lambda d: d["model"].__setitem__("l", 2.5), "model.l"),
         (lambda d: d["model"].__setitem__("l", 10**400), "model.l"),
+        (lambda d: d["model"].__setitem__("l", 200), "model.l"),
+        (lambda d: d["model"].__setitem__("g", 1e200), "model.g"),
+        (lambda d: d["truncation"].__setitem__("n_max", 10**400), "truncation.n_max"),
         (lambda d: d["model"].__setitem__("g", "strong"), "model.g"),
         (lambda d: d["model"].pop("omega"), "model.omega"),
         (lambda d: d["thermal"].__setitem__("inv_beta", -0.1), "thermal.inv_beta"),
@@ -143,6 +147,26 @@ class TestConfigParsing:
             section = section[key]
         section[path[-1]] = value
         assert_rejected_or_usable(doc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(l=st.integers(1, 200), n_max=st.integers(1, 3000))
+    def test_eigenvalue_check_agrees_with_the_table(self, l, n_max):
+        # parse_config accepts l exactly when the largest series table,
+        # rows m <= n_max + l + 2, is finite
+        doc = small_config()
+        doc["model"]["l"] = l
+        doc["truncation"]["n_max"] = n_max
+        try:
+            cfg = parse_config(doc)
+        except ConfigError as exc:
+            assert "model.l" in str(exc)
+            cfg = None
+        try:
+            EigenvalueTable(ModelParams(**doc["model"]), n_max + l + 2)
+        except ValueError:
+            assert cfg is None
+        else:
+            assert cfg is not None
 
     def test_all_presets_parse(self):
         for name in PRESETS:
@@ -392,6 +416,25 @@ class TestErrorPaths:
         doc["model"]["alpha"] = alpha
         assert main([command, "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
         assert "model: alpha = " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pe-series", "coherence-map"])
+    def test_multiplicity_whose_eigenvalues_overflow_exits_2(self, tmp_path, capsys,
+                                                               command):
+        # 200! alone is past the float range: every table would be nan
+        doc = small_config()
+        doc["model"]["l"] = 200
+        doc["truncation"]["n_max"] = 20
+        assert main([command, "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        assert "model.l" in capsys.readouterr().err
+
+    def test_nmax_flag_that_overflows_the_eigenvalues_exits_2(self, tmp_path, capsys):
+        # (m + 1)...(m + 60) is finite at n_max = 20 and overflows at 10^6
+        doc = small_config()
+        doc["model"]["l"] = 60
+        doc["truncation"]["n_max"] = 20
+        path = write_config(tmp_path, doc)
+        assert main(["pe-series", "--config", path, "--nmax", "1000000"]) == EXIT_CONFIG
+        assert "model.l" in capsys.readouterr().err
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -4,7 +4,9 @@ Each case runs one subcommand on a small configuration in CSV and in JSON
 and compares the SHA-256 of the bytes written with ``--out``.  The hashes
 were recorded before the series engine and the table writer were rewritten,
 so any change in a printed digit, a flag, the row order or the JSON layout
-fails here.  A change that alters the output on purpose must say so and
+fails here.  The two ``*_oracle`` cases at the automatic Fock cutoff were
+recorded with the doubled-space ``pe_curve``, before it became a
+reduced-state computation.  A change that alters the output on purpose must say so and
 record new hashes.
 """
 
@@ -33,6 +35,14 @@ CASES = {
     "pe_series_l2_oracle": ("pe-series", _doc(
         2, 2.0, {"inv_beta": 0.1}, {"t_start": 0.0, "t_stop": 3.0, "dt": 0.05}, 40,
         oracle={"with_oracle": True, "n_fock": 40})),
+    # the reduced-state exact solver: resonant l = 1, and l = 3 detuned by
+    # delta = 2 at a complex amplitude, both with the automatic Fock cutoff
+    "pe_series_l1_oracle": ("pe-series", _doc(
+        1, 2.0, {"inv_beta": 0.1}, {"t_start": 0.0, "t_stop": 6.0, "dt": 0.05}, 40,
+        oracle={"with_oracle": True})),
+    "pe_series_l3_oracle": ("pe-series", _doc(
+        3, [1.2, 0.5], {"inv_beta": 0.1}, {"t_start": 0.0, "t_stop": 2.0, "dt": 0.02}, 40,
+        oracle={"with_oracle": True})),
     "pe_series_l3_complex": ("pe-series", _doc(
         3, [1.5, -0.7], {"inv_beta": 0.16}, {"t_start": 0.5, "t_stop": 4.0, "dt": 0.07}, 50)),
     "period_sweep_l2": ("period-sweep", _doc(
@@ -57,6 +67,10 @@ GOLDEN = {
     "coherence_map_l2.json": "d67e279896d08a1b6bee12d1e5604189cadc394799bf2f78c96354a667b64ec4",
     "pe_series_l2_oracle.csv": "bbba48c75e54a2b781b82fffdcbcf7ddf09de4d5d855bf36be399c99d3eeb2ff",
     "pe_series_l2_oracle.json": "3c88e3085ae13f61fa4bd05034347f8634ae8bd4e4c7746f80a04e75cfad8d91",
+    "pe_series_l1_oracle.csv": "50430399505490e13734fc30bfb9cd3010115711325816ce3c95d5380c350dfc",
+    "pe_series_l1_oracle.json": "b67829754b13f7a5fa9be67b6694c31ec36c8978ab64080e328bc77090d7ef08",
+    "pe_series_l3_oracle.csv": "ea362b2e6ceab55f2245bd4765a184e8cf7020a119f35d18994fe4ceb6dc1f97",
+    "pe_series_l3_oracle.json": "54f643bcc8f2c632e1aebe32a011295f79493c4f66fddc34bc6cbcb2e9a39385",
     "pe_series_l3_complex.csv": "af6187433fc8889b0df8e62e6420440f109d11fda6d2a5b9bcff549648fe07ee",
     "pe_series_l3_complex.json": "b1bc4a245d38d9e9d8a83a4c4f9879b2b1bf5f2869ecc21275b2955b83fe0437",
     "period_sweep_l1.csv": "435882f640d50b0cf9db1212efd668addec7c4dd53664d8676f516f97900bc43",

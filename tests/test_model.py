@@ -134,6 +134,17 @@ class TestEigenvalueTable:
         with pytest.raises(ValueError):
             table.d[0] = 1.0
 
+    @pytest.mark.parametrize("l, n_max, g", [(200, 20, 1.0), (171, 0, 1.0), (100, 2000, 1.0),
+                                             (2, 10, 1e200), (200, 20, 0.0)])
+    def test_overflowing_eigenvalues_raise(self, l, n_max, g):
+        # g = 0 times an infinite product is nan, not a zero coupling
+        with pytest.raises(ValueError, match="overflow"):
+            EigenvalueTable(make_params(l=l, g=g), n_max)
+
+    def test_largest_finite_factorial_passes(self):
+        table = EigenvalueTable(make_params(l=170, omega=1.0 / 170), 0)
+        assert table.d[0] == pytest.approx(math.factorial(170), rel=1e-12)
+
     def test_rejects_negative_size(self):
         with pytest.raises(ValueError):
             EigenvalueTable(make_params(), -1)

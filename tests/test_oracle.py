@@ -1,10 +1,15 @@
 """Exact doubled-Fock-space solver: states, propagation, reductions."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from thermaljcm import oracle
+from thermaljcm.cli import EXIT_OK, main
 from thermaljcm.model import ModelParams, bogoliubov_angles, thermal_from_inv_beta
 from thermaljcm.oracle import (
     DoubledFockState,
@@ -14,7 +19,6 @@ from thermaljcm.oracle import (
     build_initial_state,
     coherent_state_vector,
     displacement_matrix,
-    observe_pe,
     pe_curve,
     propagate,
     reduce_atom,
@@ -24,6 +28,7 @@ from thermaljcm.oracle import (
 )
 from thermaljcm.coherence import coherence_values
 from thermaljcm.perturbation import TruncationPolicy, series_tables
+from thermaljcm.validation import run_validation_suite
 
 COLD = bogoliubov_angles(math.inf, 1.0, 1.0)
 
@@ -152,7 +157,7 @@ class TestInitialState:
         p = make_params(alpha=2.0)
         thermal = thermal_from_inv_beta(0.15, p)
         state = build_initial_state(p, thermal, FockTruncation.auto(p, thermal))
-        assert observe_pe(state) == pytest.approx(thermal.sin_atom**2, abs=1e-12)
+        assert reduce_atom(state)[0] == pytest.approx(thermal.sin_atom**2, abs=1e-12)
 
 
 class TestPropagation:
@@ -200,7 +205,7 @@ class TestPropagation:
         thermal = thermal_from_inv_beta(0.1, p)
         trunc = FockTruncation.auto(p, thermal)
         state = propagate(build_initial_state(p, thermal, trunc), math.pi, p)
-        exact = observe_pe(state)
+        exact = reduce_atom(state)[0]
         series = series_tables([math.pi], p, TruncationPolicy(250), coherence=False).pe(thermal)[0]
         assert exact > 0.99
         assert exact == pytest.approx(series, abs=1e-8)
@@ -286,3 +291,119 @@ class TestAtomBlockMatrices:
         with pytest.raises(ValueError):
             DoubledFockState(amp=np.zeros((2, 2, 3, 4), dtype=complex),
                              trunc=FockTruncation(4))
+
+
+def doubled_space_pe(p, thermal, times, trunc):
+    """P_e sample by sample through the full doubled-space state."""
+    init = build_initial_state(p, thermal, trunc)
+    return np.array([reduce_atom(propagate(init, float(t), p))[0] for t in times])
+
+
+def doubled_space_edge(p, thermal, t, n_fock):
+    """Population within l levels of either cutoff, as propagate measures it."""
+    init = build_initial_state(p, thermal, FockTruncation(n_fock, leak_tol=0.5))
+    amp = propagate(init, t, p).amp
+    edge = n_fock - p.l
+    return float(np.sum(np.abs(amp[:, :, edge:, :]) ** 2)
+                 + np.sum(np.abs(amp[:, :, :, edge:]) ** 2))
+
+
+class TestReducedStatePe:
+    @pytest.mark.parametrize("inv_beta", [0.0, 0.1, 0.3])
+    @pytest.mark.parametrize("alpha", [1.5, 1.3 + 0.7j])
+    @pytest.mark.parametrize("detuning", [0.0, 0.3])
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_matches_doubled_space(self, l, detuning, alpha, inv_beta):
+        # omega0 = 1 and l omega = 1 + detuning
+        p = make_params(l=l, omega0=1.0, omega=(1.0 + detuning) / l, alpha=alpha)
+        thermal = thermal_from_inv_beta(inv_beta, p)
+        # the auto cutoff is sized for angles up to ~0.3; l omega = 1 runs hotter
+        trunc = FockTruncation(FockTruncation.auto(p, thermal).n_fock + 20)
+        t = np.linspace(0.0, 3.0, 16)
+        exact = doubled_space_pe(p, thermal, t, trunc)
+        assert np.max(np.abs(pe_curve(p, thermal, t, trunc) - exact)) <= 1e-15
+
+    @pytest.mark.parametrize("l, omega, alpha, inv_beta, n_fock, t", [
+        (1, 1.0, 3.0, 0.0, 24, 2.5),
+        (2, 1.0, 2.0, 0.1, 20, 1.1),
+        (2, 0.7, 2.0, 0.2, 22, 0.3),
+        (3, 0.7, 1.3 + 0.7j, 0.3, 16, 2.5),
+        (4, 1.0, 1.2, 0.5, 18, 1.1),
+    ])
+    @pytest.mark.parametrize("margin", [0.99, 1.01])
+    def test_leakage_where_propagate_leaks(self, l, omega, alpha, inv_beta, n_fock, t,
+                                           margin):
+        # budgets just below and just above the doubled-space edge population
+        p = make_params(l=l, omega0=1.0, omega=omega, alpha=alpha)
+        thermal = thermal_from_inv_beta(inv_beta, p)
+        trunc = FockTruncation(n_fock, leak_tol=margin * doubled_space_edge(p, thermal, t,
+                                                                            n_fock))
+        init = build_initial_state(p, thermal, trunc)
+        if margin < 1:
+            with pytest.raises(LeakageError, match="Fock cutoff"):
+                propagate(init, t, p)
+            with pytest.raises(LeakageError, match="Fock cutoff"):
+                pe_curve(p, thermal, [t], trunc)
+        else:
+            propagate(init, t, p)
+            pe_curve(p, thermal, [t], trunc)
+
+    def test_rejects_basis_smaller_than_multiplicity(self):
+        p = make_params(l=3, alpha=0.1)
+        with pytest.raises(ValueError):
+            pe_curve(p, COLD, [0.5], FockTruncation(3, leak_tol=0.5))
+
+    @pytest.mark.parametrize("alpha", [2.0, 1.3 + 0.7j])
+    def test_one_sample_equals_grid_column(self, alpha):
+        p = make_params(l=3, omega0=1.0, omega=0.5, alpha=alpha)
+        thermal = thermal_from_inv_beta(0.1, p)
+        trunc = FockTruncation.auto(p, thermal)
+        t = np.linspace(0.0, 4.0, 41)
+        grid = pe_curve(p, thermal, t, trunc)
+        singles = np.array([pe_curve(p, thermal, [x], trunc)[0] for x in t])
+        np.testing.assert_array_equal(singles, grid)
+
+    @settings(max_examples=25, deadline=None)
+    @given(cuts=st.lists(st.integers(0, 700), max_size=4))
+    def test_any_split_of_the_grid_is_bitwise_equal(self, cuts):
+        # 700 samples cross the solver's internal time-chunk boundary
+        p = make_params(l=2, omega0=1.0, omega=0.8, alpha=1.1 - 0.4j)
+        thermal = thermal_from_inv_beta(0.1, p)
+        trunc = FockTruncation.auto(p, thermal)
+        t = np.linspace(0.0, 7.0, 700)
+        full = pe_curve(p, thermal, t, trunc)
+        parts = np.split(t, sorted(cuts))
+        split = np.concatenate([pe_curve(p, thermal, part, trunc) for part in parts
+                                if part.size])
+        np.testing.assert_array_equal(split, full)
+
+
+class TestPropagateCallCount:
+    @staticmethod
+    def count_propagate(monkeypatch):
+        calls = []
+        real = oracle.propagate
+        monkeypatch.setattr(oracle, "propagate",
+                            lambda *a, **k: calls.append(a[1]) or real(*a, **k))
+        return calls
+
+    def test_pe_series_with_oracle_makes_none(self, monkeypatch, tmp_path):
+        calls = self.count_propagate(monkeypatch)
+        doc = {"schema": 1,
+               "model": {"l": 2, "g": 1.0, "omega0": 1.0, "omega": 1.0, "alpha": 2.0},
+               "thermal": {"inv_beta": 0.1},
+               "grid": {"t_start": 0.0, "t_stop": 3.0, "dt": 0.05},
+               "truncation": {"n_max": 40}, "oracle": {"with_oracle": True}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out.csv"
+        assert main(["pe-series", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert out.read_text().splitlines()[0].endswith(",pe_oracle")
+        assert calls == []
+
+    def test_validation_suite_makes_231(self, monkeypatch):
+        # 2 l values x 7 angles x 2 times for the scaling fits, 3 unitarity
+        # samples, 2 l values x 100 zero-temperature samples
+        calls = self.count_propagate(monkeypatch)
+        assert run_validation_suite()["passed"]
+        assert len(calls) == 2 * 7 * 2 + 3 + 2 * 100

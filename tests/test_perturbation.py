@@ -169,10 +169,10 @@ class TestPeOrderTerms:
         eps = 1e-3
         thermal = theta_for_angle(eps, p.omega, p.omega0)
         ftrunc = FockTruncation(45)
-        hot = oracle.observe_pe(oracle.propagate(
-            oracle.build_initial_state(p, thermal, ftrunc), t, p))
-        cold = oracle.observe_pe(oracle.propagate(
-            oracle.build_initial_state(p, COLD, ftrunc), t, p))
+        hot = oracle.reduce_atom(oracle.propagate(
+            oracle.build_initial_state(p, thermal, ftrunc), t, p))[0]
+        cold = oracle.reduce_atom(oracle.propagate(
+            oracle.build_initial_state(p, COLD, ftrunc), t, p))[0]
         fd = (hot - cold) / eps
         p1, p2 = at(t, p, trunc, coherence=False).pe_terms
         first = thermal.sin_atom**2 * p1[1][0] + thermal.cos_atom**2 * p2[1][0]
@@ -207,8 +207,8 @@ class TestPeThermal:
 
         def residual(theta):
             thermal = theta_for_angle(theta, p.omega, p.omega0)
-            exact = oracle.observe_pe(oracle.propagate(
-                oracle.build_initial_state(p, thermal, ftrunc), t, p))
+            exact = oracle.reduce_atom(oracle.propagate(
+                oracle.build_initial_state(p, thermal, ftrunc), t, p))[0]
             return abs(at(t, p, trunc, coherence=False).pe(thermal)[0] - exact)
 
         c_cubic = residual(0.01) / 0.01**3
