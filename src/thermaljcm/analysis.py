@@ -10,7 +10,6 @@ oscillation granularity quantizes the extracted values.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,6 @@ __all__ = [
     "NoRevivalError",
     "approx_cos_sum",
     "revival_envelope",
-    "pe_collapse_revival_approx",
     "envelope",
     "extract_revival_period",
     "period_vs_temperature_sweep",
@@ -132,17 +130,6 @@ def revival_envelope(alpha: complex, l: int, g: float, t):
     aa = abs(alpha) ** 2
     t = np.asarray(t, dtype=float)
     return np.exp(aa * (np.cos(g * abs(alpha) ** (l - 2) * l * t) - 1.0))
-
-
-def pe_collapse_revival_approx(t, params: ModelParams):
-    """Resonant large-amplitude approximation of the excitation probability,
-    1/2 - 1/2 sum_m w_m cos(2 g m^(l/2) t).  Derived at zero detuning; a
-    warning is issued when used off resonance."""
-    if params.delta != 0:
-        warnings.warn("collapse/revival approximation is derived at zero detuning",
-                      UserWarning, stacklevel=2)
-    lhs, _ = approx_cos_sum(params.alpha, params.l, params.g, t)
-    return 0.5 - 0.5 * lhs
 
 
 def envelope(series: TimeSeries, window_width: float) -> TimeSeries:

@@ -117,23 +117,26 @@ def _get_number(section: dict, path: str, key: str, default=None, required=False
 _L_FACTORIAL_MAX = 170
 
 
-def _check_eigenvalue_range(params: ModelParams, n_max: int) -> None:
-    """Reject an l whose Rabi eigenvalues D_m overflow a float.
+def _check_eigenvalue_range(params: ModelParams, top: int, source: str) -> None:
+    """Reject an l whose Rabi eigenvalues D_m overflow a float on the rows
+    m <= top of a table; ``source`` is the field that sets ``top``.
 
-    The products (m + 1)...(m + l) grow with m, so the largest series table,
-    rows m <= n_max + l + 2, overflows where its last row does.  Evaluated
-    the way :class:`EigenvalueTable` evaluates it, one row in O(l).
+    The products (m + 1)...(m + l) grow with m, so a table overflows where
+    its last row does: m = n_max + l + 2 for the largest series table,
+    n_fock - 1 for the exact solver's.  Evaluated the way
+    :class:`EigenvalueTable` evaluates it, one row in O(l).
     """
     l = params.l
-    top = n_max + l + 2
     try:
         prod = (math.prod(float(top + k) for k in range(1, l + 1))
                 if l <= _L_FACTORIAL_MAX else math.inf)
     except OverflowError:
-        raise ConfigError(f"truncation.n_max: {n_max} is past the float range") from None
+        raise ConfigError(f"{source}: table rows up to m = {top} are past the float "
+                          "range") from None
     _expect(math.isfinite(prod), "model.l",
             f"l = {l}: the Rabi eigenvalues D_m overflow a float for m up to {top}")
-    _expect(math.isfinite(params.g * params.g * prod), "model.g",
+    d_top = (params.delta / 2.0) ** 2 + params.g * params.g * prod
+    _expect(math.isfinite(d_top), "model.g",
             f"g = {params.g}: the Rabi eigenvalues D_m overflow a float for m up to {top}")
 
 
@@ -225,7 +228,7 @@ def parse_config(data: dict) -> RunConfig:
                        t_stop=t_stop, dt=dt, n_max=n_max_raw, tail_tol=tail_tol,
                        adaptive=adaptive, with_oracle=with_oracle, n_fock=n_fock,
                        alpha_threshold=alpha_threshold, out_format=out_format)
-    _check_eigenvalue_range(params, config.trunc.n_max)
+    _check_eigenvalue_range(params, config.trunc.n_max + params.l + 2, "truncation.n_max")
     return config
 
 
@@ -362,6 +365,9 @@ def cmd_pe_series(config: RunConfig, stream) -> int:
         if abs(params.alpha) <= config.alpha_threshold:
             ftrunc = (FockTruncation(config.n_fock) if config.n_fock
                       else FockTruncation.auto(params, thermal))
+            _expect(ftrunc.n_fock > params.l, "oracle.n_fock",
+                    f"{ftrunc.n_fock} must exceed l = {params.l}")
+            _check_eigenvalue_range(params, ftrunc.n_fock - 1, "oracle.n_fock")
             oracle_col = oracle.pe_curve(params, thermal, t, ftrunc)
             columns.append("pe_oracle")
         else:
@@ -466,7 +472,7 @@ def _load_config(args) -> RunConfig | None:
     if getattr(args, "nmax", None) is not None:
         if args.nmax < 1:
             raise ConfigError("--nmax: must be an integer >= 1")
-        _check_eigenvalue_range(config.params, args.nmax)
+        _check_eigenvalue_range(config.params, args.nmax + config.params.l + 2, "--nmax")
         config.n_max = args.nmax
         config.adaptive = False
     if getattr(args, "dt", None) is not None:

@@ -23,7 +23,6 @@ __all__ = [
     "tau1",
     "t0_period",
     "t0_prime_period",
-    "interference_period",
     "rabi_period",
 ]
 
@@ -57,6 +56,12 @@ class ModelParams:
             self.abs_alpha_sq
         except OverflowError:
             raise ValueError(f"alpha = {self.alpha}: |alpha|^2 overflows a float") from None
+        half_delta = self.delta / 2.0
+        if not math.isfinite(half_delta * half_delta):
+            name, value = (("omega", self.omega) if self.l * self.omega >= self.omega0
+                           else ("omega0", self.omega0))
+            raise ValueError(f"{name} = {value}: the detuning l*omega - omega0 = "
+                             f"{self.delta} has a square past the float range")
 
     @property
     def delta(self) -> float:
@@ -207,19 +212,6 @@ def t0_prime_period(params: ModelParams, thermal: ThermalParams) -> float:
     if mean == 0 and params.l != 2:
         raise ValueError("revival period is undefined for alpha = 0 unless l = 2")
     return (2.0 * math.pi / (params.g * params.l)) * mean ** (1.0 - params.l / 2.0)
-
-
-def interference_period(params: ModelParams, m: int) -> float:
-    """Revival time from the constructive-interference condition at photon number m.
-
-    Solves 2 g [m^(l/2) - (m-1)^(l/2)] T = 2 pi.  Exactly pi/g for l = 2,
-    independent of m.
-    """
-    _require_drive(params)
-    if m < 1:
-        raise ValueError("photon number m must be >= 1")
-    gap = float(m) ** (params.l / 2.0) - float(m - 1) ** (params.l / 2.0)
-    return math.pi / (params.g * gap)
 
 
 def rabi_period(params: ModelParams) -> float:

@@ -25,11 +25,24 @@ The shift equals a direct evaluation of D'_n bitwise while the photon-number
 products of :class:`EigenvalueTable` are exact integers, i.e.
 (n_max + l + 2)^l < 2^53.  Every preset is far below that (at most 253^4,
 about 4e9); past it, both are roundings of the same exact value.
+
+Threads: a build runs its time chunks on one worker thread per CPU in the
+process's affinity mask (``os.sched_getaffinity``), but on no more workers
+than give each one ``_MIN_WORKER_CELLS`` cells of the (t, n) trig table;
+a smaller build runs in the calling thread alone.  The workers split the
+``_T_CHUNK`` workspace rows between them, worker 0 is the calling thread,
+and worker i takes chunks i, i + workers, ...; each chunk writes only its
+own time columns.  A time sample is reduced on its own in the same
+ascending-n order whichever chunk or thread holds it, so the output bytes do
+not depend on the number of CPUs.  The workers call no public function of
+any layer (their bodies use numpy and ``model._osc_pair`` only), so a tracer
+that wraps ``__all__`` sees one call per build.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -49,9 +62,24 @@ __all__ = [
 
 DEFAULT_TAIL_TOL = 1e-9
 
-#: time-axis block size for the grid engines; keeps the (t, n) trig tables
-#: under ~50 MB without affecting any per-time-point result
+#: time rows of the (t, n) workspaces, summed over the worker threads; keeps
+#: the trig tables under ~50 MB without affecting any per-time-point result
 _T_CHUNK = 2048
+
+#: trig-table cells (time rows x eigenvalue columns of one chunk) each worker
+#: thread needs to pay for itself.  On smaller tables numpy's calls are too
+#: short to keep the GIL released, and thread start-up and GIL hand-offs cost
+#: more than the parallel trig saves: on a 2-vCPU host two threads were
+#: slower at every size up to 22 600 cells (200 rows x 113 columns).
+_MIN_WORKER_CELLS = 1 << 15
+
+
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on (its affinity mask)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
 
 
 class TruncationWarning(UserWarning):
@@ -269,48 +297,68 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
         # polynomial coefficients of the six series, folded into the weights
         cw = (w, w * (m + l), w, w * ((m + l - 1) * (m + l)), w, w * (m + l + 1))
 
-    # one workspace reused by every chunk: tables allocated afresh per chunk
-    # are page-faulted in again each time (3x the faults on a fig3 grid)
-    n_chunk = min(t_arr.size, _T_CHUNK)
-    trig = np.empty((2, n_chunk, table.d.size))
-    sq = np.empty((2, n_chunk, n_pe))
-    prod = np.empty((n_chunk, n_cols))
-    for lo in range(0, t_arr.size, _T_CHUNK):
-        sl = slice(lo, lo + _T_CHUNK)
-        tc = t_arr[sl]
-        sin_t, cos_t = trig[:, : tc.size]
-        s1, s2d = sq[:, : tc.size]
-        np.multiply(tc[:, None], table.sqrt_d[None, :], out=sin_t)
-        np.cos(sin_t, out=cos_t)
-        np.sin(sin_t, out=sin_t)
+    # workers and chunks as in the module docstring.  The caller allocates
+    # every worker's workspace, with rows summing to at most _T_CHUNK (a full
+    # workspace per thread costs peak memory); each worker reuses its own for
+    # all of its chunks: tables allocated afresh per chunk are page-faulted
+    # in again each time (3x the faults on a fig3 grid).
+    n_rows = min(t_arr.size, _T_CHUNK)
+    workers = max(1, min(_usable_cpus(), n_rows, n_rows * table.d.size // _MIN_WORKER_CELLS))
+    chunk = max(1, n_rows // workers)
+    trig = np.empty((workers, 2, chunk, table.d.size))
+    sq = np.empty((workers, 2, chunk, n_pe))
+    prod = np.empty((workers, chunk, n_cols))
 
-        # S2 summand sin^2/D, S1 summand cos^2 + (delta/2)^2 sin^2/D
-        np.multiply(sin_t[:, :n_pe], sin_t[:, :n_pe], out=s2d)
-        s2d /= d_safe
-        s2d[:, zero[:n_pe]] = (tc * tc)[:, None]
-        np.multiply(cos_t[:, :n_pe], cos_t[:, :n_pe], out=s1)
-        s1 += half_delta_sq * s2d
-        for k in range(3):
-            S1[k, sl] = _reduce_n(np.multiply(s1[:, k : k + n_cols], w, out=prod[: tc.size]))
-            S2[k, sl] = _reduce_n(np.multiply(s2d[:, k : k + n_cols], w, out=prod[: tc.size]))
-        if not coherence:
-            continue
+    def build(worker: int) -> None:
+        for lo in range(worker * chunk, t_arr.size, workers * chunk):
+            sl = slice(lo, lo + chunk)
+            tc = t_arr[sl]
+            sin_t, cos_t = trig[worker, :, : tc.size]
+            s1, s2d = sq[worker, :, : tc.size]
+            out = prod[worker, : tc.size]
+            np.multiply(tc[:, None], table.sqrt_d[None, :], out=sin_t)
+            np.cos(sin_t, out=cos_t)
+            np.sin(sin_t, out=sin_t)
 
-        # A(m), B(m) on every column; A'(n) = A(n - l), B'(n) = B(n - l) for n >= l
-        b = sin_t
-        b /= sqrt_d_safe
-        b[:, zero] = tc[:, None]
-        a = cos_t - 1j * half_delta * b
-        ap_struct, _ = _osc_pair(table.sqrt_d_prime[None, :n_shift], table.d_prime[:n_shift],
-                                 tc[:, None], half_delta)
-        # family 1: A(m + l) B'(m + l) = A(m + l) B(m); family 2: B(m) A'(m)
-        ab1 = a[:, l : l + n_pe] * b[:, :n_pe]
-        ab2 = np.empty_like(ab1)
-        ab2[:, :n_shift] = b[:, :n_shift] * ap_struct
-        ab2[:, n_shift:] = b[:, n_shift:n_pe] * a[:, : n_pe - n_shift]
-        for k, off in enumerate(_OFFSETS):
-            tilde[0, k, sl] = _reduce_n(ab1[:, off : off + n_cols] * cw[k][None, :])
-            tilde[1, k, sl] = _reduce_n(ab2[:, off : off + n_cols] * cw[k][None, :])
+            # S2 summand sin^2/D, S1 summand cos^2 + (delta/2)^2 sin^2/D
+            np.multiply(sin_t[:, :n_pe], sin_t[:, :n_pe], out=s2d)
+            s2d /= d_safe
+            s2d[:, zero[:n_pe]] = (tc * tc)[:, None]
+            np.multiply(cos_t[:, :n_pe], cos_t[:, :n_pe], out=s1)
+            s1 += half_delta_sq * s2d
+            for k in range(3):
+                S1[k, sl] = _reduce_n(np.multiply(s1[:, k : k + n_cols], w, out=out))
+                S2[k, sl] = _reduce_n(np.multiply(s2d[:, k : k + n_cols], w, out=out))
+            if not coherence:
+                continue
+
+            # A(m), B(m) on every column; A'(n) = A(n - l), B'(n) = B(n - l) for n >= l
+            b = sin_t
+            b /= sqrt_d_safe
+            b[:, zero] = tc[:, None]
+            a = cos_t - 1j * half_delta * b
+            ap_struct, _ = _osc_pair(table.sqrt_d_prime[None, :n_shift],
+                                     table.d_prime[:n_shift], tc[:, None], half_delta)
+            # family 1: A(m + l) B'(m + l) = A(m + l) B(m); family 2: B(m) A'(m)
+            ab1 = a[:, l : l + n_pe] * b[:, :n_pe]
+            ab2 = np.empty_like(ab1)
+            ab2[:, :n_shift] = b[:, :n_shift] * ap_struct
+            ab2[:, n_shift:] = b[:, n_shift:n_pe] * a[:, : n_pe - n_shift]
+            for k, off in enumerate(_OFFSETS):
+                tilde[0, k, sl] = _reduce_n(ab1[:, off : off + n_cols] * cw[k][None, :])
+                tilde[1, k, sl] = _reduce_n(ab2[:, off : off + n_cols] * cw[k][None, :])
+
+    if workers == 1:
+        build(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # not paid by `import thermaljcm`
+
+        # worker 0 runs in the calling thread
+        with ThreadPoolExecutor(workers - 1) as pool:
+            others = [pool.submit(build, i) for i in range(1, workers)]
+            build(0)
+            for future in others:
+                future.result()  # re-raises a worker's exception
 
     if coherence:
         alpha = params.alpha

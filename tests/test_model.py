@@ -9,8 +9,8 @@ from thermaljcm.model import (
     EigenvalueTable,
     ModelParams,
     _osc_pair,
+    _require_drive,
     bogoliubov_angles,
-    interference_period,
     rabi_period,
     t0_period,
     t0_prime_period,
@@ -21,6 +21,19 @@ from thermaljcm.model import (
 
 def make_params(l=1, g=1.0, omega0=1.0, omega=1.0, alpha=2.0):
     return ModelParams(l=l, g=g, omega0=omega0, omega=omega, alpha=alpha)
+
+
+def interference_period(params: ModelParams, m: int) -> float:
+    """Revival time from the constructive-interference condition at photon number m.
+
+    Solves 2 g [m^(l/2) - (m-1)^(l/2)] T = 2 pi.  Exactly pi/g for l = 2,
+    independent of m.
+    """
+    _require_drive(params)
+    if m < 1:
+        raise ValueError("photon number m must be >= 1")
+    gap = float(m) ** (params.l / 2.0) - float(m - 1) ** (params.l / 2.0)
+    return math.pi / (params.g * gap)
 
 
 class TestDetuning:
@@ -40,6 +53,8 @@ class TestDetuning:
         {"l": 0}, {"g": -1.0}, {"omega0": 0.0}, {"omega": -2.0},
         # |alpha|^2 past the float range
         {"alpha": 1e200}, {"alpha": -1e200j}, {"alpha": complex(1e300, 1e300)},
+        # (delta/2)^2 past the float range, and l * omega itself
+        {"omega": 1e200}, {"omega0": 1e200}, {"l": 2, "omega": 1e308},
     ])
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):

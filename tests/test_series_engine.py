@@ -1,17 +1,18 @@
 """The series engine: one table build, evaluated at many temperatures.
 
 Every value must be bitwise independent of how the tables were built: of the
-batching of the time grid, of the chunk size, of whether the coherence
-tables were built alongside P_e, and of how many temperatures one build
-serves.
+batching of the time grid, of the chunk size, of the number of worker
+threads, of whether the coherence tables were built alongside P_e, and of
+how many temperatures one build serves.
 """
 
 import inspect
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermaljcm import perturbation
@@ -119,6 +120,71 @@ class TestGridSplit:
         ones = [series_tables(t[i : i + 1], params, trunc) for i in range(t.size)]
         assert_bitwise(grid.pe(thermal), np.concatenate([o.pe(thermal) for o in ones]))
         assert_bitwise(grid.rho01(thermal), np.concatenate([o.rho01(thermal) for o in ones]))
+
+
+class TestWorkerThreads:
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from(range(len(CASES))),
+           workers=st.sampled_from([1, 2, 3, 7]),
+           chunk=st.integers(1, 16),
+           n=st.integers(1, 60),
+           coherence=st.booleans())
+    # one sample; fewer samples than workers; chunks crossing the grid end
+    @example(case=2, workers=7, chunk=4, n=1, coherence=True)
+    @example(case=0, workers=7, chunk=16, n=3, coherence=False)
+    @example(case=2, workers=3, chunk=5, n=47, coherence=True)
+    @example(case=1, workers=2, chunk=8, n=41, coherence=False)
+    def test_worker_count_changes_no_bit(self, case, workers, chunk, n, coherence):
+        # CASES holds real and complex alpha; 7 workers is more threads than
+        # cores, and a short switch interval interleaves them finely
+        params, trunc = CASES[case]
+        thermal = thermal_from_inv_beta(0.16, params)
+        t = np.linspace(0.0, 5.0, n)
+        with mock.patch.object(perturbation, "_usable_cpus", lambda: 1):
+            serial = series_tables(t, params, trunc, coherence=coherence)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(perturbation, "_usable_cpus", lambda: workers), \
+                    mock.patch.object(perturbation, "_T_CHUNK", chunk), \
+                    mock.patch.object(perturbation, "_MIN_WORKER_CELLS", 1):
+                threaded = series_tables(t, params, trunc, coherence=coherence)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_bitwise(threaded.pe(thermal), serial.pe(thermal))
+        if coherence:
+            assert_bitwise(threaded.rho01(thermal), serial.rho01(thermal))
+
+    @pytest.mark.parametrize("cpus, chunk, n, min_cells, workers", [
+        (2, 2048, 5000, 1, 2), (3, 2048, 5000, 1, 3), (7, 10, 95, 1, 7),
+        (7, 10, 4, 1, 4), (3, 16, 1, 1, 1),
+        # 46 trig columns: a 2048-row chunk holds two workers' 2^15 cells,
+        # a 500-row grid not even one
+        (7, 2048, 5000, 1 << 15, 2), (2, 2048, 500, 1 << 15, 1)])
+    def test_workspace_rows_summed_over_workers_stay_within_one_chunk(
+            self, cpus, chunk, n, min_cells, workers):
+        params, trunc = CASES[2]
+        shapes = []
+        empty = np.empty
+
+        def spy(shape, *args, **kwargs):
+            out = empty(shape, *args, **kwargs)
+            shapes.append((out.shape, out.dtype))
+            return out
+
+        with mock.patch.object(perturbation, "_usable_cpus", lambda: cpus), \
+                mock.patch.object(perturbation, "_T_CHUNK", chunk), \
+                mock.patch.object(perturbation, "_MIN_WORKER_CELLS", min_cells), \
+                mock.patch.object(perturbation.np, "empty", spy):
+            series_tables(np.linspace(0.0, 5.0, n), params, trunc)
+        # trig (w, 2, rows, n), sq (w, 2, rows, n), prod (w, rows, n); the
+        # per-time output arrays are 2-d or complex
+        workspaces = [s for s, dtype in shapes if len(s) >= 3 and dtype == float]
+        assert len(workspaces) == 3
+        assert workspaces[0][-1] == 46
+        for shape in workspaces:
+            assert shape[0] == workers
+            assert shape[0] * shape[-2] <= min(chunk, n)
 
 
 class TestOneBuildManyTemperatures:
