@@ -363,12 +363,25 @@ def cmd_pe_series(config: RunConfig, stream) -> int:
     oracle_col = None
     if config.with_oracle:
         if abs(params.alpha) <= config.alpha_threshold:
-            ftrunc = (FockTruncation(config.n_fock) if config.n_fock
-                      else FockTruncation.auto(params, thermal))
+            # the field that sets the cutoff, named by the errors about its size
+            source = ("oracle.n_fock" if config.n_fock
+                      else "thermal.inv_beta" if thermal.theta > 0 else "model.alpha")
+            try:
+                ftrunc = (FockTruncation(config.n_fock) if config.n_fock
+                          else FockTruncation.auto(params, thermal))
+            except OverflowError:
+                raise ConfigError(f"{source}: the automatic oracle cutoff is past the "
+                                  "float range") from None
+            except ValueError as exc:
+                raise ConfigError(f"{source}: oracle cutoff {exc}") from None
             _expect(ftrunc.n_fock > params.l, "oracle.n_fock",
                     f"{ftrunc.n_fock} must exceed l = {params.l}")
             _check_eigenvalue_range(params, ftrunc.n_fock - 1, "oracle.n_fock")
-            oracle_col = oracle.pe_curve(params, thermal, t, ftrunc)
+            try:
+                oracle_col = oracle.pe_curve(params, thermal, t, ftrunc)
+            except oracle.LeakageError as exc:
+                raise ConfigError(f"{source}: oracle cutoff n_fock = {ftrunc.n_fock} is too "
+                                  f"small, {exc}") from None
             columns.append("pe_oracle")
         else:
             print(f"note: |alpha| = {abs(params.alpha):g} exceeds the oracle "

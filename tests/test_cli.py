@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import thermaljcm.perturbation
+from thermaljcm import oracle
 from thermaljcm.cli import (
     EXIT_CONFIG,
     EXIT_NO_REVIVAL,
@@ -445,6 +446,52 @@ class TestErrorPaths:
         doc = small_config(oracle={"with_oracle": True, "n_fock": 2})
         assert main(["pe-series", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
         assert "oracle.n_fock" in capsys.readouterr().err
+
+    def test_temperature_whose_oracle_cutoff_overflows_exits_2(self, tmp_path, capsys):
+        # e^(2 theta) of the automatic cutoff is past the float range
+        doc = small_config(thermal={"inv_beta": 1e308},
+                           oracle={"with_oracle": True, "alpha_threshold": 3})
+        assert main(["pe-series", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        assert "thermal.inv_beta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("inv_beta, n_fock, field", [
+        (5.0, None, "thermal.inv_beta"),  # automatic n_fock 166: the 8-sigma rule fails
+        (20.0, None, "thermal.inv_beta"),  # automatic n_fock 495
+        (0.1, 8, "oracle.n_fock"),
+        (0.1, 16, "oracle.n_fock"),
+    ])
+    def test_leaking_oracle_cutoff_exits_2(self, tmp_path, capsys, inv_beta, n_fock, field):
+        oracle_cfg = {"with_oracle": True, "alpha_threshold": 3}
+        if n_fock is not None:
+            oracle_cfg["n_fock"] = n_fock
+        doc = small_config(thermal={"inv_beta": inv_beta}, oracle=oracle_cfg)
+        out = tmp_path / "out.csv"
+        argv = ["pe-series", "--config", write_config(tmp_path, doc), "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert field in err and "leak" in err
+        assert out.read_text() == ""
+
+    @pytest.mark.parametrize("model, inv_beta, n_fock, field", [
+        ({}, 1000.0, None, "thermal.inv_beta"),  # automatic n_fock 18 050
+        ({}, 0.1, 5000, "oracle.n_fock"),
+        ({"alpha": 50.0}, 0.0, None, "model.alpha"),  # automatic n_fock 2 908
+    ])
+    def test_oracle_cutoff_past_the_limit_exits_2(self, tmp_path, capsys, monkeypatch, model,
+                                                  inv_beta, n_fock, field):
+        def refuse(params, thermal, t, trunc):  # a cutoff past the limit must not get here
+            raise AssertionError(f"the exact solver ran at n_fock = {trunc.n_fock}")
+
+        monkeypatch.setattr(oracle, "pe_curve", refuse)
+        oracle_cfg = {"with_oracle": True, "alpha_threshold": 60}
+        if n_fock is not None:
+            oracle_cfg["n_fock"] = n_fock
+        doc = small_config(thermal={"inv_beta": inv_beta}, oracle=oracle_cfg,
+                           truncation={"n_max": 40, "tail_tol": 1.0})
+        doc["model"].update(model)
+        assert main(["pe-series", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert field in err and "limit 2048" in err
 
     @pytest.mark.parametrize("command", ["pe-series", "period-sweep", "coherence-map",
                                          "approx-check", "oracle-validate"])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from thermaljcm import oracle
 from thermaljcm.cli import EXIT_OK, main
@@ -121,6 +122,75 @@ class TestThermalCoherentState:
         via_gen = thermal_coherent_state_via_generator(1.0, 0.3, trunc)
         overlap = abs(np.vdot(via_gen, direct))
         assert overlap > 1.0 - 1e-8
+
+
+def two_exponential_state(alpha, theta, trunc):
+    """thermal_coherent_state as two displacement exponentials and two dense
+    products: the formula the one-exponential construction must equal."""
+    scale = math.exp(theta)
+    d_phys = displacement_matrix(alpha * scale, trunc)
+    d_tilde = displacement_matrix(np.conj(alpha) * scale, trunc)
+    return d_phys @ two_mode_squeezed_vacuum(theta, trunc) @ d_tilde.T
+
+
+def complex_generator_state(alpha, theta, n):
+    """The generator route with the squeeze generator exponentiated as a
+    complex matrix."""
+    a = np.diag(np.sqrt(np.arange(1, n, dtype=float)), 1).astype(complex)
+    ad = a.T.conj()
+    gen = -theta * (np.kron(a, a) - np.kron(ad, ad))
+    vec = np.kron(coherent_state_vector(alpha, n), coherent_state_vector(np.conj(alpha), n))
+    return (expm(gen) @ vec).reshape(n, n)
+
+
+AMPLITUDES = [1.3, -1.7, 1.1 + 0.6j, 0.8 - 1.2j, 2.2j]
+
+
+class TestConstructionIdentities:
+    @staticmethod
+    def record_expm(monkeypatch):
+        dtypes = []
+        real = oracle.expm
+        monkeypatch.setattr(oracle, "expm", lambda m: dtypes.append(m.dtype) or real(m))
+        return dtypes
+
+    @pytest.mark.parametrize("n_fock", [27, 30, 92, 114])
+    @pytest.mark.parametrize("gamma", AMPLITUDES)
+    def test_conjugate_displacement_is_displacement_of_conjugate(self, n_fock, gamma):
+        # the ladder matrix is real, so D(conj gamma) = conj(D(gamma)), and
+        # scipy's expm gives exactly that value
+        trunc = FockTruncation(n_fock, leak_tol=1e-6)
+        assert np.array_equal(np.conj(displacement_matrix(gamma, trunc)),
+                              displacement_matrix(np.conj(gamma), trunc))
+
+    @pytest.mark.parametrize("n_fock", [30, 92])
+    @pytest.mark.parametrize("theta", [0.0, 0.1, 0.3])
+    @pytest.mark.parametrize("alpha", AMPLITUDES)
+    def test_state_equals_two_exponential_formula(self, n_fock, theta, alpha):
+        trunc = FockTruncation(n_fock, leak_tol=1e-6)
+        assert np.array_equal(thermal_coherent_state(alpha, theta, trunc),
+                              two_exponential_state(alpha, theta, trunc))
+
+    @pytest.mark.parametrize("alpha, theta", [(1.0, 0.3), (0.5 + 0.5j, 0.1), (-0.7j, 0.2)])
+    def test_real_generator_matches_complex_generator(self, alpha, theta):
+        trunc = FockTruncation(20, leak_tol=1e-6)
+        real = thermal_coherent_state_via_generator(alpha, theta, trunc)
+        assert np.max(np.abs(real - complex_generator_state(alpha, theta, 20))) <= 1e-15
+
+    def test_state_takes_one_exponential(self, monkeypatch):
+        dtypes = self.record_expm(monkeypatch)
+        thermal_coherent_state(1.1 + 0.6j, 0.2, FockTruncation(40))
+        assert len(dtypes) == 1
+
+    def test_generator_is_exponentiated_in_real_arithmetic(self, monkeypatch):
+        dtypes = self.record_expm(monkeypatch)
+        thermal_coherent_state_via_generator(1.1 + 0.6j, 0.2, FockTruncation(10, leak_tol=1e-3))
+        assert dtypes == [np.float64]
+
+    def test_squeezed_vacuum_tail_is_checked(self):
+        # D(0) is the identity, so only the squeezed-vacuum tail can leak
+        with pytest.raises(LeakageError, match="squeezed-vacuum tail"):
+            thermal_coherent_state(0.0, 1.5, FockTruncation(4, leak_tol=1e-10))
 
 
 class TestInitialState:
