@@ -62,13 +62,13 @@ class RunConfig:
     adaptive: bool = False
     with_oracle: bool = False
     n_fock: int | None = None
-    alpha_threshold: float = 2.5
     out_format: str = "csv"
 
     @property
     def trunc(self) -> TruncationPolicy:
         if self.adaptive:
-            return TruncationPolicy.adaptive(self.params, self.tail_tol or 1e-12)
+            return TruncationPolicy.adaptive(
+                self.params, 1e-12 if self.tail_tol is None else self.tail_tol)
         return TruncationPolicy(n_max=self.n_max, tail_tol=self.tail_tol)
 
     def canonical(self) -> dict:
@@ -86,8 +86,7 @@ class RunConfig:
             "grid": {"t_start": self.t_start, "t_stop": self.t_stop, "dt": self.dt},
             "truncation": {"n_max": self.n_max, "tail_tol": self.tail_tol,
                            "adaptive": self.adaptive},
-            "oracle": {"with_oracle": self.with_oracle, "n_fock": self.n_fock,
-                       "alpha_threshold": self.alpha_threshold},
+            "oracle": {"with_oracle": self.with_oracle, "n_fock": self.n_fock},
             "output": {"format": self.out_format},
         }
 
@@ -206,6 +205,7 @@ def parse_config(data: dict) -> RunConfig:
     _expect(isinstance(n_max_raw, int) and not isinstance(n_max_raw, bool) and n_max_raw >= 1,
             "truncation.n_max", "must be an integer >= 1")
     tail_tol = _get_number(truncation, "truncation", "tail_tol")
+    _expect(tail_tol is None or tail_tol >= 0, "truncation.tail_tol", "must be >= 0")
     adaptive = truncation.get("adaptive", False)
     _expect(isinstance(adaptive, bool), "truncation.adaptive", "must be a boolean")
 
@@ -217,7 +217,6 @@ def parse_config(data: dict) -> RunConfig:
     if n_fock is not None:
         _expect(isinstance(n_fock, int) and not isinstance(n_fock, bool) and n_fock >= 2,
                 "oracle.n_fock", "must be an integer >= 2")
-    alpha_threshold = _get_number(oracle_cfg, "oracle", "alpha_threshold", default=2.5)
 
     output = data.get("output", {}) or {}
     _expect(isinstance(output, dict), "output", "must be an object")
@@ -227,7 +226,7 @@ def parse_config(data: dict) -> RunConfig:
     config = RunConfig(params=params, inv_betas=inv_betas, t_start=t_start,
                        t_stop=t_stop, dt=dt, n_max=n_max_raw, tail_tol=tail_tol,
                        adaptive=adaptive, with_oracle=with_oracle, n_fock=n_fock,
-                       alpha_threshold=alpha_threshold, out_format=out_format)
+                       out_format=out_format)
     _check_eigenvalue_range(params, config.trunc.n_max + params.l + 2, "truncation.n_max")
     return config
 
@@ -360,37 +359,25 @@ def cmd_pe_series(config: RunConfig, stream) -> int:
 
     columns = ["t", "pe_pert", "pe_order0", "pe_order1_contrib",
                "pe_order2_contrib", "physicality_flag"]
-    oracle_col = None
-    if config.with_oracle:
-        if abs(params.alpha) <= config.alpha_threshold:
-            # the field that sets the cutoff, named by the errors about its size
-            source = ("oracle.n_fock" if config.n_fock
-                      else "thermal.inv_beta" if thermal.theta > 0 else "model.alpha")
-            try:
-                ftrunc = (FockTruncation(config.n_fock) if config.n_fock
-                          else FockTruncation.auto(params, thermal))
-            except OverflowError:
-                raise ConfigError(f"{source}: the automatic oracle cutoff is past the "
-                                  "float range") from None
-            except ValueError as exc:
-                raise ConfigError(f"{source}: oracle cutoff {exc}") from None
-            _expect(ftrunc.n_fock > params.l, "oracle.n_fock",
-                    f"{ftrunc.n_fock} must exceed l = {params.l}")
-            _check_eigenvalue_range(params, ftrunc.n_fock - 1, "oracle.n_fock")
-            try:
-                oracle_col = oracle.pe_curve(params, thermal, t, ftrunc)
-            except oracle.LeakageError as exc:
-                raise ConfigError(f"{source}: oracle cutoff n_fock = {ftrunc.n_fock} is too "
-                                  f"small, {exc}") from None
-            columns.append("pe_oracle")
-        else:
-            print(f"note: |alpha| = {abs(params.alpha):g} exceeds the oracle "
-                  f"threshold {config.alpha_threshold:g}; pe_oracle column skipped",
-                  file=sys.stderr)
-
     cols = [t, pe, order0, order1, order2, flags]
-    if oracle_col is not None:
-        cols.append(oracle_col)
+    if config.with_oracle:
+        # the field that sets the cutoff, named by the errors about its size
+        source = ("oracle.n_fock" if config.n_fock
+                  else "thermal.inv_beta" if thermal.theta > 0 else "model.alpha")
+        try:
+            ftrunc = (FockTruncation(config.n_fock) if config.n_fock
+                      else FockTruncation.auto(params, thermal))
+        except ValueError as exc:
+            raise ConfigError(f"{source}: oracle cutoff: {exc}") from None
+        _expect(ftrunc.n_fock > params.l, "oracle.n_fock",
+                f"{ftrunc.n_fock} must exceed l = {params.l}")
+        _check_eigenvalue_range(params, ftrunc.n_fock - 1, "oracle.n_fock")
+        try:
+            cols.append(oracle.pe_curve(params, thermal, t, ftrunc))
+        except oracle.LeakageError as exc:
+            raise ConfigError(f"{source}: oracle cutoff n_fock = {ftrunc.n_fock} is too "
+                              f"small, {exc}") from None
+        columns.append("pe_oracle")
     _write_table(stream, columns, cols, config.out_format)
     return EXIT_OK
 
@@ -448,16 +435,19 @@ def cmd_approx_check(config: RunConfig, stream) -> int:
 
 
 def cmd_oracle_validate(config: RunConfig | None, stream) -> int:
-    """Run the oracle-vs-series validation suite; JSON report."""
-    if config is None:
-        report = validation.run_validation_suite()
-    else:
-        if abs(config.params.alpha) > config.alpha_threshold:
-            raise ConfigError(
-                f"model.alpha: |alpha| = {abs(config.params.alpha):g} exceeds the "
-                f"oracle threshold {config.alpha_threshold:g}")
-        report = validation.run_validation_suite(
-            l_values=(config.params.l,), alpha=config.params.alpha)
+    """Run the oracle-vs-series validation suite, at the document's model
+    when one is given (its temperatures are not read); JSON report."""
+    sized = None
+    if config is not None:
+        # the cutoffs follow alpha; size them, and check the largest tables,
+        # before the suite builds anything
+        try:
+            sized = validation.suite_cutoffs(config.params)
+        except ValueError as exc:
+            raise ConfigError(f"model.alpha: oracle cutoff: {exc}") from None
+        for cut in sized:
+            _check_eigenvalue_range(cut.params, cut.top_row, "model.alpha")
+    report = validation.run_validation_suite(sized)
     json.dump(report, stream, indent=2, sort_keys=True)
     stream.write("\n")
     return EXIT_OK if report["passed"] else EXIT_VALIDATION

@@ -89,11 +89,15 @@ class FockTruncation:
 
         The mean photon number includes the thermal amplification
         |alpha|^2 e^(2 theta) + sinh^2 theta, which keeps both the Poisson
-        and thermal tails below ~1e-10 for angles up to ~0.3.
+        and thermal tails below ~1e-10 for angles up to ~0.3.  A cutoff
+        past the float range raises ValueError, as one past the limit does.
         """
         th = 0.0 if thermal is None else thermal.theta
-        mean = params.abs_alpha_sq * math.exp(2.0 * th) + math.sinh(th) ** 2
-        n = math.ceil(mean + 8.0 * math.sqrt(mean + 1.0) + params.l + 5)
+        try:
+            mean = params.abs_alpha_sq * math.exp(2.0 * th) + math.sinh(th) ** 2
+            n = math.ceil(mean + 8.0 * math.sqrt(mean + 1.0) + params.l + 5)
+        except OverflowError:
+            raise ValueError("the automatic n_fock is past the float range") from None
         return cls(n_fock=int(n))
 
 

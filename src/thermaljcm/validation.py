@@ -6,11 +6,16 @@ doubled space on the other.  The residual of the second-order series against
 the exact solver must shrink like the cube of the Bogoliubov angle; the
 twelve coherence series are checked one by one against operator expectations
 evaluated with explicit truncated matrices.
+
+Every truncation the suite uses is sized before the first series table or
+doubled state is built, so a parameter set past the exact solver's cutoff
+limit fails at once (``ValueError``) with nothing allocated.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,7 +24,8 @@ from .model import ModelParams, ThermalParams, bogoliubov_angles, thermal_from_i
 from .oracle import FockTruncation
 from .perturbation import SeriesTables, TruncationPolicy
 
-__all__ = ["run_validation_suite", "theta_for_angle", "SLOPE_BOUNDS"]
+__all__ = ["run_validation_suite", "suite_cutoffs", "SuiteCutoffs", "theta_for_angle",
+           "SLOPE_BOUNDS"]
 
 #: acceptable log-log slope range for the order-cubed residual
 SLOPE_BOUNDS = (2.7, 3.3)
@@ -47,8 +53,53 @@ def theta_for_angle(theta: float, omega: float, omega0: float) -> ThermalParams:
     return bogoliubov_angles(beta, omega, omega0)
 
 
-def _default_params(l: int, alpha: complex) -> ModelParams:
-    return ModelParams(l=l, g=1.0, omega0=1.0, omega=1.0, alpha=alpha)
+@dataclass(frozen=True)
+class SuiteCutoffs:
+    """A parameter set of the suite with every truncation it uses.
+
+    ``warm`` is the automatic exact-solver cutoff at the largest angle of
+    ``THETA_GRID`` (the scaling fits and the thermal-state laws), ``cold``
+    the one at zero temperature (the degeneracy check), ``tilde`` is
+    ``cold`` plus 10 levels (the operator expectations of the coherence
+    series) and ``series`` the adaptive series truncation.
+    """
+
+    params: ModelParams
+    warm: FockTruncation
+    cold: FockTruncation
+    tilde: FockTruncation
+    series: TruncationPolicy
+
+    @classmethod
+    def size(cls, params: ModelParams) -> "SuiteCutoffs":
+        """Raises ValueError where a cutoff is past the float range or the
+        limit of :class:`FockTruncation`.  The series truncation is sized
+        last: the exact solver's cutoffs bound its ``|alpha|^2``."""
+        warm = FockTruncation.auto(params, theta_for_angle(float(THETA_GRID[-1]),
+                                                           params.omega, params.omega0))
+        cold = FockTruncation.auto(params)
+        return cls(params=params, warm=warm, cold=cold,
+                   tilde=FockTruncation(cold.n_fock + 10),
+                   series=TruncationPolicy.adaptive(params))
+
+    @property
+    def top_row(self) -> int:
+        """The last Rabi-eigenvalue row m of any table the suite builds here."""
+        return max(self.series.n_max + self.params.l + 2,
+                   self.warm.n_fock - 1, self.tilde.n_fock - 1)
+
+
+def suite_cutoffs(params: ModelParams | None = None) -> list[SuiteCutoffs]:
+    """The parameter sets of the suite, each with its truncations sized.
+
+    ``None`` gives the default sets, l = 1 and l = 2 at alpha = 2 and
+    g = omega0 = omega = 1; a given parameter set replaces them.  The last
+    entry is the complex-amplitude companion of the set before it.
+    """
+    models = (params,) if params is not None else tuple(
+        ModelParams(l=l, g=1.0, omega0=1.0, omega=1.0, alpha=2.0) for l in (1, 2))
+    # the complex amplitude exercises the conjugate-power structure of the series
+    return [SuiteCutoffs.size(p) for p in (*models, replace(models[-1], alpha=1.1 + 0.6j))]
 
 
 def _fit_slope(theta: np.ndarray, residual: np.ndarray):
@@ -59,33 +110,39 @@ def _fit_slope(theta: np.ndarray, residual: np.ndarray):
     return float(coeffs[0])
 
 
-def _check_theta_scaling(params: ModelParams, tables: SeriesTables) -> list[dict]:
-    """Columns 1.. of ``tables`` hold the series at ``T_VALUES``."""
-    checks = []
-    ftrunc = FockTruncation.auto(params, theta_for_angle(float(THETA_GRID[-1]),
-                                                         params.omega, params.omega0))
-    # propagate returns a fresh state, so each angle's initial state serves every t
-    thermals = [theta_for_angle(float(th), params.omega, params.omega0) for th in THETA_GRID]
-    inits = [oracle.build_initial_state(params, thermal, ftrunc) for thermal in thermals]
+def _angle_residuals(cut: SuiteCutoffs, tables: SeriesTables, theta: float) -> list:
+    """Residuals (pe, |rho01|, conjugate orientation) at one angle, one row
+    per time of ``T_VALUES``; the angle's doubled state lives only here."""
+    params = cut.params
+    thermal = theta_for_angle(theta, params.omega, params.omega0)
+    # propagate returns a fresh state, so one initial state serves every t
+    init = oracle.build_initial_state(params, thermal, cut.warm)
+    pe, series = tables.pe(thermal), tables.rho01(thermal)
+    rows = []
     for col, t in enumerate(T_VALUES, start=1):
-        pe_res = []
-        rho_res = []
-        conv_res = []
-        for thermal, init in zip(thermals, inits):
-            rho00, rho01 = oracle.reduce_atom(oracle.propagate(init, float(t), params))
-            pe_res.append(abs(tables.pe(thermal)[col] - rho00))
-            series01 = tables.rho01(thermal)[col]
-            rho_res.append(abs(abs(series01) - abs(rho01)))
-            # the series expands the conjugate orientation of <e|rho|g>; the
-            # full complex residual in that orientation must stay cubic-small
-            conv_res.append(abs(series01 - np.conj(rho01)))
-        for name, res in (("pe", pe_res), ("rho01", rho_res)):
-            slope = _fit_slope(THETA_GRID, np.asarray(res))
+        rho00, rho01 = oracle.reduce_atom(oracle.propagate(init, float(t), params))
+        # the series expands the conjugate orientation of <e|rho|g>; the
+        # full complex residual in that orientation must stay cubic-small
+        rows.append((abs(pe[col] - rho00), abs(abs(series[col]) - abs(rho01)),
+                     abs(series[col] - np.conj(rho01))))
+    return rows
+
+
+def _check_theta_scaling(cut: SuiteCutoffs, tables: SeriesTables) -> list[dict]:
+    """Columns 1.. of ``tables`` hold the series at ``T_VALUES``."""
+    params = cut.params
+    # [angle, time, kind] -> [time, kind, angle]
+    res = np.array([_angle_residuals(cut, tables, float(th))
+                    for th in THETA_GRID]).transpose(1, 2, 0)
+    checks = []
+    for t, (pe_res, rho_res, conv_res) in zip(T_VALUES, res):
+        for name, r in (("pe", pe_res), ("rho01", rho_res)):
+            slope = _fit_slope(THETA_GRID, r)
             checks.append({
                 "name": f"theta_scaling_{name}[l={params.l},t={t}]",
                 "passed": slope is not None and SLOPE_BOUNDS[0] <= slope <= SLOPE_BOUNDS[1],
                 "slope": slope,
-                "max_residual": float(np.max(res)),
+                "max_residual": float(np.max(r)),
             })
         ratio = float(conv_res[0] / THETA_GRID[0] ** 3)
         checks.append({
@@ -96,9 +153,10 @@ def _check_theta_scaling(params: ModelParams, tables: SeriesTables) -> list[dict
     return checks
 
 
-def _check_tilde_series(params: ModelParams, t: float, tilde: np.ndarray) -> list[dict]:
+def _check_tilde_series(cut: SuiteCutoffs, t: float, tilde: np.ndarray) -> list[dict]:
     """``tilde`` holds the twelve coherence series at time t, shape (2, 6)."""
-    n_fock = FockTruncation.auto(params).n_fock + 10
+    params = cut.params
+    n_fock = cut.tilde.n_fock
     tol = 1e-8
     u00, u01, u10, u11 = oracle.atom_block_matrices(t, params, n_fock)
     a = np.diag(np.sqrt(np.arange(1, n_fock, dtype=float)), 1).astype(complex)
@@ -147,9 +205,11 @@ def _check_t0_identities(params: ModelParams, tables: SeriesTables) -> list[dict
     return checks
 
 
-def _check_thermal_states(params: ModelParams, theta: float) -> list[dict]:
+def _check_thermal_states(cut: SuiteCutoffs) -> list[dict]:
+    """Thermal-state laws at the largest angle of ``THETA_GRID``."""
+    params, trunc = cut.params, cut.warm
+    theta = float(THETA_GRID[-1])
     checks = []
-    trunc = FockTruncation.auto(params, theta_for_angle(theta, params.omega, params.omega0))
 
     # reduced boson distribution of the squeezed vacuum follows the
     # geometric law with ratio tanh^2
@@ -203,41 +263,39 @@ def _check_thermal_states(params: ModelParams, theta: float) -> list[dict]:
     return checks
 
 
-def _check_zero_temperature_degeneracy(params: ModelParams,
-                                       trunc: TruncationPolicy) -> dict:
+def _check_zero_temperature_degeneracy(cut: SuiteCutoffs) -> dict:
+    params = cut.params
     thermal = bogoliubov_angles(math.inf, params.omega, params.omega0)
-    ftrunc = FockTruncation.auto(params)
     t_grid = np.linspace(0.0, 3.0, 100)
     # the doubled-space route, independent of the reduced-state pe_curve
-    init = oracle.build_initial_state(params, thermal, ftrunc)
+    init = oracle.build_initial_state(params, thermal, cut.cold)
     exact = np.array([oracle.reduce_atom(oracle.propagate(init, float(t), params))[0]
                       for t in t_grid])
-    series = perturbation.series_tables(t_grid, params, trunc, coherence=False).pe(thermal)
+    series = perturbation.series_tables(t_grid, params, cut.series,
+                                        coherence=False).pe(thermal)
     err = float(np.max(np.abs(exact - series)))
     return {"name": f"zero_temperature_degeneracy[l={params.l}]",
             "passed": err < 1e-9, "max_error": err}
 
 
-def run_validation_suite(l_values=(1, 2), alpha: complex = 2.0) -> dict:
+def run_validation_suite(sized: list[SuiteCutoffs] | None = None) -> dict:
     """Run every oracle-vs-series check and return a structured report.
 
-    The report is a dict with ``passed`` (overall) and a ``checks`` list of
-    per-check records; callers decide how to render it.
+    ``sized`` is a list from :func:`suite_cutoffs`, the default sets when
+    omitted.  The report is a dict with ``passed`` (overall) and a
+    ``checks`` list of per-check records; callers decide how to render it.
     """
+    *suite, complex_cut = suite_cutoffs() if sized is None else sized
     checks: list[dict] = []
-    for l in l_values:
-        params = _default_params(l, alpha)
-        trunc = TruncationPolicy.adaptive(params)
+    for cut in suite:
         # one build serves the t = 0 identities, the scaling fits and the
         # coherence series; each time sample is reduced on its own
-        tables = perturbation.series_tables([0.0, *T_VALUES], params, trunc)
-        checks.extend(_check_t0_identities(params, tables))
-        checks.extend(_check_theta_scaling(params, tables))
-        checks.extend(_check_tilde_series(params, T_VALUES[-1], tables.tilde[:, :, -1]))
-        checks.append(_check_zero_temperature_degeneracy(params, trunc))
-    checks.extend(_check_thermal_states(_default_params(2, alpha), theta=0.2))
-    # complex amplitude exercises the conjugate-power structure of the series
-    cparams = _default_params(2, 1.1 + 0.6j)
-    ctables = perturbation.series_tables([0.9], cparams, TruncationPolicy.adaptive(cparams))
-    checks.extend(_check_tilde_series(cparams, 0.9, ctables.tilde[:, :, -1]))
+        tables = perturbation.series_tables([0.0, *T_VALUES], cut.params, cut.series)
+        checks.extend(_check_t0_identities(cut.params, tables))
+        checks.extend(_check_theta_scaling(cut, tables))
+        checks.extend(_check_tilde_series(cut, T_VALUES[-1], tables.tilde[:, :, -1]))
+        checks.append(_check_zero_temperature_degeneracy(cut))
+    checks.extend(_check_thermal_states(suite[-1]))
+    ctables = perturbation.series_tables([0.9], complex_cut.params, complex_cut.series)
+    checks.extend(_check_tilde_series(complex_cut, 0.9, ctables.tilde[:, :, -1]))
     return {"passed": bool(all(c["passed"] for c in checks)), "checks": checks}

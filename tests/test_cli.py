@@ -111,6 +111,7 @@ class TestConfigParsing:
         (lambda d: d["thermal"].__setitem__("inv_beta_grid", []), "inv_beta_grid"),
         (lambda d: d["grid"].__setitem__("dt", 0.0), "grid.dt"),
         (lambda d: d["truncation"].__setitem__("n_max", 0), "truncation.n_max"),
+        (lambda d: d["truncation"].__setitem__("tail_tol", -1e-9), "truncation.tail_tol"),
         (lambda d: d["output"].__setitem__("format", "xml")
          if "output" in d else d.__setitem__("output", {"format": "xml"}), "output.format"),
         (lambda d: d.__setitem__("extra", {}), "unknown"),
@@ -170,6 +171,10 @@ class TestConfigParsing:
             assert cfg is None
         else:
             assert cfg is not None
+
+    def test_zero_tail_tolerance_is_kept_when_adaptive(self):
+        doc = small_config(truncation={"n_max": 40, "tail_tol": 0, "adaptive": True})
+        assert parse_config(doc).trunc.tail_tol == 0.0
 
     def test_all_presets_parse(self):
         for name in PRESETS:
@@ -236,16 +241,20 @@ class TestPeSeries:
             # series and exact column agree to the perturbative residual
             assert float(vals[1]) == pytest.approx(float(vals[6]), abs=1e-5)
 
-    def test_oracle_column_skipped_above_threshold(self, tmp_path, capsys):
-        doc = small_config(grid={"t_start": 0.0, "t_stop": 0.3, "dt": 0.1},
-                           truncation={"n_max": 110})
-        doc["model"]["alpha"] = 7.0
-        rc = main(["pe-series", "--config", write_config(tmp_path, doc),
-                   "--with-oracle"])
-        assert rc == EXIT_OK
-        captured = capsys.readouterr()
-        assert "pe_oracle" not in captured.out.splitlines()[0]
-        assert "threshold" in captured.err
+    @pytest.mark.parametrize("preset, bound", [("fig1a", 6e-5), ("fig1b", 9e-5),
+                                               ("fig1c", 9e-5), ("fig1d", 1.2e-4)])
+    def test_fig1_presets_agree_with_the_exact_column(self, tmp_path, capsys, preset,
+                                                      bound):
+        # the paper's amplitudes, alpha = 6-8 at 1/beta = 0.1, over the whole
+        # preset grid (1.35 revival periods)
+        out = tmp_path / f"{preset}.csv"
+        assert main(["pe-series", "--preset", preset, "--with-oracle",
+                     "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        lines = out.read_text().splitlines()
+        assert lines[0].split(",")[-1] == "pe_oracle"
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert np.max(np.abs(rows[:, 1] - rows[:, 6])) <= bound
 
     def test_small_amplitude_bound(self, tmp_path, capsys):
         doc = {
@@ -363,11 +372,50 @@ class TestOracleValidate:
         assert failed
         assert all("tilde_series_vs_fock[j=2,k=1" in name for name in failed)
 
-    def test_rejects_large_amplitude(self, tmp_path, capsys):
+    def test_config_sets_the_model(self, tmp_path):
+        reports = []
+        for g in (1.0, 0.5):
+            doc = small_config()
+            doc["model"]["g"] = g
+            out = tmp_path / f"report_g{g}.json"
+            main(["oracle-validate", "--config", write_config(tmp_path, doc),
+                  "--out", str(out)])
+            reports.append(out.read_bytes())
+        assert reports[0] != reports[1]
+
+    @pytest.mark.parametrize("alpha, message", [(50.0, "limit 2048"),
+                                                (1.3e154, "float range")])
+    def test_cutoff_past_the_limit_exits_2(self, tmp_path, capsys, monkeypatch, alpha,
+                                           message):
+        def refuse(*args, **kwargs):  # the suite must not start building
+            raise AssertionError("built a table or state past the cutoff limit")
+
+        monkeypatch.setattr(oracle, "build_initial_state", refuse)
+        monkeypatch.setattr(thermaljcm.perturbation, "series_tables", refuse)
         doc = small_config()
-        doc["model"]["alpha"] = 7.0
-        rc = main(["oracle-validate", "--config", write_config(tmp_path, doc)])
-        assert rc == EXIT_CONFIG
+        doc["model"].update(l=1, alpha=alpha)
+        path = write_config(tmp_path, doc)
+        assert main(["oracle-validate", "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "model.alpha" in err and message in err
+
+    def test_multiplicity_whose_suite_eigenvalues_overflow_exits_2(self, tmp_path, capsys):
+        # the document's series table ends at m = 135; the suite's adaptive
+        # one at m = 307, where (m + 1)...(m + 132) overflows
+        doc = small_config(truncation={"n_max": 1, "tail_tol": 1.0})
+        doc["model"]["l"] = 132
+        path = write_config(tmp_path, doc)
+        assert main(["oracle-validate", "--config", path]) == EXIT_CONFIG
+        assert "model.l" in capsys.readouterr().err
+
+    def test_error_after_sizing_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("raised inside the suite")
+
+        monkeypatch.setattr(oracle, "propagate", fail)
+        path = write_config(tmp_path, small_config())
+        with pytest.raises(ValueError, match="inside the suite"):
+            main(["oracle-validate", "--config", path])
 
 
 class TestErrorPaths:
@@ -461,7 +509,7 @@ class TestErrorPaths:
         (0.1, 16, "oracle.n_fock"),
     ])
     def test_leaking_oracle_cutoff_exits_2(self, tmp_path, capsys, inv_beta, n_fock, field):
-        oracle_cfg = {"with_oracle": True, "alpha_threshold": 3}
+        oracle_cfg = {"with_oracle": True}
         if n_fock is not None:
             oracle_cfg["n_fock"] = n_fock
         doc = small_config(thermal={"inv_beta": inv_beta}, oracle=oracle_cfg)
@@ -483,7 +531,7 @@ class TestErrorPaths:
             raise AssertionError(f"the exact solver ran at n_fock = {trunc.n_fock}")
 
         monkeypatch.setattr(oracle, "pe_curve", refuse)
-        oracle_cfg = {"with_oracle": True, "alpha_threshold": 60}
+        oracle_cfg = {"with_oracle": True}
         if n_fock is not None:
             oracle_cfg["n_fock"] = n_fock
         doc = small_config(thermal={"inv_beta": inv_beta}, oracle=oracle_cfg,

@@ -29,7 +29,7 @@ from thermaljcm.oracle import (
 )
 from thermaljcm.coherence import coherence_values
 from thermaljcm.perturbation import TruncationPolicy, series_tables
-from thermaljcm.validation import run_validation_suite
+from thermaljcm.validation import run_validation_suite, theta_for_angle
 
 COLD = bogoliubov_angles(math.inf, 1.0, 1.0)
 
@@ -74,6 +74,13 @@ class TestSqueezedVacuum:
             FockTruncation(1)
         with pytest.raises(ValueError):
             FockTruncation(10, leak_tol=0.0)
+
+    @pytest.mark.parametrize("alpha, thermal", [(1.3e154, theta_for_angle(0.2, 1.0, 1.0)),
+                                                (2.0, bogoliubov_angles(1e-308, 1.0, 1.0))])
+    def test_automatic_cutoff_past_the_float_range(self, alpha, thermal):
+        # |alpha|^2 e^(2 theta) is inf, or e^(2 theta) overflows on its own
+        with pytest.raises(ValueError, match="float range"):
+            FockTruncation.auto(make_params(alpha=alpha), thermal)
 
 
 class TestDisplacement:
