@@ -48,7 +48,7 @@ class ConfigError(ValueError):
     """Invalid run configuration; message carries the offending field path."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Parsed, validated run configuration (canonical form)."""
 
@@ -137,6 +137,33 @@ def _check_eigenvalue_range(params: ModelParams, top: int, source: str) -> None:
     d_top = (params.delta / 2.0) ** 2 + params.g * params.g * prod
     _expect(math.isfinite(d_top), "model.g",
             f"g = {params.g}: the Rabi eigenvalues D_m overflow a float for m up to {top}")
+
+
+def _check_series_prefactors(params: ModelParams) -> None:
+    """Reject an amplitude, or a coupling, whose series prefactors are past
+    the float range.
+
+    At a large |alpha| the Poisson weights underflow and the S sums are 0,
+    which an infinite prefactor turns into nan.  The largest prefactors are
+    formed the way ``SeriesTables.pe_terms`` forms them (4 |alpha|^4,
+    2 g^2 |alpha|^(2l), 2 g^2 (1 + 2 |alpha|^2) |alpha|^(2l - 2)) and the way
+    ``series_tables`` scales the coherence series (g |alpha|^(l + 2)).
+    Called after :func:`_check_eigenvalue_range`, which keeps g^2 finite.
+    """
+    aa, l, g, g2 = params.abs_alpha_sq, params.l, params.g, params.g**2
+    abs_alpha = abs(params.alpha)
+    try:  # a Python float ** past the float range raises instead of giving inf
+        powers = (4.0 * aa * aa, aa**l, abs_alpha ** (l + 2))
+    except OverflowError:
+        powers = (math.inf,)
+    _expect(all(map(math.isfinite, powers)), "model.alpha",
+            f"alpha = {params.alpha}: the series prefactors are past the float range "
+            f"at l = {l}")
+    coupled = (2.0 * g2 * aa**l, 2.0 * g2 * (1.0 + 2.0 * aa) * aa ** (l - 1),
+               g * abs_alpha ** (l + 2))
+    _expect(all(map(math.isfinite, coupled)), "model.g",
+            f"g = {g}: the series prefactors are past the float range at "
+            f"alpha = {params.alpha}, l = {l}")
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -228,6 +255,7 @@ def parse_config(data: dict) -> RunConfig:
                        adaptive=adaptive, with_oracle=with_oracle, n_fock=n_fock,
                        out_format=out_format)
     _check_eigenvalue_range(params, config.trunc.n_max + params.l + 2, "truncation.n_max")
+    _check_series_prefactors(params)
     return config
 
 
@@ -455,11 +483,44 @@ def cmd_oracle_validate(config: RunConfig | None, stream) -> int:
 
 # ---------------------------------------------------------------------------
 
+#: the flags a subcommand may take besides --preset, --config and --out:
+#: flag -> (the document field it sets, argparse keywords)
+FLAGS = {
+    "--format": ("output.format", {"choices": ("csv", "json")}),
+    "--nmax": ("truncation.n_max", {"type": int, "help": "sets truncation.n_max, and "
+                                    "truncation.adaptive false"}),
+    "--dt": ("grid.dt", {"type": float}),
+    "--with-oracle": ("oracle.with_oracle", {"action": "store_const", "const": True}),
+}
+
+
+def _set_flag_fields(doc, args) -> None:
+    """Write each flag given into its document field.
+
+    A missing or empty section becomes ``{}`` (``parse_config`` reads any
+    false one as ``{}``); a malformed document or section is left as it is,
+    for ``parse_config`` to reject.
+    """
+    if not isinstance(doc, dict):
+        return
+    for flag, (field, _) in FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is None:
+            continue
+        section, key = field.split(".")
+        if not doc.get(section):
+            doc[section] = {}
+        if isinstance(doc[section], dict):
+            doc[section][key] = value
+            if flag == "--nmax":
+                doc[section]["adaptive"] = False
+
+
 def _load_config(args) -> RunConfig | None:
     doc = None
-    if getattr(args, "preset", None):
+    if args.preset:
         doc = build_preset(args.preset)
-    if getattr(args, "config", None):
+    if args.config:
         if doc is not None:
             raise ConfigError("config: pass either --preset or --config, not both")
         try:
@@ -471,42 +532,21 @@ def _load_config(args) -> RunConfig | None:
             raise ConfigError(f"config: {args.config} line {exc.lineno}: {exc.msg}") from exc
     if doc is None:
         return None
-    config = parse_config(doc)
-    if getattr(args, "nmax", None) is not None:
-        if args.nmax < 1:
-            raise ConfigError("--nmax: must be an integer >= 1")
-        _check_eigenvalue_range(config.params, args.nmax + config.params.l + 2, "--nmax")
-        config.n_max = args.nmax
-        config.adaptive = False
-    if getattr(args, "dt", None) is not None:
-        if not args.dt > 0:
-            raise ConfigError("--dt: must be positive")
-        config.dt = args.dt
-    if getattr(args, "with_oracle", False):
-        config.with_oracle = True
-    if getattr(args, "format", None):
-        config.out_format = args.format
-    return config
+    _set_flag_fields(doc, args)
+    return parse_config(doc)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--preset", choices=PRESETS, help="named figure preset")
-    sub.add_argument("--config", help="path to a JSON configuration document")
-    sub.add_argument("--out", help="output path (default: stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), help="output format")
-    sub.add_argument("--nmax", type=int, help="override the series truncation")
-    sub.add_argument("--dt", type=float, help="override the time-grid spacing")
-    sub.add_argument("--with-oracle", action="store_true", dest="with_oracle",
-                     help="add the exact-solver column where applicable")
-
-
-#: subcommand name -> (handler, help text)
+#: subcommand name -> (handler, help text, the FLAGS it reads)
 COMMANDS = {
-    "pe-series": (cmd_pe_series, "excitation probability time series"),
-    "period-sweep": (cmd_period_sweep, "revival period vs temperature"),
-    "coherence-map": (cmd_coherence_map, "relative entropy of coherence over (t, 1/beta)"),
-    "oracle-validate": (cmd_oracle_validate, "series-vs-exact validation report (JSON)"),
-    "approx-check": (cmd_approx_check, "closed-form cosine-sum approximation table"),
+    "pe-series": (cmd_pe_series, "excitation probability time series",
+                  ("--format", "--nmax", "--dt", "--with-oracle")),
+    "period-sweep": (cmd_period_sweep, "revival period vs temperature",
+                     ("--format", "--nmax", "--dt")),
+    "coherence-map": (cmd_coherence_map, "relative entropy of coherence over (t, 1/beta)",
+                      ("--format", "--nmax", "--dt")),
+    "oracle-validate": (cmd_oracle_validate, "series-vs-exact validation report (JSON)", ()),
+    "approx-check": (cmd_approx_check, "closed-form cosine-sum approximation table",
+                     ("--format", "--dt")),
 }
 
 
@@ -515,19 +555,20 @@ def main(argv=None) -> int:
         prog="thermaljcm",
         description="Finite-temperature multiphoton Jaynes-Cummings dynamics")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in COMMANDS.items():
-        _add_common(subs.add_parser(name, help=help_text))
+    for name, (_, help_text, flags) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        sub.add_argument("--preset", choices=PRESETS, help="named figure preset")
+        sub.add_argument("--config", help="path to a JSON configuration document")
+        sub.add_argument("--out", help="output path (default: stdout)")
+        for flag in flags:
+            field, keywords = FLAGS[flag]
+            sub.add_argument(flag, **{"help": f"sets {field}", **keywords})
     args = parser.parse_args(argv)
     handler = COMMANDS[args.command][0]
     try:
         config = _load_config(args)
         if config is None and args.command != "oracle-validate":
             raise ConfigError("config: pass --preset or --config")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 return handler(config, fh)
@@ -535,6 +576,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -20,6 +20,7 @@ __all__ = [
     "EigenvalueTable",
     "bogoliubov_angles",
     "thermal_from_inv_beta",
+    "thermal_mean_photon",
     "tau1",
     "t0_period",
     "t0_prime_period",
@@ -122,6 +123,15 @@ def thermal_from_inv_beta(inv_beta: float, params: ModelParams) -> ThermalParams
         raise ValueError("temperature must be >= 0")
     beta = math.inf if inv_beta == 0 else 1.0 / inv_beta
     return bogoliubov_angles(beta, params.omega, params.omega0)
+
+
+def thermal_mean_photon(params: ModelParams, theta: float) -> float:
+    """Mean photon number |alpha|^2 e^(2 theta) + sinh^2 theta of the thermal
+    coherent state at Bogoliubov angle theta, to all orders in theta.
+
+    In Python floats: a mean past the float range raises OverflowError.
+    """
+    return params.abs_alpha_sq * math.exp(2.0 * theta) + math.sinh(theta) ** 2
 
 
 class EigenvalueTable:

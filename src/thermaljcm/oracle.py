@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .model import EigenvalueTable, ModelParams, ThermalParams, _osc_pair
+from .model import EigenvalueTable, ModelParams, ThermalParams, _osc_pair, thermal_mean_photon
 
 __all__ = [
     "FockTruncation",
@@ -94,7 +94,7 @@ class FockTruncation:
         """
         th = 0.0 if thermal is None else thermal.theta
         try:
-            mean = params.abs_alpha_sq * math.exp(2.0 * th) + math.sinh(th) ** 2
+            mean = thermal_mean_photon(params, th)
             n = math.ceil(mean + 8.0 * math.sqrt(mean + 1.0) + params.l + 5)
         except OverflowError:
             raise ValueError("the automatic n_fock is past the float range") from None

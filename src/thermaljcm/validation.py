@@ -20,7 +20,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import oracle, perturbation
-from .model import ModelParams, ThermalParams, bogoliubov_angles, thermal_from_inv_beta
+from .model import (
+    ModelParams,
+    ThermalParams,
+    bogoliubov_angles,
+    thermal_from_inv_beta,
+    thermal_mean_photon,
+)
 from .oracle import FockTruncation
 from .perturbation import SeriesTables, TruncationPolicy
 
@@ -225,7 +231,7 @@ def _check_thermal_states(cut: SuiteCutoffs) -> list[dict]:
     # thermal coherent state mean photon number
     phi = oracle.thermal_coherent_state(params.alpha, theta, trunc)
     nbar = float(np.sum(np.arange(trunc.n_fock)[:, None] * np.abs(phi) ** 2))
-    target = params.abs_alpha_sq * math.exp(2.0 * theta) + math.sinh(theta) ** 2
+    target = thermal_mean_photon(params, theta)
     err_n = abs(nbar - target)
     checks.append({"name": "thermal_coherent_mean_photon", "passed": err_n < 1e-6,
                    "error": float(err_n), "mean_photon": nbar})

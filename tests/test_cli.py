@@ -1,7 +1,13 @@
 """CLI: config parsing, presets, table emission, exit codes, determinism."""
 
+import dataclasses
+import io
 import json
 import math
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +74,33 @@ FIELD_PATHS = [
 ]
 
 
+def huge_amplitude_doc(l, alpha, g=1.0, t_stop=1e-148):
+    """A two-interval grid at zero temperature with every Poisson weight of
+    the n_max = 40 series underflowed to 0."""
+    doc = small_config(thermal={"inv_beta": 0.0},
+                       grid={"t_start": 0.0, "t_stop": t_stop, "dt": t_stop / 2},
+                       truncation={"n_max": 40, "tail_tol": 1.0})
+    doc["model"].update(l=l, alpha=alpha, g=g)
+    return doc
+
+
+#: documents whose series prefactors are past the float range, and the field
+#: to blame: 4 |alpha|^4, g^2 |alpha|^(2l) and |alpha|^(2l) at l = 4
+HUGE_AMPLITUDES = [
+    ({"l": 1, "alpha": 1e150}, "model.alpha"),
+    ({"l": 1, "alpha": 1e9, "g": 1e150}, "model.g"),
+    ({"l": 4, "alpha": 1e40, "t_stop": 1e-38}, "model.alpha"),
+]
+
+
+def run_cli(argv):
+    """Exit code and stdout of an in-process run; stderr is dropped."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    return rc, out.getvalue()
+
+
 def assert_rejected_or_usable(doc):
     """parse_config raises ConfigError, or its config evaluates what every
     command derives from it."""
@@ -86,6 +119,11 @@ class TestConfigParsing:
         again = parse_config(cfg.canonical())
         assert again == cfg
         assert again.canonical() == cfg.canonical()
+
+    def test_parsed_config_is_frozen(self):
+        cfg = parse_config(small_config())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.dt = 0.25
 
     def test_complex_amplitude(self):
         doc = small_config()
@@ -592,3 +630,147 @@ class TestErrorPaths:
         assert rc == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1 + 5  # header + grid at the overridden dt
+
+    @pytest.mark.parametrize("command", ["pe-series", "coherence-map"])
+    @pytest.mark.parametrize("fields, field", HUGE_AMPLITUDES)
+    def test_series_prefactors_past_the_float_range_exit_2(self, tmp_path, capsys,
+                                                            monkeypatch, command, fields,
+                                                            field):
+        # the Poisson weights underflow to 0, and an infinite prefactor would
+        # turn the zero sums into nan, or aa**l would raise OverflowError
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a series table")
+
+        monkeypatch.setattr(thermaljcm.perturbation, "series_tables", refuse)
+        doc = huge_amplitude_doc(**fields)
+        assert main([command, "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert field in err and "series prefactors" in err
+
+
+#: the (command, flag) pairs that change no output, so are not registered
+UNREAD_FLAGS = [
+    ("period-sweep", ["--with-oracle"]),
+    ("coherence-map", ["--with-oracle"]),
+    ("approx-check", ["--nmax", "60"]),
+    ("approx-check", ["--with-oracle"]),
+    ("oracle-validate", ["--format", "csv"]),
+    ("oracle-validate", ["--nmax", "5"]),
+    ("oracle-validate", ["--dt", "9"]),
+    ("oracle-validate", ["--with-oracle"]),
+]
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--preset", "fig1a", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_flags_equal_their_document_fields(self, tmp_path):
+        doc = small_config(grid={"t_start": 0.0, "t_stop": 1.0, "dt": 0.5})
+        doc["truncation"]["adaptive"] = True
+        outs = [tmp_path / name for name in ("flags.json", "fields.json", "doc.json")]
+        assert main(["pe-series", "--config", write_config(tmp_path, doc),
+                     "--nmax", "60", "--dt", "0.25", "--format", "json",
+                     "--out", str(outs[0])]) == EXIT_OK
+        fields = json.loads(json.dumps(doc))
+        fields["truncation"].update(n_max=60, adaptive=False)
+        fields["grid"]["dt"] = 0.25
+        fields["output"] = {"format": "json"}
+        assert main(["pe-series", "--config", write_config(tmp_path, fields, "fields.json"),
+                     "--out", str(outs[1])]) == EXIT_OK
+        assert main(["pe-series", "--config", write_config(tmp_path, doc, "doc.json"),
+                     "--format", "json", "--out", str(outs[2])]) == EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes() != outs[2].read_bytes()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--dt", "inf", "grid.dt: expected a finite number"),
+        ("--dt", "nan", "grid.dt: expected a finite number"),
+        ("--dt", "-0.5", "grid.dt: must be positive"),
+        ("--nmax", "0", "truncation.n_max: must be an integer >= 1"),
+    ])
+    def test_bad_flag_value_is_named_by_its_field(self, capsys, flag, value, message):
+        assert main(["pe-series", "--preset", "fig1a", flag, value]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["missing", None, {}, False])
+    def test_missing_or_empty_section_takes_the_flag(self, tmp_path, capsys, section):
+        doc = small_config(grid=section)
+        if section == "missing":
+            del doc["grid"]  # default grid: 1.35 revival periods, pi at l = 2
+        path = write_config(tmp_path, doc)
+        assert main(["pe-series", "--config", path, "--dt", "0.5"]) == EXIT_OK
+        t = [float(line.split(",")[0]) for line in capsys.readouterr().out.splitlines()[1:]]
+        assert t == [0.5 * i for i in range(9)]
+
+    @pytest.mark.parametrize("doc, field", [
+        (small_config(grid=[0.5]), "grid: must be an object"),
+        ([small_config()], "config: document must be a JSON object"),
+    ])
+    def test_malformed_document_or_section_is_left_for_the_parser(self, tmp_path, capsys,
+                                                                    doc, field):
+        path = write_config(tmp_path, doc)
+        assert main(["pe-series", "--config", path, "--dt", "0.5"]) == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
+
+def log_uniform(top):
+    """Magnitudes from 1e-6 to ``top``, uniform in the exponent, or zero."""
+    return st.just(0.0) | st.floats(-6.0, math.log10(top)).map(lambda e: 10.0**e)
+
+
+SIGNED = st.tuples(log_uniform(1e200), st.sampled_from([1.0, -1.0])).map(
+    lambda pair: pair[0] * pair[1])
+
+
+class TestFiniteOutput:
+    """No series command exits 0 with a non-finite number in its table.
+
+    ``period-sweep`` and ``approx-check`` are left out: their grids and
+    truncations scale with |alpha|^2, so a large amplitude asks for more
+    samples than fit in memory.  Every example has at most 50 time samples
+    and n_max <= 60.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(command=st.sampled_from(["pe-series", "coherence-map"]),
+           l=st.integers(1, 6), n_max=st.integers(1, 60),
+           alpha=SIGNED | st.lists(SIGNED, min_size=2, max_size=2),
+           g=log_uniform(1e200), inv_beta=st.floats(0.0, 1e3),
+           tail_tol=st.floats(0.0, 1.0), t_start=st.floats(0.0, 100.0),
+           dt=log_uniform(10.0).filter(lambda v: v > 0), k=st.integers(0, 49))
+    @example(command="pe-series", l=1, n_max=40, alpha=1e150, g=1.0, inv_beta=0.0,
+             tail_tol=1.0, t_start=0.0, dt=5e-149, k=2)
+    @example(command="coherence-map", l=1, n_max=40, alpha=1e150, g=1.0, inv_beta=0.0,
+             tail_tol=1.0, t_start=0.0, dt=5e-149, k=2)
+    @example(command="pe-series", l=1, n_max=40, alpha=1e9, g=1e150, inv_beta=0.0,
+             tail_tol=1.0, t_start=0.0, dt=5e-149, k=2)
+    @example(command="coherence-map", l=1, n_max=40, alpha=1e9, g=1e150, inv_beta=0.0,
+             tail_tol=1.0, t_start=0.0, dt=5e-149, k=2)
+    @example(command="pe-series", l=4, n_max=40, alpha=1e40, g=1.0, inv_beta=0.0,
+             tail_tol=1.0, t_start=0.0, dt=5e-39, k=2)
+    @example(command="coherence-map", l=4, n_max=40, alpha=1e40, g=1.0, inv_beta=0.0,
+             tail_tol=1.0, t_start=0.0, dt=5e-39, k=2)
+    def test_exit_0_means_every_number_is_finite(self, command, l, n_max, alpha, g,
+                                                 inv_beta, tail_tol, t_start, dt, k):
+        doc = {
+            "schema": 1,
+            "model": {"l": l, "g": g, "omega0": 1.0, "omega": 1.0, "alpha": alpha},
+            "thermal": {"inv_beta": inv_beta},
+            "grid": {"t_start": t_start, "t_stop": t_start + k * dt, "dt": dt},
+            "truncation": {"n_max": n_max, "tail_tol": tail_tol},
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_config(Path(tmp), doc)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", thermaljcm.perturbation.TruncationWarning)
+                rc, out = run_cli([command, "--config", path])
+        assert rc in (EXIT_OK, EXIT_CONFIG)
+        if rc == EXIT_OK:
+            rows = out.splitlines()[1:]
+            assert 1 <= len(rows) <= 50
+            cells = [float(v) for row in rows for v in row.split(",")]
+            assert all(math.isfinite(v) for v in cells)

@@ -16,6 +16,7 @@ from thermaljcm.model import (
     t0_prime_period,
     tau1,
     thermal_from_inv_beta,
+    thermal_mean_photon,
 )
 
 
@@ -115,6 +116,19 @@ class TestBogoliubovAngles:
                           th.cos_atom, th.sin_atom):
                 assert math.isfinite(value)
         assert cold.theta == 0.0  # e^(beta omega) overflows cleanly to zero angle
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0, 10.0])
+    def test_thermal_mean_photon_of_the_vacuum_is_bose_einstein(self, beta):
+        th = bogoliubov_angles(beta, 1.0, 1.0).theta
+        assert thermal_mean_photon(make_params(alpha=0.0), th) == pytest.approx(
+            1.0 / math.expm1(beta), rel=1e-12)
+
+    @pytest.mark.parametrize("th", [0.0, 1e-3, 1e-2, 0.05])
+    def test_thermal_mean_photon_to_second_order_is_the_t0_prime_mean(self, th):
+        params = make_params(alpha=1.5 - 0.5j)
+        second_order = params.abs_alpha_sq * (1.0 + 2.0 * th + 2.0 * th * th) + th * th
+        assert abs(thermal_mean_photon(params, th) - second_order) <= (
+            2.0 * params.abs_alpha_sq * th**3)
 
 
 class TestEigenvalueTable:
