@@ -103,6 +103,13 @@ class SweepRow:
         return self.period is None
 
 
+def _cos_sum_n_max(alpha: complex) -> int:
+    """Last photon number of :func:`approx_cos_sum`'s sum: the Poisson mean
+    |alpha|^2 plus 12 standard deviations and 10."""
+    aa = abs(alpha) ** 2
+    return math.ceil(aa + 12.0 * math.sqrt(aa + 1.0) + 10)
+
+
 def approx_cos_sum(alpha: complex, l: int, g: float, t):
     """Both sides of the stationary-phase closed form for the Poisson cosine sum.
 
@@ -113,7 +120,7 @@ def approx_cos_sum(alpha: complex, l: int, g: float, t):
     if alpha == 0:
         raise ValueError("approximation requires alpha != 0")
     aa = abs(alpha) ** 2
-    n_max = math.ceil(aa + 12.0 * math.sqrt(aa + 1.0) + 10)
+    n_max = _cos_sum_n_max(alpha)
     w = np.exp(poisson_log_weight(np.arange(n_max + 1), alpha))
     t = np.asarray(t, dtype=float)
     m_pow = np.arange(n_max + 1, dtype=float) ** (l / 2.0)

@@ -21,6 +21,7 @@ from . import oracle, perturbation, validation
 from .analysis import (
     MIN_SAMPLES_PER_CYCLE,
     SAMPLES_PER_CYCLE,
+    _cos_sum_n_max,
     approx_cos_sum,
     period_vs_temperature_sweep,
 )
@@ -42,6 +43,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_NO_REVIVAL = 4
+
+#: the most time samples a grid may have, and the most (time, photon) cells
+#: of a table a command holds in memory at once (approx-check's); past it a
+#: command exits 2 and names the field.  2^24 samples of 8 bytes are 128 MiB.
+SAMPLE_LIMIT = 1 << 24
 
 
 class ConfigError(ValueError):
@@ -353,14 +359,24 @@ def _coerce_json(value):
     return value
 
 
-def _default_pe_grid(config: RunConfig) -> np.ndarray:
+def _grid_samples(config: RunConfig) -> tuple[float, float, int]:
+    """(t_start, dt, sample count) of the time grid, with the defaults filled
+    in; the count is formed in floats and may not exceed ``SAMPLE_LIMIT``."""
     t0 = config.t_start if config.t_start is not None else 0.0
     try:  # the defaults scale with periods that g = 0 or alpha = 0 leave undefined
         t1 = config.t_stop if config.t_stop is not None else 1.35 * t0_period(config.params)
         dt = config.dt if config.dt is not None else rabi_period(config.params) / SAMPLES_PER_CYCLE
     except ValueError as exc:
         raise ConfigError(f"grid: t_stop and dt have no default here, {exc}") from exc
-    n = max(int(math.floor((t1 - t0) / dt + 0.5)), 0) + 1
+    last = (t1 - t0) / dt + 0.5  # inf when t_stop - t_start is past the float range
+    _expect(last < SAMPLE_LIMIT, "grid",
+            f"t_start {t0:.6g}, t_stop {t1:.6g} and dt {dt:.6g} give {last:.3g} time "
+            f"samples, more than the limit of {SAMPLE_LIMIT}")
+    return t0, dt, max(math.floor(last), 0) + 1
+
+
+def _default_pe_grid(config: RunConfig) -> np.ndarray:
+    t0, dt, n = _grid_samples(config)
     return t0 + dt * np.arange(n)
 
 
@@ -455,7 +471,13 @@ def cmd_approx_check(config: RunConfig, stream) -> int:
     params = config.params
     if params.alpha == 0:
         raise ConfigError("model.alpha: approx-check requires alpha != 0")
-    t = _default_pe_grid(config)
+    # the cosine sum holds a (time, photon) table in memory at once
+    t0, dt, n = _grid_samples(config)
+    photons = _cos_sum_n_max(params.alpha) + 1
+    _expect(n * photons <= SAMPLE_LIMIT, "model.alpha",
+            f"alpha = {params.alpha}: approx-check's table of {n} time samples x "
+            f"{photons} photon numbers is larger than the limit of {SAMPLE_LIMIT} cells")
+    t = t0 + dt * np.arange(n)
     lhs, rhs = approx_cos_sum(params.alpha, params.l, params.g, t)
     _write_table(stream, ["t", "lhs", "rhs", "abs_dev"], [t, lhs, rhs, np.abs(lhs - rhs)],
                  config.out_format)

@@ -3,7 +3,10 @@
 The atomic state is carried as arrays of (rho00, |rho01|): rho11 = 1 - rho00
 and rho10 = conj(rho01) are implied, index 0 is the excited level, and the
 coherence does not depend on the phase of rho01.  C = S(rho_diag) - S(rho)
-in the atomic energy basis, computed from the closed-form qubit eigenvalues.
+in the atomic energy basis, computed from the closed-form qubit eigenvalues
+with numpy's ``log`` (0 ln 0 := 0).  On hosts where numpy's SIMD ``log``
+rounds some inputs differently from libm's, a coherence far below the two
+entropies it is the difference of can move in its last printed digits.
 Perturbative inputs can leave the physical set slightly;
 :func:`project_values` clamps the population and clips |rho01| to the
 positivity boundary, and :func:`physical_population` classifies a raw
@@ -15,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import xlogy
 
 __all__ = [
     "PHYS_EPS",
@@ -39,8 +41,14 @@ def physical_population(rho00):
     return (rho00 >= -PHYS_EPS) & (rho00 <= 1.0 + PHYS_EPS)
 
 
+def _x_log_x(x):
+    """x ln x elementwise, 0 where x = 0."""
+    zero = x == 0.0
+    return np.where(zero, 0.0, x * np.log(np.where(zero, 1.0, x)))
+
+
 def _binary_entropy(x):
-    return -xlogy(x, x) - xlogy(1.0 - x, 1.0 - x)
+    return -_x_log_x(x) - _x_log_x(1.0 - x)
 
 
 def coherence_values(rho00, abs_rho01):

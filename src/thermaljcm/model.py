@@ -5,6 +5,11 @@ l-th power of the cavity annihilation operator.  In the interaction picture
 the propagator is block diagonal on the pairs {|e,n>, |g,n+l>}; everything
 here is expressed through the Rabi eigenvalues of those 2x2 blocks and the
 temperature-dependent Bogoliubov angles of the thermal vacuum.
+
+:func:`_log_gamma` is the package's one log-gamma: a port of the cephes
+``lgam`` behind ``scipy.special.gammaln`` (the same coefficients and branch
+at 13, with libm's ``log`` through :func:`math.log`), so the Poisson weights
+keep scipy's bits without importing it.
 """
 
 from __future__ import annotations
@@ -168,6 +173,63 @@ class EigenvalueTable:
         self.sqrt_d_prime = np.sqrt(self.d_prime)
         for arr in (self.d, self.d_prime, self.sqrt_d, self.sqrt_d_prime):
             arr.setflags(write=False)
+
+
+#: cephes ``lgam`` coefficients: the Stirling correction (A) and the rational
+#: approximation on [2, 3) (numerator B, monic denominator C)
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+           7.93650340457716943945e-4, -2.77777777730099687205e-3,
+           8.33333333333331927722e-2)
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4,
+           -3.31612992738871184744e5, -1.16237097492762307383e6,
+           -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LGAM_C = (-3.51815701436523470549e2, -1.70642106651881159223e4,
+           -2.20528590553854454839e5, -1.13933444367982507207e6,
+           -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LOG_SQRT_2PI = 0.91893853320467274178
+
+
+def _horner(x: float, coef, monic: bool = False) -> float:
+    """cephes ``polevl`` (``p1evl`` with ``monic``): the polynomial with
+    coefficients ``coef``, highest power first, in Horner's order."""
+    ans = x + coef[0] if monic else coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _lgam(x: float) -> float:
+    """ln Gamma(x) for one float x > 0, operation for operation as cephes."""
+    if x < 13.0:
+        # shift into [2, 3), carrying the product of the shifts in z
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x += p - 2.0
+        return math.log(z) + x * _horner(x, _LGAM_B) / _horner(x, _LGAM_C, monic=True)
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + _horner(p, _LGAM_A) / x
+
+
+def _log_gamma(x) -> np.ndarray:
+    """ln Gamma elementwise over an array of floats > 0; bitwise equal to
+    ``scipy.special.gammaln`` there."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(_lgam, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _osc_pair(sqrt_d: np.ndarray, d: np.ndarray, t, half_delta: float):

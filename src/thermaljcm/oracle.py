@@ -24,7 +24,9 @@ doubled-space state at O(n_fock^2) per sample; they are the reference that
 :mod:`thermaljcm.validation` and the tests read exact values from.
 
 This module is the validation oracle for every perturbative series in
-:mod:`thermaljcm.perturbation`.
+:mod:`thermaljcm.perturbation`.  Its matrix exponentials are scipy's
+(:func:`expm`), and scipy is imported on the first one: importing this
+module, as ``import thermaljcm`` does, loads no scipy module.
 """
 
 from __future__ import annotations
@@ -33,9 +35,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .model import EigenvalueTable, ModelParams, ThermalParams, _osc_pair, thermal_mean_photon
+from .model import (
+    EigenvalueTable,
+    ModelParams,
+    ThermalParams,
+    _log_gamma,
+    _osc_pair,
+    thermal_mean_photon,
+)
 
 __all__ = [
     "FockTruncation",
@@ -151,6 +159,14 @@ def two_mode_squeezed_vacuum(theta: float, trunc: FockTruncation) -> np.ndarray:
     return out
 
 
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential, ``scipy.linalg.expm``; scipy is imported on the
+    first call, so importing this module does not load it."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
+
+
 def _ladder(n: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, n, dtype=float)), 1)
 
@@ -182,9 +198,7 @@ def coherent_state_vector(alpha: complex, n_fock: int) -> np.ndarray:
         out = np.zeros(n_fock, dtype=complex)
         out[0] = 1.0
         return out
-    from scipy.special import gammaln
-
-    log_mag = -abs(alpha) ** 2 / 2.0 + n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1.0)
+    log_mag = -abs(alpha) ** 2 / 2.0 + n * math.log(abs(alpha)) - 0.5 * _log_gamma(n + 1.0)
     return np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
 
 

@@ -37,6 +37,10 @@ ascending-n order whichever chunk or thread holds it, so the output bytes do
 not depend on the number of CPUs.  The workers call no public function of
 any layer (their bodies use numpy and ``model._osc_pair`` only), so a tracer
 that wraps ``__all__`` sees one call per build.
+
+No scipy: the log-factorials of the weights come from ``model._log_gamma``,
+which keeps the bits of ``scipy.special.gammaln``, and the Poisson tail mass
+of the truncation warning is a bounded log-domain sum.
 """
 
 from __future__ import annotations
@@ -48,9 +52,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
-from .model import EigenvalueTable, ModelParams, ThermalParams, _osc_pair
+from .model import EigenvalueTable, ModelParams, ThermalParams, _log_gamma, _osc_pair
 
 __all__ = [
     "TruncationPolicy",
@@ -61,6 +64,9 @@ __all__ = [
 ]
 
 DEFAULT_TAIL_TOL = 1e-9
+
+#: Poisson terms per step of :meth:`TruncationPolicy.tail_mass`
+_TAIL_CHUNK = 4096
 
 #: time rows of the (t, n) workspaces, summed over the worker threads; keeps
 #: the trig tables under ~50 MB without affecting any per-time-point result
@@ -108,8 +114,35 @@ class TruncationPolicy:
         return cls(n_max=n_max, tail_tol=tail_tol)
 
     def tail_mass(self, alpha: complex) -> float:
-        """Poisson probability mass above n_max for intensity |alpha|^2."""
-        return float(gammainc(self.n_max + 1, abs(alpha) ** 2))
+        """Poisson probability mass above n_max for intensity |alpha|^2.
+
+        Summed in the log domain from the cut away from the mean, where the
+        terms only fall: upward from n_max + 1 when that is above |alpha|^2,
+        else downward from n_max, subtracted from 1.  The sum stops once a
+        term is below e^-50 of it, after O(n_max + |alpha|) terms taken
+        ``_TAIL_CHUNK`` at a time, so no array grows with |alpha|^2.
+        """
+        aa = abs(alpha) ** 2
+        if aa == 0.0:
+            return 0.0
+        upward = self.n_max + 1 > aa
+        k = self.n_max + 1 if upward else self.n_max
+        log_aa = math.log(aa)
+        log_first = k * log_aa - aa - float(_log_gamma(k + 1.0))
+        rel_sum, log_last = 1.0, 0.0  # sum and last term, both over the first
+        while log_last > math.log(rel_sum) - 50.0 and (upward or k > 0):
+            if upward:  # term k+1 over term k is aa/(k+1)
+                steps = np.arange(k + 1, k + 1 + _TAIL_CHUNK, dtype=float)
+                log_ratio = log_aa - np.log(steps)
+            else:  # term k-1 over term k is k/aa
+                steps = np.arange(k, max(k - _TAIL_CHUNK, 0), -1, dtype=float)
+                log_ratio = np.log(steps) - log_aa
+            logs = log_last + np.cumsum(log_ratio)
+            rel_sum += float(np.sum(np.exp(logs)))
+            log_last = float(logs[-1])
+            k += steps.size if upward else -steps.size
+        mass = math.exp(log_first + math.log(rel_sum))
+        return mass if upward else 1.0 - mass
 
     def warn_if_leaky(self, alpha: complex) -> None:
         tol = self.tail_tol if self.tail_tol is not None else DEFAULT_TAIL_TOL
@@ -133,7 +166,7 @@ def poisson_log_weight(n, alpha: complex):
     if aa == 0.0:
         out = np.where(n_arr == 0, 0.0, -np.inf)
     else:
-        out = n_arr * math.log(aa) - gammaln(n_arr + 1.0) - aa
+        out = n_arr * math.log(aa) - _log_gamma(n_arr + 1.0) - aa
     return float(out) if np.ndim(n) == 0 else out
 
 
@@ -274,13 +307,15 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
     t_arr = np.asarray(t, dtype=float)
     if t_arr.ndim != 1:
         raise ValueError("time must be a 1-d array")
-    trunc.warn_if_leaky(params.alpha)
     n_max = trunc.n_max
     l = params.l
     n_cols = n_max + 1
     n_pe = n_max + 3  # columns n + k, k <= 2, of the S sums and the coherence products
     n_shift = min(l, n_pe)  # structurally zero D' columns
+    # the table first: a cut too large to tabulate fails here at once, before
+    # the tail sum spends O(|alpha|) work on it
     table = EigenvalueTable(params, n_max + l + 2 if coherence else n_max + 2)
+    trunc.warn_if_leaky(params.alpha)
     w = np.exp(poisson_log_weight(np.arange(n_max + 1), params.alpha))
     half_delta = params.delta / 2.0
     half_delta_sq = half_delta**2

@@ -22,7 +22,9 @@ from thermaljcm.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     PRESETS,
+    SAMPLE_LIMIT,
     ConfigError,
+    _grid_samples,
     build_preset,
     main,
     parse_config,
@@ -630,6 +632,34 @@ class TestErrorPaths:
         assert rc == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1 + 5  # header + grid at the overridden dt
+
+    @pytest.mark.parametrize("command", ["pe-series", "coherence-map", "approx-check"])
+    @pytest.mark.parametrize("grid", [
+        {"t_start": -1e308, "t_stop": 1e308, "dt": 1.0},  # t_stop - t_start is inf
+        {"t_start": 0.0, "t_stop": 1.0, "dt": 1e-300},  # 1e300 samples
+    ])
+    def test_grid_past_the_sample_limit_exits_2(self, tmp_path, capsys, command, grid):
+        doc = small_config(grid=grid)
+        assert main([command, "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        assert "grid: " in capsys.readouterr().err
+
+    def test_grid_sample_count_stops_at_the_limit(self):
+        cfg = parse_config(small_config(
+            grid={"t_start": 0.0, "t_stop": SAMPLE_LIMIT - 1.0, "dt": 1.0}))
+        assert _grid_samples(cfg) == (0.0, 1.0, SAMPLE_LIMIT)
+        with pytest.raises(ConfigError, match="^grid: "):
+            _grid_samples(dataclasses.replace(cfg, t_stop=float(SAMPLE_LIMIT)))
+
+    def test_approx_check_table_past_the_limit_exits_2(self, tmp_path, capsys):
+        # the cosine sum runs to n = 1e10 + 1.2e6 at alpha 1e5: without the
+        # limit, numpy is asked for a 74.5 GiB table
+        doc = small_config(grid={"t_start": 0.0, "t_stop": 1.0, "dt": 0.5})
+        doc["model"]["alpha"] = 1e5
+        out = tmp_path / "out.csv"
+        argv = ["approx-check", "--config", write_config(tmp_path, doc), "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert "model.alpha" in capsys.readouterr().err
+        assert out.read_text() == ""
 
     @pytest.mark.parametrize("command", ["pe-series", "coherence-map"])
     @pytest.mark.parametrize("fields, field", HUGE_AMPLITUDES)

@@ -12,6 +12,10 @@ record new hashes.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -125,3 +129,47 @@ def test_oracle_validate_report_matches_golden(tmp_path):
     out = tmp_path / "oracle_validate.json"
     assert main(["oracle-validate", "--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ORACLE_VALIDATE_SHA256
+
+
+#: run in a fresh interpreter: the series commands, then oracle-validate, with
+#: a check after each series command that no scipy module is loaded
+SCIPY_FREE_SCRIPT = """
+import hashlib, json, sys
+import thermaljcm.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+assert scipy_modules() == [], scipy_modules()
+digests = {}
+for name, command, config, out in json.loads(sys.argv[1]):
+    assert cli.main([command, "--config", config, "--format", "csv", "--out", out]) == 0
+    assert scipy_modules() == [], (command, scipy_modules())
+    digests[name] = hashlib.sha256(open(out, "rb").read()).hexdigest()
+assert cli.main(["oracle-validate", "--out", sys.argv[2]]) == 0
+digests["oracle-validate"] = hashlib.sha256(open(sys.argv[2], "rb").read()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def test_series_commands_load_no_scipy(tmp_path):
+    # import thermaljcm.cli, pe-series (no oracle), period-sweep and
+    # coherence-map load no scipy module and keep their golden bytes; the
+    # exact solver imports scipy.linalg on its first exponential
+    runs = []
+    for name in ("pe_series_l3_complex", "period_sweep_l2", "coherence_map_l2"):
+        command, doc = CASES[name]
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        runs.append((name, command, str(cfg), str(tmp_path / f"{name}.csv")))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_SCRIPT, json.dumps(runs),
+         str(tmp_path / "report.json")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    digests = json.loads(proc.stdout)
+    assert digests.pop("oracle-validate") == ORACLE_VALIDATE_SHA256
+    assert digests == {name: GOLDEN[f"{name}.csv"] for name, *_ in runs}
