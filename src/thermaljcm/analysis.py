@@ -223,6 +223,19 @@ def extract_revival_period(series: TimeSeries, params: ModelParams,
     return series.t0 + (peak + shift) * series.dt
 
 
+def _row_samples(prior: float, dt: float) -> float:
+    """Sample count of a sweep row's grid, ceil(SPAN_FACTOR x prior / dt) + 1,
+    formed in floats: exact below 2^53, inf past the float range."""
+    return float(np.ceil(SPAN_FACTOR * prior / dt)) + 1.0
+
+
+def _sweep_samples(params: ModelParams, inv_betas, dt: float) -> float:
+    """Sample count of the longest row of :func:`period_vs_temperature_sweep`
+    at dt, the grid its one table build covers, as a float; 0 for no rows."""
+    return max((_row_samples(t0_prime_period(params, thermal_from_inv_beta(ib, params)), dt)
+                for ib in inv_betas), default=0.0)
+
+
 def period_vs_temperature_sweep(params: ModelParams, inv_betas, trunc: TruncationPolicy,
                                 *, dt: float | None = None) -> list[SweepRow]:
     """Extract the revival period at each temperature of a 1/beta grid.
@@ -240,9 +253,9 @@ def period_vs_temperature_sweep(params: ModelParams, inv_betas, trunc: Truncatio
         dt = rabi_period(params) / SAMPLES_PER_CYCLE
     thermals = [thermal_from_inv_beta(inv_beta, params) for inv_beta in inv_betas]
     priors = [t0_prime_period(params, thermal) for thermal in thermals]
-    spans = [int(math.ceil(SPAN_FACTOR * prior / dt)) + 1 for prior in priors]
-    if not spans:
+    if not priors:
         return []
+    spans = [int(_row_samples(prior, dt)) for prior in priors]
     tables = perturbation.series_tables(dt * np.arange(max(spans)), params, trunc,
                                         coherence=False)
     quantum = tau1(params)

@@ -22,6 +22,7 @@ from .analysis import (
     MIN_SAMPLES_PER_CYCLE,
     SAMPLES_PER_CYCLE,
     _cos_sum_n_max,
+    _sweep_samples,
     approx_cos_sum,
     period_vs_temperature_sweep,
 )
@@ -44,9 +45,11 @@ EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_NO_REVIVAL = 4
 
-#: the most time samples a grid may have, and the most (time, photon) cells
-#: of a table a command holds in memory at once (approx-check's); past it a
-#: command exits 2 and names the field.  2^24 samples of 8 bytes are 128 MiB.
+#: the most time samples a grid may have (a period sweep's longest row
+#: included), the most photon columns of a series table, and the most
+#: (time, photon) cells of a table a command holds in memory at once
+#: (approx-check's); past it a command exits 2 and names the field.  2^24
+#: samples of 8 bytes are 128 MiB.
 SAMPLE_LIMIT = 1 << 24
 
 
@@ -260,7 +263,14 @@ def parse_config(data: dict) -> RunConfig:
                        t_stop=t_stop, dt=dt, n_max=n_max_raw, tail_tol=tail_tol,
                        adaptive=adaptive, with_oracle=with_oracle, n_fock=n_fock,
                        out_format=out_format)
-    _check_eigenvalue_range(params, config.trunc.n_max + params.l + 2, "truncation.n_max")
+    # a series table has a column per photon number m = 0 .. n_max + l + 2
+    top = config.trunc.n_max + params.l + 2
+    if top >= SAMPLE_LIMIT:
+        source = f"model.alpha: alpha = {alpha} sets" if adaptive else "truncation.n_max:"
+        raise ConfigError(f"{source} n_max = {config.trunc.n_max} at l = {params.l}: the "
+                          f"series tables would have {top + 1} photon columns, more than "
+                          f"the limit of {SAMPLE_LIMIT}")
+    _check_eigenvalue_range(params, top, "truncation.n_max")
     _check_series_prefactors(params)
     return config
 
@@ -434,6 +444,13 @@ def cmd_period_sweep(config: RunConfig, stream) -> int:
     dt_max = rabi_period(params) / MIN_SAMPLES_PER_CYCLE
     _expect(config.dt is None or config.dt <= dt_max, "grid.dt",
             f"{config.dt} too coarse for period extraction; need <= {dt_max:.3g}")
+    # the sweep builds one table, on its longest row's grid; the default dt
+    # follows alpha
+    dt = config.dt if config.dt is not None else rabi_period(params) / SAMPLES_PER_CYCLE
+    samples = _sweep_samples(params, config.inv_betas, dt)
+    _expect(samples < SAMPLE_LIMIT, "grid.dt" if config.dt is not None else "model.alpha",
+            f"the longest sweep row at alpha = {params.alpha}, dt = {dt:.6g} has "
+            f"{samples:.3g} time samples, more than the limit of {SAMPLE_LIMIT}")
     sweep = period_vs_temperature_sweep(params, config.inv_betas, config.trunc,
                                         dt=config.dt)
     periods = [math.nan if row.no_revival else row.period for row in sweep]

@@ -28,15 +28,19 @@ about 4e9); past it, both are roundings of the same exact value.
 
 Threads: a build runs its time chunks on one worker thread per CPU in the
 process's affinity mask (``os.sched_getaffinity``), but on no more workers
-than give each one ``_MIN_WORKER_CELLS`` cells of the (t, n) trig table;
-a smaller build runs in the calling thread alone.  The workers split the
-``_T_CHUNK`` workspace rows between them, worker 0 is the calling thread,
-and worker i takes chunks i, i + workers, ...; each chunk writes only its
-own time columns.  A time sample is reduced on its own in the same
-ascending-n order whichever chunk or thread holds it, so the output bytes do
-not depend on the number of CPUs.  The workers call no public function of
-any layer (their bodies use numpy and ``model._osc_pair`` only), so a tracer
-that wraps ``__all__`` sees one call per build.
+than give each one ``_MIN_WORKER_CELLS`` cells of the first ``_T_CHUNK``
+rows of the (t, n) trig table; a smaller build runs in the calling thread
+alone.  A chunk has at most ``_T_CHUNK`` / workers rows, and no more than fit
+in ``_TILE_CELLS`` (t, n) cells, so each worker's workspace of five float
+tables stays cache-sized whatever the grid length.  It is allocated once per
+build; on the P_e path a chunk allocates nothing of the (t, n) size.  Worker
+0 is the calling thread, and worker i takes chunks i, i + workers, ...; each
+chunk writes only its own time columns.  A time sample is reduced on its own
+in the same ascending-n order whichever chunk or thread holds it, so the
+output bytes do not depend on the number of CPUs or on the chunk size.  The
+workers call no public function of any layer (their bodies use numpy and
+``model._osc_pair`` only), so a tracer that wraps ``__all__`` sees one call
+per build.
 
 No scipy: the log-factorials of the weights come from ``model._log_gamma``,
 which keeps the bits of ``scipy.special.gammaln``, and the Poisson tail mass
@@ -68,9 +72,22 @@ DEFAULT_TAIL_TOL = 1e-9
 #: Poisson terms per step of :meth:`TruncationPolicy.tail_mass`
 _TAIL_CHUNK = 4096
 
-#: time rows of the (t, n) workspaces, summed over the worker threads; keeps
-#: the trig tables under ~50 MB without affecting any per-time-point result
+#: time rows of the (t, n) workspaces, summed over the worker threads; with
+#: ``_MIN_WORKER_CELLS`` it sets the number of workers, and it bounds the rows
+#: of a chunk with ``_TILE_CELLS``.  No per-time-point result depends on it.
 _T_CHUNK = 2048
+
+#: (t, n) cells of one worker's chunk: a chunk has the most rows that keep
+#: rows x eigenvalue columns within this, and at least one.  At 2^16 cells
+#: (259 rows at n_max = 250) each of a worker's five float tables is
+#: 512 KiB, 2.5 MiB a worker, against 10 MiB with the 1024 rows that
+#: _T_CHUNK alone gives each of two workers.  Measured on the fig3 period
+#: sweeps (2 vCPUs): peak RSS about 41, 43 and 50 MiB at 2^15, 2^16 and 2^17
+#: cells, 61 MiB at 1024 rows, with wall times within the noise of each
+#: other.  2^16 is the smallest size that leaves the two-worker chunks of
+#: the benchmark's coherence maps (at most 165 rows of 255 columns) as they
+#: were.
+_TILE_CELLS = 1 << 16
 
 #: trig-table cells (time rows x eigenvalue columns of one chunk) each worker
 #: thread needs to pay for itself.  On smaller tables numpy's calls are too
@@ -333,16 +350,19 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
         cw = (w, w * (m + l), w, w * ((m + l - 1) * (m + l)), w, w * (m + l + 1))
 
     # workers and chunks as in the module docstring.  The caller allocates
-    # every worker's workspace, with rows summing to at most _T_CHUNK (a full
-    # workspace per thread costs peak memory); each worker reuses its own for
+    # every worker's workspace, with rows summing to at most _T_CHUNK and
+    # each worker's within _TILE_CELLS cells; each worker reuses its own for
     # all of its chunks: tables allocated afresh per chunk are page-faulted
     # in again each time (3x the faults on a fig3 grid).
     n_rows = min(t_arr.size, _T_CHUNK)
     workers = max(1, min(_usable_cpus(), n_rows, n_rows * table.d.size // _MIN_WORKER_CELLS))
-    chunk = max(1, n_rows // workers)
+    chunk = max(1, min(n_rows // workers, _TILE_CELLS // table.d.size))
     trig = np.empty((workers, 2, chunk, table.d.size))
     sq = np.empty((workers, 2, chunk, n_pe))
-    prod = np.empty((workers, chunk, n_cols))
+    # read flat, as (rows, n_pe) for (delta/2)^2 s2d and then as (rows, n_cols)
+    # for the weighted products: contiguous views of one table
+    prod = np.empty((workers, chunk, n_pe))
+    any_zero = bool(zero.any())
 
     def build(worker: int) -> None:
         for lo in range(worker * chunk, t_arr.size, workers * chunk):
@@ -350,7 +370,9 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
             tc = t_arr[sl]
             sin_t, cos_t = trig[worker, :, : tc.size]
             s1, s2d = sq[worker, :, : tc.size]
-            out = prod[worker, : tc.size]
+            flat = prod[worker].reshape(-1)
+            s2d_scaled = flat[: tc.size * n_pe].reshape(tc.size, n_pe)
+            out = flat[: tc.size * n_cols].reshape(tc.size, n_cols)
             np.multiply(tc[:, None], table.sqrt_d[None, :], out=sin_t)
             np.cos(sin_t, out=cos_t)
             np.sin(sin_t, out=sin_t)
@@ -358,9 +380,10 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
             # S2 summand sin^2/D, S1 summand cos^2 + (delta/2)^2 sin^2/D
             np.multiply(sin_t[:, :n_pe], sin_t[:, :n_pe], out=s2d)
             s2d /= d_safe
-            s2d[:, zero[:n_pe]] = (tc * tc)[:, None]
+            if any_zero:
+                s2d[:, zero[:n_pe]] = (tc * tc)[:, None]
             np.multiply(cos_t[:, :n_pe], cos_t[:, :n_pe], out=s1)
-            s1 += half_delta_sq * s2d
+            s1 += np.multiply(half_delta_sq, s2d, out=s2d_scaled)
             for k in range(3):
                 S1[k, sl] = _reduce_n(np.multiply(s1[:, k : k + n_cols], w, out=out))
                 S2[k, sl] = _reduce_n(np.multiply(s2d[:, k : k + n_cols], w, out=out))
@@ -370,7 +393,8 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
             # A(m), B(m) on every column; A'(n) = A(n - l), B'(n) = B(n - l) for n >= l
             b = sin_t
             b /= sqrt_d_safe
-            b[:, zero] = tc[:, None]
+            if any_zero:
+                b[:, zero] = tc[:, None]
             a = cos_t - 1j * half_delta * b
             ap_struct, _ = _osc_pair(table.sqrt_d_prime[None, :n_shift],
                                      table.d_prime[:n_shift], tc[:, None], half_delta)

@@ -9,6 +9,7 @@ import pytest
 from thermaljcm.analysis import (
     NoRevivalError,
     TimeSeries,
+    _sweep_samples,
     approx_cos_sum,
     envelope,
     extract_revival_period,
@@ -285,6 +286,8 @@ class TestPeriodSweep:
             assert row.period == period
         assert len(set(spans)) == 3
         assert builds == [max(spans)]
+        # the count the CLI checks against its sample limit before the build
+        assert _sweep_samples(p, inv_betas, dt) == max(spans)
 
     def test_empty_grid_returns_no_rows(self):
         assert period_vs_temperature_sweep(make_params(), [], TruncationPolicy(50)) == []

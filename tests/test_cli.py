@@ -4,6 +4,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -93,6 +96,34 @@ HUGE_AMPLITUDES = [
     ({"l": 1, "alpha": 1e9, "g": 1e150}, "model.g"),
     ({"l": 4, "alpha": 1e40, "t_stop": 1e-38}, "model.alpha"),
 ]
+
+
+#: address space of a CLI child process in the size-guard tests: room for
+#: the interpreter and numpy, none for the tables a missing guard asks for
+CAPPED_ADDRESS_SPACE = 2 << 30
+
+CAPPED_CLI_SCRIPT = """
+import resource, sys
+cap = int(sys.argv[1])
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+if hard != resource.RLIM_INFINITY:
+    cap = min(cap, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+from thermaljcm.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def run_capped_cli(argv):
+    """Run the CLI in a child process under ``CAPPED_ADDRESS_SPACE``: a size
+    guard that lets a huge table through ends there in a MemoryError, not in
+    a test host out of memory."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI_SCRIPT, str(CAPPED_ADDRESS_SPACE), *argv],
+        capture_output=True, text=True, env=env, timeout=120)
 
 
 def run_cli(argv):
@@ -660,6 +691,55 @@ class TestErrorPaths:
         assert main(argv) == EXIT_CONFIG
         assert "model.alpha" in capsys.readouterr().err
         assert out.read_text() == ""
+
+    @pytest.mark.parametrize("flags, alpha, field", [
+        # 1.46e9 and 1.46e14 samples on the longest row: 10.9 GiB and 1 PiB
+        (["--preset", "fig3a", "--dt", "1e-7"], None, "grid.dt"),
+        (["--preset", "fig3a", "--dt", "1e-12"], None, "grid.dt"),
+        # the default dt is 1/40 of a fast cycle that shrinks with alpha:
+        # 7.4e9 samples
+        ([], 1e4, "model.alpha"),
+    ])
+    def test_sweep_row_past_the_sample_limit_exits_2(self, tmp_path, flags, alpha, field):
+        if alpha is not None:
+            doc = small_config()
+            doc["model"]["alpha"] = alpha
+            del doc["grid"]
+            flags = ["--config", write_config(tmp_path, doc)]
+        proc = run_capped_cli(["period-sweep", *flags])
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stderr.startswith(f"error: {field}: the longest sweep row"), proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("argv, doc, field", [
+        # 3e9 + l + 3 photon columns: 22.4 GiB for each eigenvalue array
+        (["pe-series", "--preset", "fig1a", "--nmax", "3000000000", "--dt", "1"], None,
+         "truncation.n_max"),
+        (["period-sweep", "--preset", "fig3b", "--nmax", "3000000000"], None,
+         "truncation.n_max"),
+        # the adaptive cut at alpha 1e5 is n_max = 10 001 200 012: 74.5 GiB
+        (["pe-series"], {"alpha": 1e5}, "model.alpha"),
+        (["coherence-map"], {"alpha": 1e5}, "model.alpha"),
+    ])
+    def test_series_table_past_the_column_limit_exits_2(self, tmp_path, argv, doc, field):
+        if doc is not None:
+            config = small_config(grid={"t_start": 0.0, "t_stop": 1.0, "dt": 0.5},
+                                  truncation={"adaptive": True})
+            config["model"].update(doc)
+            argv = [*argv, "--config", write_config(tmp_path, config)]
+        proc = run_capped_cli(argv)
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stderr.startswith(f"error: {field}: "), proc.stderr
+        assert "photon columns, more than the limit" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_series_table_columns_stop_at_the_limit(self):
+        # columns m = 0 .. n_max + l + 2; nothing is built by parse_config
+        doc = small_config(truncation={"n_max": SAMPLE_LIMIT - 5})
+        assert parse_config(doc).trunc.n_max == SAMPLE_LIMIT - 5
+        doc["truncation"]["n_max"] += 1
+        with pytest.raises(ConfigError, match="^truncation.n_max: "):
+            parse_config(doc)
 
     @pytest.mark.parametrize("command", ["pe-series", "coherence-map"])
     @pytest.mark.parametrize("fields, field", HUGE_AMPLITUDES)

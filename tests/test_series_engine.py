@@ -36,11 +36,28 @@ CASES = [
     (make_params(l=3, g=0.8, omega0=2.5, alpha=1.2 + 0.5j), TruncationPolicy(40)),
 ]
 
+#: CASES plus g = 0 at resonance, where every D_m is 0 and the engine takes
+#: its limit values t^2 and (1, t) on every column
+TILE_CASES = CASES + [(make_params(l=2, g=0.0, omega0=2.0, alpha=1.5), TruncationPolicy(30))]
+
+#: the default cell budget of a chunk, which the explicit examples below keep
+DEFAULT_TILE = perturbation._TILE_CELLS
+
 
 def assert_bitwise(a, b):
     a, b = np.asarray(a), np.asarray(b)
     assert a.dtype == b.dtype and a.shape == b.shape
     assert a.tobytes() == b.tobytes()
+
+
+def assert_tables_bitwise(a, b):
+    """The S sums and coherence series themselves: at g = 0, P_e and rho01
+    read S2 and the coherence series only through a factor g."""
+    assert_bitwise(a.S1, b.S1)
+    assert_bitwise(a.S2, b.S2)
+    assert (a.tilde is None) == (b.tilde is None)
+    if a.tilde is not None:
+        assert_bitwise(a.tilde, b.tilde)
 
 
 def direct_tilde(params, trunc, t):
@@ -91,21 +108,31 @@ class TestGridSplit:
         assert_bitwise(whole, parts)
 
     @settings(max_examples=25, deadline=None)
-    @given(case=st.sampled_from(range(len(CASES))),
+    @given(case=st.sampled_from(range(len(TILE_CASES))),
            n=st.integers(1, 120),
            cuts=st.lists(st.integers(1, 119), max_size=4),
-           chunk=st.integers(1, 64))
-    def test_any_split_and_chunking_is_bitwise_equal(self, case, n, cuts, chunk):
-        params, trunc = CASES[case]
+           chunk=st.integers(1, 64),
+           tile=st.integers(1, 4096))
+    # one-row tiles (fewer cells than columns); tiles crossing the grid end;
+    # the D = 0 columns
+    @example(case=2, n=120, cuts=[], chunk=64, tile=1)
+    @example(case=0, n=97, cuts=[], chunk=64, tile=2000)
+    @example(case=3, n=45, cuts=[7], chunk=16, tile=200)
+    def test_any_split_and_chunking_is_bitwise_equal(self, case, n, cuts, chunk, tile):
+        params, trunc = TILE_CASES[case]
         thermal = thermal_from_inv_beta(0.16, params)
         t = np.linspace(0.0, 5.0, n)
         whole = series_tables(t, params, trunc)
         bounds = [0, *sorted({c for c in cuts if c < n}), n]
-        with mock.patch.object(perturbation, "_T_CHUNK", chunk):
+        with mock.patch.object(perturbation, "_T_CHUNK", chunk), \
+                mock.patch.object(perturbation, "_TILE_CELLS", tile):
             pieces = [series_tables(t[a:b], params, trunc) for a, b in zip(bounds, bounds[1:])]
         assert_bitwise(whole.pe(thermal), np.concatenate([p.pe(thermal) for p in pieces]))
         assert_bitwise(whole.rho01(thermal),
                        np.concatenate([p.rho01(thermal) for p in pieces]))
+        for name in ("S1", "S2", "tilde"):
+            assert_bitwise(getattr(whole, name),
+                           np.concatenate([getattr(p, name) for p in pieces], axis=-1))
 
 
     @pytest.mark.parametrize("params, trunc", CASES + [
@@ -124,20 +151,27 @@ class TestGridSplit:
 
 class TestWorkerThreads:
     @settings(max_examples=40, deadline=None)
-    @given(case=st.sampled_from(range(len(CASES))),
+    @given(case=st.sampled_from(range(len(TILE_CASES))),
            workers=st.sampled_from([1, 2, 3, 7]),
            chunk=st.integers(1, 16),
            n=st.integers(1, 60),
-           coherence=st.booleans())
+           coherence=st.booleans(),
+           tile=st.integers(1, 4096))
     # one sample; fewer samples than workers; chunks crossing the grid end
-    @example(case=2, workers=7, chunk=4, n=1, coherence=True)
-    @example(case=0, workers=7, chunk=16, n=3, coherence=False)
-    @example(case=2, workers=3, chunk=5, n=47, coherence=True)
-    @example(case=1, workers=2, chunk=8, n=41, coherence=False)
-    def test_worker_count_changes_no_bit(self, case, workers, chunk, n, coherence):
-        # CASES holds real and complex alpha; 7 workers is more threads than
-        # cores, and a short switch interval interleaves them finely
-        params, trunc = CASES[case]
+    @example(case=2, workers=7, chunk=4, n=1, coherence=True, tile=DEFAULT_TILE)
+    @example(case=0, workers=7, chunk=16, n=3, coherence=False, tile=DEFAULT_TILE)
+    @example(case=2, workers=3, chunk=5, n=47, coherence=True, tile=DEFAULT_TILE)
+    @example(case=1, workers=2, chunk=8, n=41, coherence=False, tile=DEFAULT_TILE)
+    # one-row tiles; tiles of a few rows crossing the grid end; D = 0
+    @example(case=2, workers=3, chunk=16, n=60, coherence=True, tile=1)
+    @example(case=0, workers=2, chunk=16, n=59, coherence=False, tile=200)
+    @example(case=1, workers=7, chunk=16, n=53, coherence=True, tile=150)
+    @example(case=3, workers=2, chunk=12, n=29, coherence=True, tile=100)
+    @example(case=3, workers=3, chunk=16, n=40, coherence=False, tile=1)
+    def test_worker_count_changes_no_bit(self, case, workers, chunk, n, coherence, tile):
+        # TILE_CASES holds real and complex alpha; 7 workers is more threads
+        # than cores, and a short switch interval interleaves them finely
+        params, trunc = TILE_CASES[case]
         thermal = thermal_from_inv_beta(0.16, params)
         t = np.linspace(0.0, 5.0, n)
         with mock.patch.object(perturbation, "_usable_cpus", lambda: 1):
@@ -147,13 +181,15 @@ class TestWorkerThreads:
         try:
             with mock.patch.object(perturbation, "_usable_cpus", lambda: workers), \
                     mock.patch.object(perturbation, "_T_CHUNK", chunk), \
-                    mock.patch.object(perturbation, "_MIN_WORKER_CELLS", 1):
+                    mock.patch.object(perturbation, "_MIN_WORKER_CELLS", 1), \
+                    mock.patch.object(perturbation, "_TILE_CELLS", tile):
                 threaded = series_tables(t, params, trunc, coherence=coherence)
         finally:
             sys.setswitchinterval(interval)
         assert_bitwise(threaded.pe(thermal), serial.pe(thermal))
         if coherence:
             assert_bitwise(threaded.rho01(thermal), serial.rho01(thermal))
+        assert_tables_bitwise(threaded, serial)
 
     @pytest.mark.parametrize("cpus, chunk, n, min_cells, workers", [
         (2, 2048, 5000, 1, 2), (3, 2048, 5000, 1, 3), (7, 10, 95, 1, 7),
@@ -299,3 +335,16 @@ def test_time_must_be_a_1d_grid(t):
     params, trunc = CASES[0]
     with pytest.raises(ValueError, match="1-d"):
         series_tables(t, params, trunc)
+
+
+@pytest.mark.parametrize("coherence", [True, False])
+def test_zero_eigenvalues_take_their_small_coupling_limit(coherence):
+    # g = 0 at resonance: every D_m is 0, sin^2(sqrt(D) t)/D -> t^2 and
+    # cos^2(sqrt(D) t) -> 1 in every summand
+    params, trunc = TILE_CASES[3]
+    t = np.linspace(0.0, 5.0, 11)
+    tables = series_tables(t, params, trunc, coherence=coherence)
+    mass = np.exp(perturbation.poisson_log_weight(np.arange(trunc.n_max + 1),
+                                                  params.alpha)).sum()
+    np.testing.assert_allclose(tables.S1, np.full((3, t.size), mass), rtol=1e-14)
+    np.testing.assert_allclose(tables.S2, np.tile(t * t * mass, (3, 1)), rtol=1e-14)
