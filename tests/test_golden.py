@@ -62,9 +62,19 @@ CASES = {
     # high temperatures: rows with projection_applied = 1
     "coherence_map_l1": ("coherence-map", _doc(
         1, 3.0, {"inv_beta_grid": [0.0, 0.4, 0.8]}, {"t_start": 0.0, "t_stop": 5.0, "dt": 0.1}, 50)),
+    # both sides of the cosine-sum identity, summed to the Poisson cut of
+    # |alpha|^2; the temperature and truncation are not read
+    "approx_check_l2": ("approx-check", _doc(
+        2, 4.0, {"inv_beta": 0.0}, {"t_start": 0.0, "t_stop": 4.0, "dt": 0.02}, 40)),
+    "approx_check_l3_complex": ("approx-check", _doc(
+        3, [1.5, -0.7], {"inv_beta": 0.0}, {"t_start": 0.5, "t_stop": 6.0, "dt": 0.05}, 40)),
 }
 
 GOLDEN = {
+    "approx_check_l2.csv": "bd77de2933869bb945f307bd101ead84f035a76c51e211e82f4185851ee0011c",
+    "approx_check_l2.json": "a00fd036ee6591366249578f35450d831e0c3938e3f8fb00ec1dd4413028950d",
+    "approx_check_l3_complex.csv": "26552a924f6b9bbb9ddfe9ae3b28212aed2190771afe8a9640cf7186d2e24996",
+    "approx_check_l3_complex.json": "b1ddb80e574bb9437af9c5658d67591bf553a4833080943ade93ad27479e9f9d",
     "coherence_map_l1.csv": "c34a59bacefb8ebc24019faead59d936b9a7c80f31439c42ccf4bd0965a44d46",
     "coherence_map_l1.json": "bd0c48b9f0d8e63d16d81d7063a78c2aee6fa40818df52a82be49e9ad0df490a",
     "coherence_map_l2.csv": "89794cf3ffb8fa3cebf6c144b733e3a79ded11f3e7d0d0a461e1f6d7ff4fb9c0",
