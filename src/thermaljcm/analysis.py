@@ -4,12 +4,12 @@ The revival period is read off a sampled excitation-probability curve by
 sliding-maximum envelope detection around the oscillation midline 1/2,
 followed by locating the strongest raw peak near the envelope maximum.  The
 closed-form thermal period provides the search window prior; the fast
-oscillation granularity quantizes the extracted values.
+oscillation granularity quantizes the extracted values.  The time step
+rules, :func:`default_dt` and :func:`check_dt`, are this module's.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +17,7 @@ import numpy as np
 from . import perturbation
 from .coherence import physical_population
 from .model import (
+    LimitError,
     ModelParams,
     ThermalParams,
     rabi_period,
@@ -24,13 +25,15 @@ from .model import (
     tau1,
     thermal_from_inv_beta,
 )
-from .perturbation import TruncationPolicy, poisson_log_weight
+from .perturbation import TruncationPolicy, _poisson_cut, poisson_log_weight
 
 __all__ = [
     "TimeSeries",
     "SweepRow",
     "NoRevivalError",
     "approx_cos_sum",
+    "default_dt",
+    "check_dt",
     "revival_envelope",
     "envelope",
     "extract_revival_period",
@@ -103,11 +106,18 @@ class SweepRow:
         return self.period is None
 
 
-def _cos_sum_n_max(alpha: complex) -> int:
-    """Last photon number of :func:`approx_cos_sum`'s sum: the Poisson mean
-    |alpha|^2 plus 12 standard deviations and 10."""
-    aa = abs(alpha) ** 2
-    return math.ceil(aa + 12.0 * math.sqrt(aa + 1.0) + 10)
+def default_dt(params: ModelParams) -> float:
+    """Default time step of a grid: 1/``SAMPLES_PER_CYCLE`` of the fast cycle."""
+    return rabi_period(params) / SAMPLES_PER_CYCLE
+
+
+def check_dt(params: ModelParams, dt: float) -> None:
+    """Raise :class:`~thermaljcm.model.LimitError` (``"dt"``) where dt is
+    coarser than period extraction accepts."""
+    dt_max = rabi_period(params) / MIN_SAMPLES_PER_CYCLE
+    if dt > dt_max:
+        raise LimitError("dt", f"dt = {dt} too coarse for period extraction; need <= "
+                               f"{dt_max:.3g} (1/{MIN_SAMPLES_PER_CYCLE} of the fast cycle)")
 
 
 def approx_cos_sum(alpha: complex, l: int, g: float, t):
@@ -120,7 +130,7 @@ def approx_cos_sum(alpha: complex, l: int, g: float, t):
     if alpha == 0:
         raise ValueError("approximation requires alpha != 0")
     aa = abs(alpha) ** 2
-    n_max = _cos_sum_n_max(alpha)
+    n_max = _poisson_cut(alpha)
     w = np.exp(poisson_log_weight(np.arange(n_max + 1), alpha))
     t = np.asarray(t, dtype=float)
     m_pow = np.arange(n_max + 1, dtype=float) ** (l / 2.0)
@@ -186,11 +196,8 @@ def extract_revival_period(series: TimeSeries, params: ModelParams,
     ``NO_REVIVAL_RATIO`` times the post-collapse plateau level, and
     ``ValueError`` when the grid is too coarse or too short.
     """
+    check_dt(params, series.dt)
     window = rabi_period(params)
-    dt_max = window / MIN_SAMPLES_PER_CYCLE
-    if series.dt > dt_max:
-        raise ValueError(f"dt = {series.dt:.3g} too coarse; need <= {dt_max:.3g} "
-                         f"(1/{MIN_SAMPLES_PER_CYCLE} of the fast cycle)")
     prior = t0_prime_period(params, thermal)
     if series.t_end < 1.8 * prior:
         raise ValueError(f"series must span at least 1.8 x {prior:.3g}")
@@ -242,15 +249,16 @@ def period_vs_temperature_sweep(params: ModelParams, inv_betas, trunc: Truncatio
 
     Each row simulates the perturbative excitation probability over
     [0, SPAN_FACTOR x thermal prior] on a shared dt (default: one fortieth of
-    the fast cycle), extracts the period, and pairs it with the closed-form
-    prior.  A row whose curve leaves [0, 1] beyond the physicality tolerance
-    is flagged rather than dropped; rows without a detectable revival carry
-    ``period = None``.  The series tables are built once, on the longest
+    the fast cycle; checked before any table is built), extracts the period,
+    and pairs it with the closed-form prior.  A row whose curve leaves [0, 1]
+    beyond the physicality tolerance is flagged rather than dropped; rows
+    without a detectable revival carry ``period = None``.  The series tables are built once, on the longest
     row's grid; each time sample is reduced on its own, so a row's slice is
     bitwise what a build on its own grid gives.
     """
     if dt is None:
-        dt = rabi_period(params) / SAMPLES_PER_CYCLE
+        dt = default_dt(params)
+    check_dt(params, dt)
     thermals = [thermal_from_inv_beta(inv_beta, params) for inv_beta in inv_betas]
     priors = [t0_prime_period(params, thermal) for thermal in thermals]
     if not priors:

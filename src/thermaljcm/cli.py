@@ -10,6 +10,7 @@ with 12 significant digits and all reductions run in fixed order.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -19,22 +20,23 @@ import numpy as np
 
 from . import oracle, perturbation, validation
 from .analysis import (
-    MIN_SAMPLES_PER_CYCLE,
-    SAMPLES_PER_CYCLE,
-    _cos_sum_n_max,
     _sweep_samples,
     approx_cos_sum,
+    default_dt,
     period_vs_temperature_sweep,
 )
 from .coherence import coherence_values, physical_population, project_values
 from .model import (
+    EigenvalueTable,
+    LimitError,
     ModelParams,
+    ThermalParams,
     rabi_period,
     t0_period,
     thermal_from_inv_beta,
 )
 from .oracle import FockTruncation
-from .perturbation import TruncationPolicy
+from .perturbation import SeriesTables, TruncationPolicy, _poisson_cut
 
 __all__ = ["main", "ConfigError", "RunConfig", "parse_config", "PRESETS", "build_preset"]
 
@@ -76,9 +78,20 @@ class RunConfig:
     @property
     def trunc(self) -> TruncationPolicy:
         if self.adaptive:
-            return TruncationPolicy.adaptive(
-                self.params, 1e-12 if self.tail_tol is None else self.tail_tol)
+            return TruncationPolicy.adaptive(self.params, self.tail_tol)
         return TruncationPolicy(n_max=self.n_max, tail_tol=self.tail_tol)
+
+    def field(self, param: str, thermal: ThermalParams | None = None) -> str:
+        """The document field that set ``param`` (a :class:`LimitError`'s):
+        the field itself when the document set it, else the one its default
+        follows, alpha but for an oracle cutoff at a temperature ``thermal``."""
+        if param == "dt" and self.dt is not None:
+            return "grid.dt"
+        if param == "n_fock" and self.n_fock:
+            return "oracle.n_fock"
+        if param == "n_fock" and thermal is not None and thermal.theta > 0:
+            return "thermal.inv_beta"
+        return f"model.{param}" if param in ("l", "g") else "model.alpha"
 
     def canonical(self) -> dict:
         alpha = self.params.alpha
@@ -119,60 +132,6 @@ def _get_number(section: dict, path: str, key: str, default=None, required=False
     value = section[key]
     _expect(_is_number(value), f"{path}.{key}", f"expected a finite number, got {value!r}")
     return float(value)
-
-
-#: from l = 171 on, l! = prod_k (0 + k) alone is past the float range
-_L_FACTORIAL_MAX = 170
-
-
-def _check_eigenvalue_range(params: ModelParams, top: int, source: str) -> None:
-    """Reject an l whose Rabi eigenvalues D_m overflow a float on the rows
-    m <= top of a table; ``source`` is the field that sets ``top``.
-
-    The products (m + 1)...(m + l) grow with m, so a table overflows where
-    its last row does: m = n_max + l + 2 for the largest series table,
-    n_fock - 1 for the exact solver's.  Evaluated the way
-    :class:`EigenvalueTable` evaluates it, one row in O(l).
-    """
-    l = params.l
-    try:
-        prod = (math.prod(float(top + k) for k in range(1, l + 1))
-                if l <= _L_FACTORIAL_MAX else math.inf)
-    except OverflowError:
-        raise ConfigError(f"{source}: table rows up to m = {top} are past the float "
-                          "range") from None
-    _expect(math.isfinite(prod), "model.l",
-            f"l = {l}: the Rabi eigenvalues D_m overflow a float for m up to {top}")
-    d_top = (params.delta / 2.0) ** 2 + params.g * params.g * prod
-    _expect(math.isfinite(d_top), "model.g",
-            f"g = {params.g}: the Rabi eigenvalues D_m overflow a float for m up to {top}")
-
-
-def _check_series_prefactors(params: ModelParams) -> None:
-    """Reject an amplitude, or a coupling, whose series prefactors are past
-    the float range.
-
-    At a large |alpha| the Poisson weights underflow and the S sums are 0,
-    which an infinite prefactor turns into nan.  The largest prefactors are
-    formed the way ``SeriesTables.pe_terms`` forms them (4 |alpha|^4,
-    2 g^2 |alpha|^(2l), 2 g^2 (1 + 2 |alpha|^2) |alpha|^(2l - 2)) and the way
-    ``series_tables`` scales the coherence series (g |alpha|^(l + 2)).
-    Called after :func:`_check_eigenvalue_range`, which keeps g^2 finite.
-    """
-    aa, l, g, g2 = params.abs_alpha_sq, params.l, params.g, params.g**2
-    abs_alpha = abs(params.alpha)
-    try:  # a Python float ** past the float range raises instead of giving inf
-        powers = (4.0 * aa * aa, aa**l, abs_alpha ** (l + 2))
-    except OverflowError:
-        powers = (math.inf,)
-    _expect(all(map(math.isfinite, powers)), "model.alpha",
-            f"alpha = {params.alpha}: the series prefactors are past the float range "
-            f"at l = {l}")
-    coupled = (2.0 * g2 * aa**l, 2.0 * g2 * (1.0 + 2.0 * aa) * aa ** (l - 1),
-               g * abs_alpha ** (l + 2))
-    _expect(all(map(math.isfinite, coupled)), "model.g",
-            f"g = {g}: the series prefactors are past the float range at "
-            f"alpha = {params.alpha}, l = {l}")
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -263,15 +222,19 @@ def parse_config(data: dict) -> RunConfig:
                        t_stop=t_stop, dt=dt, n_max=n_max_raw, tail_tol=tail_tol,
                        adaptive=adaptive, with_oracle=with_oracle, n_fock=n_fock,
                        out_format=out_format)
-    # a series table has a column per photon number m = 0 .. n_max + l + 2
-    top = config.trunc.n_max + params.l + 2
+    # a series table has a column per photon number m = 0 .. top
+    trunc = config.trunc
+    top = trunc.top_row(params.l)
     if top >= SAMPLE_LIMIT:
         source = f"model.alpha: alpha = {alpha} sets" if adaptive else "truncation.n_max:"
-        raise ConfigError(f"{source} n_max = {config.trunc.n_max} at l = {params.l}: the "
+        raise ConfigError(f"{source} n_max = {trunc.n_max} at l = {params.l}: the "
                           f"series tables would have {top + 1} photon columns, more than "
                           f"the limit of {SAMPLE_LIMIT}")
-    _check_eigenvalue_range(params, top, "truncation.n_max")
-    _check_series_prefactors(params)
+    try:
+        EigenvalueTable.check(params, top)
+        SeriesTables.check_prefactors(params)
+    except LimitError as exc:
+        raise ConfigError(f"{config.field(exc.param)}: {exc}") from None
     return config
 
 
@@ -291,13 +254,11 @@ def build_preset(name: str) -> dict:
     """Configuration document of a named built-in figure preset."""
     if name in _FIG1:
         l, alpha = _FIG1[name]
-        params = ModelParams(**_base_model(l, alpha))
         return {
             "schema": SCHEMA_VERSION,
             "model": _base_model(l, alpha),
             "thermal": {"inv_beta": 0.1},
-            "grid": {"t_start": 0.0, "t_stop": 1.35 * t0_period(params),
-                     "dt": rabi_period(params) / SAMPLES_PER_CYCLE},
+            # no grid: the default, 1.35 revival periods at the default dt
             # the published truncation leaves a ~1e-7 tail at alpha = 8
             "truncation": {"n_max": 110, "tail_tol": 1e-6},
         }
@@ -375,7 +336,7 @@ def _grid_samples(config: RunConfig) -> tuple[float, float, int]:
     t0 = config.t_start if config.t_start is not None else 0.0
     try:  # the defaults scale with periods that g = 0 or alpha = 0 leave undefined
         t1 = config.t_stop if config.t_stop is not None else 1.35 * t0_period(config.params)
-        dt = config.dt if config.dt is not None else rabi_period(config.params) / SAMPLES_PER_CYCLE
+        dt = config.dt if config.dt is not None else default_dt(config.params)
     except ValueError as exc:
         raise ConfigError(f"grid: t_stop and dt have no default here, {exc}") from exc
     last = (t1 - t0) / dt + 0.5  # inf when t_stop - t_start is past the float range
@@ -416,17 +377,13 @@ def cmd_pe_series(config: RunConfig, stream) -> int:
     cols = [t, pe, order0, order1, order2, flags]
     if config.with_oracle:
         # the field that sets the cutoff, named by the errors about its size
-        source = ("oracle.n_fock" if config.n_fock
-                  else "thermal.inv_beta" if thermal.theta > 0 else "model.alpha")
+        source = config.field("n_fock", thermal)
         try:
             ftrunc = (FockTruncation(config.n_fock) if config.n_fock
                       else FockTruncation.auto(params, thermal))
         except ValueError as exc:
             raise ConfigError(f"{source}: oracle cutoff: {exc}") from None
-        _expect(ftrunc.n_fock > params.l, "oracle.n_fock",
-                f"{ftrunc.n_fock} must exceed l = {params.l}")
-        _check_eigenvalue_range(params, ftrunc.n_fock - 1, "oracle.n_fock")
-        try:
+        try:  # pe_curve refuses a cutoff it cannot use (LimitError) before it builds
             cols.append(oracle.pe_curve(params, thermal, t, ftrunc))
         except oracle.LeakageError as exc:
             raise ConfigError(f"{source}: oracle cutoff n_fock = {ftrunc.n_fock} is too "
@@ -441,18 +398,14 @@ def cmd_period_sweep(config: RunConfig, stream) -> int:
     params = config.params
     _expect(params.alpha != 0, "model.alpha", "period-sweep requires alpha != 0")
     _expect(params.g > 0, "model.g", "period-sweep requires g > 0")
-    dt_max = rabi_period(params) / MIN_SAMPLES_PER_CYCLE
-    _expect(config.dt is None or config.dt <= dt_max, "grid.dt",
-            f"{config.dt} too coarse for period extraction; need <= {dt_max:.3g}")
-    # the sweep builds one table, on its longest row's grid; the default dt
-    # follows alpha
-    dt = config.dt if config.dt is not None else rabi_period(params) / SAMPLES_PER_CYCLE
+    # the sweep builds one table, on its longest row's grid; it refuses a dt
+    # too coarse for period extraction before it builds anything
+    dt = config.dt if config.dt is not None else default_dt(params)
     samples = _sweep_samples(params, config.inv_betas, dt)
-    _expect(samples < SAMPLE_LIMIT, "grid.dt" if config.dt is not None else "model.alpha",
+    _expect(samples < SAMPLE_LIMIT, config.field("dt"),
             f"the longest sweep row at alpha = {params.alpha}, dt = {dt:.6g} has "
             f"{samples:.3g} time samples, more than the limit of {SAMPLE_LIMIT}")
-    sweep = period_vs_temperature_sweep(params, config.inv_betas, config.trunc,
-                                        dt=config.dt)
+    sweep = period_vs_temperature_sweep(params, config.inv_betas, config.trunc, dt=dt)
     periods = [math.nan if row.no_revival else row.period for row in sweep]
     flags = ["no-revival" if row.no_revival else "ok" if row.physical else "unstable"
              for row in sweep]
@@ -490,7 +443,7 @@ def cmd_approx_check(config: RunConfig, stream) -> int:
         raise ConfigError("model.alpha: approx-check requires alpha != 0")
     # the cosine sum holds a (time, photon) table in memory at once
     t0, dt, n = _grid_samples(config)
-    photons = _cos_sum_n_max(params.alpha) + 1
+    photons = _poisson_cut(params.alpha) + 1
     _expect(n * photons <= SAMPLE_LIMIT, "model.alpha",
             f"alpha = {params.alpha}: approx-check's table of {n} time samples x "
             f"{photons} photon numbers is larger than the limit of {SAMPLE_LIMIT} cells")
@@ -513,7 +466,7 @@ def cmd_oracle_validate(config: RunConfig | None, stream) -> int:
         except ValueError as exc:
             raise ConfigError(f"model.alpha: oracle cutoff: {exc}") from None
         for cut in sized:
-            _check_eigenvalue_range(cut.params, cut.top_row, "model.alpha")
+            EigenvalueTable.check(cut.params, cut.top_row)
     report = validation.run_validation_suite(sized)
     json.dump(report, stream, indent=2, sort_keys=True)
     stream.write("\n")
@@ -608,12 +561,22 @@ def main(argv=None) -> int:
         config = _load_config(args)
         if config is None and args.command != "oracle-validate":
             raise ConfigError("config: pass --preset or --config")
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                return handler(config, fh)
-        return handler(config, sys.stdout)
+        if not args.out:
+            return handler(config, sys.stdout)
+        # opened for appending, so a refusal or a traceback leaves an earlier
+        # result as it was (a new path is created empty); it is replaced only
+        # with the output of a handler that returned
+        with open(args.out, "a", encoding="utf-8", newline="") as fh:
+            buffer = io.StringIO()
+            code = handler(config, buffer)
+            fh.truncate(0)
+            fh.write(buffer.getvalue())
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except LimitError as exc:  # a layer's limit, named by the field that set it
+        print(f"error: {config.field(exc.param)}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

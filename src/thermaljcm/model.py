@@ -6,6 +6,10 @@ the propagator is block diagonal on the pairs {|e,n>, |g,n+l>}; everything
 here is expressed through the Rabi eigenvalues of those 2x2 blocks and the
 temperature-dependent Bogoliubov angles of the thermal vacuum.
 
+This module owns the float range of the Rabi eigenvalues: the table runs
+:meth:`EigenvalueTable.check` before it allocates, so a library call past it
+raises :class:`LimitError` instead of returning nan.
+
 :func:`_log_gamma` is the package's one log-gamma: a port of the cephes
 ``lgam`` behind ``scipy.special.gammaln`` (the same coefficients and branch
 at 13, with libm's ``log`` through :func:`math.log`), so the Poisson weights
@@ -23,6 +27,7 @@ __all__ = [
     "ModelParams",
     "ThermalParams",
     "EigenvalueTable",
+    "LimitError",
     "bogoliubov_angles",
     "thermal_from_inv_beta",
     "thermal_mean_photon",
@@ -31,6 +36,15 @@ __all__ = [
     "t0_prime_period",
     "rabi_period",
 ]
+
+
+class LimitError(ValueError):
+    """An input past a limit of the layer that raises it; ``param`` is its
+    name: ``"l"``, ``"g"``, ``"alpha"``, ``"n_fock"`` or ``"dt"``."""
+
+    def __init__(self, param: str, message: str):
+        super().__init__(message)
+        self.param = param
 
 
 @dataclass(frozen=True)
@@ -139,6 +153,10 @@ def thermal_mean_photon(params: ModelParams, theta: float) -> float:
     return params.abs_alpha_sq * math.exp(2.0 * theta) + math.sinh(theta) ** 2
 
 
+#: from l = 171 on, l! = prod_k (0 + k) alone is past the float range
+_L_FACTORIAL_MAX = 170
+
+
 class EigenvalueTable:
     """Frozen tables of the Rabi eigenvalues D_m and D'_n.
 
@@ -147,14 +165,31 @@ class EigenvalueTable:
 
     The photon-number products are evaluated in floating point; they stay well
     inside double range for m <= 1e6 and l <= 8 (max ~1e48).  A table with an
-    eigenvalue past the double range raises ValueError instead of feeding inf
-    and nan to every series.  Arrays are read-only after construction, so the
-    table is safe to share across threads.
+    eigenvalue past the double range raises :class:`LimitError` instead of
+    feeding inf and nan to every series.  Arrays are read-only after
+    construction, so the table is safe to share across threads.
     """
+
+    @staticmethod
+    def check(params: ModelParams, n_max: int) -> None:
+        """Raise :class:`LimitError` (``"l"`` for the product alone, else
+        ``"g"``) where the eigenvalues of rows m <= n_max overflow a float.
+        The products grow with m, so a table overflows where its last row
+        does; that row is evaluated in O(l), as the table evaluates it."""
+        l = params.l
+        prod = (math.prod(float(n_max + k) for k in range(1, l + 1))
+                if l <= _L_FACTORIAL_MAX else math.inf)
+        if not math.isfinite(prod):
+            raise LimitError("l", f"l = {l}: the Rabi eigenvalues D_m overflow a float "
+                                  f"for m up to {n_max}")
+        if not math.isfinite((params.delta / 2.0) ** 2 + params.g * params.g * prod):
+            raise LimitError("g", f"g = {params.g}: the Rabi eigenvalues D_m overflow a "
+                                  f"float for m up to {n_max}")
 
     def __init__(self, params: ModelParams, n_max: int):
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
+        self.check(params, n_max)
         self.params = params
         self.n_max = int(n_max)
         l, g = params.l, params.g
@@ -166,6 +201,7 @@ class EigenvalueTable:
             prod_down[: min(l, self.n_max + 1)] = 0.0
             self.d = half_delta_sq + g * g * prod_up
             self.d_prime = half_delta_sq + g * g * prod_down
+        # the safety net behind check(), whose product may round differently
         if not (np.isfinite(self.d).all() and np.isfinite(self.d_prime).all()):
             raise ValueError(f"Rabi eigenvalues D_m overflow a float at l = {l}, "
                              f"m up to {self.n_max}")

@@ -38,6 +38,7 @@ import numpy as np
 
 from .model import (
     EigenvalueTable,
+    LimitError,
     ModelParams,
     ThermalParams,
     _log_gamma,
@@ -107,6 +108,13 @@ class FockTruncation:
         except OverflowError:
             raise ValueError("the automatic n_fock is past the float range") from None
         return cls(n_fock=int(n))
+
+    def check(self, params: ModelParams) -> None:
+        """Raise :class:`~thermaljcm.model.LimitError` unless n_fock exceeds l
+        and the Rabi eigenvalues of rows m < n_fock are finite."""
+        if self.n_fock <= params.l:
+            raise LimitError("n_fock", f"n_fock = {self.n_fock} must exceed l = {params.l}")
+        EigenvalueTable.check(params, self.n_fock - 1)
 
 
 @dataclass
@@ -288,10 +296,9 @@ def propagate(state: DoubledFockState, t: float, params: ModelParams) -> Doubled
     the opposite sign of i t).  Raises when population within l levels of
     either cutoff exceeds the leakage budget.
     """
+    state.trunc.check(params)
     n = state.trunc.n_fock
     l = params.l
-    if n <= l:
-        raise ValueError("n_fock must exceed the photon multiplicity")
     diag_e, diag_g, coup = _block_elements(params, t, n)
     ncpl = n - l
     # |e, n> whose partner |g, n+l> is past the cutoff takes the bare
@@ -355,10 +362,9 @@ def pe_curve(params: ModelParams, thermal: ThermalParams, times,
     population within l levels of either cutoff (physical: rho; tilde: the
     other axis of |phi|^2) exceeds ``trunc.leak_tol``.
     """
+    trunc.check(params)
     n = trunc.n_fock
     l = params.l
-    if n <= l:
-        raise ValueError("n_fock must exceed the photon multiplicity")
     t_arr = np.atleast_1d(np.asarray(times, dtype=float))
     if t_arr.ndim != 1:
         raise ValueError("time must be a 1-d array")

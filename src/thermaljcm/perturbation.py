@@ -42,6 +42,12 @@ workers call no public function of any layer (their bodies use numpy and
 ``model._osc_pair`` only), so a tracer that wraps ``__all__`` sees one call
 per build.
 
+This module owns the sizing rules of a build: the table width
+(:meth:`TruncationPolicy.top_row`), the prefactor range
+(:meth:`SeriesTables.check_prefactors`) and the Poisson cut.
+:func:`series_tables` applies them before it allocates, so a library call
+past them raises :class:`~thermaljcm.model.LimitError` instead of returning nan.
+
 No scipy: the log-factorials of the weights come from ``model._log_gamma``,
 which keeps the bits of ``scipy.special.gammaln``, and the Poisson tail mass
 of the truncation warning is a bounded log-domain sum.
@@ -57,7 +63,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import EigenvalueTable, ModelParams, ThermalParams, _log_gamma, _osc_pair
+from .model import (
+    EigenvalueTable,
+    LimitError,
+    ModelParams,
+    ThermalParams,
+    _log_gamma,
+    _osc_pair,
+)
 
 __all__ = [
     "TruncationPolicy",
@@ -105,6 +118,13 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _poisson_cut(alpha: complex, extra: int = 0) -> int:
+    """Last photon number of a Poisson sum at intensity |alpha|^2: the mean
+    plus 12 standard deviations, ``extra`` and 10."""
+    aa = abs(alpha) ** 2
+    return math.ceil(aa + 12.0 * math.sqrt(aa + 1.0) + extra + 10)
+
+
 class TruncationWarning(UserWarning):
     """Poisson tail mass beyond n_max exceeds the requested tolerance."""
 
@@ -125,10 +145,16 @@ class TruncationPolicy:
             raise ValueError("n_max must be >= 1")
 
     @classmethod
-    def adaptive(cls, params: ModelParams, tail_tol: float = 1e-12) -> "TruncationPolicy":
-        aa = params.abs_alpha_sq
-        n_max = math.ceil(aa + 12.0 * math.sqrt(aa + 1.0) + params.l + 10)
-        return cls(n_max=n_max, tail_tol=tail_tol)
+    def adaptive(cls, params: ModelParams,
+                 tail_tol: float | None = None) -> "TruncationPolicy":
+        """The Poisson cut with l more photons; tail_tol 1e-12 unless given."""
+        return cls(n_max=_poisson_cut(params.alpha, params.l),
+                   tail_tol=1e-12 if tail_tol is None else tail_tol)
+
+    def top_row(self, l: int) -> int:
+        """Last eigenvalue row m of a full build: the S sums reach n_max + 2,
+        the coherence products l rows further."""
+        return self.n_max + l + 2
 
     def tail_mass(self, alpha: complex) -> float:
         """Poisson probability mass above n_max for intensity |alpha|^2.
@@ -225,6 +251,29 @@ class SeriesTables:
     S2: np.ndarray
     tilde: np.ndarray | None
 
+    @staticmethod
+    def check_prefactors(params: ModelParams) -> None:
+        """Raise :class:`~thermaljcm.model.LimitError` (``"alpha"``, then
+        ``"g"``) where a prefactor is past the float range: at a large
+        |alpha| the S sums are 0, which an infinite prefactor turns into nan.
+        The largest are formed as :attr:`pe_terms` forms them, and as
+        :func:`series_tables` scales the coherence series (g |alpha|^(l + 2)).
+        Assumes the finite g^2 that ``EigenvalueTable.check`` leaves."""
+        aa, l, g, g2 = params.abs_alpha_sq, params.l, params.g, params.g**2
+        abs_alpha = abs(params.alpha)
+        try:  # a Python float ** past the float range raises instead of giving inf
+            powers = (4.0 * aa * aa, aa**l, abs_alpha ** (l + 2))
+        except OverflowError:
+            powers = (math.inf,)
+        if not all(map(math.isfinite, powers)):
+            raise LimitError("alpha", f"alpha = {params.alpha}: the series prefactors are "
+                                      f"past the float range at l = {l}")
+        coupled = (2.0 * g2 * aa**l, 2.0 * g2 * (1.0 + 2.0 * aa) * aa ** (l - 1),
+                   g * abs_alpha ** (l + 2))
+        if not all(map(math.isfinite, coupled)):
+            raise LimitError("g", f"g = {g}: the series prefactors are past the float "
+                                  f"range at alpha = {params.alpha}, l = {l}")
+
     @cached_property
     def pe_terms(self):
         """Excitation-probability order terms ((p1_0, p1_1, p1_2),
@@ -319,7 +368,8 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
 
     With ``coherence=False`` the twelve coherence series are skipped and the
     trig tables are sized to the n_max + 3 columns the S sums need, for
-    callers that only want P_e.
+    callers that only want P_e.  Both builds check the eigenvalues up to
+    ``trunc.top_row(l)``, so they refuse the same inputs.
     """
     t_arr = np.asarray(t, dtype=float)
     if t_arr.ndim != 1:
@@ -329,9 +379,12 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
     n_cols = n_max + 1
     n_pe = n_max + 3  # columns n + k, k <= 2, of the S sums and the coherence products
     n_shift = min(l, n_pe)  # structurally zero D' columns
-    # the table first: a cut too large to tabulate fails here at once, before
+    # the limits first: a cut too large to tabulate fails here at once, before
     # the tail sum spends O(|alpha|) work on it
-    table = EigenvalueTable(params, n_max + l + 2 if coherence else n_max + 2)
+    top = trunc.top_row(l)
+    EigenvalueTable.check(params, top)
+    SeriesTables.check_prefactors(params)
+    table = EigenvalueTable(params, top if coherence else n_max + 2)
     trunc.warn_if_leaky(params.alpha)
     w = np.exp(poisson_log_weight(np.arange(n_max + 1), params.alpha))
     half_delta = params.delta / 2.0

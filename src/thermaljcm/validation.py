@@ -91,7 +91,7 @@ class SuiteCutoffs:
     @property
     def top_row(self) -> int:
         """The last Rabi-eigenvalue row m of any table the suite builds here."""
-        return max(self.series.n_max + self.params.l + 2,
+        return max(self.series.top_row(self.params.l),
                    self.warm.n_fock - 1, self.tilde.n_fock - 1)
 
 
@@ -116,13 +116,12 @@ def _fit_slope(theta: np.ndarray, residual: np.ndarray):
     return float(coeffs[0])
 
 
-def _angle_residuals(cut: SuiteCutoffs, tables: SeriesTables, theta: float) -> list:
+def _angle_residuals(cut: SuiteCutoffs, tables: SeriesTables,
+                     init: oracle.DoubledFockState, thermal: ThermalParams) -> list:
     """Residuals (pe, |rho01|, conjugate orientation) at one angle, one row
-    per time of ``T_VALUES``; the angle's doubled state lives only here."""
+    per time of ``T_VALUES``, from the angle's initial state ``init``."""
     params = cut.params
-    thermal = theta_for_angle(theta, params.omega, params.omega0)
     # propagate returns a fresh state, so one initial state serves every t
-    init = oracle.build_initial_state(params, thermal, cut.warm)
     pe, series = tables.pe(thermal), tables.rho01(thermal)
     rows = []
     for col, t in enumerate(T_VALUES, start=1):
@@ -134,12 +133,18 @@ def _angle_residuals(cut: SuiteCutoffs, tables: SeriesTables, theta: float) -> l
     return rows
 
 
-def _check_theta_scaling(cut: SuiteCutoffs, tables: SeriesTables) -> list[dict]:
-    """Columns 1.. of ``tables`` hold the series at ``T_VALUES``."""
+def _check_theta_scaling(cut: SuiteCutoffs, tables: SeriesTables):
+    """Columns 1.. of ``tables`` hold the series at ``T_VALUES``.  Returns the
+    checks and the largest angle's initial state."""
     params = cut.params
+    rows = []
+    for th in THETA_GRID:
+        init = None  # one doubled state at a time: drop the last before building the next
+        thermal = theta_for_angle(float(th), params.omega, params.omega0)
+        init = oracle.build_initial_state(params, thermal, cut.warm)
+        rows.append(_angle_residuals(cut, tables, init, thermal))
     # [angle, time, kind] -> [time, kind, angle]
-    res = np.array([_angle_residuals(cut, tables, float(th))
-                    for th in THETA_GRID]).transpose(1, 2, 0)
+    res = np.array(rows).transpose(1, 2, 0)
     checks = []
     for t, (pe_res, rho_res, conv_res) in zip(T_VALUES, res):
         for name, r in (("pe", pe_res), ("rho01", rho_res)):
@@ -156,7 +161,7 @@ def _check_theta_scaling(cut: SuiteCutoffs, tables: SeriesTables) -> list[dict]:
             "passed": ratio < 100.0,
             "residual_over_theta3": ratio,
         })
-    return checks
+    return checks, init
 
 
 def _check_tilde_series(cut: SuiteCutoffs, t: float, tilde: np.ndarray) -> list[dict]:
@@ -211,8 +216,9 @@ def _check_t0_identities(params: ModelParams, tables: SeriesTables) -> list[dict
     return checks
 
 
-def _check_thermal_states(cut: SuiteCutoffs) -> list[dict]:
-    """Thermal-state laws at the largest angle of ``THETA_GRID``."""
+def _check_thermal_states(cut: SuiteCutoffs, state: oracle.DoubledFockState) -> list[dict]:
+    """Thermal-state laws at the largest angle of ``THETA_GRID``, whose
+    initial state is ``state``."""
     params, trunc = cut.params, cut.warm
     theta = float(THETA_GRID[-1])
     checks = []
@@ -247,7 +253,6 @@ def _check_thermal_states(cut: SuiteCutoffs) -> list[dict]:
 
     # fermionic reduced weights follow the Fermi-Dirac law exactly
     thermal = theta_for_angle(theta, params.omega, params.omega0)
-    state = oracle.build_initial_state(params, thermal, trunc)
     w_excited = float(np.sum(np.abs(state.amp[1]) ** 2))
     w_ground = float(np.sum(np.abs(state.amp[0]) ** 2))
     if math.isinf(thermal.beta):
@@ -298,10 +303,11 @@ def run_validation_suite(sized: list[SuiteCutoffs] | None = None) -> dict:
         # coherence series; each time sample is reduced on its own
         tables = perturbation.series_tables([0.0, *T_VALUES], cut.params, cut.series)
         checks.extend(_check_t0_identities(cut.params, tables))
-        checks.extend(_check_theta_scaling(cut, tables))
+        scaling, warm_state = _check_theta_scaling(cut, tables)
+        checks.extend(scaling)
         checks.extend(_check_tilde_series(cut, T_VALUES[-1], tables.tilde[:, :, -1]))
         checks.append(_check_zero_temperature_degeneracy(cut))
-    checks.extend(_check_thermal_states(suite[-1]))
+    checks.extend(_check_thermal_states(suite[-1], warm_state))
     ctables = perturbation.series_tables([0.9], complex_cut.params, complex_cut.series)
     checks.extend(_check_tilde_series(complex_cut, 0.9, ctables.tilde[:, :, -1]))
     return {"passed": bool(all(c["passed"] for c in checks)), "checks": checks}

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import thermaljcm.perturbation
-from thermaljcm import oracle
+from thermaljcm import cli, oracle
 from thermaljcm.cli import (
     EXIT_CONFIG,
     EXIT_NO_REVIVAL,
@@ -32,7 +33,8 @@ from thermaljcm.cli import (
     main,
     parse_config,
 )
-from thermaljcm.model import EigenvalueTable, ModelParams
+from thermaljcm.model import EigenvalueTable, ModelParams, thermal_from_inv_beta
+from thermaljcm.perturbation import TruncationPolicy, series_tables
 
 
 def small_config(**overrides):
@@ -884,3 +886,117 @@ class TestFiniteOutput:
             assert 1 <= len(rows) <= 50
             cells = [float(v) for row in rows for v in row.split(",")]
             assert all(math.isfinite(v) for v in cells)
+
+
+class TestOutFile:
+    """``--out`` keeps an earlier result unless the command returns."""
+
+    EARLIER = "earlier result 1\n"  # 17 bytes
+
+    @pytest.fixture
+    def out(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text(self.EARLIER)
+        return path
+
+    def test_leaking_oracle_cutoff_keeps_the_file(self, tmp_path, capsys, out):
+        doc = small_config(oracle={"with_oracle": True, "n_fock": 8})
+        argv = ["pe-series", "--config", write_config(tmp_path, doc), "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert "oracle.n_fock" in capsys.readouterr().err
+        assert out.read_text() == self.EARLIER
+
+    def test_sweep_row_past_the_sample_limit_keeps_the_file(self, capsys, out):
+        argv = ["period-sweep", "--preset", "fig3a", "--dt", "1e-7", "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert "grid.dt" in capsys.readouterr().err
+        assert out.read_text() == self.EARLIER
+
+    def test_traceback_keeps_the_file(self, monkeypatch, tmp_path, out):
+        def fail(config, stream):
+            stream.write("partial\n")
+            raise RuntimeError("failed inside the handler")
+
+        _, help_text, flags = cli.COMMANDS["pe-series"]
+        monkeypatch.setitem(cli.COMMANDS, "pe-series", (fail, help_text, flags))
+        argv = ["pe-series", "--config", write_config(tmp_path, small_config()),
+                "--out", str(out)]
+        with pytest.raises(RuntimeError, match="inside the handler"):
+            main(argv)
+        assert out.read_text() == self.EARLIER
+
+    @pytest.mark.parametrize("earlier", ["", "x" * 100_000])
+    def test_returned_output_replaces_the_file(self, tmp_path, capsys, out, earlier):
+        out.write_text(earlier)
+        path = write_config(tmp_path, small_config())
+        assert main(["pe-series", "--config", path]) == EXIT_OK
+        expected = capsys.readouterr().out
+        assert main(["pe-series", "--config", path, "--out", str(out)]) == EXIT_OK
+        assert out.read_text() == expected
+
+
+def series_builds(params, trunc):
+    """The P_e-only and the full build on a two-sample grid, or the
+    ValueError each raises."""
+    builds = []
+    for coherence in (False, True):
+        try:
+            builds.append(series_tables([0.0, 0.5], params, trunc, coherence=coherence))
+        except ValueError as exc:
+            builds.append(exc)
+    return builds
+
+
+class TestLimitsAgree:
+    """``parse_config`` refuses a model exactly where the series layer does:
+    both apply the same definitions of the eigenvalue and prefactor limits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(l=st.integers(1, 200), n_max=st.integers(1, 300), g=log_uniform(1e200),
+           alpha=SIGNED | st.lists(SIGNED, min_size=2, max_size=2))
+    @example(l=1, n_max=40, g=1.0, alpha=1e150)
+    @example(l=1, n_max=40, g=1e150, alpha=1e9)
+    @example(l=4, n_max=40, g=1.0, alpha=1e40)
+    @example(l=200, n_max=20, g=1.0, alpha=2.0)
+    @example(l=1, n_max=10, g=3.5e153, alpha=2.0)
+    def test_parse_accepts_exactly_what_the_series_builds(self, l, n_max, g, alpha):
+        doc = small_config(thermal={"inv_beta": 0.0},
+                           grid={"t_start": 0.0, "t_stop": 0.5, "dt": 0.5},
+                           truncation={"n_max": n_max, "tail_tol": 1.0})
+        doc["model"].update(l=l, g=g, alpha=alpha)
+        try:
+            parse_config(doc)
+            accepted = True
+        except ConfigError:
+            accepted = False
+        try:
+            params = ModelParams(**{**doc["model"], "alpha": complex(*np.atleast_1d(alpha))})
+        except ValueError:  # |alpha|^2 past the float range: nothing to build
+            assert not accepted
+            return
+        for tables in series_builds(params, TruncationPolicy(n_max, tail_tol=1.0)):
+            assert accepted == (not isinstance(tables, ValueError)), tables
+            if not accepted:
+                continue
+            assert all(np.isfinite(term).all() for terms in tables.pe_terms for term in terms)
+            for inv_beta in (0.0, 0.16):
+                thermal = thermal_from_inv_beta(inv_beta, params)
+                assert np.isfinite(tables.pe(thermal)).all()
+                if tables.tilde is not None:
+                    assert np.isfinite(tables.rho01(thermal)).all()
+
+    def test_library_calls_refuse_before_they_allocate(self):
+        params = ModelParams(l=1, g=1.0, omega0=1.0, omega=1.0, alpha=1e150)
+        for exc in series_builds(params, TruncationPolicy(40, tail_tol=1.0)):
+            assert isinstance(exc, ValueError) and "series prefactors" in str(exc)
+        # 200! alone is past the float range; the (m, l) product tables of
+        # 10^5 rows would take 160 MB
+        params = ModelParams(l=200, g=1.0, omega0=1.0, omega=1.0, alpha=2.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="l = 200: the Rabi eigenvalues"):
+                EigenvalueTable(params, 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

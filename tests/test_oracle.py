@@ -484,3 +484,14 @@ class TestPropagateCallCount:
         calls = self.count_propagate(monkeypatch)
         assert run_validation_suite()["passed"]
         assert len(calls) == 2 * 7 * 2 + 3 + 2 * 100
+
+
+def test_validation_suite_builds_16_initial_states(monkeypatch):
+    # 2 l values x (7 angles + the zero-temperature state); the thermal-state
+    # checks reuse the state of the last l at the largest angle
+    builds = []
+    build = oracle.build_initial_state
+    monkeypatch.setattr(oracle, "build_initial_state",
+                        lambda *args: builds.append(args) or build(*args))
+    assert run_validation_suite()["passed"]
+    assert len(builds) == 2 * (7 + 1)
