@@ -91,6 +91,8 @@ class RunConfig:
             return "oracle.n_fock"
         if param == "n_fock" and thermal is not None and thermal.theta > 0:
             return "thermal.inv_beta"
+        if param == "n_max" and not self.adaptive:
+            return "truncation.n_max"
         return f"model.{param}" if param in ("l", "g") else "model.alpha"
 
     def canonical(self) -> dict:
@@ -566,7 +568,11 @@ def main(argv=None) -> int:
         # opened for appending, so a refusal or a traceback leaves an earlier
         # result as it was (a new path is created empty); it is replaced only
         # with the output of a handler that returned
-        with open(args.out, "a", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(args.out, "a", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise ConfigError(f"--out: cannot write {args.out}: {exc.strerror}") from exc
+        with fh:
             buffer = io.StringIO()
             code = handler(config, buffer)
             fh.truncate(0)

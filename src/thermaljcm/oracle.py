@@ -27,12 +27,29 @@ This module is the validation oracle for every perturbative series in
 :mod:`thermaljcm.perturbation`.  Its matrix exponentials are scipy's
 (:func:`expm`), and scipy is imported on the first one: importing this
 module, as ``import thermaljcm`` does, loads no scipy module.
+
+Two BLAS thread pools: scipy's wheel and numpy's wheel each bundle their own
+OpenBLAS.  In :func:`expm` the Pade step runs on scipy's and the squaring
+products on numpy's, and after each call a pool's helper threads spin for a
+while, so with both pools at one thread per CPU they take CPUs from each
+other and from the calling thread.  The two dense state constructions,
+:func:`thermal_coherent_state` and :func:`thermal_coherent_state_via_generator`,
+therefore run with numpy's OpenBLAS on one thread; scipy's keeps its threads
+for the Pade step.  The setting is process-wide while a construction runs:
+numpy products on other threads in that window run on one thread too.  The
+previous count is restored on return and on an exception.  The bytes do not
+change: OpenBLAS splits a product over its rows and columns, never over the
+summed index.  Where numpy's BLAS is not OpenBLAS the pin does nothing.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -175,6 +192,66 @@ def expm(a: np.ndarray) -> np.ndarray:
     return scipy_expm(a)
 
 
+#: thread-count functions of the OpenBLAS a numpy wheel bundles, then of a
+#: system OpenBLAS
+_OPENBLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@cache
+def _numpy_openblas_threads():
+    """(get, set) of the thread count of numpy's OpenBLAS, or None where
+    numpy's BLAS is something else.  Looked up once, through numpy's loaded
+    extension, which resolves the symbols of the library it links."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for get_name, set_name in _OPENBLAS_THREAD_FUNCTIONS:
+        get_fn, set_fn = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get_fn is not None and set_fn is not None:
+            get_fn.argtypes, get_fn.restype = [], ctypes.c_int
+            set_fn.argtypes, set_fn.restype = [ctypes.c_int], None
+            return get_fn, set_fn
+    return None
+
+
+_pin_lock = threading.Lock()
+_pin_depth = 0  # constructions inside _one_numpy_blas_thread, over all threads
+_pin_saved = 0  # the thread count the first of them found
+
+
+@contextmanager
+def _one_numpy_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread (module docstring).
+    The first of overlapping blocks saves the count and the last restores it,
+    so concurrent constructions on several threads restore it too."""
+    global _pin_depth, _pin_saved
+    fns = _numpy_openblas_threads()
+    if fns is None:
+        yield
+        return
+    get_fn, set_fn = fns
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = get_fn()
+            set_fn(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                set_fn(_pin_saved)
+
+
 def _ladder(n: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, n, dtype=float)), 1)
 
@@ -224,10 +301,11 @@ def thermal_coherent_state(alpha: complex, theta: float, trunc: FockTruncation) 
     remains.  The generator route below cross-validates this on small
     cutoffs.
     """
-    d_phys = displacement_matrix(alpha * math.exp(theta), trunc)
-    # the tilde leak check would repeat the physical one: |conj(d)| = |d|
-    d_tilde = np.conj(d_phys)
-    phi = (d_phys * _squeezed_vacuum_diagonal(theta, trunc)) @ d_tilde.T
+    with _one_numpy_blas_thread():
+        d_phys = displacement_matrix(alpha * math.exp(theta), trunc)
+        # the tilde leak check would repeat the physical one: |conj(d)| = |d|
+        d_tilde = np.conj(d_phys)
+        phi = (d_phys * _squeezed_vacuum_diagonal(theta, trunc)) @ d_tilde.T
     _check_norm(float(np.sum(np.abs(phi) ** 2)), trunc.leak_tol, "thermal coherent state")
     return phi
 
@@ -249,7 +327,8 @@ def thermal_coherent_state_via_generator(alpha: complex, theta: float,
     gen -= np.kron(a.T, a.T)
     gen *= -theta
     vec = np.kron(coherent_state_vector(alpha, n), coherent_state_vector(np.conj(alpha), n))
-    return (expm(gen) @ vec).reshape(n, n)
+    with _one_numpy_blas_thread():
+        return (expm(gen) @ vec).reshape(n, n)
 
 
 def build_initial_state(params: ModelParams, thermal: ThermalParams,

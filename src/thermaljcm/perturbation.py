@@ -29,13 +29,14 @@ about 4e9); past it, both are roundings of the same exact value.
 Threads: a build runs its time chunks on one worker thread per CPU in the
 process's affinity mask (``os.sched_getaffinity``), but on no more workers
 than give each one ``_MIN_WORKER_CELLS`` cells of the first ``_T_CHUNK``
-rows of the (t, n) trig table; a smaller build runs in the calling thread
-alone.  A chunk has at most ``_T_CHUNK`` / workers rows, and no more than fit
-in ``_TILE_CELLS`` (t, n) cells, so each worker's workspace of five float
-tables stays cache-sized whatever the grid length.  It is allocated once per
-build; on the P_e path a chunk allocates nothing of the (t, n) size.  Worker
-0 is the calling thread, and worker i takes chunks i, i + workers, ...; each
-chunk writes only its own time columns.  A time sample is reduced on its own
+rows of the (t, n) trig table, or than the byte budget below holds; a
+smaller build runs in the calling thread alone.  A chunk has at most
+``_T_CHUNK`` / workers rows, and no more than fit in ``_TILE_CELLS`` (t, n)
+cells, so each worker's workspace of five float tables stays cache-sized
+whatever the grid length.  It is allocated once per build; on the P_e path
+a chunk allocates nothing of the (t, n) size.  Worker 0 is the calling
+thread, and worker i takes chunks i, i + workers, ...; each chunk writes
+only its own time columns.  A time sample is reduced on its own
 in the same ascending-n order whichever chunk or thread holds it, so the
 output bytes do not depend on the number of CPUs or on the chunk size.  The
 workers call no public function of any layer (their bodies use numpy and
@@ -44,9 +45,13 @@ per build.
 
 This module owns the sizing rules of a build: the table width
 (:meth:`TruncationPolicy.top_row`), the prefactor range
-(:meth:`SeriesTables.check_prefactors`) and the Poisson cut.
-:func:`series_tables` applies them before it allocates, so a library call
-past them raises :class:`~thermaljcm.model.LimitError` instead of returning nan.
+(:meth:`SeriesTables.check_prefactors`), the Poisson cut and the byte budget
+(``_BUILD_BYTES_LIMIT``).  :func:`series_tables` applies them before it
+allocates, so a library call past them raises
+:class:`~thermaljcm.model.LimitError` instead of returning nan or asking
+numpy for more memory than the host has.  A build that needs more workers'
+workspaces than the budget holds runs on fewer workers, with the same
+bytes; one refused on one worker is refused on every host.
 
 No scipy: the log-factorials of the weights come from ``model._log_gamma``,
 which keeps the bits of ``scipy.special.gammaln``, and the Poisson tail mass
@@ -109,6 +114,13 @@ _TILE_CELLS = 1 << 16
 #: slower at every size up to 22 600 cells (200 rows x 113 columns).
 _MIN_WORKER_CELLS = 1 << 15
 
+#: bytes a build may allocate for its photon axis (:func:`_build_bytes`);
+#: past it :func:`series_tables` raises ``LimitError("n_max")`` before it
+#: allocates.  1 GiB admits about 6.7 million columns to a P_e-only build and
+#: 3.5 million to a full one, at l = 1 on one worker; no preset has more
+#: than 257.
+_BUILD_BYTES_LIMIT = 1 << 30
+
 
 def _usable_cpus() -> int:
     """Number of CPUs this process may run on (its affinity mask)."""
@@ -116,6 +128,24 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
         return os.cpu_count() or 1
+
+
+def _build_bytes(columns: int, l: int, coherence: bool) -> tuple[int, int]:
+    """Upper bounds on the bytes a build of ``columns`` eigenvalue columns
+    allocates for its photon axis: (shared, each worker).
+
+    Shared, in float64 arrays of the photon axis: l + 7 for the eigenvalue
+    table as it is built (its (m, l) products included), 5 for the Poisson
+    weights, whose log-gamma goes through a list of Python floats, 2 for the
+    masks, and 7 more for the weighted coherence columns.  Each worker: its
+    five (t, n) tables of at most max(``_TILE_CELLS``, columns) cells, and 11
+    more for the complex amplitude products of the coherence series.  The
+    traced peaks are below these: about 13 and 17 floats a column on one and
+    two workers for a P_e-only build, 26 and 41 for a full one.
+    """
+    shared = columns * (l + 14 + (7 if coherence else 0))
+    per_worker = max(_TILE_CELLS, columns) * (16 if coherence else 5)
+    return 8 * shared, 8 * per_worker
 
 
 def _poisson_cut(alpha: complex, extra: int = 0) -> int:
@@ -384,7 +414,13 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
     top = trunc.top_row(l)
     EigenvalueTable.check(params, top)
     SeriesTables.check_prefactors(params)
-    table = EigenvalueTable(params, top if coherence else n_max + 2)
+    columns = top + 1 if coherence else n_pe
+    shared, per_worker = _build_bytes(columns, l, coherence)
+    if shared + per_worker > _BUILD_BYTES_LIMIT:
+        raise LimitError("n_max", f"n_max = {n_max} at l = {l}: a series build of {columns} "
+                                  f"photon columns needs {(shared + per_worker) >> 20} MiB, "
+                                  f"more than the limit of {_BUILD_BYTES_LIMIT >> 20} MiB")
+    table = EigenvalueTable(params, columns - 1)
     trunc.warn_if_leaky(params.alpha)
     w = np.exp(poisson_log_weight(np.arange(n_max + 1), params.alpha))
     half_delta = params.delta / 2.0
@@ -408,7 +444,8 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
     # all of its chunks: tables allocated afresh per chunk are page-faulted
     # in again each time (3x the faults on a fig3 grid).
     n_rows = min(t_arr.size, _T_CHUNK)
-    workers = max(1, min(_usable_cpus(), n_rows, n_rows * table.d.size // _MIN_WORKER_CELLS))
+    workers = max(1, min(_usable_cpus(), n_rows, n_rows * columns // _MIN_WORKER_CELLS,
+                         (_BUILD_BYTES_LIMIT - shared) // per_worker))
     chunk = max(1, min(n_rows // workers, _TILE_CELLS // table.d.size))
     trig = np.empty((workers, 2, chunk, table.d.size))
     sq = np.empty((workers, 2, chunk, n_pe))

@@ -735,6 +735,25 @@ class TestErrorPaths:
         assert "photon columns, more than the limit" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("command, model, truncation, field", [
+        # under the column limit; 16 777 003 columns need the eigenvalue
+        # table's 128 MiB arrays and five more per worker
+        ("pe-series", {}, {"n_max": 16_777_000}, "truncation.n_max"),
+        ("coherence-map", {}, {"n_max": 16_777_000}, "truncation.n_max"),
+        # the adaptive cut at alpha 4000 is n_max = 16 048 012
+        ("pe-series", {"alpha": 4000.0}, {"adaptive": True}, "model.alpha"),
+    ])
+    def test_series_build_past_the_byte_budget_exits_2(self, tmp_path, command, model,
+                                                       truncation, field):
+        config = small_config(grid={"t_start": 0.0, "t_stop": 1.0, "dt": 0.5},
+                              truncation={"tail_tol": 1.0, **truncation})
+        config["model"].update(model)
+        proc = run_capped_cli([command, "--config", write_config(tmp_path, config)])
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stderr.startswith(f"error: {field}: "), proc.stderr
+        assert "MiB, more than the limit of 1024 MiB" in proc.stderr
+        assert proc.stdout == ""
+
     def test_series_table_columns_stop_at_the_limit(self):
         # columns m = 0 .. n_max + l + 2; nothing is built by parse_config
         doc = small_config(truncation={"n_max": SAMPLE_LIMIT - 5})
@@ -924,6 +943,18 @@ class TestOutFile:
         with pytest.raises(RuntimeError, match="inside the handler"):
             main(argv)
         assert out.read_text() == self.EARLIER
+
+    @pytest.mark.parametrize("target, reason", [
+        ("", "Is a directory"),
+        ("missing/out.csv", "No such file or directory"),
+    ])
+    def test_unwritable_path_exits_2(self, tmp_path, capsys, target, reason):
+        path = tmp_path / target
+        assert main(["approx-check", "--preset", "fig1a", "--out", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --out: cannot write {path}: {reason}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "missing").exists()
 
     @pytest.mark.parametrize("earlier", ["", "x" * 100_000])
     def test_returned_output_replaces_the_file(self, tmp_path, capsys, out, earlier):

@@ -2,6 +2,9 @@
 
 import json
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -129,6 +132,79 @@ class TestThermalCoherentState:
         via_gen = thermal_coherent_state_via_generator(1.0, 0.3, trunc)
         overlap = abs(np.vdot(via_gen, direct))
         assert overlap > 1.0 - 1e-8
+
+
+@pytest.fixture
+def numpy_openblas():
+    """(get, set) of numpy's OpenBLAS thread count, set to 3 for the test
+    and restored after it; skips where numpy's BLAS is not OpenBLAS."""
+    fns = oracle._numpy_openblas_threads()
+    if fns is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS: the pin does nothing")
+    get_fn, set_fn = fns
+    before = get_fn()
+    set_fn(3)
+    try:
+        yield fns
+    finally:
+        set_fn(before)
+
+
+class TestNumpyBlasPin:
+    """The state constructions run numpy's OpenBLAS on one thread and restore
+    the count the caller had."""
+
+    @pytest.mark.parametrize("build", [thermal_coherent_state,
+                                       thermal_coherent_state_via_generator])
+    def test_constructions_run_on_one_thread(self, monkeypatch, numpy_openblas, build):
+        get_fn, _ = numpy_openblas
+        seen = []
+
+        def spy(a):
+            seen.append(get_fn())
+            return expm(a)
+
+        monkeypatch.setattr(oracle, "expm", spy)
+        build(1.0, 0.3, FockTruncation(20))
+        assert seen == [1]
+        assert get_fn() == 3
+
+    def test_count_is_restored_after_a_leak(self, numpy_openblas):
+        get_fn, _ = numpy_openblas
+        with pytest.raises(LeakageError, match="displaced-vacuum mass"):
+            thermal_coherent_state(5.0, 0.1, FockTruncation(10))
+        assert get_fn() == 3
+
+    def test_overlapping_blocks_restore_the_count(self, numpy_openblas):
+        # more threads than CPUs, switching often: a block entered while
+        # another is open must not save the pinned count as the one to restore
+        get_fn, _ = numpy_openblas
+        inside = []
+        barrier = threading.Barrier(8, timeout=30)
+
+        def enter():
+            barrier.wait()
+            for _ in range(200):
+                with oracle._one_numpy_blas_thread():
+                    inside.append(get_fn())
+                    time.sleep(1e-5)  # let the other threads enter and leave
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=enter) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert inside == [1] * 1600
+        assert get_fn() == 3
+
+    def test_pin_is_private(self):
+        assert not any("blas" in name for name in oracle.__all__)
 
 
 def two_exponential_state(alpha, theta, trunc):

@@ -2,7 +2,8 @@
 
 A build allocates each worker's (t, n) tables once, with at most
 ``_TILE_CELLS`` cells a table, so its traced peak does not grow with the
-length of the time grid beyond the per-time outputs.
+length of the time grid beyond the per-time outputs.  Its photon axis is
+bounded by a byte budget, checked before anything is allocated.
 """
 
 import tracemalloc
@@ -13,8 +14,8 @@ import pytest
 
 from thermaljcm import perturbation
 from thermaljcm.analysis import SAMPLES_PER_CYCLE, _sweep_samples
-from thermaljcm.cli import build_preset, parse_config
-from thermaljcm.model import ModelParams, rabi_period
+from thermaljcm.cli import PRESETS, build_preset, parse_config
+from thermaljcm.model import LimitError, ModelParams, rabi_period
 from thermaljcm.perturbation import TruncationPolicy, series_tables
 
 #: traced peak of the fig3a sweep build: ~3.7 MiB on one worker and ~6.4 MiB
@@ -86,3 +87,56 @@ def test_each_worker_workspace_stays_within_the_cell_budget(cpus, l, n_max, n, c
     if n >= perturbation._T_CHUNK:
         # a long grid fills the tile: one more row would pass the budget
         assert (rows + 1) * columns > budget
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("coherence", [False, True])
+def test_build_bytes_bound_the_traced_peak(cpus, coherence):
+    # past _TILE_CELLS columns a chunk is one row, where a worker's workspace
+    # is largest for its columns
+    n_max, l = 70_000, 4
+    params = ModelParams(l=l, g=1.0, omega0=1.0, omega=1.0, alpha=3.0)
+    columns = n_max + (l + 3 if coherence else 3)
+    shared, per_worker = perturbation._build_bytes(columns, l, coherence)
+    with mock.patch.object(perturbation, "_usable_cpus", lambda: cpus):
+        tracemalloc.start()
+        try:
+            series_tables(np.linspace(0.0, 1.0, 64), params, TruncationPolicy(n_max, 1.0),
+                          coherence=coherence)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= shared + cpus * per_worker
+
+
+def test_build_past_the_byte_budget_is_refused_before_it_allocates():
+    params = ModelParams(l=1, g=1.0, omega0=1.0, omega=1.0, alpha=3.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitError, match="more than the limit of 1024 MiB") as exc:
+            series_tables([0.0, 0.5], params, TruncationPolicy(10_000_000, 1.0),
+                          coherence=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.param == "n_max"
+    assert peak < 1 << 20
+
+
+
+def test_budget_caps_the_workers(monkeypatch):
+    # a build that fits on two workers but not on 64 runs on two
+    params = ModelParams(l=1, g=1.0, omega0=1.0, omega=1.0, alpha=3.0)
+    shared, per_worker = perturbation._build_bytes(200_003, 1, False)
+    monkeypatch.setattr(perturbation, "_BUILD_BYTES_LIMIT", shared + 2 * per_worker)
+    shapes = workspace_shapes(np.linspace(0.0, 1.0, 64), params,
+                              TruncationPolicy(200_000, 1.0), 64, False)
+    assert [shape[0] for shape in shapes] == [2, 2, 2]
+
+
+def test_every_preset_fits_the_budget_on_64_workers():
+    for name in PRESETS:
+        config = parse_config(build_preset(name))
+        columns = config.trunc.top_row(config.params.l) + 1
+        shared, per_worker = perturbation._build_bytes(columns, config.params.l, True)
+        assert shared + 64 * per_worker <= perturbation._BUILD_BYTES_LIMIT
