@@ -5,7 +5,8 @@ sliding-maximum envelope detection around the oscillation midline 1/2,
 followed by locating the strongest raw peak near the envelope maximum.  The
 closed-form thermal period provides the search window prior; the fast
 oscillation granularity quantizes the extracted values.  The time step
-rules, :func:`default_dt` and :func:`check_dt`, are this module's.
+rules, :func:`default_dt` and :func:`check_dt`, and the ``SAMPLE_LIMIT`` on
+a sweep's rows and the approximation's table are this module's.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .model import (
     tau1,
     thermal_from_inv_beta,
 )
-from .perturbation import TruncationPolicy, _poisson_cut, poisson_log_weight
+from .perturbation import TruncationPolicy, _poisson_cut, _poisson_weights
 
 __all__ = [
     "TimeSeries",
@@ -41,6 +42,7 @@ __all__ = [
     "NO_REVIVAL_RATIO",
     "SAMPLES_PER_CYCLE",
     "MIN_SAMPLES_PER_CYCLE",
+    "SAMPLE_LIMIT",
 ]
 
 #: revival detection: the envelope maximum in the search window must exceed
@@ -58,6 +60,10 @@ SAMPLES_PER_CYCLE = 40
 
 #: coarsest grid period extraction accepts, in samples per fast cycle
 MIN_SAMPLES_PER_CYCLE = 20
+
+#: the most samples of a time grid, and the most (time, photon) cells of
+#: :func:`approx_cos_sum`'s table; 2^24 samples of 8 bytes are 128 MiB
+SAMPLE_LIMIT = 1 << 24
 
 #: sweep rows span this multiple of the thermal period prior; must stay
 #: >= 1.8, the span :func:`extract_revival_period` requires
@@ -131,8 +137,12 @@ def approx_cos_sum(alpha: complex, l: int, g: float, t):
         raise ValueError("approximation requires alpha != 0")
     aa = abs(alpha) ** 2
     n_max = _poisson_cut(alpha)
-    w = np.exp(poisson_log_weight(np.arange(n_max + 1), alpha))
     t = np.asarray(t, dtype=float)
+    if t.size * (n_max + 1) > SAMPLE_LIMIT:
+        raise LimitError("alpha", f"alpha = {alpha}: approx-check's table of {t.size} time "
+                                  f"samples x {n_max + 1} photon numbers is larger than the "
+                                  f"limit of {SAMPLE_LIMIT} cells")
+    w = _poisson_weights(n_max, alpha)
     m_pow = np.arange(n_max + 1, dtype=float) ** (l / 2.0)
     lhs = np.add.reduce(w * np.cos(2.0 * g * m_pow * t[..., None]), axis=-1)
     slow = g * abs(alpha) ** (l - 2) * l * t
@@ -236,13 +246,6 @@ def _row_samples(prior: float, dt: float) -> float:
     return float(np.ceil(SPAN_FACTOR * prior / dt)) + 1.0
 
 
-def _sweep_samples(params: ModelParams, inv_betas, dt: float) -> float:
-    """Sample count of the longest row of :func:`period_vs_temperature_sweep`
-    at dt, the grid its one table build covers, as a float; 0 for no rows."""
-    return max((_row_samples(t0_prime_period(params, thermal_from_inv_beta(ib, params)), dt)
-                for ib in inv_betas), default=0.0)
-
-
 def period_vs_temperature_sweep(params: ModelParams, inv_betas, trunc: TruncationPolicy,
                                 *, dt: float | None = None) -> list[SweepRow]:
     """Extract the revival period at each temperature of a 1/beta grid.
@@ -254,13 +257,19 @@ def period_vs_temperature_sweep(params: ModelParams, inv_betas, trunc: Truncatio
     beyond the physicality tolerance is flagged rather than dropped; rows
     without a detectable revival carry ``period = None``.  The series tables are built once, on the longest
     row's grid; each time sample is reduced on its own, so a row's slice is
-    bitwise what a build on its own grid gives.
+    bitwise what a build on its own grid gives; a longest row of
+    ``SAMPLE_LIMIT`` samples or more raises ``LimitError("dt")`` before it.
     """
     if dt is None:
         dt = default_dt(params)
-    check_dt(params, dt)
     thermals = [thermal_from_inv_beta(inv_beta, params) for inv_beta in inv_betas]
     priors = [t0_prime_period(params, thermal) for thermal in thermals]
+    samples = max((_row_samples(prior, dt) for prior in priors), default=0.0)
+    if samples >= SAMPLE_LIMIT:
+        raise LimitError("dt", f"the longest sweep row at alpha = {params.alpha}, dt = "
+                               f"{dt:.6g} has {samples:.3g} time samples, more than the "
+                               f"limit of {SAMPLE_LIMIT}")
+    check_dt(params, dt)
     if not priors:
         return []
     spans = [int(_row_samples(prior, dt)) for prior in priors]

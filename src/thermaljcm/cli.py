@@ -4,7 +4,13 @@ Subcommands emit machine-readable tables (CSV or JSON) for the excitation
 probability time series, the period-vs-temperature sweep, the coherence map,
 the closed-form approximation check, and the oracle validation report.
 Identical configuration yields byte-identical output: floats are printed
-with 12 significant digits and all reductions run in fixed order.
+with 12 significant digits and all reductions run in fixed order.  CSV rows
+are written a block at a time, so the writer's memory does not grow with
+the table.
+
+Limits: the one size rule here is the time grid this module allocates.
+Every other limit is the rule of the layer that allocates; the CLI names the
+field that set a :class:`~thermaljcm.model.LimitError`'s value and exits 2.
 """
 
 from __future__ import annotations
@@ -19,12 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle, perturbation, validation
-from .analysis import (
-    _sweep_samples,
-    approx_cos_sum,
-    default_dt,
-    period_vs_temperature_sweep,
-)
+from .analysis import SAMPLE_LIMIT, approx_cos_sum, default_dt, period_vs_temperature_sweep
 from .coherence import coherence_values, physical_population, project_values
 from .model import (
     EigenvalueTable,
@@ -36,7 +37,7 @@ from .model import (
     thermal_from_inv_beta,
 )
 from .oracle import FockTruncation
-from .perturbation import SeriesTables, TruncationPolicy, _poisson_cut
+from .perturbation import TruncationPolicy
 
 __all__ = ["main", "ConfigError", "RunConfig", "parse_config", "PRESETS", "build_preset"]
 
@@ -46,13 +47,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_NO_REVIVAL = 4
-
-#: the most time samples a grid may have (a period sweep's longest row
-#: included), the most photon columns of a series table, and the most
-#: (time, photon) cells of a table a command holds in memory at once
-#: (approx-check's); past it a command exits 2 and names the field.  2^24
-#: samples of 8 bytes are 128 MiB.
-SAMPLE_LIMIT = 1 << 24
 
 
 class ConfigError(ValueError):
@@ -93,6 +87,8 @@ class RunConfig:
             return "thermal.inv_beta"
         if param == "n_max" and not self.adaptive:
             return "truncation.n_max"
+        if param == "t":
+            return "grid"
         return f"model.{param}" if param in ("l", "g") else "model.alpha"
 
     def canonical(self) -> dict:
@@ -224,17 +220,8 @@ def parse_config(data: dict) -> RunConfig:
                        t_stop=t_stop, dt=dt, n_max=n_max_raw, tail_tol=tail_tol,
                        adaptive=adaptive, with_oracle=with_oracle, n_fock=n_fock,
                        out_format=out_format)
-    # a series table has a column per photon number m = 0 .. top
-    trunc = config.trunc
-    top = trunc.top_row(params.l)
-    if top >= SAMPLE_LIMIT:
-        source = f"model.alpha: alpha = {alpha} sets" if adaptive else "truncation.n_max:"
-        raise ConfigError(f"{source} n_max = {trunc.n_max} at l = {params.l}: the "
-                          f"series tables would have {top + 1} photon columns, more than "
-                          f"the limit of {SAMPLE_LIMIT}")
-    try:
-        EigenvalueTable.check(params, top)
-        SeriesTables.check_prefactors(params)
+    try:  # the limits of the smallest series build a command makes
+        config.trunc.check(params)
     except LimitError as exc:
         raise ConfigError(f"{config.field(exc.param)}: {exc}") from None
     return config
@@ -303,21 +290,28 @@ PRESETS = tuple(sorted([*_FIG1, "fig2", *_SWEEP_LS, *_MAP_LS]))
 
 _CELL_FORMATS = {"f": "%.12g", "b": "%d", "i": "%d", "u": "%d"}
 
+#: CSV rows turned into Python values and written at a time: the writer's
+#: memory does not grow with the table
+_CSV_BLOCK_ROWS = 4096
+
 
 def _write_table(stream, columns: list[str], cols: list, out_format: str) -> None:
     """Write a table given column-wise: one equal-length array or list per name.
 
-    CSV rows are formatted with one %-format string per row: floats as
-    %.12g (nan, inf and -0 included), booleans and integers as %d, anything
-    else as %s.  JSON rows keep the values of :func:`_coerce_json`.
+    CSV rows are formatted with one %-format string per row, ``_CSV_BLOCK_ROWS``
+    rows at a time: floats as %.12g (nan, inf and -0 included), booleans and
+    integers as %d, anything else as %s.  JSON rows keep the values of
+    :func:`_coerce_json`.
     """
     arrays = [np.asarray(c) for c in cols]
-    rows = zip(*(a.tolist() for a in arrays))
     if out_format == "csv":
         fmt = ",".join(_CELL_FORMATS.get(a.dtype.kind, "%s") for a in arrays) + "\n"
         stream.write(",".join(columns) + "\n")
-        stream.writelines(fmt % row for row in rows)
+        for lo in range(0, len(arrays[0]), _CSV_BLOCK_ROWS):
+            block = (a[lo : lo + _CSV_BLOCK_ROWS].tolist() for a in arrays)
+            stream.writelines(fmt % row for row in zip(*block))
     else:
+        rows = zip(*(a.tolist() for a in arrays))
         doc = {"columns": columns,
                "rows": [[_coerce_json(v) for v in row] for row in rows]}
         json.dump(doc, stream, indent=2, sort_keys=True)
@@ -348,7 +342,7 @@ def _grid_samples(config: RunConfig) -> tuple[float, float, int]:
     return t0, dt, max(math.floor(last), 0) + 1
 
 
-def _default_pe_grid(config: RunConfig) -> np.ndarray:
+def _time_grid(config: RunConfig) -> np.ndarray:
     t0, dt, n = _grid_samples(config)
     return t0 + dt * np.arange(n)
 
@@ -363,7 +357,7 @@ def cmd_pe_series(config: RunConfig, stream) -> int:
     params = config.params
     thermal = thermal_from_inv_beta(config.inv_betas[0], params)
     trunc = config.trunc
-    t = _default_pe_grid(config)
+    t = _time_grid(config)
 
     p1, p2 = perturbation.series_tables(t, params, trunc, coherence=False).pe_terms
     s2, c2 = thermal.sin_atom**2, thermal.cos_atom**2
@@ -400,14 +394,7 @@ def cmd_period_sweep(config: RunConfig, stream) -> int:
     params = config.params
     _expect(params.alpha != 0, "model.alpha", "period-sweep requires alpha != 0")
     _expect(params.g > 0, "model.g", "period-sweep requires g > 0")
-    # the sweep builds one table, on its longest row's grid; it refuses a dt
-    # too coarse for period extraction before it builds anything
-    dt = config.dt if config.dt is not None else default_dt(params)
-    samples = _sweep_samples(params, config.inv_betas, dt)
-    _expect(samples < SAMPLE_LIMIT, config.field("dt"),
-            f"the longest sweep row at alpha = {params.alpha}, dt = {dt:.6g} has "
-            f"{samples:.3g} time samples, more than the limit of {SAMPLE_LIMIT}")
-    sweep = period_vs_temperature_sweep(params, config.inv_betas, config.trunc, dt=dt)
+    sweep = period_vs_temperature_sweep(params, config.inv_betas, config.trunc, dt=config.dt)
     periods = [math.nan if row.no_revival else row.period for row in sweep]
     flags = ["no-revival" if row.no_revival else "ok" if row.physical else "unstable"
              for row in sweep]
@@ -423,7 +410,7 @@ def cmd_coherence_map(config: RunConfig, stream) -> int:
     """Relative entropy of coherence over the (t, 1/beta) grid, long format."""
     params = config.params
     trunc = config.trunc
-    t = _default_pe_grid(config)
+    t = _time_grid(config)
     tables = perturbation.series_tables(t, params, trunc)
     parts = []
     for inv_beta in config.inv_betas:
@@ -443,13 +430,7 @@ def cmd_approx_check(config: RunConfig, stream) -> int:
     params = config.params
     if params.alpha == 0:
         raise ConfigError("model.alpha: approx-check requires alpha != 0")
-    # the cosine sum holds a (time, photon) table in memory at once
-    t0, dt, n = _grid_samples(config)
-    photons = _poisson_cut(params.alpha) + 1
-    _expect(n * photons <= SAMPLE_LIMIT, "model.alpha",
-            f"alpha = {params.alpha}: approx-check's table of {n} time samples x "
-            f"{photons} photon numbers is larger than the limit of {SAMPLE_LIMIT} cells")
-    t = t0 + dt * np.arange(n)
+    t = _time_grid(config)
     lhs, rhs = approx_cos_sum(params.alpha, params.l, params.g, t)
     _write_table(stream, ["t", "lhs", "rhs", "abs_dev"], [t, lhs, rhs, np.abs(lhs - rhs)],
                  config.out_format)

@@ -40,7 +40,8 @@ __all__ = [
 
 class LimitError(ValueError):
     """An input past a limit of the layer that raises it; ``param`` is its
-    name: ``"l"``, ``"g"``, ``"alpha"``, ``"n_fock"``, ``"n_max"`` or ``"dt"``."""
+    name: ``"l"``, ``"g"``, ``"alpha"``, ``"n_fock"``, ``"n_max"``, ``"dt"`` or
+    ``"t"`` (a time grid's length)."""
 
     def __init__(self, param: str, message: str):
         super().__init__(message)

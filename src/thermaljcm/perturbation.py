@@ -46,15 +46,17 @@ per build.
 This module owns the sizing rules of a build: the table width
 (:meth:`TruncationPolicy.top_row`), the prefactor range
 (:meth:`SeriesTables.check_prefactors`), the Poisson cut and the byte budget
-(``_BUILD_BYTES_LIMIT``).  :func:`series_tables` applies them before it
-allocates, so a library call past them raises
+(``_BUILD_BYTES_LIMIT``, on the photon axis and what a build holds per time
+sample).  :meth:`TruncationPolicy.check` applies them; :func:`series_tables`
+calls it before it allocates, so a library call past them raises
 :class:`~thermaljcm.model.LimitError` instead of returning nan or asking
 numpy for more memory than the host has.  A build that needs more workers'
 workspaces than the budget holds runs on fewer workers, with the same
 bytes; one refused on one worker is refused on every host.
 
 No scipy: the log-factorials of the weights come from ``model._log_gamma``,
-which keeps the bits of ``scipy.special.gammaln``, and the Poisson tail mass
+which keeps the bits of ``scipy.special.gammaln``, called only where a
+weight is not 0.0 (:func:`_poisson_weights`), and the Poisson tail mass
 of the truncation warning is a bounded log-domain sum.
 """
 
@@ -114,11 +116,11 @@ _TILE_CELLS = 1 << 16
 #: slower at every size up to 22 600 cells (200 rows x 113 columns).
 _MIN_WORKER_CELLS = 1 << 15
 
-#: bytes a build may allocate for its photon axis (:func:`_build_bytes`);
-#: past it :func:`series_tables` raises ``LimitError("n_max")`` before it
-#: allocates.  1 GiB admits about 6.7 million columns to a P_e-only build and
-#: 3.5 million to a full one, at l = 1 on one worker; no preset has more
-#: than 257.
+#: bytes a build may allocate (:func:`_build_bytes`), held by
+#: :meth:`TruncationPolicy.check`.  1 GiB admits about 6.7 million columns to
+#: a P_e-only build and 3.5 million to a full one, at l = 1 on one worker; at
+#: n_max = 250, about 11.1 and 2.0 million time samples.  No preset has more
+#: than 257 columns or 22 270 samples.
 _BUILD_BYTES_LIMIT = 1 << 30
 
 
@@ -130,20 +132,21 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _build_bytes(columns: int, l: int, coherence: bool) -> tuple[int, int]:
-    """Upper bounds on the bytes a build of ``columns`` eigenvalue columns
-    allocates for its photon axis: (shared, each worker).
+def _build_bytes(columns: int, l: int, coherence: bool, samples: int) -> tuple[int, int]:
+    """Upper bounds on the bytes a build of ``columns`` eigenvalue columns on
+    ``samples`` time samples allocates: (shared, each worker).
 
     Shared, in float64 arrays of the photon axis: l + 7 for the eigenvalue
     table as it is built (its (m, l) products included), 5 for the Poisson
-    weights, whose log-gamma goes through a list of Python floats, 2 for the
-    masks, and 7 more for the weighted coherence columns.  Each worker: its
-    five (t, n) tables of at most max(``_TILE_CELLS``, columns) cells, and 11
-    more for the complex amplitude products of the coherence series.  The
-    traced peaks are below these: about 13 and 17 floats a column on one and
-    two workers for a P_e-only build, 26 and 41 for a full one.
+    weights, 2 for the masks, and 7 more for the weighted coherence columns;
+    per time sample, 12 for S1, S2 and the cached order terms (traced), 67 for
+    a full build, which peaks as it scales ``tilde``.  Each worker: its five
+    (t, n) tables of at most max(``_TILE_CELLS``, columns) cells, and 11 more
+    for the complex amplitude products of the coherence series.  The traced
+    peaks a column are below these: about 13 and 17 on one and two workers
+    for a P_e-only build, 26 and 41 for a full one.
     """
-    shared = columns * (l + 14 + (7 if coherence else 0))
+    shared = columns * (l + 14 + (7 if coherence else 0)) + samples * (67 if coherence else 12)
     per_worker = max(_TILE_CELLS, columns) * (16 if coherence else 5)
     return 8 * shared, 8 * per_worker
 
@@ -185,6 +188,26 @@ class TruncationPolicy:
         """Last eigenvalue row m of a full build: the S sums reach n_max + 2,
         the coherence products l rows further."""
         return self.n_max + l + 2
+
+    def check(self, params: ModelParams, samples: int = 0, coherence: bool = False) -> None:
+        """Raise :class:`~thermaljcm.model.LimitError` where a build on
+        ``samples`` time samples is past the byte budget, summed in integers
+        (``"n_max"`` for its photon axis alone, else ``"t"``), the eigenvalue
+        range, or the prefactor range.  The defaults: the smallest build."""
+        l = params.l
+        columns = self.top_row(l) + 1 if coherence else self.n_max + 3
+        need = sum(_build_bytes(columns, l, coherence, 0))
+        if need > _BUILD_BYTES_LIMIT:
+            raise LimitError("n_max", f"n_max = {self.n_max} at l = {l}: a series build of "
+                                      f"{columns} photon columns needs {need >> 20} MiB, more "
+                                      f"than the limit of {_BUILD_BYTES_LIMIT >> 20} MiB")
+        need = sum(_build_bytes(columns, l, coherence, samples))
+        if need > _BUILD_BYTES_LIMIT:
+            raise LimitError("t", f"a series build of {samples} time samples x {columns} photon "
+                                  f"columns needs {need >> 20} MiB, more than the limit of "
+                                  f"{_BUILD_BYTES_LIMIT >> 20} MiB")
+        EigenvalueTable.check(params, self.top_row(l))
+        SeriesTables.check_prefactors(params)
 
     def tail_mass(self, alpha: complex) -> float:
         """Poisson probability mass above n_max for intensity |alpha|^2.
@@ -239,8 +262,59 @@ def poisson_log_weight(n, alpha: complex):
     if aa == 0.0:
         out = np.where(n_arr == 0, 0.0, -np.inf)
     else:
-        out = n_arr * math.log(aa) - _log_gamma(n_arr + 1.0) - aa
+        out = _log_weight(n_arr, aa)
     return float(out) if np.ndim(n) == 0 else out
+
+
+def _log_weight(n, aa: float):
+    """:func:`poisson_log_weight` at an intensity aa > 0, over floats n."""
+    return n * math.log(aa) - _log_gamma(n + 1.0) - aa
+
+
+#: a weight whose log is below this is 0.0: e^x underflows to 0 below about
+#: -745.13, and the margin covers the rounding of the log
+_LOG_WEIGHT_FLOOR = -750.0
+
+
+def _poisson_weights(n_max: int, alpha: complex) -> np.ndarray:
+    """The normalized Poisson weights of photon numbers 0 .. n_max, bitwise
+    ``np.exp(poisson_log_weight(np.arange(n_max + 1), alpha))``.
+
+    The log-weight is concave in n with its top at floor(|alpha|^2), so it is
+    at least ``_LOG_WEIGHT_FLOOR`` on one window around the top.  The window's
+    edges are found by bisection and only the window goes through
+    ``_log_gamma``, about 77 |alpha| numbers at a large |alpha|; every weight
+    outside it is 0.0, as its exp would be.
+    """
+    aa = abs(alpha) ** 2
+    w = np.zeros(n_max + 1)
+    if aa == 0.0:
+        w[0] = 1.0
+        return w
+
+    def above(n: int) -> bool:
+        return _log_weight(float(n), aa) >= _LOG_WEIGHT_FLOOR
+
+    top = min(math.floor(aa), n_max)
+    if above(top):
+        lo, hi = _last_true(above, top, 0), _last_true(above, top, n_max)
+        w[lo : hi + 1] = np.exp(_log_weight(np.arange(lo, hi + 1, dtype=float), aa))
+    return w
+
+
+def _last_true(pred, inside: int, edge: int) -> int:
+    """The integer farthest from ``inside`` towards ``edge``, both included,
+    where ``pred`` holds, given that it holds at ``inside`` and changes at
+    most once on the way; by bisection."""
+    if pred(edge):
+        return edge
+    while abs(edge - inside) > 1:
+        mid = (inside + edge) // 2
+        if pred(mid):
+            inside = mid
+        else:
+            edge = mid
+    return inside
 
 
 def _reduce_n(prod: np.ndarray) -> np.ndarray:
@@ -398,8 +472,8 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
 
     With ``coherence=False`` the twelve coherence series are skipped and the
     trig tables are sized to the n_max + 3 columns the S sums need, for
-    callers that only want P_e.  Both builds check the eigenvalues up to
-    ``trunc.top_row(l)``, so they refuse the same inputs.
+    callers that only want P_e.  :meth:`TruncationPolicy.check` runs first,
+    on the build's own columns and samples.
     """
     t_arr = np.asarray(t, dtype=float)
     if t_arr.ndim != 1:
@@ -411,18 +485,12 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
     n_shift = min(l, n_pe)  # structurally zero D' columns
     # the limits first: a cut too large to tabulate fails here at once, before
     # the tail sum spends O(|alpha|) work on it
-    top = trunc.top_row(l)
-    EigenvalueTable.check(params, top)
-    SeriesTables.check_prefactors(params)
-    columns = top + 1 if coherence else n_pe
-    shared, per_worker = _build_bytes(columns, l, coherence)
-    if shared + per_worker > _BUILD_BYTES_LIMIT:
-        raise LimitError("n_max", f"n_max = {n_max} at l = {l}: a series build of {columns} "
-                                  f"photon columns needs {(shared + per_worker) >> 20} MiB, "
-                                  f"more than the limit of {_BUILD_BYTES_LIMIT >> 20} MiB")
+    trunc.check(params, t_arr.size, coherence)
+    columns = trunc.top_row(l) + 1 if coherence else n_pe
+    shared, per_worker = _build_bytes(columns, l, coherence, t_arr.size)
     table = EigenvalueTable(params, columns - 1)
     trunc.warn_if_leaky(params.alpha)
-    w = np.exp(poisson_log_weight(np.arange(n_max + 1), params.alpha))
+    w = _poisson_weights(n_max, params.alpha)
     half_delta = params.delta / 2.0
     half_delta_sq = half_delta**2
     zero = table.d == 0.0  # only at g = 0 and resonance: limits t^2 and (1, t) below

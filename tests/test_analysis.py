@@ -9,7 +9,6 @@ import pytest
 from thermaljcm.analysis import (
     NoRevivalError,
     TimeSeries,
-    _sweep_samples,
     approx_cos_sum,
     envelope,
     extract_revival_period,
@@ -17,6 +16,7 @@ from thermaljcm.analysis import (
     revival_envelope,
 )
 from thermaljcm.model import (
+    LimitError,
     ModelParams,
     bogoliubov_angles,
     rabi_period,
@@ -286,8 +286,16 @@ class TestPeriodSweep:
             assert row.period == period
         assert len(set(spans)) == 3
         assert builds == [max(spans)]
-        # the count the CLI checks against its sample limit before the build
-        assert _sweep_samples(p, inv_betas, dt) == max(spans)
+        # the longest row is held to the sample limit before the build
+        from thermaljcm import analysis
+
+        monkeypatch.setattr(analysis, "SAMPLE_LIMIT", max(spans))
+        monkeypatch.setattr(perturbation, "series_tables",
+                            lambda *a, **k: builds.append(a[0].size) or build(*a, **k))
+        with pytest.raises(LimitError, match="^the longest sweep row at ") as exc:
+            period_vs_temperature_sweep(p, inv_betas, trunc)
+        assert exc.value.param == "dt"
+        assert builds == [max(spans)]
 
     def test_empty_grid_returns_no_rows(self):
         assert period_vs_temperature_sweep(make_params(), [], TruncationPolicy(50)) == []

@@ -26,13 +26,13 @@ from thermaljcm.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     PRESETS,
-    SAMPLE_LIMIT,
     ConfigError,
     _grid_samples,
     build_preset,
     main,
     parse_config,
 )
+from thermaljcm.analysis import SAMPLE_LIMIT
 from thermaljcm.model import EigenvalueTable, ModelParams, thermal_from_inv_beta
 from thermaljcm.perturbation import TruncationPolicy, series_tables
 
@@ -732,7 +732,8 @@ class TestErrorPaths:
         proc = run_capped_cli(argv)
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert proc.stderr.startswith(f"error: {field}: "), proc.stderr
-        assert "photon columns, more than the limit" in proc.stderr
+        assert "photon columns needs " in proc.stderr
+        assert "MiB, more than the limit of 1024 MiB" in proc.stderr
         assert proc.stdout == ""
 
     @pytest.mark.parametrize("command, model, truncation, field", [
@@ -754,12 +755,43 @@ class TestErrorPaths:
         assert "MiB, more than the limit of 1024 MiB" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("argv", [
+        # 15.8 M samples: the full build's 2.82 GiB tilde alone
+        ["coherence-map", "--preset", "fig4a", "--dt", "0.000016"],
+        # 16.4 M samples: a P_e-only build, then 2.5 GiB of Python floats to
+        # write it
+        ["pe-series", "--preset", "fig1a", "--dt", "0.0000031"],
+    ])
+    def test_series_build_past_the_budget_on_its_samples_exits_2(self, argv):
+        # each grid is under the sample limit; the build's per-sample arrays
+        # are not under the byte budget
+        proc = run_capped_cli(argv)
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stderr.startswith("error: grid: a series build of "), proc.stderr
+        assert "MiB, more than the limit of 1024 MiB" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("n_max", [2**53, 10**400], ids=["2**53", "10**400"])
+    def test_nmax_past_float_precision_and_range_exits_2(self, tmp_path, n_max):
+        # the budget is summed in integers: neither n_max reaches a float
+        doc = small_config(truncation={"n_max": n_max})
+        proc = run_capped_cli(["pe-series", "--config", write_config(tmp_path, doc)])
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stderr.startswith(f"error: truncation.n_max: n_max = {n_max} at l = 2: "), \
+            proc.stderr
+        assert proc.stdout == ""
+
     def test_series_table_columns_stop_at_the_limit(self):
-        # columns m = 0 .. n_max + l + 2; nothing is built by parse_config
-        doc = small_config(truncation={"n_max": SAMPLE_LIMIT - 5})
-        assert parse_config(doc).trunc.n_max == SAMPLE_LIMIT - 5
+        # the smallest build, P_e-only on no samples, of n_max + 3 columns at
+        # l = 2: 8 x (16 + 5) bytes a column, at most 2^30 / 168 columns;
+        # nothing is built by parse_config
+        edge = (1 << 30) // 168 - 3
+        assert sum(thermaljcm.perturbation._build_bytes(edge + 3, 2, False, 0)) <= 1 << 30
+        doc = small_config(truncation={"n_max": edge})
+        assert parse_config(doc).trunc.n_max == edge
         doc["truncation"]["n_max"] += 1
-        with pytest.raises(ConfigError, match="^truncation.n_max: "):
+        with pytest.raises(ConfigError, match="^truncation.n_max: .* more than the limit of "
+                                              "1024 MiB$"):
             parse_config(doc)
 
     @pytest.mark.parametrize("command", ["pe-series", "coherence-map"])
@@ -964,6 +996,48 @@ class TestOutFile:
         expected = capsys.readouterr().out
         assert main(["pe-series", "--config", path, "--out", str(out)]) == EXIT_OK
         assert out.read_text() == expected
+
+
+class _Sink:
+    """A text stream that keeps nothing."""
+
+    def write(self, text):
+        pass
+
+    def writelines(self, lines):
+        for _ in lines:
+            pass
+
+
+class TestCsvWriter:
+    def test_blocks_give_the_bytes_of_one_block(self, monkeypatch):
+        t = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 1 / 3, 2.5e12, 7.0, -1.25])
+        names = ["t", "scaled", "flag", "index", "label"]
+        cols = [t, -3.0 * t, t > 0.5, np.arange(10), ["ok", "unstable"] * 5]
+
+        def write():
+            out = io.StringIO()
+            cli._write_table(out, names, cols, "csv")
+            return out.getvalue()
+
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 10)
+        whole = write()
+        assert whole.count("\n") == 11
+        assert "-0,0," in whole and "nan,nan,0," in whole and "inf,-inf,1," in whole
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 3)
+        assert write() == whole
+
+    def test_memory_does_not_grow_with_the_rows(self):
+        def peak(rows):
+            cols = [np.linspace(0.0, 1.0, rows), np.arange(rows) % 2 == 0]
+            tracemalloc.start()
+            try:
+                cli._write_table(_Sink(), ["t", "flag"], cols, "csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1 << 18) <= 2 * peak(1 << 16)
 
 
 def series_builds(params, trunc):

@@ -1,11 +1,12 @@
 """Low-temperature series: weights, S sums, order terms, coherence series."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from thermaljcm import oracle
+from thermaljcm import oracle, perturbation
 from thermaljcm.coherence import physical_population
 from thermaljcm.model import (
     EigenvalueTable,
@@ -18,6 +19,7 @@ from thermaljcm.oracle import FockTruncation, coherent_state_vector
 from thermaljcm.perturbation import (
     TruncationPolicy,
     TruncationWarning,
+    _poisson_weights,
     poisson_log_weight,
     series_tables,
 )
@@ -36,6 +38,25 @@ def at(t, params, trunc, **kwargs):
 
 
 class TestPoissonWeights:
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 12.0, 12.0 * cmath.exp(0.5j), 1000.0])
+    def test_window_gives_the_bits_of_every_weight(self, alpha):
+        # every photon number through the log-gamma; its prefixes are the
+        # weights of the smaller n_max
+        full = np.exp(poisson_log_weight(np.arange(10**6 + 1), alpha))
+        for n_max in (0, 1, 2, 143, 144, 145, 250, 999_999, 10**6):
+            assert _poisson_weights(n_max, alpha).tobytes() == full[: n_max + 1].tobytes()
+
+    @pytest.mark.parametrize("n_max", [10**6, 2 * 10**6])
+    def test_only_the_window_reaches_the_log_gamma(self, monkeypatch, n_max):
+        lgam = perturbation._log_gamma
+        sizes = []
+        monkeypatch.setattr(perturbation, "_log_gamma",
+                            lambda x: sizes.append(np.size(x)) or lgam(x))
+        w = _poisson_weights(n_max, 1000.0)
+        # the mode (10^6) is inside; about 38 700 numbers on each side of it
+        assert sum(sizes) < 10**5
+        assert w[10**6] > 0.0 and np.count_nonzero(w) < 10**5
+
     def test_vacuum_weight(self):
         assert poisson_log_weight(0, 2.0) == -4.0
 

@@ -1,5 +1,6 @@
 """Public API: every exported name resolves, and the README examples run."""
 
+import ast
 import importlib
 import inspect
 import re
@@ -9,7 +10,8 @@ import pytest
 
 MODULES = ("model", "perturbation", "coherence", "oracle", "analysis", "validation", "cli")
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -45,3 +47,24 @@ def test_readme_python_blocks_run_in_order(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
     assert "row" in namespace and "rho00" in namespace
+
+
+def test_cli_uses_no_private_name_of_another_layer():
+    # the CLI maps a layer's LimitError to a field; a rule it needed a private
+    # helper for would live in the wrong layer
+    tree = ast.parse((ROOT / "src" / "thermaljcm" / "cli.py").read_text())
+    layers = set()
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "thermaljcm"
+                                                 or node.module.startswith("thermaljcm.")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    private.append(f"{node.module}.{alias.name}")
+                elif not node.module or node.module == "thermaljcm":
+                    layers.add(alias.asname or alias.name)  # a module: from . import oracle
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in layers and node.attr.startswith("_")):
+            private.append(f"{node.value.id}.{node.attr}")
+    assert private == []

@@ -6,6 +6,7 @@ length of the time grid beyond the per-time outputs.  Its photon axis is
 bounded by a byte budget, checked before anything is allocated.
 """
 
+import math
 import tracemalloc
 from unittest import mock
 
@@ -13,9 +14,15 @@ import numpy as np
 import pytest
 
 from thermaljcm import perturbation
-from thermaljcm.analysis import SAMPLES_PER_CYCLE, _sweep_samples
+from thermaljcm.analysis import SAMPLES_PER_CYCLE, SPAN_FACTOR
 from thermaljcm.cli import PRESETS, build_preset, parse_config
-from thermaljcm.model import LimitError, ModelParams, rabi_period
+from thermaljcm.model import (
+    LimitError,
+    ModelParams,
+    rabi_period,
+    t0_prime_period,
+    thermal_from_inv_beta,
+)
 from thermaljcm.perturbation import TruncationPolicy, series_tables
 
 #: traced peak of the fig3a sweep build: ~3.7 MiB on one worker and ~6.4 MiB
@@ -29,7 +36,9 @@ def fig3a_sweep_grid():
     (alpha 12, l 1, n_max 250, 22 270 samples)."""
     config = parse_config(build_preset("fig3a"))
     dt = rabi_period(config.params) / SAMPLES_PER_CYCLE
-    n = int(_sweep_samples(config.params, config.inv_betas, dt))
+    n = max(math.ceil(SPAN_FACTOR * t0_prime_period(config.params,
+                                                    thermal_from_inv_beta(ib, config.params))
+                      / dt) + 1 for ib in config.inv_betas)
     return config.params, config.trunc, dt * np.arange(n)
 
 
@@ -97,7 +106,7 @@ def test_build_bytes_bound_the_traced_peak(cpus, coherence):
     n_max, l = 70_000, 4
     params = ModelParams(l=l, g=1.0, omega0=1.0, omega=1.0, alpha=3.0)
     columns = n_max + (l + 3 if coherence else 3)
-    shared, per_worker = perturbation._build_bytes(columns, l, coherence)
+    shared, per_worker = perturbation._build_bytes(columns, l, coherence, 64)
     with mock.patch.object(perturbation, "_usable_cpus", lambda: cpus):
         tracemalloc.start()
         try:
@@ -107,6 +116,33 @@ def test_build_bytes_bound_the_traced_peak(cpus, coherence):
         finally:
             tracemalloc.stop()
     assert peak <= shared + cpus * per_worker
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("coherence", [False, True])
+def test_build_bytes_bound_what_a_build_holds_per_sample(cpus, coherence):
+    # a long grid on few columns: the per-time outputs and the cached order
+    # terms are the peak, not the photon axis
+    n, l = 1 << 17, 2
+    params = ModelParams(l=l, g=1.0, omega0=1.0, omega=1.0, alpha=2.0)
+    trunc = TruncationPolicy(10, 1.0)
+    columns = trunc.n_max + (l + 3 if coherence else 3)
+    shared, per_worker = perturbation._build_bytes(columns, l, coherence, n)
+    with mock.patch.object(perturbation, "_usable_cpus", lambda: cpus):
+        tracemalloc.start()
+        try:
+            tables = series_tables(np.linspace(0.0, 5.0, n), params, trunc,
+                                   coherence=coherence)
+            tables.pe_terms
+            if coherence:
+                tables._rho01_arrays
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= shared + cpus * per_worker
+    # and tight: one float a sample less would not bound the peak
+    per_sample = shared - perturbation._build_bytes(columns, l, coherence, 0)[0]
+    assert peak > per_sample - 8 * n
 
 
 def test_build_past_the_byte_budget_is_refused_before_it_allocates():
@@ -127,7 +163,7 @@ def test_build_past_the_byte_budget_is_refused_before_it_allocates():
 def test_budget_caps_the_workers(monkeypatch):
     # a build that fits on two workers but not on 64 runs on two
     params = ModelParams(l=1, g=1.0, omega0=1.0, omega=1.0, alpha=3.0)
-    shared, per_worker = perturbation._build_bytes(200_003, 1, False)
+    shared, per_worker = perturbation._build_bytes(200_003, 1, False, 64)
     monkeypatch.setattr(perturbation, "_BUILD_BYTES_LIMIT", shared + 2 * per_worker)
     shapes = workspace_shapes(np.linspace(0.0, 1.0, 64), params,
                               TruncationPolicy(200_000, 1.0), 64, False)
@@ -135,8 +171,11 @@ def test_budget_caps_the_workers(monkeypatch):
 
 
 def test_every_preset_fits_the_budget_on_64_workers():
+    # no preset grid has more samples than the fig3a sweep's longest row
+    samples = fig3a_sweep_grid()[2].size
     for name in PRESETS:
         config = parse_config(build_preset(name))
         columns = config.trunc.top_row(config.params.l) + 1
-        shared, per_worker = perturbation._build_bytes(columns, config.params.l, True)
+        shared, per_worker = perturbation._build_bytes(columns, config.params.l, True,
+                                                       samples)
         assert shared + 64 * per_worker <= perturbation._BUILD_BYTES_LIMIT
