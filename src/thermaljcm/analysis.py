@@ -6,7 +6,9 @@ followed by locating the strongest raw peak near the envelope maximum.  The
 closed-form thermal period provides the search window prior; the fast
 oscillation granularity quantizes the extracted values.  The time step
 rules, :func:`default_dt` and :func:`check_dt`, and the ``SAMPLE_LIMIT`` on
-a sweep's rows and the approximation's table are this module's.
+a sweep's rows and the approximation's table are this module's, the period
+formulas' domain (g > 0, alpha != 0) is the model's; each raises
+:class:`~thermaljcm.model.LimitError` before anything is built.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ def approx_cos_sum(alpha: complex, l: int, g: float, t):
     Both sides carry the e^(-|a|^2) normalization, so they equal 1 at t = 0.
     """
     if alpha == 0:
-        raise ValueError("approximation requires alpha != 0")
+        raise LimitError("alpha", "approximation requires alpha != 0")
     aa = abs(alpha) ** 2
     n_max = _poisson_cut(alpha)
     t = np.asarray(t, dtype=float)
@@ -255,10 +257,11 @@ def period_vs_temperature_sweep(params: ModelParams, inv_betas, trunc: Truncatio
     the fast cycle; checked before any table is built), extracts the period,
     and pairs it with the closed-form prior.  A row whose curve leaves [0, 1]
     beyond the physicality tolerance is flagged rather than dropped; rows
-    without a detectable revival carry ``period = None``.  The series tables are built once, on the longest
-    row's grid; each time sample is reduced on its own, so a row's slice is
-    bitwise what a build on its own grid gives; a longest row of
-    ``SAMPLE_LIMIT`` samples or more raises ``LimitError("dt")`` before it.
+    without a detectable revival carry ``period = None``.  The series
+    tables are built once, on the longest row's grid; each time sample is
+    reduced on its own, so a row's slice is bitwise what a build on its own
+    grid gives.  g = 0, alpha = 0 and a longest row of ``SAMPLE_LIMIT``
+    samples or more raise ``LimitError`` before it.
     """
     if dt is None:
         dt = default_dt(params)

@@ -9,8 +9,9 @@ are written a block at a time, so the writer's memory does not grow with
 the table.
 
 Limits: the one size rule here is the time grid this module allocates.
-Every other limit is the rule of the layer that allocates; the CLI names the
-field that set a :class:`~thermaljcm.model.LimitError`'s value and exits 2.
+Every other rule is the layer's that applies it, which raises a
+:class:`~thermaljcm.model.LimitError` before it builds; ``main`` alone names
+the field that set the value and exits 2.
 """
 
 from __future__ import annotations
@@ -28,10 +29,8 @@ from . import oracle, perturbation, validation
 from .analysis import SAMPLE_LIMIT, approx_cos_sum, default_dt, period_vs_temperature_sweep
 from .coherence import coherence_values, physical_population, project_values
 from .model import (
-    EigenvalueTable,
     LimitError,
     ModelParams,
-    ThermalParams,
     rabi_period,
     t0_period,
     thermal_from_inv_beta,
@@ -75,15 +74,15 @@ class RunConfig:
             return TruncationPolicy.adaptive(self.params, self.tail_tol)
         return TruncationPolicy(n_max=self.n_max, tail_tol=self.tail_tol)
 
-    def field(self, param: str, thermal: ThermalParams | None = None) -> str:
+    def field(self, param: str) -> str:
         """The document field that set ``param`` (a :class:`LimitError`'s):
         the field itself when the document set it, else the one its default
-        follows, alpha but for an oracle cutoff at a temperature ``thermal``."""
+        follows, alpha but for an automatic oracle cutoff at a temperature."""
         if param == "dt" and self.dt is not None:
             return "grid.dt"
         if param == "n_fock" and self.n_fock:
             return "oracle.n_fock"
-        if param == "n_fock" and thermal is not None and thermal.theta > 0:
+        if param == "n_fock" and thermal_from_inv_beta(max(self.inv_betas), self.params).theta:
             return "thermal.inv_beta"
         if param == "n_max" and not self.adaptive:
             return "truncation.n_max"
@@ -372,18 +371,13 @@ def cmd_pe_series(config: RunConfig, stream) -> int:
                "pe_order2_contrib", "physicality_flag"]
     cols = [t, pe, order0, order1, order2, flags]
     if config.with_oracle:
-        # the field that sets the cutoff, named by the errors about its size
-        source = config.field("n_fock", thermal)
-        try:
-            ftrunc = (FockTruncation(config.n_fock) if config.n_fock
-                      else FockTruncation.auto(params, thermal))
-        except ValueError as exc:
-            raise ConfigError(f"{source}: oracle cutoff: {exc}") from None
-        try:  # pe_curve refuses a cutoff it cannot use (LimitError) before it builds
+        ftrunc = (FockTruncation(config.n_fock) if config.n_fock
+                  else FockTruncation.auto(params, thermal))
+        try:  # a leak is found as the solver runs: the cutoff was too small
             cols.append(oracle.pe_curve(params, thermal, t, ftrunc))
         except oracle.LeakageError as exc:
-            raise ConfigError(f"{source}: oracle cutoff n_fock = {ftrunc.n_fock} is too "
-                              f"small, {exc}") from None
+            raise ConfigError(f"{config.field('n_fock')}: oracle cutoff n_fock = "
+                              f"{ftrunc.n_fock} is too small, {exc}") from None
         columns.append("pe_oracle")
     _write_table(stream, columns, cols, config.out_format)
     return EXIT_OK
@@ -391,10 +385,8 @@ def cmd_pe_series(config: RunConfig, stream) -> int:
 
 def cmd_period_sweep(config: RunConfig, stream) -> int:
     """Revival period against temperature, with the closed-form prior."""
-    params = config.params
-    _expect(params.alpha != 0, "model.alpha", "period-sweep requires alpha != 0")
-    _expect(params.g > 0, "model.g", "period-sweep requires g > 0")
-    sweep = period_vs_temperature_sweep(params, config.inv_betas, config.trunc, dt=config.dt)
+    sweep = period_vs_temperature_sweep(config.params, config.inv_betas, config.trunc,
+                                        dt=config.dt)
     periods = [math.nan if row.no_revival else row.period for row in sweep]
     flags = ["no-revival" if row.no_revival else "ok" if row.physical else "unstable"
              for row in sweep]
@@ -409,27 +401,28 @@ def cmd_period_sweep(config: RunConfig, stream) -> int:
 def cmd_coherence_map(config: RunConfig, stream) -> int:
     """Relative entropy of coherence over the (t, 1/beta) grid, long format."""
     params = config.params
-    trunc = config.trunc
     t = _time_grid(config)
-    tables = perturbation.series_tables(t, params, trunc)
-    parts = []
-    for inv_beta in config.inv_betas:
+    tables = perturbation.series_tables(t, params, config.trunc)
+    # the output columns, filled one temperature's slice at a time
+    rows = t.size * len(config.inv_betas)
+    t_col, inv_beta_col, coh, p00, z = (np.empty(rows) for _ in range(5))
+    projected = np.empty(rows, dtype=bool)
+    for i, inv_beta in enumerate(config.inv_betas):
+        sl = slice(i * t.size, (i + 1) * t.size)
         thermal = thermal_from_inv_beta(inv_beta, params)
-        p00, z, projected = project_values(tables.pe(thermal), np.abs(tables.rho01(thermal)))
-        parts.append((coherence_values(p00, z), p00, z, projected))
-    coh, p00, z, projected = (np.concatenate(c) for c in zip(*parts))
+        p00[sl], z[sl], projected[sl] = project_values(tables.pe(thermal),
+                                                       np.abs(tables.rho01(thermal)))
+        coh[sl] = coherence_values(p00[sl], z[sl])
+        t_col[sl], inv_beta_col[sl] = t, inv_beta
     _write_table(stream, ["t", "inv_beta", "coherence", "rho00", "abs_rho01",
                           "projection_applied"],
-                 [np.tile(t, len(parts)), np.repeat(config.inv_betas, t.size), coh, p00, z,
-                  projected], config.out_format)
+                 [t_col, inv_beta_col, coh, p00, z, projected], config.out_format)
     return EXIT_OK
 
 
 def cmd_approx_check(config: RunConfig, stream) -> int:
     """Closed-form approximation check: both sides of the cosine-sum identity."""
     params = config.params
-    if params.alpha == 0:
-        raise ConfigError("model.alpha: approx-check requires alpha != 0")
     t = _time_grid(config)
     lhs, rhs = approx_cos_sum(params.alpha, params.l, params.g, t)
     _write_table(stream, ["t", "lhs", "rhs", "abs_dev"], [t, lhs, rhs, np.abs(lhs - rhs)],
@@ -440,17 +433,7 @@ def cmd_approx_check(config: RunConfig, stream) -> int:
 def cmd_oracle_validate(config: RunConfig | None, stream) -> int:
     """Run the oracle-vs-series validation suite, at the document's model
     when one is given (its temperatures are not read); JSON report."""
-    sized = None
-    if config is not None:
-        # the cutoffs follow alpha; size them, and check the largest tables,
-        # before the suite builds anything
-        try:
-            sized = validation.suite_cutoffs(config.params)
-        except ValueError as exc:
-            raise ConfigError(f"model.alpha: oracle cutoff: {exc}") from None
-        for cut in sized:
-            EigenvalueTable.check(cut.params, cut.top_row)
-    report = validation.run_validation_suite(sized)
+    report = validation.run_validation_suite(None if config is None else config.params)
     json.dump(report, stream, indent=2, sort_keys=True)
     stream.write("\n")
     return EXIT_OK if report["passed"] else EXIT_VALIDATION

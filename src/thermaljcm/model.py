@@ -8,7 +8,9 @@ temperature-dependent Bogoliubov angles of the thermal vacuum.
 
 This module owns the float range of the Rabi eigenvalues: the table runs
 :meth:`EigenvalueTable.check` before it allocates, so a library call past it
-raises :class:`LimitError` instead of returning nan.
+raises :class:`LimitError` instead of returning nan.  It owns the domain of
+the period formulas too: g = 0, and alpha = 0 where a formula needs it,
+raise :class:`LimitError` naming ``"g"`` or ``"alpha"``.
 
 :func:`_log_gamma` is the package's one log-gamma: a port of the cephes
 ``lgam`` behind ``scipy.special.gammaln`` (the same coefficients and branch
@@ -39,9 +41,10 @@ __all__ = [
 
 
 class LimitError(ValueError):
-    """An input past a limit of the layer that raises it; ``param`` is its
-    name: ``"l"``, ``"g"``, ``"alpha"``, ``"n_fock"``, ``"n_max"``, ``"dt"`` or
-    ``"t"`` (a time grid's length)."""
+    """An input the layer that raises it refuses: past a limit, or outside
+    the domain of its formula.  ``param`` is its name: ``"l"``, ``"g"``,
+    ``"alpha"``, ``"n_fock"``, ``"n_max"``, ``"dt"`` or ``"t"`` (a time
+    grid's length)."""
 
     def __init__(self, param: str, message: str):
         super().__init__(message)
@@ -288,14 +291,14 @@ def _osc_pair(sqrt_d: np.ndarray, d: np.ndarray, t, half_delta: float):
 
 def _require_drive(params: ModelParams) -> None:
     if params.g <= 0:
-        raise ValueError("period formulas require g > 0")
+        raise LimitError("g", "period formulas require g > 0")
 
 
 def tau1(params: ModelParams) -> float:
     """Fast Rabi period pi/(g |alpha|) of the single-photon model."""
     _require_drive(params)
     if params.alpha == 0:
-        raise ValueError("tau1 is undefined for alpha = 0")
+        raise LimitError("alpha", "tau1 is undefined for alpha = 0")
     return math.pi / (params.g * abs(params.alpha))
 
 
@@ -319,7 +322,7 @@ def t0_prime_period(params: ModelParams, thermal: ThermalParams) -> float:
     th = thermal.theta
     mean = params.abs_alpha_sq * (1.0 + 2.0 * th + 2.0 * th * th) + th * th
     if mean == 0 and params.l != 2:
-        raise ValueError("revival period is undefined for alpha = 0 unless l = 2")
+        raise LimitError("alpha", "revival period is undefined for alpha = 0 unless l = 2")
     return (2.0 * math.pi / (params.g * params.l)) * mean ** (1.0 - params.l / 2.0)
 
 
@@ -333,5 +336,5 @@ def rabi_period(params: ModelParams) -> float:
     """
     _require_drive(params)
     if params.alpha == 0:
-        raise ValueError("rabi_period is undefined for alpha = 0")
+        raise LimitError("alpha", "rabi_period is undefined for alpha = 0")
     return math.pi / (params.g * abs(params.alpha) ** params.l)

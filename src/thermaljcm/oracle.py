@@ -24,9 +24,13 @@ doubled-space state at O(n_fock^2) per sample; they are the reference that
 :mod:`thermaljcm.validation` and the tests read exact values from.
 
 This module is the validation oracle for every perturbative series in
-:mod:`thermaljcm.perturbation`.  Its matrix exponentials are scipy's
-(:func:`expm`), and scipy is imported on the first one: importing this
-module, as ``import thermaljcm`` does, loads no scipy module.
+:mod:`thermaljcm.perturbation`.  It owns the cutoff rules: a cutoff past 2048
+levels or the float range, at or below l, or whose eigenvalues overflow is
+refused with a :class:`~thermaljcm.model.LimitError` before any state is
+built; a leak found while it runs raises :class:`LeakageError`.  Its matrix
+exponentials are scipy's (:func:`expm`), and scipy is imported on the first
+one: importing this module, as ``import thermaljcm`` does, loads no scipy
+module.
 
 Two BLAS thread pools: scipy's wheel and numpy's wheel each bundle their own
 OpenBLAS.  In :func:`expm` the Pade step runs on scipy's and the squaring
@@ -105,7 +109,7 @@ class FockTruncation:
         if self.n_fock < 2:
             raise ValueError("n_fock must be >= 2")
         if self.n_fock > _N_FOCK_MAX:
-            raise ValueError(f"n_fock = {self.n_fock} exceeds the limit {_N_FOCK_MAX}")
+            raise LimitError("n_fock", f"n_fock = {self.n_fock} exceeds the limit {_N_FOCK_MAX}")
         if not 0 < self.leak_tol < 1:
             raise ValueError("leak_tol must be in (0, 1)")
 
@@ -116,14 +120,14 @@ class FockTruncation:
         The mean photon number includes the thermal amplification
         |alpha|^2 e^(2 theta) + sinh^2 theta, which keeps both the Poisson
         and thermal tails below ~1e-10 for angles up to ~0.3.  A cutoff
-        past the float range raises ValueError, as one past the limit does.
+        past the float range raises LimitError, as one past the limit does.
         """
         th = 0.0 if thermal is None else thermal.theta
         try:
             mean = thermal_mean_photon(params, th)
             n = math.ceil(mean + 8.0 * math.sqrt(mean + 1.0) + params.l + 5)
         except OverflowError:
-            raise ValueError("the automatic n_fock is past the float range") from None
+            raise LimitError("n_fock", "the automatic n_fock is past the float range") from None
         return cls(n_fock=int(n))
 
     def check(self, params: ModelParams) -> None:

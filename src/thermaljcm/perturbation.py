@@ -119,7 +119,7 @@ _MIN_WORKER_CELLS = 1 << 15
 #: bytes a build may allocate (:func:`_build_bytes`), held by
 #: :meth:`TruncationPolicy.check`.  1 GiB admits about 6.7 million columns to
 #: a P_e-only build and 3.5 million to a full one, at l = 1 on one worker; at
-#: n_max = 250, about 11.1 and 2.0 million time samples.  No preset has more
+#: n_max = 250, about 11.1 and 2.8 million time samples.  No preset has more
 #: than 257 columns or 22 270 samples.
 _BUILD_BYTES_LIMIT = 1 << 30
 
@@ -139,14 +139,14 @@ def _build_bytes(columns: int, l: int, coherence: bool, samples: int) -> tuple[i
     Shared, in float64 arrays of the photon axis: l + 7 for the eigenvalue
     table as it is built (its (m, l) products included), 5 for the Poisson
     weights, 2 for the masks, and 7 more for the weighted coherence columns;
-    per time sample, 12 for S1, S2 and the cached order terms (traced), 67 for
-    a full build, which peaks as it scales ``tilde``.  Each worker: its five
-    (t, n) tables of at most max(``_TILE_CELLS``, columns) cells, and 11 more
-    for the complex amplitude products of the coherence series.  The traced
-    peaks a column are below these: about 13 and 17 on one and two workers
-    for a P_e-only build, 26 and 41 for a full one.
+    per time sample, 12 for S1, S2 and the cached order terms (traced), 47 for
+    a full build, which peaks as it forms the rho01 order terms.  Each worker:
+    its five (t, n) tables of at most max(``_TILE_CELLS``, columns) cells, and
+    11 more for the complex amplitude products of the coherence series.  The
+    traced peaks a column are below these: about 13 and 17 on one and two
+    workers for a P_e-only build, 26 and 41 for a full one.
     """
-    shared = columns * (l + 14 + (7 if coherence else 0)) + samples * (67 if coherence else 12)
+    shared = columns * (l + 14 + (7 if coherence else 0)) + samples * (47 if coherence else 12)
     per_worker = max(_TILE_CELLS, columns) * (16 if coherence else 5)
     return 8 * shared, 8 * per_worker
 
@@ -505,6 +505,13 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
         m = np.arange(n_max + 1, dtype=float)
         # polynomial coefficients of the six series, folded into the weights
         cw = (w, w * (m + l), w, w * ((m + l - 1) * (m + l)), w, w * (m + l + 1))
+        # their prefactors +-i g conj(alpha)^p, applied chunk by chunk
+        ac = np.conj(params.alpha)
+        c = np.empty((2, 6, 1), dtype=complex)
+        for k in range(6):
+            p = l + _ALPHA_POWERS[k]
+            pref = (1.0 if p == 0 else 0.0) if params.alpha == 0 else ac**p
+            c[:, k, 0] = (-1j * params.g * pref, 1j * params.g * pref)
 
     # workers and chunks as in the module docstring.  The caller allocates
     # every worker's workspace, with rows summing to at most _T_CHUNK and
@@ -564,6 +571,11 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
             for k, off in enumerate(_OFFSETS):
                 tilde[0, k, sl] = _reduce_n(ab1[:, off : off + n_cols] * cw[k][None, :])
                 tilde[1, k, sl] = _reduce_n(ab2[:, off : off + n_cols] * cw[k][None, :])
+            # real arithmetic: numpy's complex multiply rounds one element differently
+            part = tilde[:, :, sl]
+            re, im = part.real.copy(), part.imag
+            part.real = re * c.real - im * c.imag
+            part.imag = re * c.imag + im * c.real
 
     if workers == 1:
         build(0)
@@ -577,17 +589,5 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
             for future in others:
                 future.result()  # re-raises a worker's exception
 
-    if coherence:
-        alpha = params.alpha
-        ac = np.conj(alpha)
-        c = np.empty((2, 6, 1), dtype=complex)
-        for k in range(6):
-            p = l + _ALPHA_POWERS[k]
-            pref = (1.0 if p == 0 else 0.0) if alpha == 0 else ac**p
-            c[:, k, 0] = (-1j * params.g * pref, 1j * params.g * pref)
-        # real arithmetic: numpy's complex multiply rounds one element differently
-        re, im = tilde.real.copy(), tilde.imag
-        tilde.real = re * c.real - im * c.imag
-        tilde.imag = re * c.imag + im * c.real
     return SeriesTables(params, S1, S2, tilde)
 

@@ -7,9 +7,10 @@ the exact solver must shrink like the cube of the Bogoliubov angle; the
 twelve coherence series are checked one by one against operator expectations
 evaluated with explicit truncated matrices.
 
-Every truncation the suite uses is sized before the first series table or
-doubled state is built, so a parameter set past the exact solver's cutoff
-limit fails at once (``ValueError``) with nothing allocated.
+Every truncation the suite uses is sized, and its Rabi eigenvalues checked,
+before the first series table or doubled state is built, so a parameter set
+it cannot run raises :class:`~thermaljcm.model.LimitError` with nothing
+allocated: ``"alpha"`` for an exact-solver cutoff, which follows the amplitude.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import numpy as np
 
 from . import oracle, perturbation
 from .model import (
+    EigenvalueTable,
+    LimitError,
     ModelParams,
     ThermalParams,
     bogoliubov_angles,
@@ -30,8 +33,7 @@ from .model import (
 from .oracle import FockTruncation
 from .perturbation import SeriesTables, TruncationPolicy
 
-__all__ = ["run_validation_suite", "suite_cutoffs", "SuiteCutoffs", "theta_for_angle",
-           "SLOPE_BOUNDS"]
+__all__ = ["run_validation_suite", "theta_for_angle", "SLOPE_BOUNDS"]
 
 #: acceptable log-log slope range for the order-cubed residual
 SLOPE_BOUNDS = (2.7, 3.3)
@@ -78,9 +80,9 @@ class SuiteCutoffs:
 
     @classmethod
     def size(cls, params: ModelParams) -> "SuiteCutoffs":
-        """Raises ValueError where a cutoff is past the float range or the
-        limit of :class:`FockTruncation`.  The series truncation is sized
-        last: the exact solver's cutoffs bound its ``|alpha|^2``."""
+        """Raises ``LimitError("n_fock")`` where a cutoff is past the float
+        range or the limit of :class:`FockTruncation`.  The series truncation
+        is sized last: the exact solver's cutoffs bound its ``|alpha|^2``."""
         warm = FockTruncation.auto(params, theta_for_angle(float(THETA_GRID[-1]),
                                                            params.omega, params.omega0))
         cold = FockTruncation.auto(params)
@@ -93,19 +95,6 @@ class SuiteCutoffs:
         """The last Rabi-eigenvalue row m of any table the suite builds here."""
         return max(self.series.top_row(self.params.l),
                    self.warm.n_fock - 1, self.tilde.n_fock - 1)
-
-
-def suite_cutoffs(params: ModelParams | None = None) -> list[SuiteCutoffs]:
-    """The parameter sets of the suite, each with its truncations sized.
-
-    ``None`` gives the default sets, l = 1 and l = 2 at alpha = 2 and
-    g = omega0 = omega = 1; a given parameter set replaces them.  The last
-    entry is the complex-amplitude companion of the set before it.
-    """
-    models = (params,) if params is not None else tuple(
-        ModelParams(l=l, g=1.0, omega0=1.0, omega=1.0, alpha=2.0) for l in (1, 2))
-    # the complex amplitude exercises the conjugate-power structure of the series
-    return [SuiteCutoffs.size(p) for p in (*models, replace(models[-1], alpha=1.1 + 0.6j))]
 
 
 def _fit_slope(theta: np.ndarray, residual: np.ndarray):
@@ -289,14 +278,25 @@ def _check_zero_temperature_degeneracy(cut: SuiteCutoffs) -> dict:
             "passed": err < 1e-9, "max_error": err}
 
 
-def run_validation_suite(sized: list[SuiteCutoffs] | None = None) -> dict:
+def run_validation_suite(params: ModelParams | None = None) -> dict:
     """Run every oracle-vs-series check and return a structured report.
 
-    ``sized`` is a list from :func:`suite_cutoffs`, the default sets when
-    omitted.  The report is a dict with ``passed`` (overall) and a
-    ``checks`` list of per-check records; callers decide how to render it.
+    ``None`` runs the default sets, l = 1 and l = 2 at alpha = 2 and
+    g = omega0 = omega = 1; a given parameter set replaces them.  A
+    complex-amplitude companion of the last set follows.  The report is a
+    dict with ``passed`` (overall) and a ``checks`` list of per-check
+    records; callers decide how to render it.
     """
-    *suite, complex_cut = suite_cutoffs() if sized is None else sized
+    models = (params,) if params is not None else tuple(
+        ModelParams(l=l, g=1.0, omega0=1.0, omega=1.0, alpha=2.0) for l in (1, 2))
+    # the complex amplitude exercises the conjugate-power structure of the series
+    try:
+        sized = [SuiteCutoffs.size(p) for p in (*models, replace(models[-1], alpha=1.1 + 0.6j))]
+    except LimitError as exc:  # the cutoffs follow the amplitude alone
+        raise LimitError("alpha", f"oracle cutoff: {exc}") from None
+    for cut in sized:  # the largest table of each set, before any is built
+        EigenvalueTable.check(cut.params, cut.top_row)
+    *suite, complex_cut = sized
     checks: list[dict] = []
     for cut in suite:
         # one build serves the t = 0 identities, the scaling fits and the

@@ -72,6 +72,11 @@ class TestApproxCosSum:
         with pytest.raises(ValueError):
             approx_cos_sum(0.0, 1, 1.0, 0.5)
 
+    def test_vacuum_is_refused_as_an_amplitude(self):
+        with pytest.raises(LimitError) as exc:
+            approx_cos_sum(0.0, 2, 1.0, np.linspace(0.0, 1.0, 5))
+        assert exc.value.param == "alpha"
+
     def test_scalar_time_gives_the_grid_sample(self):
         t = np.linspace(0.0, 2.0, 9)
         grid_lhs, grid_rhs = approx_cos_sum(7.0, 2, 1.0, t)
@@ -296,6 +301,25 @@ class TestPeriodSweep:
             period_vs_temperature_sweep(p, inv_betas, trunc)
         assert exc.value.param == "dt"
         assert builds == [max(spans)]
+
+    @pytest.mark.parametrize("l", [1, 2])
+    @pytest.mark.parametrize("dt", [None, 0.001])
+    @pytest.mark.parametrize("model, param", [({"alpha": 0.0}, "alpha"), ({"g": 0.0}, "g"),
+                                              ({"alpha": 0.0, "g": 0.0}, "g")])
+    def test_undefined_period_is_refused_before_the_build(self, monkeypatch, l, dt, model,
+                                                          param):
+        # g = 0 and alpha = 0 leave the fast cycle or the prior undefined: the
+        # model's period formulas refuse them, with nothing built
+        from thermaljcm import perturbation
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built the series tables")
+
+        monkeypatch.setattr(perturbation, "series_tables", refuse)
+        with pytest.raises(LimitError) as exc:
+            period_vs_temperature_sweep(make_params(l=l, **model), [0.0, 0.1],
+                                        TruncationPolicy(50), dt=dt)
+        assert exc.value.param == param
 
     def test_empty_grid_returns_no_rows(self):
         assert period_vs_temperature_sweep(make_params(), [], TruncationPolicy(50)) == []

@@ -7,6 +7,7 @@ import pytest
 
 from thermaljcm.model import (
     EigenvalueTable,
+    LimitError,
     ModelParams,
     _osc_pair,
     _require_drive,
@@ -312,3 +313,15 @@ class TestPeriods:
         for formula in (tau1, t0_period, rabi_period):
             with pytest.raises(ValueError):
                 formula(p)
+
+    @pytest.mark.parametrize("params, param", [(make_params(l=1, alpha=0.0), "alpha"),
+                                               (make_params(g=0.0), "g")])
+    def test_undefined_periods_name_their_input(self, params, param):
+        # the period formulas' domain is the model's rule: a caller maps the
+        # LimitError to the input it names instead of repeating the check
+        cold = bogoliubov_angles(math.inf, 1.0, 1.0)
+        for call in (lambda: tau1(params), lambda: rabi_period(params),
+                     lambda: t0_prime_period(params, cold)):
+            with pytest.raises(LimitError) as exc:
+                call()
+            assert exc.value.param == param

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from thermaljcm import oracle
+from thermaljcm import oracle, perturbation
 from thermaljcm.cli import EXIT_OK, main
-from thermaljcm.model import ModelParams, bogoliubov_angles, thermal_from_inv_beta
+from thermaljcm.model import LimitError, ModelParams, bogoliubov_angles, thermal_from_inv_beta
 from thermaljcm.oracle import (
     DoubledFockState,
     FockTruncation,
@@ -84,6 +84,16 @@ class TestSqueezedVacuum:
         # |alpha|^2 e^(2 theta) is inf, or e^(2 theta) overflows on its own
         with pytest.raises(ValueError, match="float range"):
             FockTruncation.auto(make_params(alpha=alpha), thermal)
+
+
+    @pytest.mark.parametrize("make", [
+        lambda: FockTruncation(5000),
+        lambda: FockTruncation.auto(make_params(), thermal_from_inv_beta(1e308, make_params())),
+    ], ids=["past 2048 levels", "past the float range"])
+    def test_cutoff_past_a_limit_names_n_fock(self, make):
+        with pytest.raises(LimitError) as exc:
+            make()
+        assert exc.value.param == "n_fock"
 
 
 class TestDisplacement:
@@ -571,3 +581,19 @@ def test_validation_suite_builds_16_initial_states(monkeypatch):
                         lambda *args: builds.append(args) or build(*args))
     assert run_validation_suite()["passed"]
     assert len(builds) == 2 * (7 + 1)
+
+
+@pytest.mark.parametrize("params, param", [
+    (make_params(l=1, alpha=50.0), "alpha"),  # automatic cutoffs past 2048 levels
+    (make_params(l=1, alpha=1.3e154), "alpha"),  # past the float range
+    (make_params(l=132), "l"),  # (m + 1)...(m + 132) overflows at the suite's rows
+])
+def test_validation_suite_refuses_before_it_builds(monkeypatch, params, param):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a table or state the suite refuses")
+
+    monkeypatch.setattr(oracle, "build_initial_state", refuse)
+    monkeypatch.setattr(perturbation, "series_tables", refuse)
+    with pytest.raises(LimitError) as exc:
+        run_validation_suite(params)
+    assert exc.value.param == param

@@ -68,3 +68,27 @@ def test_cli_uses_no_private_name_of_another_layer():
                 and node.value.id in layers and node.attr.startswith("_")):
             private.append(f"{node.value.id}.{node.attr}")
     assert private == []
+
+
+def test_cli_handlers_leave_each_rule_to_its_layer():
+    # a layer refuses an input with a LimitError, which main maps to the
+    # document field; a handler that names a model field itself, or catches
+    # and re-wraps a layer's refusal, keeps a second copy of that rule.  A
+    # leak is the one exception: the exact solver finds it as it runs.
+    tree = ast.parse((ROOT / "src" / "thermaljcm" / "cli.py").read_text())
+    copies = [f"imports {alias.name}" for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names
+              if alias.name == "EigenvalueTable"]
+    handlers = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert len(handlers) == 5
+    for handler in handlers:
+        for node in ast.walk(handler):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and node.value.startswith("model.")):
+                copies.append(f"{handler.name} names {node.value!r}")
+            if (isinstance(node, ast.ExceptHandler)
+                    and (node.type is None or ast.unparse(node.type) != "oracle.LeakageError")):
+                caught = "everything" if node.type is None else ast.unparse(node.type)
+                copies.append(f"{handler.name} catches {caught}")
+    assert copies == []
