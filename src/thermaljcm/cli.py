@@ -4,9 +4,10 @@ Subcommands emit machine-readable tables (CSV or JSON) for the excitation
 probability time series, the period-vs-temperature sweep, the coherence map,
 the closed-form approximation check, and the oracle validation report.
 Identical configuration yields byte-identical output: floats are printed
-with 12 significant digits and all reductions run in fixed order.  CSV rows
-are written a block at a time, so the writer's memory does not grow with
-the table.
+with 12 significant digits and all reductions run in fixed order.  A
+``cmd_*`` handler writes nothing: it returns its exit code and its output (a
+table, or the validation report), and ``main`` alone writes that, to stdout
+or ``--out`` alike, CSV a block of rows at a time.
 
 Limits: the one size rule here is the time grid this module allocates.
 Every other rule is the layer's that applies it, which raises a
@@ -17,7 +18,7 @@ the field that set the value and exits 2.
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import json
 import math
 import sys
@@ -289,8 +290,8 @@ PRESETS = tuple(sorted([*_FIG1, "fig2", *_SWEEP_LS, *_MAP_LS]))
 
 _CELL_FORMATS = {"f": "%.12g", "b": "%d", "i": "%d", "u": "%d"}
 
-#: CSV rows turned into Python values and written at a time: the writer's
-#: memory does not grow with the table
+#: CSV rows turned into Python values and written as one string at a time:
+#: the writer's memory does not grow with the table
 _CSV_BLOCK_ROWS = 4096
 
 
@@ -308,7 +309,7 @@ def _write_table(stream, columns: list[str], cols: list, out_format: str) -> Non
         stream.write(",".join(columns) + "\n")
         for lo in range(0, len(arrays[0]), _CSV_BLOCK_ROWS):
             block = (a[lo : lo + _CSV_BLOCK_ROWS].tolist() for a in arrays)
-            stream.writelines(fmt % row for row in zip(*block))
+            stream.write("".join([fmt % row for row in zip(*block)]))
     else:
         rows = zip(*(a.tolist() for a in arrays))
         doc = {"columns": columns,
@@ -347,9 +348,10 @@ def _time_grid(config: RunConfig) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its exit code and its output, a table (column
+# names, equal-length columns) or the validation report, and writes nothing
 
-def cmd_pe_series(config: RunConfig, stream) -> int:
+def cmd_pe_series(config: RunConfig) -> tuple[int, tuple]:
     """Excitation-probability time series with per-order contributions."""
     if len(config.inv_betas) != 1:
         raise ConfigError("thermal: pe-series expects a single inv_beta")
@@ -379,11 +381,10 @@ def cmd_pe_series(config: RunConfig, stream) -> int:
             raise ConfigError(f"{config.field('n_fock')}: oracle cutoff n_fock = "
                               f"{ftrunc.n_fock} is too small, {exc}") from None
         columns.append("pe_oracle")
-    _write_table(stream, columns, cols, config.out_format)
-    return EXIT_OK
+    return EXIT_OK, (columns, cols)
 
 
-def cmd_period_sweep(config: RunConfig, stream) -> int:
+def cmd_period_sweep(config: RunConfig) -> tuple[int, tuple]:
     """Revival period against temperature, with the closed-form prior."""
     sweep = period_vs_temperature_sweep(config.params, config.inv_betas, config.trunc,
                                         dt=config.dt)
@@ -391,14 +392,13 @@ def cmd_period_sweep(config: RunConfig, stream) -> int:
     flags = ["no-revival" if row.no_revival else "ok" if row.physical else "unstable"
              for row in sweep]
     n_missing = sum(row.no_revival for row in sweep)
-    _write_table(stream, ["inv_beta", "extracted_period", "t0_prime",
-                          "tau1_quantum", "stability_flag"],
-                 [[row.inv_beta for row in sweep], periods, [row.t0_prime for row in sweep],
-                  [row.quantum for row in sweep], flags], config.out_format)
-    return EXIT_NO_REVIVAL if n_missing == len(sweep) else EXIT_OK
+    table = (["inv_beta", "extracted_period", "t0_prime", "tau1_quantum", "stability_flag"],
+             [[row.inv_beta for row in sweep], periods, [row.t0_prime for row in sweep],
+              [row.quantum for row in sweep], flags])
+    return EXIT_NO_REVIVAL if n_missing == len(sweep) else EXIT_OK, table
 
 
-def cmd_coherence_map(config: RunConfig, stream) -> int:
+def cmd_coherence_map(config: RunConfig) -> tuple[int, tuple]:
     """Relative entropy of coherence over the (t, 1/beta) grid, long format."""
     params = config.params
     t = _time_grid(config)
@@ -414,29 +414,23 @@ def cmd_coherence_map(config: RunConfig, stream) -> int:
                                                        np.abs(tables.rho01(thermal)))
         coh[sl] = coherence_values(p00[sl], z[sl])
         t_col[sl], inv_beta_col[sl] = t, inv_beta
-    _write_table(stream, ["t", "inv_beta", "coherence", "rho00", "abs_rho01",
-                          "projection_applied"],
-                 [t_col, inv_beta_col, coh, p00, z, projected], config.out_format)
-    return EXIT_OK
+    return EXIT_OK, (["t", "inv_beta", "coherence", "rho00", "abs_rho01",
+                      "projection_applied"], [t_col, inv_beta_col, coh, p00, z, projected])
 
 
-def cmd_approx_check(config: RunConfig, stream) -> int:
+def cmd_approx_check(config: RunConfig) -> tuple[int, tuple]:
     """Closed-form approximation check: both sides of the cosine-sum identity."""
     params = config.params
     t = _time_grid(config)
     lhs, rhs = approx_cos_sum(params.alpha, params.l, params.g, t)
-    _write_table(stream, ["t", "lhs", "rhs", "abs_dev"], [t, lhs, rhs, np.abs(lhs - rhs)],
-                 config.out_format)
-    return EXIT_OK
+    return EXIT_OK, (["t", "lhs", "rhs", "abs_dev"], [t, lhs, rhs, np.abs(lhs - rhs)])
 
 
-def cmd_oracle_validate(config: RunConfig | None, stream) -> int:
+def cmd_oracle_validate(config: RunConfig | None) -> tuple[int, dict]:
     """Run the oracle-vs-series validation suite, at the document's model
-    when one is given (its temperatures are not read); JSON report."""
+    when one is given (its temperatures are not read); a JSON report."""
     report = validation.run_validation_suite(None if config is None else config.params)
-    json.dump(report, stream, indent=2, sort_keys=True)
-    stream.write("\n")
-    return EXIT_OK if report["passed"] else EXIT_VALIDATION
+    return EXIT_OK if report["passed"] else EXIT_VALIDATION, report
 
 
 # ---------------------------------------------------------------------------
@@ -527,20 +521,23 @@ def main(argv=None) -> int:
         config = _load_config(args)
         if config is None and args.command != "oracle-validate":
             raise ConfigError("config: pass --preset or --config")
-        if not args.out:
-            return handler(config, sys.stdout)
-        # opened for appending, so a refusal or a traceback leaves an earlier
-        # result as it was (a new path is created empty); it is replaced only
-        # with the output of a handler that returned
+        # --out is opened for appending before any work: an unwritable path
+        # exits 2 at once, a refusal or a traceback leaves an earlier result
+        # as it was, and a new path is created empty
         try:
-            fh = open(args.out, "a", encoding="utf-8", newline="")
+            out = (open(args.out, "a", encoding="utf-8", newline="") if args.out
+                   else contextlib.nullcontext(sys.stdout))
         except OSError as exc:
             raise ConfigError(f"--out: cannot write {args.out}: {exc.strerror}") from exc
-        with fh:
-            buffer = io.StringIO()
-            code = handler(config, buffer)
-            fh.truncate(0)
-            fh.write(buffer.getvalue())
+        with out as stream:
+            code, output = handler(config)
+            if args.out:  # only the output of a handler that returned replaces it
+                stream.truncate(0)
+            if isinstance(output, dict):  # the validation report
+                json.dump(output, stream, indent=2, sort_keys=True)
+                stream.write("\n")
+            else:
+                _write_table(stream, *output, config.out_format)
         return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

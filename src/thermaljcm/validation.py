@@ -10,7 +10,8 @@ evaluated with explicit truncated matrices.
 Every truncation the suite uses is sized, and its Rabi eigenvalues checked,
 before the first series table or doubled state is built, so a parameter set
 it cannot run raises :class:`~thermaljcm.model.LimitError` with nothing
-allocated: ``"alpha"`` for an exact-solver cutoff, which follows the amplitude.
+allocated: ``"l"`` for an exact-solver cutoff past the limit at any amplitude,
+else ``"alpha"``.
 """
 
 from __future__ import annotations
@@ -278,6 +279,21 @@ def _check_zero_temperature_degeneracy(cut: SuiteCutoffs) -> dict:
             "passed": err < 1e-9, "max_error": err}
 
 
+def _size(params: ModelParams) -> SuiteCutoffs:
+    """The set's cutoffs, or a ``LimitError`` naming the input at fault: the
+    cutoffs grow with l and the amplitude, and l is at fault when they are
+    past the limit even at alpha = 0."""
+    try:
+        return SuiteCutoffs.size(params)
+    except LimitError as exc:
+        try:
+            SuiteCutoffs.size(replace(params, alpha=0.0))
+            param = "alpha"
+        except LimitError:
+            param = "l"
+        raise LimitError(param, f"oracle cutoff: {exc}") from None
+
+
 def run_validation_suite(params: ModelParams | None = None) -> dict:
     """Run every oracle-vs-series check and return a structured report.
 
@@ -290,10 +306,7 @@ def run_validation_suite(params: ModelParams | None = None) -> dict:
     models = (params,) if params is not None else tuple(
         ModelParams(l=l, g=1.0, omega0=1.0, omega=1.0, alpha=2.0) for l in (1, 2))
     # the complex amplitude exercises the conjugate-power structure of the series
-    try:
-        sized = [SuiteCutoffs.size(p) for p in (*models, replace(models[-1], alpha=1.1 + 0.6j))]
-    except LimitError as exc:  # the cutoffs follow the amplitude alone
-        raise LimitError("alpha", f"oracle cutoff: {exc}") from None
+    sized = [_size(p) for p in (*models, replace(models[-1], alpha=1.1 + 0.6j))]
     for cut in sized:  # the largest table of each set, before any is built
         EigenvalueTable.check(cut.params, cut.top_row)
     *suite, complex_cut = sized

@@ -964,8 +964,7 @@ class TestOutFile:
         assert out.read_text() == self.EARLIER
 
     def test_traceback_keeps_the_file(self, monkeypatch, tmp_path, out):
-        def fail(config, stream):
-            stream.write("partial\n")
+        def fail(config):
             raise RuntimeError("failed inside the handler")
 
         _, help_text, flags = cli.COMMANDS["pe-series"]
@@ -996,6 +995,26 @@ class TestOutFile:
         expected = capsys.readouterr().out
         assert main(["pe-series", "--config", path, "--out", str(out)]) == EXIT_OK
         assert out.read_text() == expected
+
+    def test_writing_the_file_holds_no_copy_of_the_text(self, monkeypatch, tmp_path, out):
+        # 50 000 samples, a 3.6 MB table: the run to --out peaks where the run
+        # to stdout does, so neither holds the text
+        doc = small_config(grid={"t_start": 0.0, "t_stop": 2000.0, "dt": 0.04})
+        argv = ["pe-series", "--config", write_config(tmp_path, doc)]
+
+        def peak(*extra):
+            tracemalloc.start()
+            try:
+                assert main([*argv, *extra]) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(sys, "stdout", _Sink())
+        assert main(argv) == EXIT_OK  # warm: one-time allocations are in neither peak
+        to_stdout, to_file = peak(), peak("--out", str(out))
+        assert out.stat().st_size > 3_000_000
+        assert to_file <= to_stdout + (1 << 20)
 
 
 class _Sink:

@@ -1,5 +1,6 @@
 """Exact doubled-Fock-space solver: states, propagation, reductions."""
 
+import cmath
 import json
 import math
 import sys
@@ -14,7 +15,13 @@ from scipy.linalg import expm
 
 from thermaljcm import oracle, perturbation
 from thermaljcm.cli import EXIT_OK, main
-from thermaljcm.model import LimitError, ModelParams, bogoliubov_angles, thermal_from_inv_beta
+from thermaljcm.model import (
+    LimitError,
+    ModelParams,
+    bogoliubov_angles,
+    t0_period,
+    thermal_from_inv_beta,
+)
 from thermaljcm.oracle import (
     DoubledFockState,
     FockTruncation,
@@ -345,6 +352,20 @@ class TestPropagation:
         series = series_tables(t_grid, p, TruncationPolicy.adaptive(p), coherence=False).pe(COLD)
         np.testing.assert_allclose(exact, series, atol=1e-10)
 
+    # the paper's amplitudes, one of them complex, at each multiplicity and
+    # at detunings delta = l omega - omega0 from omega0 = 1, 2 and 4
+    @pytest.mark.parametrize("omega0", [1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    @pytest.mark.parametrize("alpha", [6.0, 7.0, 12.0, 12.0 * cmath.exp(0.5j)])
+    def test_matches_series_at_zero_temperature_over_the_paper_range(self, alpha, l, omega0):
+        p = make_params(l=l, omega0=omega0, alpha=alpha)
+        thermal = thermal_from_inv_beta(0.0, p)
+        t_grid = np.linspace(0.0, 1.35 * t0_period(p), 201)
+        exact = pe_curve(p, thermal, t_grid, FockTruncation.auto(p, thermal))
+        series = series_tables(t_grid, p, TruncationPolicy.adaptive(p),
+                               coherence=False).pe(thermal)
+        assert np.max(np.abs(exact - series)) <= 1e-12
+
     def test_leakage_error_on_undersized_basis(self):
         p = make_params(l=1, alpha=3.0)
         state = build_initial_state(
@@ -587,6 +608,9 @@ def test_validation_suite_builds_16_initial_states(monkeypatch):
     (make_params(l=1, alpha=50.0), "alpha"),  # automatic cutoffs past 2048 levels
     (make_params(l=1, alpha=1.3e154), "alpha"),  # past the float range
     (make_params(l=132), "l"),  # (m + 1)...(m + 132) overflows at the suite's rows
+    # cutoffs of 2060 and 2120 levels, past the limit even at alpha = 0
+    (make_params(l=2040, alpha=1.0), "l"),
+    (make_params(l=2100, alpha=1.0), "l"),
 ])
 def test_validation_suite_refuses_before_it_builds(monkeypatch, params, param):
     def refuse(*args, **kwargs):

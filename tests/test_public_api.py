@@ -92,3 +92,23 @@ def test_cli_handlers_leave_each_rule_to_its_layer():
                 caught = "everything" if node.type is None else ast.unparse(node.type)
                 copies.append(f"{handler.name} catches {caught}")
     assert copies == []
+
+
+def test_cli_handlers_write_nothing():
+    # a handler takes only its config and returns its output; main alone
+    # writes it, to stdout or --out alike, with no in-memory copy of the text
+    tree = ast.parse((ROOT / "src" / "thermaljcm" / "cli.py").read_text())
+    handlers = {node.name: [arg.arg for arg in (*node.args.posonlyargs, *node.args.args,
+                                                node.args.vararg, *node.args.kwonlyargs,
+                                                node.args.kwarg) if arg]
+                for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")}
+    assert len(handlers) == 5
+    assert {name: args for name, args in handlers.items() if len(args) != 1} == {}
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+    assert "io" not in imported
