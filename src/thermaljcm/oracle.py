@@ -41,9 +41,16 @@ other and from the calling thread.  The two dense state constructions,
 therefore run with numpy's OpenBLAS on one thread; scipy's keeps its threads
 for the Pade step.  The setting is process-wide while a construction runs:
 numpy products on other threads in that window run on one thread too.  The
-previous count is restored on return and on an exception.  The bytes do not
-change: OpenBLAS splits a product over its rows and columns, never over the
-summed index.  Where numpy's BLAS is not OpenBLAS the pin does nothing.
+previous count is restored on return and on an exception.  Where numpy's
+BLAS is not OpenBLAS the pin does nothing.
+
+The size of either pool can move the last bits of a dense state: the
+generator construction at alpha 1, theta 0.2 and 30 levels differs bitwise
+between scipy's pool at one thread and at two, and between numpy's pool
+pinned and left at two threads.  The printed output does not move: the
+``oracle-validate`` report, whose ``thermal_state_routes_overlap`` check
+prints the overlap of the two constructions (1.0000000000000004), and the
+goldens keep their bytes on 1 to 8 BLAS threads and on one CPU.
 """
 
 from __future__ import annotations

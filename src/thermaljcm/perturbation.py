@@ -31,12 +31,17 @@ process's affinity mask (``os.sched_getaffinity``), but on no more workers
 than give each one ``_MIN_WORKER_CELLS`` cells of the first ``_T_CHUNK``
 rows of the (t, n) trig table, or than the byte budget below holds; a
 smaller build runs in the calling thread alone.  A chunk has at most
-``_T_CHUNK`` / workers rows, and no more than fit in ``_TILE_CELLS`` (t, n)
-cells, so each worker's workspace of five float tables stays cache-sized
-whatever the grid length.  It is allocated once per build; on the P_e path
-a chunk allocates nothing of the (t, n) size.  Worker 0 is the calling
-thread, and worker i takes chunks i, i + workers, ...; each chunk writes
-only its own time columns.  A time sample is reduced on its own
+``_T_CHUNK`` / workers rows, and no more than keep the worker's whole
+workspace within ``_TILE_CELLS`` float cells, so it stays cache-sized
+whatever the grid length.  The workspace is the only (t, n) memory a build
+touches, allocated once per build.  The P_e path holds three float tables:
+the trig pair, squared in place, and a product table.  A full build adds an
+S-sum pair, whose cells then hold the family-1 amplitude products, and two
+complex tables: the family-2 products, and A(m), whose cells then hold each
+weighted product.  Every value of a chunk is written into them with
+``out=``, so a chunk allocates nothing of the (t, n) size.  Worker 0 is the
+calling thread, and worker i takes chunks i, i + workers, ...; each chunk
+writes only its own time columns.  A time sample is reduced on its own
 in the same ascending-n order whichever chunk or thread holds it, so the
 output bytes do not depend on the number of CPUs or on the chunk size.  The
 workers call no public function of any layer (their bodies use numpy and
@@ -97,17 +102,15 @@ _TAIL_CHUNK = 4096
 #: of a chunk with ``_TILE_CELLS``.  No per-time-point result depends on it.
 _T_CHUNK = 2048
 
-#: (t, n) cells of one worker's chunk: a chunk has the most rows that keep
-#: rows x eigenvalue columns within this, and at least one.  At 2^16 cells
-#: (259 rows at n_max = 250) each of a worker's five float tables is
-#: 512 KiB, 2.5 MiB a worker, against 10 MiB with the 1024 rows that
-#: _T_CHUNK alone gives each of two workers.  Measured on the fig3 period
-#: sweeps (2 vCPUs): peak RSS about 41, 43 and 50 MiB at 2^15, 2^16 and 2^17
-#: cells, 61 MiB at 1024 rows, with wall times within the noise of each
-#: other.  2^16 is the smallest size that leaves the two-worker chunks of
-#: the benchmark's coherence maps (at most 165 rows of 255 columns) as they
-#: were.
-_TILE_CELLS = 1 << 16
+#: float64 cells of one worker's whole (t, n) workspace, a complex cell
+#: counting two: a chunk has the most rows whose :func:`_row_cells` fit in
+#: this, and at least one.  That is 259 rows at n_max = 250 on the P_e path
+#: (1.5 MiB a worker) and about 85 rows of a full build at 255 columns.  On
+#: the fig3 period sweeps (2 vCPUs) the P_e path peaked at about 41, 43 and
+#: 50 MiB RSS with 129, 259 and 518 rows a chunk, and 61 MiB with 1024, with
+#: wall times within the noise of each other.  No per-time-point result
+#: depends on it.
+_TILE_CELLS = 3 << 16
 
 #: trig-table cells (time rows x eigenvalue columns of one chunk) each worker
 #: thread needs to pay for itself.  On smaller tables numpy's calls are too
@@ -117,9 +120,9 @@ _TILE_CELLS = 1 << 16
 _MIN_WORKER_CELLS = 1 << 15
 
 #: bytes a build may allocate (:func:`_build_bytes`), held by
-#: :meth:`TruncationPolicy.check`.  1 GiB admits about 6.7 million columns to
-#: a P_e-only build and 3.5 million to a full one, at l = 1 on one worker; at
-#: n_max = 250, about 11.1 and 2.8 million time samples.  No preset has more
+#: :meth:`TruncationPolicy.check`.  1 GiB admits about 7.5 million columns to
+#: a P_e-only build and 4.3 million to a full one, at l = 1 on one worker; at
+#: n_max = 250, about 11.2 and 2.9 million time samples.  No preset has more
 #: than 257 columns or 22 270 samples.
 _BUILD_BYTES_LIMIT = 1 << 30
 
@@ -132,6 +135,16 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _row_cells(columns: int, coherence: bool) -> int:
+    """float64 cells of a worker's workspace per time row of a build of
+    ``columns`` eigenvalue columns: 3 a column on the P_e path (the trig pair
+    and the product table), 9 on the full one, which adds the S-sum pair and
+    two complex tables.  The S-sum, product and family-2 tables are l columns
+    narrower than the trig tables; those 5 l cells a row are left for the
+    (rows, l) arrays of the closed-form primed amplitudes."""
+    return (9 if coherence else 3) * columns
+
+
 def _build_bytes(columns: int, l: int, coherence: bool, samples: int) -> tuple[int, int]:
     """Upper bounds on the bytes a build of ``columns`` eigenvalue columns on
     ``samples`` time samples allocates: (shared, each worker).
@@ -141,13 +154,11 @@ def _build_bytes(columns: int, l: int, coherence: bool, samples: int) -> tuple[i
     weights, 2 for the masks, and 7 more for the weighted coherence columns;
     per time sample, 12 for S1, S2 and the cached order terms (traced), 47 for
     a full build, which peaks as it forms the rho01 order terms.  Each worker:
-    its five (t, n) tables of at most max(``_TILE_CELLS``, columns) cells, and
-    11 more for the complex amplitude products of the coherence series.  The
-    traced peaks a column are below these: about 13 and 17 on one and two
-    workers for a P_e-only build, 26 and 41 for a full one.
+    its workspace, at most max(``_TILE_CELLS``, one row) cells
+    (:func:`_row_cells`), all it allocates of the (t, n) size.
     """
     shared = columns * (l + 14 + (7 if coherence else 0)) + samples * (47 if coherence else 12)
-    per_worker = max(_TILE_CELLS, columns) * (16 if coherence else 5)
+    per_worker = max(_TILE_CELLS, _row_cells(columns, coherence))
     return 8 * shared, 8 * per_worker
 
 
@@ -489,6 +500,13 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
     columns = trunc.top_row(l) + 1 if coherence else n_pe
     shared, per_worker = _build_bytes(columns, l, coherence, t_arr.size)
     table = EigenvalueTable(params, columns - 1)
+    # the S2 summand sin^2(sqrt(D) t)/D is at most both t^2 (its D = 0 limit)
+    # and 1/D, so it overflows only where both do; then g^2 S2 is nan
+    t_top = float(np.max(np.abs(t_arr), initial=0.0))
+    d_low = float(table.d[:n_pe].min())
+    if math.isinf(t_top * t_top) and d_low < 1.0 / np.finfo(float).max:
+        raise LimitError("t", f"t = {t_top:g}: sin^2(sqrt(D) t)/D is past the float range "
+                              f"at the eigenvalue D = {d_low:g} (g = {params.g})")
     trunc.warn_if_leaky(params.alpha)
     w = _poisson_weights(n_max, params.alpha)
     half_delta = params.delta / 2.0
@@ -521,23 +539,31 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
     n_rows = min(t_arr.size, _T_CHUNK)
     workers = max(1, min(_usable_cpus(), n_rows, n_rows * columns // _MIN_WORKER_CELLS,
                          (_BUILD_BYTES_LIMIT - shared) // per_worker))
-    chunk = max(1, min(n_rows // workers, _TILE_CELLS // table.d.size))
-    trig = np.empty((workers, 2, chunk, table.d.size))
-    sq = np.empty((workers, 2, chunk, n_pe))
+    chunk = max(1, min(n_rows // workers, _TILE_CELLS // _row_cells(columns, coherence)))
+    trig = np.empty((workers, 2, chunk, columns))
     # read flat, as (rows, n_pe) for (delta/2)^2 s2d and then as (rows, n_cols)
     # for the weighted products: contiguous views of one table
     prod = np.empty((workers, chunk, n_pe))
+    if coherence:
+        sq = np.empty((workers, 2, chunk, n_pe))  # the S sums' pair, then ab1
+        ab2_table = np.empty((workers, chunk, n_pe), dtype=complex)
+        amp = np.empty((workers, chunk, columns), dtype=complex)  # A(m), then each product
     any_zero = bool(zero.any())
+
+    def lead(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
+        """The first rows x cols cells of a worker's table, as one contiguous view."""
+        return buf.reshape(-1)[: rows * cols].reshape(rows, cols)
 
     def build(worker: int) -> None:
         for lo in range(worker * chunk, t_arr.size, workers * chunk):
             sl = slice(lo, lo + chunk)
             tc = t_arr[sl]
-            sin_t, cos_t = trig[worker, :, : tc.size]
-            s1, s2d = sq[worker, :, : tc.size]
-            flat = prod[worker].reshape(-1)
-            s2d_scaled = flat[: tc.size * n_pe].reshape(tc.size, n_pe)
-            out = flat[: tc.size * n_cols].reshape(tc.size, n_cols)
+            rows = tc.size
+            sin_t, cos_t = trig[worker, :, :rows]
+            # the P_e path squares in place: its trig tables are n_pe wide
+            s1, s2d = sq[worker, :, :rows] if coherence else (cos_t, sin_t)
+            s2d_scaled = lead(prod[worker], rows, n_pe)
+            out = lead(prod[worker], rows, n_cols)
             np.multiply(tc[:, None], table.sqrt_d[None, :], out=sin_t)
             np.cos(sin_t, out=cos_t)
             np.sin(sin_t, out=sin_t)
@@ -560,17 +586,23 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
             b /= sqrt_d_safe
             if any_zero:
                 b[:, zero] = tc[:, None]
-            a = cos_t - 1j * half_delta * b
+            a = amp[worker, :rows]
+            np.multiply(1j * half_delta, b, out=a)
+            np.subtract(cos_t, a, out=a)
             ap_struct, _ = _osc_pair(table.sqrt_d_prime[None, :n_shift],
                                      table.d_prime[:n_shift], tc[:, None], half_delta)
             # family 1: A(m + l) B'(m + l) = A(m + l) B(m); family 2: B(m) A'(m)
-            ab1 = a[:, l : l + n_pe] * b[:, :n_pe]
-            ab2 = np.empty_like(ab1)
-            ab2[:, :n_shift] = b[:, :n_shift] * ap_struct
-            ab2[:, n_shift:] = b[:, n_shift:n_pe] * a[:, : n_pe - n_shift]
+            ab1 = lead(sq[worker].reshape(-1).view(complex), rows, n_pe)
+            np.multiply(a[:, l : l + n_pe], b[:, :n_pe], out=ab1)
+            ab2 = ab2_table[worker, :rows]
+            np.multiply(b[:, :n_shift], ap_struct, out=ab2[:, :n_shift])
+            np.multiply(b[:, n_shift:n_pe], a[:, : n_pe - n_shift], out=ab2[:, n_shift:])
+            weighted = lead(amp[worker], rows, n_cols)  # a is spent
             for k, off in enumerate(_OFFSETS):
-                tilde[0, k, sl] = _reduce_n(ab1[:, off : off + n_cols] * cw[k][None, :])
-                tilde[1, k, sl] = _reduce_n(ab2[:, off : off + n_cols] * cw[k][None, :])
+                np.multiply(ab1[:, off : off + n_cols], cw[k], out=weighted)
+                tilde[0, k, sl] = _reduce_n(weighted)
+                np.multiply(ab2[:, off : off + n_cols], cw[k], out=weighted)
+                tilde[1, k, sl] = _reduce_n(weighted)
             # real arithmetic: numpy's complex multiply rounds one element differently
             part = tilde[:, :, sl]
             re, im = part.real.copy(), part.imag

@@ -632,6 +632,14 @@ class TestErrorPaths:
         assert main(["pe-series", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
         assert "model.g" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("g", [1e-160, 1e-200])
+    def test_sweep_past_the_float_range_at_a_tiny_coupling_exits_2(self, tmp_path, capsys, g):
+        # the default sweep grid scales with 1/g: past t ~ 1e154 both t^2 and
+        # 1/D_m overflow, so sin^2(sqrt(D_m) t)/D_m would too, and g^2 S2 be nan
+        doc = {"model": {"l": 1, "g": g, "omega0": 1.0, "omega": 1.0, "alpha": 2.0}}
+        assert main(["period-sweep", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: grid: t = ")
+
     def test_nmax_flag_that_overflows_the_eigenvalues_exits_2(self, tmp_path, capsys):
         # (m + 1)...(m + 60) is finite at n_max = 20 and overflows at 10^6
         doc = small_config()
@@ -783,9 +791,9 @@ class TestErrorPaths:
 
     def test_series_table_columns_stop_at_the_limit(self):
         # the smallest build, P_e-only on no samples, of n_max + 3 columns at
-        # l = 2: 8 x (16 + 5) bytes a column, at most 2^30 / 168 columns;
+        # l = 2: 8 x (16 + 3) bytes a column, at most 2^30 / 152 columns;
         # nothing is built by parse_config
-        edge = (1 << 30) // 168 - 3
+        edge = (1 << 30) // 152 - 3
         assert sum(thermaljcm.perturbation._build_bytes(edge + 3, 2, False, 0)) <= 1 << 30
         doc = small_config(truncation={"n_max": edge})
         assert parse_config(doc).trunc.n_max == edge
@@ -917,6 +925,15 @@ class TestFiniteOutput:
              tail_tol=1.0, t_start=0.0, dt=5e-39, k=2)
     @example(command="coherence-map", l=4, n_max=40, alpha=1e40, g=1.0, inv_beta=0.0,
              tail_tol=1.0, t_start=0.0, dt=5e-39, k=2)
+    # t^2 past the float range where 1/D is too: at g = 0, and where g^2 underflows
+    @example(command="pe-series", l=1, n_max=40, alpha=2.0, g=0.0, inv_beta=0.0,
+             tail_tol=1.0, t_start=0.0, dt=2.5e199, k=4)
+    @example(command="coherence-map", l=1, n_max=40, alpha=2.0, g=0.0, inv_beta=0.0,
+             tail_tol=1.0, t_start=0.0, dt=2.5e199, k=4)
+    @example(command="pe-series", l=1, n_max=40, alpha=2.0, g=1e-170, inv_beta=0.0,
+             tail_tol=1.0, t_start=0.0, dt=2.5e199, k=4)
+    @example(command="coherence-map", l=1, n_max=40, alpha=2.0, g=1e-170, inv_beta=0.0,
+             tail_tol=1.0, t_start=0.0, dt=2.5e199, k=4)
     def test_exit_0_means_every_number_is_finite(self, command, l, n_max, alpha, g,
                                                  inv_beta, tail_tol, t_start, dt, k):
         doc = {

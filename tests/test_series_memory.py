@@ -1,9 +1,10 @@
 """The series engine's workspace: bounded by a cell budget per worker.
 
-A build allocates each worker's (t, n) tables once, with at most
-``_TILE_CELLS`` cells a table, so its traced peak does not grow with the
-length of the time grid beyond the per-time outputs.  Its photon axis is
-bounded by a byte budget, checked before anything is allocated.
+A build allocates each worker's (t, n) tables once, float and complex, with
+at most ``_TILE_CELLS`` float cells over all of that worker's tables, and
+allocates nothing else of the (t, n) size, so its traced peak does not grow
+with the length of the time grid beyond the per-time outputs.  Its photon
+axis is bounded by a byte budget, checked before anything is allocated.
 """
 
 import math
@@ -30,6 +31,11 @@ from thermaljcm.perturbation import TruncationPolicy, series_tables
 #: budget, peaked at ~25 MiB
 PEAK_LIMIT_MIB = 12
 
+#: traced peak of a full build on 5 000 samples at the fig4d columns: ~3.1 MiB
+#: on one worker and ~4.9 MiB on two; with a fresh complex (t, n) table for
+#: each amplitude product of each chunk it was 8.8 and 16.5 MiB
+FULL_PEAK_LIMIT_MIB = 6
+
 
 def fig3a_sweep_grid():
     """Parameters, truncation and longest-row grid of the fig3a period sweep
@@ -42,24 +48,39 @@ def fig3a_sweep_grid():
     return config.params, config.trunc, dt * np.arange(n)
 
 
+def traced_peak(cpus, *args, **kwargs):
+    """tracemalloc peak of one ``series_tables`` build on ``cpus`` workers."""
+    with mock.patch.object(perturbation, "_usable_cpus", lambda: cpus):
+        tracemalloc.start()
+        try:
+            series_tables(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_pe_only_sweep_build_peak_is_bounded(cpus):
     params, trunc, t = fig3a_sweep_grid()
     assert t.size > 20_000
-    with mock.patch.object(perturbation, "_usable_cpus", lambda: cpus):
-        tracemalloc.start()
-        try:
-            series_tables(t, params, trunc, coherence=False)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    peak = traced_peak(cpus, t, params, trunc, coherence=False)
     assert peak <= PEAK_LIMIT_MIB * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_full_build_peak_is_bounded(cpus):
+    config = parse_config(build_preset("fig4d"))
+    assert config.trunc.top_row(config.params.l) + 1 == 257
+    peak = traced_peak(cpus, np.linspace(0.0, 5.0, 5000), config.params, config.trunc)
+    assert peak <= FULL_PEAK_LIMIT_MIB * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
 def workspace_shapes(t, params, trunc, cpus, coherence):
-    """Shapes of the float (t, n) workspaces one build allocates: trig
-    (w, 2, rows, n), sq (w, 2, rows, n) and prod (w, rows, n); the per-time
-    outputs are 2-d or complex."""
+    """Shapes and dtypes of the (t, n) workspaces one build allocates, each
+    (workers, ..., rows, columns): trig (w, 2, rows, n) and prod (w, rows, n),
+    and on a full build the S-sum pair (w, 2, rows, n) and the complex ab2
+    and amplitude tables (w, rows, n); the per-time outputs (3, nt) and
+    (2, 6, nt) are told apart by their last axis."""
     shapes = []
     empty = np.empty
 
@@ -71,50 +92,58 @@ def workspace_shapes(t, params, trunc, cpus, coherence):
     with mock.patch.object(perturbation, "_usable_cpus", lambda: cpus), \
             mock.patch.object(perturbation.np, "empty", spy):
         series_tables(t, params, trunc, coherence=coherence)
-    return [s for s, dtype in shapes if len(s) >= 3 and dtype == float]
+    widths = (trunc.n_max + 3, trunc.top_row(params.l) + 1)
+    return [(s, dtype) for s, dtype in shapes if len(s) >= 3 and s[-1] in widths]
+
+
+def worker_cells(shape, dtype):
+    """float64 cells one worker holds of a workspace table, a complex cell two."""
+    return math.prod(shape[1:]) * (2 if dtype == complex else 1)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("l, n_max, n, coherence", [
     (1, 250, 22_270, False),  # the fig3a sweep: 253 columns, 259-row tiles
-    (4, 250, 5_000, True),  # the fig4d map's columns
-    (2, 80, 300, True),  # fewer rows than a tile holds
+    (4, 250, 5_000, True),  # the fig4d map's columns: 85-row tiles
+    (2, 80, 300, True),  # one worker: a 257-row tile, then a 43-row chunk
     (1, 70_000, 5, False),  # the columns alone exceed the budget: one row
 ])
 def test_each_worker_workspace_stays_within_the_cell_budget(cpus, l, n_max, n, coherence):
     params = ModelParams(l=l, g=1.0, omega0=1.0, omega=1.0, alpha=3.0)
     trunc = TruncationPolicy(n_max)
     shapes = workspace_shapes(np.linspace(0.0, 5.0, n), params, trunc, cpus, coherence)
-    assert len(shapes) == 3
-    columns = shapes[0][-1]
+    # float trig, prod and S-sum pair; complex ab2 and amplitudes.  The P_e
+    # path squares in its trig pair and holds no complex table
+    dtypes = [dtype for _, dtype in shapes]
+    assert dtypes == ([float] * 3 + [complex] * 2 if coherence else [float] * 2)
+    columns = shapes[0][0][-1]
     assert columns == n_max + (l + 3 if coherence else 3)
-    rows = shapes[0][-2]
+    rows = shapes[0][0][-2]
+    workers = shapes[0][0][0]
+    assert all(s[0] == workers and s[-2] == rows for s, _ in shapes)
+    assert all(s[-1] in (columns, n_max + 3) for s, _ in shapes)
+    # 3 float cells a column on the P_e path, at most 9 on a full build
+    per_row = 9 * columns if coherence else 3 * columns
+    cells = sum(worker_cells(s, dtype) for s, dtype in shapes)
+    assert cells <= rows * per_row
     budget = perturbation._TILE_CELLS
-    for shape in shapes:
-        assert shape[-2] == rows
-        assert shape[-2] * shape[-1] <= budget or shape[-2] == 1
+    assert cells <= budget or rows == 1
     if n >= perturbation._T_CHUNK:
         # a long grid fills the tile: one more row would pass the budget
-        assert (rows + 1) * columns > budget
+        assert (rows + 1) * per_row > budget
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("coherence", [False, True])
 def test_build_bytes_bound_the_traced_peak(cpus, coherence):
-    # past _TILE_CELLS columns a chunk is one row, where a worker's workspace
-    # is largest for its columns
+    # past _TILE_CELLS cells a row, a chunk is one row, where a worker's
+    # workspace is largest for its columns
     n_max, l = 70_000, 4
     params = ModelParams(l=l, g=1.0, omega0=1.0, omega=1.0, alpha=3.0)
     columns = n_max + (l + 3 if coherence else 3)
     shared, per_worker = perturbation._build_bytes(columns, l, coherence, 64)
-    with mock.patch.object(perturbation, "_usable_cpus", lambda: cpus):
-        tracemalloc.start()
-        try:
-            series_tables(np.linspace(0.0, 1.0, 64), params, TruncationPolicy(n_max, 1.0),
-                          coherence=coherence)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    peak = traced_peak(cpus, np.linspace(0.0, 1.0, 64), params, TruncationPolicy(n_max, 1.0),
+                       coherence=coherence)
     assert peak <= shared + cpus * per_worker
 
 
@@ -167,7 +196,9 @@ def test_budget_caps_the_workers(monkeypatch):
     monkeypatch.setattr(perturbation, "_BUILD_BYTES_LIMIT", shared + 2 * per_worker)
     shapes = workspace_shapes(np.linspace(0.0, 1.0, 64), params,
                               TruncationPolicy(200_000, 1.0), 64, False)
-    assert [shape[0] for shape in shapes] == [2, 2, 2]
+    assert [shape[0] for shape, _ in shapes] == [2, 2]
+    # one row a chunk: each worker holds its three float cells a column
+    assert sum(worker_cells(s, dtype) for s, dtype in shapes) == 3 * 200_003
 
 
 def test_every_preset_fits_the_budget_on_64_workers():
