@@ -75,10 +75,12 @@ class RunConfig:
             return TruncationPolicy.adaptive(self.params, self.tail_tol)
         return TruncationPolicy(n_max=self.n_max, tail_tol=self.tail_tol)
 
-    def field(self, param: str) -> str:
+    def field(self, param: str, command: str | None = None) -> str:
         """The document field that set ``param`` (a :class:`LimitError`'s):
         the field itself when the document set it, else the one its default
-        follows, alpha but for an automatic oracle cutoff at a temperature."""
+        follows, alpha but for an automatic oracle cutoff at a temperature.
+        A time span follows g's periods unless ``command`` reads it from
+        ``grid.t_stop`` and the document sets that."""
         if param == "dt" and self.dt is not None:
             return "grid.dt"
         if param == "n_fock" and self.n_fock:
@@ -87,6 +89,8 @@ class RunConfig:
             return "thermal.inv_beta"
         if param == "n_max" and not self.adaptive:
             return "truncation.n_max"
+        if param == "t_max":  # period-sweep rows span the periods, never grid.t_stop
+            return "grid" if self.t_stop is not None and command != "period-sweep" else "model.g"
         if param == "t":
             return "grid"
         return f"model.{param}" if param in ("l", "g") else "model.alpha"
@@ -543,7 +547,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except LimitError as exc:  # a layer's limit, named by the field that set it
-        print(f"error: {config.field(exc.param)}: {exc}", file=sys.stderr)
+        print(f"error: {config.field(exc.param, args.command)}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -43,8 +43,8 @@ __all__ = [
 class LimitError(ValueError):
     """An input the layer that raises it refuses: past a limit, or outside
     the domain of its formula.  ``param`` is its name: ``"l"``, ``"g"``,
-    ``"alpha"``, ``"n_fock"``, ``"n_max"``, ``"dt"`` or ``"t"`` (a time
-    grid's length)."""
+    ``"alpha"``, ``"n_fock"``, ``"n_max"``, ``"dt"``, ``"t"`` (a time
+    grid's length) or ``"t_max"`` (its largest time)."""
 
     def __init__(self, param: str, message: str):
         super().__init__(message)

@@ -23,6 +23,24 @@ vectorized.  :func:`propagate` and :class:`DoubledFockState` carry the full
 doubled-space state at O(n_fock^2) per sample; they are the reference that
 :mod:`thermaljcm.validation` and the tests read exact values from.
 
+:func:`propagate` takes a time or a 1-d time grid.  A grid is one call: one
+eigenvalue table, and per chunk of at most ``_STATE_CELLS`` amplitudes one
+evaluation of the block elements and one set of block products, with the
+time axis in front of the state's axes.  Each chunk's states go to the
+caller's ``observe``, such as :func:`reduce_atom` or a state's ``norm_sq``,
+which reduce the trailing axes of each state, so the memory of a call does
+not grow with the grid.  A time is the same code with no time axis, and a
+sample's value does not depend on the grid around it.
+
+Each Rabi phase is evaluated once: D'_m = D_(m-l) for m >= l, so the primed
+amplitude A'(m) is A(m - l), and only the l structurally zero columns m < l
+of D' are evaluated besides D, in the same ``model._osc_pair`` call.  The
+shift equals a direct evaluation of D'_m bitwise while the photon-number
+products of :class:`EigenvalueTable` are exact integers, i.e.
+(n_fock + l)^l < 2^53.  Every cutoff the package sizes is far below that
+(at most 2048 levels, 2052^4 is about 2e13 at l = 4); past it, both are
+roundings of the same exact value.
+
 This module is the validation oracle for every perturbative series in
 :mod:`thermaljcm.perturbation`.  It owns the cutoff rules: a cutoff past 2048
 levels or the float range, at or below l, or whose eigenvalues overflow is
@@ -95,6 +113,10 @@ __all__ = [
 #: without affecting any per-sample value
 _T_CHUNK = 512
 
+#: amplitudes of the states :func:`propagate` holds per chunk of a time grid
+#: (4 MiB), whatever the grid's length; a chunk holds at least one sample
+_STATE_CELLS = 2**18
+
 #: largest accepted cutoff: one n_fock x n_fock complex matrix is then
 #: 64 MiB, and the state construction holds a few at once
 _N_FOCK_MAX = 2048
@@ -149,8 +171,10 @@ class FockTruncation:
 class DoubledFockState:
     """Amplitudes over (atom, tilde atom, cavity, tilde cavity).
 
-    ``amp[f, ft, n, nt]`` with f = 1 the excited atomic level.  The array is
-    exclusively owned by its state; propagation returns a fresh state.
+    ``amp[..., f, ft, n, nt]`` with f = 1 the excited atomic level; leading
+    axes, such as the time axis of a chunk of :func:`propagate`, hold a
+    batch of states.  The array is exclusively owned by its state;
+    propagation returns a fresh state.
     """
 
     amp: np.ndarray
@@ -158,12 +182,21 @@ class DoubledFockState:
 
     def __post_init__(self) -> None:
         n = self.trunc.n_fock
-        if self.amp.shape != (2, 2, n, n):
-            raise ValueError(f"amplitude array must have shape (2, 2, {n}, {n})")
+        if self.amp.shape[-4:] != (2, 2, n, n):
+            raise ValueError(f"amplitude array must have shape (..., 2, 2, {n}, {n})")
 
     @property
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amp) ** 2))
+    def norm_sq(self):
+        """Squared norm: a float, or an array over the batch axes."""
+        return _sum_trailing(np.abs(self.amp) ** 2, 4)
+
+
+def _sum_trailing(x: np.ndarray, k: int):
+    """Sum of each contiguous block of the last k axes of ``x``, in the
+    pairwise order np.sum takes on one block alone; a Python scalar when
+    there are no other axes."""
+    out = np.add.reduce(x.reshape(x.shape[:-k] + (math.prod(x.shape[-k:]),)), axis=-1)
+    return out.item() if out.ndim == 0 else out
 
 
 def _check_norm(norm_sq: float, leak_tol: float, what: str) -> None:
@@ -355,8 +388,9 @@ def build_initial_state(params: ModelParams, thermal: ThermalParams,
     return state
 
 
-def _block_elements(params: ModelParams, t, n_fock: int):
-    """Closed-form propagator pieces on the truncated basis.
+def _block_elements(table: EigenvalueTable, t):
+    """Closed-form propagator pieces on the n_fock = ``table.n_max + 1``
+    levels of ``table``.
 
     Returns (diag_e, diag_g, coup):
       diag_e[n]  = conj(A(n)) acting on |e, n>;
@@ -364,70 +398,114 @@ def _block_elements(params: ModelParams, t, n_fock: int):
       coup[n]    = -i g sqrt((n+l)!/n!) B(n), the |e, n> <-> |g, n+l>
                    coupling for n = 0 .. n_fock-1-l, in both directions
                    because B'(n+l) = B(n).
-    ``t`` is a scalar or a column of times; a column puts its axis in front
-    of the photon axis of every piece.
+    ``t`` is a time or an array of times; its axes come in front of the
+    photon axis of every piece.  A'(m) = A(m - l) for m >= l (module
+    docstring), so one ``_osc_pair`` call evaluates D and the structurally
+    zero columns of D'.
     """
-    l = params.l
-    table = EigenvalueTable(params, n_fock - 1)
-    half_delta = params.delta / 2.0
-    a_n, b_n = _osc_pair(table.sqrt_d, table.d, t, half_delta)
-    ap_m, _ = _osc_pair(table.sqrt_d_prime, table.d_prime, t, half_delta)
+    params = table.params
+    l, n_fock = params.l, table.n_max + 1
+    s = min(l, n_fock)
+    # columns [D'_0 .. D'_(s-1), D_0 .. D_(n_fock-1)]: A'(m) is column m, A(n) column s + n
+    a, b = _osc_pair(np.concatenate([table.sqrt_d_prime[:s], table.sqrt_d]),
+                     np.concatenate([table.d_prime[:s], table.d]),
+                     np.asarray(t, dtype=float)[..., None], params.delta / 2.0)
     nn = np.arange(max(n_fock - l, 0), dtype=float)
     beta = np.sqrt(np.prod(nn[:, None] + np.arange(1, l + 1)[None, :], axis=1))
-    coup = -1j * params.g * beta * np.asarray(b_n, dtype=float)[..., : nn.size]
-    return np.conj(np.asarray(a_n, dtype=complex)), np.asarray(ap_m, dtype=complex), coup
+    coup = -1j * params.g * beta * b[..., s : s + nn.size]
+    return np.conj(a[..., s:]), a[..., :n_fock], coup
 
 
-def propagate(state: DoubledFockState, t: float, params: ModelParams) -> DoubledFockState:
-    """Apply the interaction-picture propagator at time t.
-
-    The physical factor uses the closed-form block elements; the tilde factor
-    is their elementwise complex conjugate (the tilde Hamiltonian enters with
-    the opposite sign of i t).  Raises when population within l levels of
-    either cutoff exceeds the leakage budget.
-    """
-    state.trunc.check(params)
+def _propagate_block(state: DoubledFockState, table: EigenvalueTable,
+                     t: np.ndarray) -> DoubledFockState:
+    """The states at the times ``t`` (a 0-d or 1-d array), with the axes of
+    ``t`` in front; raises at the first sample that leaks."""
     n = state.trunc.n_fock
+    params = table.params
     l = params.l
-    diag_e, diag_g, coup = _block_elements(params, t, n)
+    diag_e, diag_g, coup = _block_elements(table, t)
     ncpl = n - l
     # |e, n> whose partner |g, n+l> is past the cutoff takes the bare
     # detuning phase, so the truncated propagator stays exactly unitary
-    diag_e[ncpl:] = np.exp(1j * params.delta * t / 2.0)
+    diag_e[..., ncpl:] = np.exp(1j * params.delta * t[..., None] / 2.0)
 
-    old_g, old_e = state.amp[0], state.amp[1]  # (2, n, ntilde)
-    new_e = diag_e[None, :, None] * old_e
-    new_e[:, :ncpl, :] += coup[None, :, None] * old_g[:, l:, :]
-    new_g = diag_g[None, :, None] * old_g
-    new_g[:, l:, :] += coup[None, :, None] * old_e[:, :ncpl, :]
-    half = np.stack([new_g, new_e])  # [f, ftilde, n, ntilde]
+    # the physical factor acts on the cavity axis n of [..., f, ft, n, nt]
+    old_g, old_e = state.amp  # [ft, n, nt]
+    half = np.empty(t.shape + state.amp.shape, dtype=complex)
+    new_g, new_e = half[..., 0, :, :, :], half[..., 1, :, :, :]
+    de, dg, cp = (x[..., None, :, None] for x in (diag_e, diag_g, coup))
+    np.multiply(de, old_e, out=new_e)
+    new_e[..., :ncpl, :] += cp * old_g[:, l:, :]
+    np.multiply(dg, old_g, out=new_g)
+    new_g[..., l:, :] += cp * old_e[:, :ncpl, :]
 
-    tg, te = half[:, 0], half[:, 1]  # (2, n, ntilde), indexed [f, n, ntilde]
-    cde, cdg, cc = np.conj(diag_e), np.conj(diag_g), np.conj(coup)
-    new_te = cde[None, None, :] * te
-    new_te[:, :, :ncpl] += cc[None, None, :] * tg[:, :, l:]
-    new_tg = cdg[None, None, :] * tg
-    new_tg[:, :, l:] += cc[None, None, :] * te[:, :, :ncpl]
-    amp = np.stack([new_tg, new_te], axis=1)
+    # the tilde factor, the conjugate, on the tilde cavity axis nt
+    tg, te = half[..., 0, :, :], half[..., 1, :, :]  # [..., f, n, nt]
+    amp = np.empty_like(half)
+    new_tg, new_te = amp[..., 0, :, :], amp[..., 1, :, :]
+    cde, cdg, cc = (np.conj(x)[..., None, None, :] for x in (diag_e, diag_g, coup))
+    np.multiply(cde, te, out=new_te)
+    new_te[..., :ncpl] += cc * tg[..., l:]
+    np.multiply(cdg, tg, out=new_tg)
+    new_tg[..., l:] += cc * te[..., :ncpl]
+    del half, tg, te
 
-    out = DoubledFockState(amp=amp, trunc=state.trunc)
-    edge = float(np.sum(np.abs(amp[:, :, n - l :, :]) ** 2)
-                 + np.sum(np.abs(amp[:, :, :, n - l :]) ** 2))
-    if edge > state.trunc.leak_tol:
-        raise LeakageError(f"population {edge:.3e} within {l} levels of the Fock "
-                           f"cutoff exceeds leak_tol")
-    return out
+    edge = (_sum_trailing(np.abs(amp[..., n - l :, :]) ** 2, 4)
+            + _sum_trailing(np.abs(amp[..., n - l :]) ** 2, 4))
+    bad = np.flatnonzero(np.asarray(edge) > state.trunc.leak_tol)
+    if bad.size:
+        raise LeakageError(f"population {np.ravel(edge)[bad[0]]:.3e} within {l} levels of the "
+                           f"Fock cutoff exceeds leak_tol at t = {t.flat[bad[0]]:g}")
+    return DoubledFockState(amp=amp, trunc=state.trunc)
 
 
-def reduce_atom(state: DoubledFockState) -> tuple[float, complex]:
+def propagate(state: DoubledFockState, t, params: ModelParams, observe=None):
+    """Apply the interaction-picture propagator at time t, or over a 1-d
+    time grid t.
+
+    The physical factor uses the closed-form block elements; the tilde factor
+    is their elementwise complex conjugate (the tilde Hamiltonian enters with
+    the opposite sign of i t).  At a time the result is the propagated
+    state, or ``observe`` of it.  A grid needs ``observe``: the samples run
+    in chunks of at most ``_STATE_CELLS`` amplitudes, each chunk's states go
+    to ``observe`` as one state with the time axis in front, and its
+    results, an array or a tuple of arrays over the chunk's times, are
+    joined along that axis; ``propagate(state, grid, params, reduce_atom)``
+    gives the arrays (rho00, rho01).  Raises at the first sample whose
+    population within l levels of either cutoff exceeds the leakage budget.
+    """
+    state.trunc.check(params)
+    if state.amp.ndim != 4:
+        raise ValueError("propagate takes one state, not a batch")
+    t_arr = np.asarray(t, dtype=float)
+    table = EigenvalueTable(params, state.trunc.n_fock - 1)
+    if t_arr.ndim == 0:
+        out = _propagate_block(state, table, t_arr)
+        return out if observe is None else observe(out)
+    if t_arr.ndim != 1 or observe is None:
+        raise ValueError("time must be a scalar, or a 1-d array with observe")
+    rows = max(1, _STATE_CELLS // state.amp.size)
+    parts = [observe(_propagate_block(state, table, t_arr[lo : lo + rows]))
+             for lo in range(0, max(t_arr.size, 1), rows)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    return np.concatenate(parts)
+
+
+def reduce_atom(state: DoubledFockState):
     """Partial trace over the tilde atom and both boson modes: (rho00, rho01).
 
     rho00 is the excitation probability (the total weight on the excited
     physical level) and rho01 the excited-ground matrix element <e| rho |g>;
-    rho11 = 1 - rho00 and rho10 = conj(rho01) follow.
+    rho11 = 1 - rho00 and rho10 = conj(rho01) follow.  A float and a
+    complex, or two arrays over the batch axes of ``state``.
     """
-    amp = state.amp
-    return float(np.sum(np.abs(amp[1]) ** 2)), complex(np.sum(amp[1] * np.conj(amp[0])))
+    excited, ground = state.amp[..., 1, :, :, :], state.amp[..., 0, :, :, :]
+    # not ``excited * np.conj(ground)``: numpy multiplies into a temporary
+    # operand in place once it passes 256 KiB, and rounds complex products
+    # differently there, so a batch would differ from one state in the last bit
+    return (_sum_trailing(np.abs(excited) ** 2, 3),
+            _sum_trailing(np.multiply(excited, np.conj(ground)), 3))
 
 
 def _abs_sq(z: np.ndarray) -> np.ndarray:
@@ -466,16 +544,17 @@ def pe_curve(params: ModelParams, thermal: ThermalParams, times,
     ncpl = n - l
     lo_x = max(ncpl - l, 0)  # |e, m - l> feeding an edge level |g, m>, m >= l
 
+    table = EigenvalueTable(params, n - 1)
     out = np.empty(t_arr.size)
     for lo in range(0, t_arr.size, _T_CHUNK):
-        tc = t_arr[lo : lo + _T_CHUNK, None]
-        diag_e, diag_g, coup = _block_elements(params, tc, n)
+        tc = t_arr[lo : lo + _T_CHUNK]
+        diag_e, diag_g, coup = _block_elements(table, tc)
         ae = _abs_sq(diag_e)
         ae[:, ncpl:] = 1.0  # the bare detuning phase of propagate
         cc = _abs_sq(coup)
         summand = s2 * ae * rho
         summand[:, :ncpl] += c2 * cc * rho[l:]
-        out[lo : lo + tc.shape[0]] = np.add.reduce(summand, axis=-1)
+        out[lo : lo + tc.size] = np.add.reduce(summand, axis=-1)
 
         ag = _abs_sq(diag_g[:, ncpl:])
         edge = np.sum((s2 + c2 * ag) * axes[:, None, ncpl:], axis=(0, 2))
@@ -483,7 +562,7 @@ def pe_curve(params: ModelParams, thermal: ThermalParams, times,
         bad = np.flatnonzero(edge > trunc.leak_tol)
         if bad.size:
             raise LeakageError(f"population {edge[bad[0]]:.3e} within {l} levels of the Fock "
-                               f"cutoff exceeds leak_tol at t = {tc[bad[0], 0]:g}")
+                               f"cutoff exceeds leak_tol at t = {tc[bad[0]]:g}")
     return out
 
 
@@ -494,7 +573,7 @@ def atom_block_matrices(t: float, params: ModelParams, n_fock: int):
     Used to evaluate coherence-series operator expectations directly in the
     Fock basis, independently of the series code.
     """
-    diag_e, diag_g, coup = _block_elements(params, t, n_fock)
+    diag_e, diag_g, coup = _block_elements(EigenvalueTable(params, n_fock - 1), t)
     rows = np.arange(coup.size)
     u01 = np.zeros((n_fock, n_fock), dtype=complex)
     u10 = np.zeros((n_fock, n_fock), dtype=complex)

@@ -505,8 +505,8 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
     t_top = float(np.max(np.abs(t_arr), initial=0.0))
     d_low = float(table.d[:n_pe].min())
     if math.isinf(t_top * t_top) and d_low < 1.0 / np.finfo(float).max:
-        raise LimitError("t", f"t = {t_top:g}: sin^2(sqrt(D) t)/D is past the float range "
-                              f"at the eigenvalue D = {d_low:g} (g = {params.g})")
+        raise LimitError("t_max", f"t = {t_top:g}: sin^2(sqrt(D) t)/D is past the float "
+                                  f"range at the eigenvalue D = {d_low:g} (g = {params.g})")
     trunc.warn_if_leaky(params.alpha)
     w = _poisson_weights(n_max, params.alpha)
     half_delta = params.delta / 2.0

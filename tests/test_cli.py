@@ -638,7 +638,28 @@ class TestErrorPaths:
         # 1/D_m overflow, so sin^2(sqrt(D_m) t)/D_m would too, and g^2 S2 be nan
         doc = {"model": {"l": 1, "g": g, "omega0": 1.0, "omega": 1.0, "alpha": 2.0}}
         assert main(["period-sweep", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("error: grid: t = ")
+        assert capsys.readouterr().err.startswith("error: model.g: t = ")
+
+    @pytest.mark.parametrize("grid, field", [
+        # the default span, 1.35 revival periods, scales with 1/g
+        ({}, "model.g"),
+        ({"t_start": 0.0, "dt": 1e158}, "model.g"),
+        # the document sets the span
+        ({"t_start": 0.0, "t_stop": 1e200, "dt": 2.5e199}, "grid"),
+    ])
+    def test_series_past_the_float_range_names_what_set_the_span(self, tmp_path, capsys,
+                                                                  grid, field):
+        doc = {"model": {"l": 1, "g": 1e-160, "omega0": 1.0, "omega": 1.0, "alpha": 2.0},
+               "grid": grid, "truncation": {"n_max": 20}}
+        assert main(["pe-series", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {field}: t = ")
+
+    def test_sweep_names_g_though_the_document_sets_a_span(self, tmp_path, capsys):
+        # period-sweep reads no grid.t_stop: its rows span the thermal periods
+        doc = {"model": {"l": 1, "g": 1e-160, "omega0": 1.0, "omega": 1.0, "alpha": 2.0},
+               "grid": {"t_start": 0.0, "t_stop": 1.0, "dt": 1e158}}
+        assert main(["period-sweep", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: model.g: t = ")
 
     def test_nmax_flag_that_overflows_the_eigenvalues_exits_2(self, tmp_path, capsys):
         # (m + 1)...(m + 60) is finite at n_max = 20 and overflows at 10^6

@@ -6,6 +6,8 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +18,10 @@ from scipy.linalg import expm
 from thermaljcm import oracle, perturbation
 from thermaljcm.cli import EXIT_OK, main
 from thermaljcm.model import (
+    EigenvalueTable,
     LimitError,
     ModelParams,
+    _osc_pair,
     bogoliubov_angles,
     t0_period,
     thermal_from_inv_beta,
@@ -562,9 +566,145 @@ class TestReducedStatePe:
         np.testing.assert_array_equal(split, full)
 
 
+def per_sample(init, times, p):
+    """(rho00, rho01, norm^2) sample by sample, one scalar propagate each."""
+    states = [propagate(init, float(t), p) for t in times]
+    return ([reduce_atom(s)[0] for s in states], [reduce_atom(s)[1] for s in states],
+            [s.norm_sq for s in states])
+
+
+def first_leak(init, times, p):
+    """The message of the LeakageError the per-sample loop stops at."""
+    for t in times:
+        try:
+            propagate(init, float(t), p)
+        except LeakageError as exc:
+            return str(exc)
+    return None
+
+
+class TestGridPropagation:
+    @pytest.mark.parametrize("inv_beta", [0.0, 0.2])
+    @pytest.mark.parametrize("alpha", [1.5, 1.3 + 0.7j])
+    @pytest.mark.parametrize("detuning", [0.0, 0.3])
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    @pytest.mark.parametrize("chunk_states", [None, 2.5])
+    def test_grid_equals_per_sample_bitwise(self, l, detuning, alpha, inv_beta, chunk_states):
+        # omega0 = 1 and l omega = 1 + detuning; 2.5 states a chunk puts two
+        # samples in each and leaves a last chunk of one
+        p = make_params(l=l, omega0=1.0, omega=(1.0 + detuning) / l, alpha=alpha)
+        thermal = thermal_from_inv_beta(inv_beta, p)
+        trunc = FockTruncation(FockTruncation.auto(p, thermal).n_fock + 12)
+        init = build_initial_state(p, thermal, trunc)
+        t = np.linspace(0.0, 4.0, 11)
+        budget = (oracle._STATE_CELLS if chunk_states is None
+                  else int(chunk_states * init.amp.size))
+        with mock.patch.object(oracle, "_STATE_CELLS", budget):
+            rho00, rho01 = propagate(init, t, p, reduce_atom)
+            norms = propagate(init, t, p, lambda s: s.norm_sq)
+        want00, want01, want_norms = per_sample(init, t, p)
+        np.testing.assert_array_equal(rho00, want00)
+        np.testing.assert_array_equal(rho01, want01)
+        np.testing.assert_array_equal(norms, want_norms)
+
+    def test_one_time_is_the_grid_path_without_a_time_axis(self):
+        p = make_params(l=2, omega0=1.0, omega=0.8, alpha=1.1 - 0.4j)
+        init = build_initial_state(p, thermal_from_inv_beta(0.1, p),
+                                   FockTruncation.auto(p, thermal_from_inv_beta(0.1, p)))
+        out = propagate(init, 1.3, p)
+        assert out.amp.shape == init.amp.shape
+        rho00, rho01 = propagate(init, 1.3, p, reduce_atom)
+        assert (type(rho00), type(rho01)) == (float, complex)
+        assert (rho00, rho01) == reduce_atom(out)
+        assert propagate(init, np.array([]), p, reduce_atom)[0].shape == (0,)
+
+    def test_grid_needs_observe_and_one_state(self):
+        p = make_params(l=1, alpha=1.0)
+        init = build_initial_state(p, COLD, FockTruncation.auto(p))
+        with pytest.raises(ValueError, match="observe"):
+            propagate(init, [0.5, 1.0], p)
+        with pytest.raises(ValueError, match="1-d"):
+            propagate(init, np.zeros((2, 2)), p, reduce_atom)
+        batch = DoubledFockState(amp=np.stack([init.amp, init.amp]), trunc=init.trunc)
+        with pytest.raises(ValueError, match="one state"):
+            propagate(batch, 0.5, p)
+
+    @pytest.mark.parametrize("chunk_states", [None, 2])
+    @pytest.mark.parametrize("l, omega, alpha, inv_beta, n_fock, t, tol", [
+        # the edge population grows along these grids, the second descending
+        (3, 0.7, 1.3 + 0.7j, 0.3, 16, np.linspace(1.25, 2.5, 5), 2.5e-3),
+        (2, 0.7, 2.0, 0.2, 22, np.linspace(2.5, 0.0, 9), 5e-6),
+    ])
+    def test_leak_inside_the_grid_raises_the_per_sample_error(self, l, omega, alpha, inv_beta,
+                                                              n_fock, t, tol, chunk_states):
+        p = make_params(l=l, omega0=1.0, omega=omega, alpha=alpha)
+        thermal = thermal_from_inv_beta(inv_beta, p)
+        edges = np.array([doubled_space_edge(p, thermal, x, n_fock) for x in t])
+        # the first sample past the budget is past the first chunk of two
+        assert np.flatnonzero(edges > tol)[0] >= 2
+        init = build_initial_state(p, thermal, FockTruncation(n_fock, leak_tol=tol))
+        message = first_leak(init, t, p)
+        assert message is not None and "Fock cutoff" in message
+        budget = (oracle._STATE_CELLS if chunk_states is None
+                  else chunk_states * init.amp.size)
+        with mock.patch.object(oracle, "_STATE_CELLS", budget):
+            with pytest.raises(LeakageError) as exc:
+                propagate(init, t, p, reduce_atom)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("n_fock", [2, 3, 5, 64, 2048])
+    @pytest.mark.parametrize("omega0", [1.0, 2.5])
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_shifted_block_elements_equal_direct_evaluation(self, l, omega0, n_fock):
+        # A'(m) = A(m - l) for m >= l; omega0 = l is resonant, where the
+        # structural columns of D' are zero and take the (1, t) limit
+        for w0 in (float(l), omega0):
+            p = make_params(l=l, g=0.7, omega0=w0, omega=1.0)
+            table = EigenvalueTable(p, n_fock - 1)
+            t = np.array([0.0, 0.3, 1.7, 12.5, 400.0])
+            diag_e, diag_g, coup = oracle._block_elements(table, t)
+            a, b = _osc_pair(table.sqrt_d, table.d, t[:, None], p.delta / 2.0)
+            ap, _ = _osc_pair(table.sqrt_d_prime, table.d_prime, t[:, None], p.delta / 2.0)
+            nn = np.arange(max(n_fock - l, 0), dtype=float)
+            beta = np.sqrt(np.prod(nn[:, None] + np.arange(1, l + 1)[None, :], axis=1))
+            np.testing.assert_array_equal(diag_e, np.conj(a))
+            np.testing.assert_array_equal(diag_g, ap)
+            np.testing.assert_array_equal(coup, -1j * p.g * beta * b[:, : nn.size])
+            # a time is the row of the grid
+            one = oracle._block_elements(table, 1.7)
+            for piece, row in zip(one, (diag_e[2], diag_g[2], coup[2])):
+                np.testing.assert_array_equal(piece, row)
+
+
+def propagate_peak(init, times, p):
+    """tracemalloc peak of one grid propagation reduced to the atom."""
+    tracemalloc.start()
+    try:
+        propagate(init, times, p, reduce_atom)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_propagation_memory_does_not_grow_with_the_grid():
+    # n_fock 120: a state is 0.9 MB and 2 000 of them 1.8 GB; a chunk holds
+    # its states, the states after the physical factor and one product
+    p = make_params(l=2, alpha=6.0)
+    trunc = FockTruncation(120)
+    init = build_initial_state(p, thermal_from_inv_beta(0.1, p), trunc)
+    short = propagate_peak(init, np.linspace(0.0, 3.0, 200), p)
+    long = propagate_peak(init, np.linspace(0.0, 3.0, 2000), p)
+    state_bytes = init.amp.nbytes
+    assert long <= 3 * 16 * oracle._STATE_CELLS + 4 * state_bytes
+    # beyond the chunk a grid holds its output, 24 bytes a sample, and each
+    # chunk's part of it until they are joined: ~90 bytes a sample here
+    assert long - short <= (2000 - 200) * 128
+
+
 class TestPropagateCallCount:
     @staticmethod
     def count_propagate(monkeypatch):
+        """The time argument of each propagate call: a time or a grid."""
         calls = []
         real = oracle.propagate
         monkeypatch.setattr(oracle, "propagate",
@@ -586,11 +726,13 @@ class TestPropagateCallCount:
         assert calls == []
 
     def test_validation_suite_makes_231(self, monkeypatch):
-        # 2 l values x 7 angles x 2 times for the scaling fits, 3 unitarity
-        # samples, 2 l values x 100 zero-temperature samples
+        # 231 samples: 2 l values x 7 angles x 2 times for the scaling fits,
+        # 3 unitarity samples, 2 l values x 100 zero-temperature samples;
+        # one call per grid: 2 x 7 angles, 1 unitarity grid, 2 degeneracy grids
         calls = self.count_propagate(monkeypatch)
         assert run_validation_suite()["passed"]
-        assert len(calls) == 2 * 7 * 2 + 3 + 2 * 100
+        assert sum(np.size(t) for t in calls) == 2 * 7 * 2 + 3 + 2 * 100
+        assert len(calls) == 2 * 7 + 1 + 2
 
 
 def test_validation_suite_builds_16_initial_states(monkeypatch):

@@ -366,6 +366,19 @@ class TestAtomState:
         assert s.pe(thermal)[0] == pytest.approx(thermal.sin_atom**2, abs=1e-12)
         assert s.rho01(thermal)[0] == 0.0
 
+    @pytest.mark.parametrize("l, omega, alpha", [(1, 1.0, 2.0), (2, 0.8, 1.1 - 0.4j),
+                                                 (3, 0.7, 1.5)])
+    def test_zero_temperature_series_equals_the_grid_propagation(self, l, omega, alpha):
+        # at theta = 0 the series is exact: P_e and rho01 (in the conjugate
+        # orientation) equal the doubled-space route over a whole grid
+        p = make_params(l=l, omega0=1.0, omega=omega, alpha=alpha)
+        t = np.linspace(0.0, 3.0, 60)
+        init = oracle.build_initial_state(p, COLD, FockTruncation.auto(p))
+        rho00, rho01 = oracle.propagate(init, t, p, oracle.reduce_atom)
+        tables = series_tables(t, p, TruncationPolicy.adaptive(p))
+        assert np.max(np.abs(tables.pe(COLD) - rho00)) < 1e-9
+        assert np.max(np.abs(tables.rho01(COLD) - np.conj(rho01))) < 1e-9
+
     def test_trace_distance_to_oracle_is_cubic(self):
         p = make_params(l=2, omega0=1.0, omega=1.0, alpha=2.0)
         trunc = TruncationPolicy.adaptive(p)
