@@ -339,6 +339,8 @@ def _grid_samples(config: RunConfig) -> tuple[float, float, int]:
         dt = config.dt if config.dt is not None else default_dt(config.params)
     except ValueError as exc:
         raise ConfigError(f"grid: t_stop and dt have no default here, {exc}") from exc
+    _expect(t1 >= t0, "grid.t_stop" if config.t_stop is not None else "grid.t_start",
+            f"t_stop {t1:.6g} must be >= t_start {t0:.6g}")
     last = (t1 - t0) / dt + 0.5  # inf when t_stop - t_start is past the float range
     _expect(last < SAMPLE_LIMIT, "grid",
             f"t_start {t0:.6g}, t_stop {t1:.6g} and dt {dt:.6g} give {last:.3g} time "
@@ -406,9 +408,11 @@ def cmd_coherence_map(config: RunConfig) -> tuple[int, tuple]:
     """Relative entropy of coherence over the (t, 1/beta) grid, long format."""
     params = config.params
     t = _time_grid(config)
+    rows = t.size * len(config.inv_betas)
+    _expect(rows <= SAMPLE_LIMIT, "thermal.inv_beta_grid", f"{len(config.inv_betas)} temperatures "
+            f"at {t.size} time samples give {rows} rows, more than the limit of {SAMPLE_LIMIT}")
     tables = perturbation.series_tables(t, params, config.trunc)
     # the output columns, filled one temperature's slice at a time
-    rows = t.size * len(config.inv_betas)
     t_col, inv_beta_col, coh, p00, z = (np.empty(rows) for _ in range(5))
     projected = np.empty(rows, dtype=bool)
     for i, inv_beta in enumerate(config.inv_betas):

@@ -164,7 +164,7 @@ _L_FACTORIAL_MAX = 170
 class EigenvalueTable:
     """Frozen tables of the Rabi eigenvalues D_m and D'_n.
 
-    D_m  = (delta/2)^2 + g^2 * prod_{k=1..l} (m + k)
+    D_m  = (delta/2)^2 + g^2 * prod[m],  prod[m] = prod_{k=1..l} (m + k) = (m+l)!/m!
     D'_n = (delta/2)^2 + g^2 * prod_{k=1..l} (n - k + 1)   (zero product for n <= l-1)
 
     The photon-number products are evaluated in floating point; they stay well
@@ -200,10 +200,10 @@ class EigenvalueTable:
         half_delta_sq = (params.delta / 2.0) ** 2
         m = np.arange(self.n_max + 1, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            prod_up = np.prod(m[:, None] + np.arange(1, l + 1)[None, :], axis=1)
+            self.prod = np.prod(m[:, None] + np.arange(1, l + 1)[None, :], axis=1)
             prod_down = np.prod(m[:, None] - np.arange(l)[None, :], axis=1)
             prod_down[: min(l, self.n_max + 1)] = 0.0
-            self.d = half_delta_sq + g * g * prod_up
+            self.d = half_delta_sq + g * g * self.prod
             self.d_prime = half_delta_sq + g * g * prod_down
         # the safety net behind check(), whose product may round differently
         if not (np.isfinite(self.d).all() and np.isfinite(self.d_prime).all()):
@@ -211,7 +211,7 @@ class EigenvalueTable:
                              f"m up to {self.n_max}")
         self.sqrt_d = np.sqrt(self.d)
         self.sqrt_d_prime = np.sqrt(self.d_prime)
-        for arr in (self.d, self.d_prime, self.sqrt_d, self.sqrt_d_prime):
+        for arr in (self.prod, self.d, self.d_prime, self.sqrt_d, self.sqrt_d_prime):
             arr.setflags(write=False)
 
 

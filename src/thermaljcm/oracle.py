@@ -58,9 +58,10 @@ other and from the calling thread.  The two dense state constructions,
 :func:`thermal_coherent_state` and :func:`thermal_coherent_state_via_generator`,
 therefore run with numpy's OpenBLAS on one thread; scipy's keeps its threads
 for the Pade step.  The setting is process-wide while a construction runs:
-numpy products on other threads in that window run on one thread too.  The
-previous count is restored on return and on an exception.  Where numpy's
-BLAS is not OpenBLAS the pin does nothing.
+numpy products on other threads in that window run on one thread too.  One
+lock is held from saving the count to restoring it, on return or on an
+exception: constructions on other threads wait.  Where numpy's BLAS is not
+OpenBLAS the pin does nothing.
 
 The size of either pool can move the last bits of a dense state: the
 generator construction at alpha 1, theta 0.2 and 30 levels differs bitwise
@@ -190,6 +191,11 @@ class DoubledFockState:
         """Squared norm: a float, or an array over the batch axes."""
         return _sum_trailing(np.abs(self.amp) ** 2, 4)
 
+    @property
+    def excited_population(self):
+        """rho00, the excited level's weight: a float, or an array over the batch axes."""
+        return _sum_trailing(np.abs(self.amp[..., 1, :, :, :]) ** 2, 3)
+
 
 def _sum_trailing(x: np.ndarray, k: int):
     """Sum of each contiguous block of the last k axes of ``x``, in the
@@ -266,34 +272,24 @@ def _numpy_openblas_threads():
     return None
 
 
-_pin_lock = threading.Lock()
-_pin_depth = 0  # constructions inside _one_numpy_blas_thread, over all threads
-_pin_saved = 0  # the thread count the first of them found
+_pin_lock = threading.RLock()
 
 
 @contextmanager
 def _one_numpy_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread (module docstring).
-    The first of overlapping blocks saves the count and the last restores it,
-    so concurrent constructions on several threads restore it too."""
-    global _pin_depth, _pin_saved
+    """Run the block with numpy's OpenBLAS on one thread, under one lock (module docstring)."""
     fns = _numpy_openblas_threads()
     if fns is None:
         yield
         return
     get_fn, set_fn = fns
     with _pin_lock:
-        if _pin_depth == 0:
-            _pin_saved = get_fn()
-            set_fn(1)
-        _pin_depth += 1
-    try:
-        yield
-    finally:
-        with _pin_lock:
-            _pin_depth -= 1
-            if _pin_depth == 0:
-                set_fn(_pin_saved)
+        saved = get_fn()
+        set_fn(1)
+        try:
+            yield
+        finally:
+            set_fn(saved)
 
 
 def _ladder(n: int) -> np.ndarray:
@@ -410,9 +406,8 @@ def _block_elements(table: EigenvalueTable, t):
     a, b = _osc_pair(np.concatenate([table.sqrt_d_prime[:s], table.sqrt_d]),
                      np.concatenate([table.d_prime[:s], table.d]),
                      np.asarray(t, dtype=float)[..., None], params.delta / 2.0)
-    nn = np.arange(max(n_fock - l, 0), dtype=float)
-    beta = np.sqrt(np.prod(nn[:, None] + np.arange(1, l + 1)[None, :], axis=1))
-    coup = -1j * params.g * beta * b[..., s : s + nn.size]
+    ncpl = max(n_fock - l, 0)
+    coup = -1j * params.g * np.sqrt(table.prod[:ncpl]) * b[..., s : s + ncpl]
     return np.conj(a[..., s:]), a[..., :n_fock], coup
 
 
@@ -504,7 +499,7 @@ def reduce_atom(state: DoubledFockState):
     # not ``excited * np.conj(ground)``: numpy multiplies into a temporary
     # operand in place once it passes 256 KiB, and rounds complex products
     # differently there, so a batch would differ from one state in the last bit
-    return (_sum_trailing(np.abs(excited) ** 2, 3),
+    return (state.excited_population,
             _sum_trailing(np.multiply(excited, np.conj(ground)), 3))
 
 

@@ -240,7 +240,7 @@ def _check_thermal_states(cut: SuiteCutoffs, state: oracle.DoubledFockState) -> 
 
     # fermionic reduced weights follow the Fermi-Dirac law exactly
     thermal = theta_for_angle(theta, params.omega, params.omega0)
-    w_excited = float(np.sum(np.abs(state.amp[1]) ** 2))
+    w_excited = state.excited_population
     w_ground = float(np.sum(np.abs(state.amp[0]) ** 2))
     if math.isinf(thermal.beta):
         fd_e, fd_g = 0.0, 1.0
@@ -266,7 +266,7 @@ def _check_zero_temperature_degeneracy(cut: SuiteCutoffs) -> dict:
     t_grid = np.linspace(0.0, 3.0, 100)
     # the doubled-space route, independent of the reduced-state pe_curve
     init = oracle.build_initial_state(params, thermal, cut.cold)
-    exact = oracle.propagate(init, t_grid, params, oracle.reduce_atom)[0]
+    exact = oracle.propagate(init, t_grid, params, lambda s: s.excited_population)
     series = perturbation.series_tables(t_grid, params, cut.series,
                                         coherence=False).pe(thermal)
     err = float(np.max(np.abs(exact - series)))

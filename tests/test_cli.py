@@ -705,6 +705,31 @@ class TestErrorPaths:
         assert main([command, "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
         assert "grid: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["pe-series", "coherence-map", "approx-check"])
+    @pytest.mark.parametrize("grid, field", [
+        ({"t_stop": -1.0, "dt": 0.1}, "grid.t_stop"),  # before the default t_start, 0
+        # past the default t_stop, 1.35 revival periods (4.24 here)
+        ({"t_start": 100.0, "dt": 0.1}, "grid.t_start"),
+    ])
+    def test_backwards_grid_with_a_default_end_exits_2(self, tmp_path, capsys, command, grid,
+                                                       field):
+        doc = small_config(grid=grid)
+        assert main([command, "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {field}: t_stop "), captured.err
+        assert captured.out == ""
+
+    def test_coherence_map_rows_past_the_sample_limit_exits_2(self, tmp_path):
+        # 2^20 samples at 400 temperatures: 4.2e8 output rows, 16 GiB of columns
+        doc = small_config(thermal={"inv_beta_grid": [0.001 * i for i in range(400)]},
+                           grid={"t_start": 0.0, "t_stop": 2.0**20 - 1, "dt": 1.0},
+                           truncation={"n_max": 10, "tail_tol": 1.0})
+        proc = run_capped_cli(["coherence-map", "--config", write_config(tmp_path, doc)])
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stderr.startswith("error: thermal.inv_beta_grid: 400 temperatures at "
+                                      "1048576 time samples"), proc.stderr
+        assert proc.stdout == ""
+
     def test_grid_sample_count_stops_at_the_limit(self):
         cfg = parse_config(small_config(
             grid={"t_start": 0.0, "t_stop": SAMPLE_LIMIT - 1.0, "dt": 1.0}))
@@ -785,8 +810,9 @@ class TestErrorPaths:
         assert proc.stdout == ""
 
     @pytest.mark.parametrize("argv", [
-        # 15.8 M samples: the full build's 2.82 GiB tilde alone
-        ["coherence-map", "--preset", "fig4a", "--dt", "0.000016"],
+        # 3.16 M samples, 15.8 M output rows at its 5 temperatures: the full
+        # build needs 1133 MiB
+        ["coherence-map", "--preset", "fig4a", "--dt", "0.00008"],
         # 16.4 M samples: a P_e-only build, then 2.5 GiB of Python floats to
         # write it
         ["pe-series", "--preset", "fig1a", "--dt", "0.0000031"],

@@ -141,6 +141,7 @@ class TestEigenvalueTable:
             prod = 1.0
             for k in range(1, l + 1):
                 prod *= m + k
+            assert table.prod[m] == prod == math.factorial(m + l) // math.factorial(m)
             assert table.d[m] == pytest.approx((p.delta / 2) ** 2 + p.g**2 * prod,
                                                rel=1e-15)
 
@@ -161,8 +162,9 @@ class TestEigenvalueTable:
 
     def test_tables_are_read_only(self):
         table = EigenvalueTable(make_params(), 10)
-        with pytest.raises(ValueError):
-            table.d[0] = 1.0
+        for arr in (table.prod, table.d, table.d_prime, table.sqrt_d, table.sqrt_d_prime):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
     @pytest.mark.parametrize("l, n_max, g", [(200, 20, 1.0), (171, 0, 1.0), (100, 2000, 1.0),
                                              (2, 10, 1e200), (200, 20, 0.0)])

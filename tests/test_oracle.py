@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from thermaljcm import oracle, perturbation
+from thermaljcm import oracle, perturbation, validation
 from thermaljcm.cli import EXIT_OK, main
 from thermaljcm.model import (
     EigenvalueTable,
@@ -230,11 +230,15 @@ class TestNumpyBlasPin:
 
 def two_exponential_state(alpha, theta, trunc):
     """thermal_coherent_state as two displacement exponentials and two dense
-    products: the formula the one-exponential construction must equal."""
+    products: the formula the one-exponential construction must equal.  It
+    runs under the construction's BLAS pin: some OpenBLAS kernels (Haswell's,
+    also picked on AMD Zen) round a product differently on one thread and on
+    two."""
     scale = math.exp(theta)
-    d_phys = displacement_matrix(alpha * scale, trunc)
-    d_tilde = displacement_matrix(np.conj(alpha) * scale, trunc)
-    return d_phys @ two_mode_squeezed_vacuum(theta, trunc) @ d_tilde.T
+    with oracle._one_numpy_blas_thread():
+        d_phys = displacement_matrix(alpha * scale, trunc)
+        d_tilde = displacement_matrix(np.conj(alpha) * scale, trunc)
+        return d_phys @ two_mode_squeezed_vacuum(theta, trunc) @ d_tilde.T
 
 
 def complex_generator_state(alpha, theta, n):
@@ -459,6 +463,19 @@ class TestReduction:
         assert abs(p0 - p1) < 1e-12
         assert abs(abs(z0) - abs(z1)) < 1e-12
         assert abs(coherence_values(p0, abs(z0)) - coherence_values(p1, abs(z1))) < 1e-12
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [2.0, 1.5 - 0.7j])
+    def test_excited_population_is_the_excited_weight(self, l, alpha):
+        # one formula for rho00: the state's own, reduce_atom's and the
+        # Fermi-Dirac weight's sum over the excited level, bit for bit
+        p = make_params(l=l, alpha=alpha)
+        thermal = thermal_from_inv_beta(0.2, p)
+        init = build_initial_state(p, thermal, FockTruncation.auto(p, thermal))
+        for state in (init, *(propagate(init, t, p) for t in (1.0, 2.0, 3.0))):
+            rho00 = state.excited_population
+            assert rho00 == float(np.sum(np.abs(state.amp[1]) ** 2))
+            assert rho00 == reduce_atom(state)[0]
 
 
 class TestAtomBlockMatrices:
@@ -744,6 +761,20 @@ def test_validation_suite_builds_16_initial_states(monkeypatch):
                         lambda *args: builds.append(args) or build(*args))
     assert run_validation_suite()["passed"]
     assert len(builds) == 2 * (7 + 1)
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_degeneracy_check_forms_no_rho01(monkeypatch, l):
+    # the check reads rho00 only: it returns its record with reduce_atom gone
+    cut = validation.SuiteCutoffs.size(make_params(l=l))
+    record = validation._check_zero_temperature_degeneracy(cut)
+
+    def refuse(state):
+        raise AssertionError("formed rho01")
+
+    monkeypatch.setattr(oracle, "reduce_atom", refuse)
+    assert validation._check_zero_temperature_degeneracy(cut) == record
+    assert record["passed"]
 
 
 @pytest.mark.parametrize("params, param", [
