@@ -260,8 +260,12 @@ def period_vs_temperature_sweep(params: ModelParams, inv_betas, trunc: Truncatio
     without a detectable revival carry ``period = None``.  The series
     tables are built once, on the longest row's grid; each time sample is
     reduced on its own, so a row's slice is bitwise what a build on its own
-    grid gives.  g = 0, alpha = 0 and a longest row of ``SAMPLE_LIMIT``
-    samples or more raise ``LimitError`` before it.
+    grid gives.  A sweep whose every temperature has the angles of zero
+    temperature (1/beta = 0, or small enough that they round to them) builds
+    the zero-temperature tables, one sin table and one photon sum per
+    sample, whose P_e has the bits of the P_e-only build's.  g = 0,
+    alpha = 0 and a longest row of ``SAMPLE_LIMIT`` samples or more raise
+    ``LimitError`` before it.
     """
     if dt is None:
         dt = default_dt(params)
@@ -276,8 +280,9 @@ def period_vs_temperature_sweep(params: ModelParams, inv_betas, trunc: Truncatio
     if not priors:
         return []
     spans = [int(_row_samples(prior, dt)) for prior in priors]
+    zero_temperature = all(thermal.zero_temperature for thermal in thermals)
     tables = perturbation.series_tables(dt * np.arange(max(spans)), params, trunc,
-                                        coherence=False)
+                                        coherence=False, zero_temperature=zero_temperature)
     quantum = tau1(params)
     rows: list[SweepRow] = []
     for inv_beta, thermal, prior, n_samples in zip(inv_betas, thermals, priors, spans):

@@ -87,6 +87,8 @@ class RunConfig:
             return "oracle.n_fock"
         if param == "n_fock" and thermal_from_inv_beta(max(self.inv_betas), self.params).theta:
             return "thermal.inv_beta"
+        if param == "inv_beta":
+            return "thermal.inv_beta"
         if param == "n_max" and not self.adaptive:
             return "truncation.n_max"
         if param == "t_max":  # period-sweep rows span the periods, never grid.t_stop
@@ -411,13 +413,15 @@ def cmd_coherence_map(config: RunConfig) -> tuple[int, tuple]:
     rows = t.size * len(config.inv_betas)
     _expect(rows <= SAMPLE_LIMIT, "thermal.inv_beta_grid", f"{len(config.inv_betas)} temperatures "
             f"at {t.size} time samples give {rows} rows, more than the limit of {SAMPLE_LIMIT}")
+    # the angles first: a temperature past their float range is refused
+    # before the build
+    thermals = [thermal_from_inv_beta(inv_beta, params) for inv_beta in config.inv_betas]
     tables = perturbation.series_tables(t, params, config.trunc)
     # the output columns, filled one temperature's slice at a time
     t_col, inv_beta_col, coh, p00, z = (np.empty(rows) for _ in range(5))
     projected = np.empty(rows, dtype=bool)
-    for i, inv_beta in enumerate(config.inv_betas):
+    for i, (inv_beta, thermal) in enumerate(zip(config.inv_betas, thermals)):
         sl = slice(i * t.size, (i + 1) * t.size)
-        thermal = thermal_from_inv_beta(inv_beta, params)
         p00[sl], z[sl], projected[sl] = project_values(tables.pe(thermal),
                                                        np.abs(tables.rho01(thermal)))
         coh[sl] = coherence_values(p00[sl], z[sl])

@@ -44,7 +44,8 @@ class LimitError(ValueError):
     """An input the layer that raises it refuses: past a limit, or outside
     the domain of its formula.  ``param`` is its name: ``"l"``, ``"g"``,
     ``"alpha"``, ``"n_fock"``, ``"n_max"``, ``"dt"``, ``"t"`` (a time
-    grid's length) or ``"t_max"`` (its largest time)."""
+    grid's length), ``"t_max"`` (its largest time) or ``"inv_beta"`` (a
+    temperature)."""
 
     def __init__(self, param: str, message: str):
         super().__init__(message)
@@ -113,13 +114,22 @@ class ThermalParams:
     cos_atom: float
     sin_atom: float
 
+    @property
+    def zero_temperature(self) -> bool:
+        """The angles of zero temperature exactly: theta = sin_atom = 0.0 and
+        cos_atom = 1.0, at 1/beta = 0 or at a 1/beta so small that they
+        round to these values (1e-320, where beta is inf)."""
+        return self.theta == 0.0 and self.sin_atom == 0.0 and self.cos_atom == 1.0
+
 
 def bogoliubov_angles(beta: float, omega: float, omega0: float) -> ThermalParams:
     """Bogoliubov angles of the bosonic and fermionic thermal vacua.
 
     cosh(theta) = [1 - e^(-beta*omega)]^(-1/2), sinh(theta) = [e^(beta*omega) - 1]^(-1/2)
     for the cavity mode, and cos/sin of the atomic mixing angle carry the
-    Fermi factor e^(-beta*omega0).
+    Fermi factor e^(-beta*omega0).  A beta*omega that underflows to 0
+    leaves cosh(theta), about 1/sqrt(beta*omega), past the float range:
+    :class:`LimitError` (``"inv_beta"``).
     """
     if omega <= 0 or omega0 <= 0:
         raise ValueError("frequencies must be positive")
@@ -128,6 +138,10 @@ def bogoliubov_angles(beta: float, omega: float, omega0: float) -> ThermalParams
                              sinh_theta=0.0, cos_atom=1.0, sin_atom=0.0)
     if not beta > 0:
         raise ValueError("inverse temperature must be positive (or math.inf)")
+    if beta * omega == 0.0:
+        raise LimitError("inv_beta", f"1/beta = {1.0 / beta:g} at omega = {omega:g}: "
+                                     f"beta*omega underflows to 0, so the Bogoliubov "
+                                     f"angle of the cavity is past the float range")
     # 1/sqrt(e^x - 1) written as e^(-x/2)/sqrt(1 - e^(-x)): underflows
     # gracefully at large beta instead of overflowing e^x
     cosh_theta = 1.0 / math.sqrt(-math.expm1(-beta * omega))

@@ -26,6 +26,16 @@ products of :class:`EigenvalueTable` are exact integers, i.e.
 (n_max + l + 2)^l < 2^53.  Every preset is far below that (at most 253^4,
 about 4e9); past it, both are roundings of the same exact value.
 
+Zero temperature: there theta = sin_atom = 0.0 and cos_atom = 1.0 exactly,
+so P_e is p2_0 = g^2 |alpha|^(2l) S2(0) plus signed zeros, which change no
+bit of it.  A zero-temperature build (``zero_temperature=True``, P_e only)
+therefore holds S2(0) alone: per chunk one sin table of sqrt(D_m) t,
+squared, divided by D_m, weighted and reduced in place, the operations of
+S2(0) in the P_e-only build, so its P_e has that build's bits.  It takes no
+cos table and one reduction where that build reduces six.  Its tables
+refuse with ``ValueError`` a temperature with other angles, the order
+terms and rho01.
+
 Threads: a build runs its time chunks on one worker thread per CPU in the
 process's affinity mask (``os.sched_getaffinity``), but on no more workers
 than give each one ``_MIN_WORKER_CELLS`` cells of the first ``_T_CHUNK``
@@ -359,10 +369,16 @@ class SeriesTables:
     The order terms are formed once, on first use; :meth:`pe` and
     :meth:`rho01` then only combine them with the Bogoliubov angles of the
     temperature asked for.  Every value is an array over the time grid.
+
+    A zero-temperature build holds ``S2[0]`` alone, shape (1, nt), and no
+    ``S1``: its :meth:`pe` is the zeroth-order term of channel 2 at a
+    temperature whose angles are those of zero temperature
+    (``ThermalParams.zero_temperature``) and raises ``ValueError`` at any
+    other, as :attr:`pe_terms` and :meth:`rho01` do.
     """
 
     params: ModelParams
-    S1: np.ndarray
+    S1: np.ndarray | None
     S2: np.ndarray
     tilde: np.ndarray | None
 
@@ -399,12 +415,15 @@ class SeriesTables:
         At zero temperature only p2_0 survives:
         g^2 |alpha|^(2l) e^(-|alpha|^2) sum_m |alpha|^(2m)/m! sin^2(sqrt(D_m) t)/D_m.
         """
+        if self.S1 is None:
+            raise ValueError("these tables were built for zero temperature: they hold "
+                             "no order term but p2_0")
         S1, S2 = self.S1, self.S2
         aa = self.params.abs_alpha_sq
         g2 = self.params.g**2
         l = self.params.l
         p01 = S1[0]
-        p02 = g2 * aa**l * S2[0]
+        p02 = self._p02()
         p11 = -2.0 * aa * (S1[0] - S1[1])
         p12 = 2.0 * g2 * aa**l * ((l - aa) * S2[0] + aa * S2[1])
         p21 = 2.0 * (
@@ -424,6 +443,10 @@ class SeriesTables:
             )
         )
         return (p01, p11, p21), (p02, p12, p22)
+
+    def _p02(self) -> np.ndarray:
+        """The zeroth-order term of channel 2, g^2 |alpha|^(2l) S2(0)."""
+        return self.params.g**2 * self.params.abs_alpha_sq**self.params.l * self.S2[0]
 
     @cached_property
     def _rho01_arrays(self):
@@ -452,7 +475,16 @@ class SeriesTables:
         Returned raw: at larger angles the truncated expansion may leave
         [0, 1] slightly; physicality is classified downstream (see the
         coherence module), never clamped here.
+
+        At zero temperature theta and sin_atom are 0.0 and cos_atom is 1.0,
+        so the combination below adds only signed zeros to p2_0 and returns
+        its bits; tables built for zero temperature return p2_0 itself.
         """
+        if self.S1 is None:
+            if not thermal.zero_temperature:
+                raise ValueError(f"these tables were built for zero temperature, not for "
+                                 f"theta = {thermal.theta}, sin_atom = {thermal.sin_atom}")
+            return self._p02()
         p1, p2 = self.pe_terms
         th = thermal.theta
         pe1 = p1[0] + th * p1[1] + 0.5 * th * th * p1[2]
@@ -478,14 +510,24 @@ class SeriesTables:
 
 
 def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
-                  coherence: bool = True) -> SeriesTables:
+                  coherence: bool = True, zero_temperature: bool = False) -> SeriesTables:
     """Build the temperature-independent series tables on the 1-d time grid t.
 
     With ``coherence=False`` the twelve coherence series are skipped and the
     trig tables are sized to the n_max + 3 columns the S sums need, for
-    callers that only want P_e.  :meth:`TruncationPolicy.check` runs first,
-    on the build's own columns and samples.
+    callers that only want P_e.  With ``zero_temperature=True`` as well, the
+    build holds only what P_e at zero temperature reads, S2(0): per chunk one
+    sin table, squared and divided by D in place, weighted and reduced, where
+    the P_e-only build takes a cos table too and reduces six sums.  Each
+    time sample's value is the one the P_e-only build's S2(0) holds, so
+    :meth:`SeriesTables.pe` returns the bits of that build at zero
+    temperature; any other use of the tables raises ``ValueError``.  It is
+    sized and refused as the P_e-only build.
+    :meth:`TruncationPolicy.check` runs first, on the build's own columns and
+    samples.
     """
+    if zero_temperature and coherence:
+        raise ValueError("a zero-temperature build holds P_e only: pass coherence=False")
     t_arr = np.asarray(t, dtype=float)
     if t_arr.ndim != 1:
         raise ValueError("time must be a 1-d array")
@@ -515,8 +557,8 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
     d_safe = np.where(zero, 1.0, table.d)[None, :n_pe]
     sqrt_d_safe = np.where(zero, 1.0, table.sqrt_d)[None, :]
 
-    S1 = np.empty((3, t_arr.size))
-    S2 = np.empty((3, t_arr.size))
+    S1 = None if zero_temperature else np.empty((3, t_arr.size))
+    S2 = np.empty((1 if zero_temperature else 3, t_arr.size))
     tilde = None
     if coherence:
         tilde = np.empty((2, 6, t_arr.size), dtype=complex)
@@ -540,10 +582,13 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
     workers = max(1, min(_usable_cpus(), n_rows, n_rows * columns // _MIN_WORKER_CELLS,
                          (_BUILD_BYTES_LIMIT - shared) // per_worker))
     chunk = max(1, min(n_rows // workers, _TILE_CELLS // _row_cells(columns, coherence)))
-    trig = np.empty((workers, 2, chunk, columns))
-    # read flat, as (rows, n_pe) for (delta/2)^2 s2d and then as (rows, n_cols)
-    # for the weighted products: contiguous views of one table
-    prod = np.empty((workers, chunk, n_pe))
+    if zero_temperature:  # sin, then sin^2/D, then the weighted summands
+        trig = np.empty((workers, chunk, n_cols))
+    else:
+        trig = np.empty((workers, 2, chunk, columns))
+        # read flat, as (rows, n_pe) for (delta/2)^2 s2d and then as
+        # (rows, n_cols) for the weighted products: contiguous views of one table
+        prod = np.empty((workers, chunk, n_pe))
     if coherence:
         sq = np.empty((workers, 2, chunk, n_pe))  # the S sums' pair, then ab1
         ab2_table = np.empty((workers, chunk, n_pe), dtype=complex)
@@ -559,6 +604,16 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
             sl = slice(lo, lo + chunk)
             tc = t_arr[sl]
             rows = tc.size
+            if zero_temperature:  # S2(0) alone, by the operations below
+                s2d = trig[worker, :rows]
+                np.multiply(tc[:, None], table.sqrt_d[None, :n_cols], out=s2d)
+                np.sin(s2d, out=s2d)
+                np.multiply(s2d, s2d, out=s2d)
+                s2d /= d_safe[:, :n_cols]
+                if any_zero:
+                    s2d[:, zero[:n_cols]] = (tc * tc)[:, None]
+                S2[0, sl] = _reduce_n(np.multiply(s2d, w, out=s2d))
+                continue
             sin_t, cos_t = trig[worker, :, :rows]
             # the P_e path squares in place: its trig tables are n_pe wide
             s1, s2d = sq[worker, :, :rows] if coherence else (cos_t, sin_t)

@@ -267,8 +267,8 @@ def _check_zero_temperature_degeneracy(cut: SuiteCutoffs) -> dict:
     # the doubled-space route, independent of the reduced-state pe_curve
     init = oracle.build_initial_state(params, thermal, cut.cold)
     exact = oracle.propagate(init, t_grid, params, lambda s: s.excited_population)
-    series = perturbation.series_tables(t_grid, params, cut.series,
-                                        coherence=False).pe(thermal)
+    series = perturbation.series_tables(t_grid, params, cut.series, coherence=False,
+                                        zero_temperature=thermal.zero_temperature).pe(thermal)
     err = float(np.max(np.abs(exact - series)))
     return {"name": f"zero_temperature_degeneracy[l={params.l}]",
             "passed": err < 1e-9, "max_error": err}

@@ -575,6 +575,27 @@ class TestErrorPaths:
         assert main(["pe-series", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
         assert "thermal.inv_beta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, omega, grid", [
+        ("pe-series", 1e-200, [1e200]),
+        ("coherence-map", 1e-200, [1e200]),
+        ("coherence-map", 1e-200, [0.0, 1e200]),
+        ("period-sweep", 1e-200, [1e200]),
+        ("period-sweep", 1e-300, [0.0, 1e300]),
+    ])
+    def test_temperature_whose_angle_underflows_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                        command, omega, grid):
+        # beta * omega underflows to 0, so cosh(theta) = 1/sqrt(1 - e^(-beta omega))
+        # is past the float range; refused before the series build
+        def refuse(*args, **kwargs):
+            raise AssertionError("built the series tables")
+
+        monkeypatch.setattr(thermaljcm.perturbation, "series_tables", refuse)
+        doc = {"model": {"l": 1, "g": 1, "omega0": 1, "omega": omega, "alpha": 2},
+               "thermal": {"inv_beta_grid": grid}, "grid": {"t_stop": 1, "dt": 0.1},
+               "truncation": {"n_max": 40}}
+        assert main([command, "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: thermal.inv_beta: 1/beta = ")
+
     @pytest.mark.parametrize("inv_beta, n_fock, field", [
         (5.0, None, "thermal.inv_beta"),  # automatic n_fock 166: the 8-sigma rule fails
         (20.0, None, "thermal.inv_beta"),  # automatic n_fock 495
@@ -940,6 +961,9 @@ def log_uniform(top):
     return st.just(0.0) | st.floats(-6.0, math.log10(top)).map(lambda e: 10.0**e)
 
 
+#: positive frequencies from 1e-300 to 1e300, uniform in the exponent
+FREQUENCIES = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
 SIGNED = st.tuples(log_uniform(1e200), st.sampled_from([1.0, -1.0])).map(
     lambda pair: pair[0] * pair[1])
 
@@ -957,35 +981,42 @@ class TestFiniteOutput:
     @given(command=st.sampled_from(["pe-series", "coherence-map"]),
            l=st.integers(1, 6), n_max=st.integers(1, 60),
            alpha=SIGNED | st.lists(SIGNED, min_size=2, max_size=2),
-           g=log_uniform(1e200), inv_beta=st.floats(0.0, 1e3),
+           g=log_uniform(1e200), omega=FREQUENCIES, omega0=FREQUENCIES,
+           inv_beta=st.floats(0.0, 1e3) | log_uniform(1e300),
            tail_tol=st.floats(0.0, 1.0), t_start=st.floats(0.0, 100.0),
            dt=log_uniform(10.0).filter(lambda v: v > 0), k=st.integers(0, 49))
-    @example(command="pe-series", l=1, n_max=40, alpha=1e150, g=1.0, inv_beta=0.0,
-             tail_tol=1.0, t_start=0.0, dt=5e-149, k=2)
-    @example(command="coherence-map", l=1, n_max=40, alpha=1e150, g=1.0, inv_beta=0.0,
-             tail_tol=1.0, t_start=0.0, dt=5e-149, k=2)
-    @example(command="pe-series", l=1, n_max=40, alpha=1e9, g=1e150, inv_beta=0.0,
-             tail_tol=1.0, t_start=0.0, dt=5e-149, k=2)
-    @example(command="coherence-map", l=1, n_max=40, alpha=1e9, g=1e150, inv_beta=0.0,
-             tail_tol=1.0, t_start=0.0, dt=5e-149, k=2)
-    @example(command="pe-series", l=4, n_max=40, alpha=1e40, g=1.0, inv_beta=0.0,
-             tail_tol=1.0, t_start=0.0, dt=5e-39, k=2)
-    @example(command="coherence-map", l=4, n_max=40, alpha=1e40, g=1.0, inv_beta=0.0,
-             tail_tol=1.0, t_start=0.0, dt=5e-39, k=2)
+    @example(command="pe-series", l=1, n_max=40, alpha=1e150, g=1.0, omega=1.0, omega0=1.0,
+             inv_beta=0.0, tail_tol=1.0, t_start=0.0, dt=5e-149, k=2)
+    @example(command="coherence-map", l=1, n_max=40, alpha=1e150, g=1.0, omega=1.0, omega0=1.0,
+             inv_beta=0.0, tail_tol=1.0, t_start=0.0, dt=5e-149, k=2)
+    @example(command="pe-series", l=1, n_max=40, alpha=1e9, g=1e150, omega=1.0, omega0=1.0,
+             inv_beta=0.0, tail_tol=1.0, t_start=0.0, dt=5e-149, k=2)
+    @example(command="coherence-map", l=1, n_max=40, alpha=1e9, g=1e150, omega=1.0, omega0=1.0,
+             inv_beta=0.0, tail_tol=1.0, t_start=0.0, dt=5e-149, k=2)
+    @example(command="pe-series", l=4, n_max=40, alpha=1e40, g=1.0, omega=1.0, omega0=1.0,
+             inv_beta=0.0, tail_tol=1.0, t_start=0.0, dt=5e-39, k=2)
+    @example(command="coherence-map", l=4, n_max=40, alpha=1e40, g=1.0, omega=1.0, omega0=1.0,
+             inv_beta=0.0, tail_tol=1.0, t_start=0.0, dt=5e-39, k=2)
     # t^2 past the float range where 1/D is too: at g = 0, and where g^2 underflows
-    @example(command="pe-series", l=1, n_max=40, alpha=2.0, g=0.0, inv_beta=0.0,
-             tail_tol=1.0, t_start=0.0, dt=2.5e199, k=4)
-    @example(command="coherence-map", l=1, n_max=40, alpha=2.0, g=0.0, inv_beta=0.0,
-             tail_tol=1.0, t_start=0.0, dt=2.5e199, k=4)
-    @example(command="pe-series", l=1, n_max=40, alpha=2.0, g=1e-170, inv_beta=0.0,
-             tail_tol=1.0, t_start=0.0, dt=2.5e199, k=4)
-    @example(command="coherence-map", l=1, n_max=40, alpha=2.0, g=1e-170, inv_beta=0.0,
-             tail_tol=1.0, t_start=0.0, dt=2.5e199, k=4)
-    def test_exit_0_means_every_number_is_finite(self, command, l, n_max, alpha, g,
-                                                 inv_beta, tail_tol, t_start, dt, k):
+    @example(command="pe-series", l=1, n_max=40, alpha=2.0, g=0.0, omega=1.0, omega0=1.0,
+             inv_beta=0.0, tail_tol=1.0, t_start=0.0, dt=2.5e199, k=4)
+    @example(command="coherence-map", l=1, n_max=40, alpha=2.0, g=0.0, omega=1.0, omega0=1.0,
+             inv_beta=0.0, tail_tol=1.0, t_start=0.0, dt=2.5e199, k=4)
+    @example(command="pe-series", l=1, n_max=40, alpha=2.0, g=1e-170, omega=1.0, omega0=1.0,
+             inv_beta=0.0, tail_tol=1.0, t_start=0.0, dt=2.5e199, k=4)
+    @example(command="coherence-map", l=1, n_max=40, alpha=2.0, g=1e-170, omega=1.0, omega0=1.0,
+             inv_beta=0.0, tail_tol=1.0, t_start=0.0, dt=2.5e199, k=4)
+    # beta * omega underflows to 0: the cavity's Bogoliubov angle is past the
+    # float range
+    @example(command="pe-series", l=1, n_max=40, alpha=2.0, g=1.0, omega=1e-200, omega0=1.0,
+             inv_beta=1e200, tail_tol=1e-9, t_start=0.0, dt=0.1, k=10)
+    @example(command="coherence-map", l=1, n_max=40, alpha=2.0, g=1.0, omega=1e-200,
+             omega0=1.0, inv_beta=1e200, tail_tol=1e-9, t_start=0.0, dt=0.1, k=10)
+    def test_exit_0_means_every_number_is_finite(self, command, l, n_max, alpha, g, omega,
+                                                 omega0, inv_beta, tail_tol, t_start, dt, k):
         doc = {
             "schema": 1,
-            "model": {"l": l, "g": g, "omega0": 1.0, "omega": 1.0, "alpha": alpha},
+            "model": {"l": l, "g": g, "omega0": omega0, "omega": omega, "alpha": alpha},
             "thermal": {"inv_beta": inv_beta},
             "grid": {"t_start": t_start, "t_stop": t_start + k * dt, "dt": dt},
             "truncation": {"n_max": n_max, "tail_tol": tail_tol},

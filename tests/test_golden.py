@@ -56,6 +56,14 @@ CASES = {
         1, 3.0, {"inv_beta_grid": [0.0, 0.5, 1.0]}, {}, 50)),
     "period_sweep_l3": ("period-sweep", _doc(
         3, 2.0, {"inv_beta_grid": [0.0, 0.3, 0.6]}, {}, 50)),
+    # zero temperature alone: resonant l = 1, l = 4 detuned by delta = 3, and
+    # a positive 1/beta whose Bogoliubov angles are exactly those of 1/beta = 0
+    "period_sweep_l1_zero_temperature": ("period-sweep", _doc(
+        1, 3.0, {"inv_beta_grid": [0.0]}, {}, 50)),
+    "period_sweep_l4_zero_temperature": ("period-sweep", _doc(
+        4, 2.0, {"inv_beta_grid": [0.0]}, {}, 50)),
+    "period_sweep_l2_tiny_temperature": ("period-sweep", _doc(
+        2, 4.0, {"inv_beta_grid": [1e-320]}, {}, 60)),
     "coherence_map_l2": ("coherence-map", _doc(
         2, 3.0, {"inv_beta_grid": [0.0, 0.08, 0.16]}, {"t_start": 0.0, "t_stop": 6.0, "dt": 0.05},
         50)),
@@ -91,6 +99,13 @@ GOLDEN = {
     "period_sweep_l1.json": "24b8b5793504210a9bb75316674a399b68b4ab10df91163a6b463a04114863a4",
     "period_sweep_l2.csv": "f632081ed784ca3747cf97d707fff55a0440ebf952beb4b82df37c59108f4b05",
     "period_sweep_l2.json": "42fde98f04acd342e887ee70182622660b0b8fa2e6215cf3e57f3d8b64d31e74",
+    # recorded before the zero-temperature series build
+    "period_sweep_l1_zero_temperature.csv": "e5ec8d4eef5030447c4bd33f3a8a2822acbdaa1acfcd76581bbb5712a3b0ced9",
+    "period_sweep_l1_zero_temperature.json": "1547a8bafa95041d52d0c4ea83243af15396c047e690723f55e6fd9c0926f294",
+    "period_sweep_l2_tiny_temperature.csv": "53443f902e9a8efb55e93788cceb12538bf68e17bdf6ad9bed1d47809e84b5c3",
+    "period_sweep_l2_tiny_temperature.json": "eb4b3f70ab288bfa17156e4fa38a3e418c7ffea8b54932865c680522aefcb2e7",
+    "period_sweep_l4_zero_temperature.csv": "adb4588f5809b1e7791fb51e938e3a591c8528cbc6118e9aac553ef0d534a78b",
+    "period_sweep_l4_zero_temperature.json": "497d966728cd6cc415931901e1fd9a613ef58f65aba3a8beac574ae00595c8a6",
     "period_sweep_l3.csv": "31a682066756d7877092f0b3e68278af270c975baec2f62318cbc1364151fcd0",
     "period_sweep_l3.json": "a7803f606316c78408712afb4de6b04fdd1c3d4c4ff84d3d752a1c97f0927867",
 }
@@ -163,11 +178,13 @@ print(json.dumps(digests))
 
 
 def test_series_commands_load_no_scipy(tmp_path):
-    # import thermaljcm.cli, pe-series (no oracle), period-sweep and
-    # coherence-map load no scipy module and keep their golden bytes; the
-    # exact solver imports scipy.linalg on its first exponential
+    # import thermaljcm.cli, pe-series (no oracle), period-sweep (with and
+    # without a temperature) and coherence-map load no scipy module and keep
+    # their golden bytes; the exact solver imports scipy.linalg on its first
+    # exponential
     runs = []
-    for name in ("pe_series_l3_complex", "period_sweep_l2", "coherence_map_l2"):
+    for name in ("pe_series_l3_complex", "period_sweep_l2", "period_sweep_l4_zero_temperature",
+                 "coherence_map_l2"):
         command, doc = CASES[name]
         cfg = tmp_path / f"{name}.json"
         cfg.write_text(json.dumps(doc), encoding="utf-8")

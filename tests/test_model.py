@@ -118,6 +118,23 @@ class TestBogoliubovAngles:
                 assert math.isfinite(value)
         assert cold.theta == 0.0  # e^(beta omega) overflows cleanly to zero angle
 
+    @pytest.mark.parametrize("beta, omega", [(1e-200, 1e-200), (1e-300, 1e-300),
+                                             (5e-309, 1e-16)])
+    def test_beta_omega_that_underflows_is_refused(self, beta, omega):
+        # cosh(theta) = 1/sqrt(1 - e^(-beta omega)) would divide by zero; a
+        # subnormal beta omega (1e-320) still has finite angles
+        with pytest.raises(LimitError, match="underflows") as exc:
+            bogoliubov_angles(beta, omega, 1.0)
+        assert exc.value.param == "inv_beta"
+        th = bogoliubov_angles(1e-160, 1e-160, 1.0)
+        assert math.isfinite(th.cosh_theta) and math.isfinite(th.theta)
+
+    @pytest.mark.parametrize("beta, cold", [(math.inf, True), (1e4, True),
+                                            (10.0, False), (1e-10, False)])
+    def test_zero_temperature_means_the_angles_of_zero_temperature(self, beta, cold):
+        # at beta = 1e4 every angle has rounded to its zero-temperature value
+        assert bogoliubov_angles(beta, 1.0, 1.0).zero_temperature is cold
+
     @pytest.mark.parametrize("beta", [0.5, 2.0, 10.0])
     def test_thermal_mean_photon_of_the_vacuum_is_bose_einstein(self, beta):
         th = bogoliubov_angles(beta, 1.0, 1.0).theta

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermaljcm import perturbation
+from thermaljcm.analysis import period_vs_temperature_sweep
 from thermaljcm.cli import PRESETS, build_preset
 from thermaljcm.model import EigenvalueTable, ModelParams, _osc_pair, thermal_from_inv_beta
 from thermaljcm.perturbation import TruncationPolicy, TruncationWarning, series_tables
@@ -280,6 +281,90 @@ class TestPeOnlyBuild:
         assert tables.tilde is None
         with pytest.raises(ValueError):
             tables.rho01(thermal_from_inv_beta(0.1, params))
+
+
+def as_int64(values):
+    """The bits of a float array, signed zeros and nan payloads included."""
+    return np.ascontiguousarray(values, dtype=float).view(np.int64)
+
+
+class TestZeroTemperatureBuild:
+    @settings(max_examples=60, deadline=None)
+    @given(l=st.integers(1, 6),
+           alpha=st.sampled_from([0.0, 0.4, 1.5, 3.0, -2.2, 1.2 + 0.5j, -0.3 - 1.1j, 2.5j]),
+           g=st.sampled_from([0.0, 0.3, 1.0, 2.5]),
+           omega0=st.sampled_from([1.0, 2.5]),  # detuned where omega0 != l
+           n_max=st.integers(1, 40),
+           n=st.integers(1, 90),
+           t_stop=st.sampled_from([0.0, 0.7, 5.0, 40.0]),
+           cpus=st.integers(1, 3),
+           chunk=st.integers(1, 32),
+           tile=st.integers(1, 4096))
+    # resonance at g = 0: every D_m is 0; one-row tiles; a t = 0 grid
+    @example(l=2, alpha=1.5, g=0.0, omega0=2.0, n_max=30, n=45, t_stop=5.0, cpus=2,
+             chunk=16, tile=200)
+    @example(l=1, alpha=3.0, g=1.0, omega0=1.0, n_max=40, n=90, t_stop=40.0, cpus=3,
+             chunk=32, tile=1)
+    @example(l=4, alpha=0.0, g=1.0, omega0=1.0, n_max=5, n=3, t_stop=0.0, cpus=1,
+             chunk=1, tile=1)
+    def test_pe_is_bitwise_the_full_build(self, l, alpha, g, omega0, n_max, n, t_stop, cpus,
+                                          chunk, tile):
+        params = make_params(l=l, g=g, omega0=omega0, alpha=alpha)
+        trunc = TruncationPolicy(n_max, tail_tol=1.0)
+        cold = thermal_from_inv_beta(0.0, params)
+        t = np.linspace(0.0, t_stop, n)
+        full = series_tables(t, params, trunc).pe(cold)
+        with mock.patch.object(perturbation, "_usable_cpus", lambda: cpus), \
+                mock.patch.object(perturbation, "_T_CHUNK", chunk), \
+                mock.patch.object(perturbation, "_MIN_WORKER_CELLS", 1), \
+                mock.patch.object(perturbation, "_TILE_CELLS", tile):
+            tables = series_tables(t, params, trunc, coherence=False, zero_temperature=True)
+        assert tables.S1 is None and tables.S2.shape == (1, n)
+        for inv_beta in (0.0, 1e-320):
+            assert_bitwise(as_int64(tables.pe(thermal_from_inv_beta(inv_beta, params))),
+                           as_int64(full))
+
+    @pytest.mark.parametrize("l, alpha, n_max", [(1, 3.0, 50), (2, 4.0, 60), (3, 2.5 + 1.0j, 50),
+                                                 (4, 2.0, 50)])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_sweep_rows_are_those_of_the_pe_only_build(self, monkeypatch, l, alpha, n_max,
+                                                       cpus):
+        params = make_params(l=l, alpha=alpha)
+        trunc = TruncationPolicy(n_max)
+        monkeypatch.setattr(perturbation, "_usable_cpus", lambda: cpus)
+        kinds = []
+        build = perturbation.series_tables
+        monkeypatch.setattr(perturbation, "series_tables", lambda *a, **k: kinds.append(
+            k["zero_temperature"]) or build(*a, **k))
+        cold = period_vs_temperature_sweep(params, [0.0, 1e-320], trunc)
+        monkeypatch.setattr(perturbation, "series_tables", lambda *a, **k: build(
+            *a, **{**k, "zero_temperature": False}))
+        assert period_vs_temperature_sweep(params, [0.0, 1e-320], trunc) == cold
+        assert kinds == [True]
+        assert cold[0].period is not None and cold[0].physical
+
+    def test_a_sweep_with_a_temperature_builds_every_sum(self, monkeypatch):
+        params, trunc = CASES[0]
+        kinds = []
+        build = perturbation.series_tables
+        monkeypatch.setattr(perturbation, "series_tables", lambda *a, **k: kinds.append(
+            k["zero_temperature"]) or build(*a, **k))
+        period_vs_temperature_sweep(params, [0.0, 0.08], trunc)
+        assert kinds == [False]
+
+    def test_tables_refuse_every_other_use(self):
+        params, trunc = CASES[2]
+        tables = series_tables([0.0, 0.5], params, trunc, coherence=False,
+                               zero_temperature=True)
+        assert tables.S1 is None and tables.tilde is None
+        with pytest.raises(ValueError, match="zero temperature"):
+            tables.pe(thermal_from_inv_beta(0.1, params))
+        with pytest.raises(ValueError, match="zero temperature"):
+            tables.pe_terms
+        with pytest.raises(ValueError, match="coherence"):
+            tables.rho01(thermal_from_inv_beta(0.0, params))
+        with pytest.raises(ValueError, match="coherence=False"):
+            series_tables([0.5], params, trunc, zero_temperature=True)
 
 
 class TestPrimedIndexShift:
