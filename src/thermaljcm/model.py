@@ -181,6 +181,12 @@ class EigenvalueTable:
     D_m  = (delta/2)^2 + g^2 * prod[m],  prod[m] = prod_{k=1..l} (m + k) = (m+l)!/m!
     D'_n = (delta/2)^2 + g^2 * prod_{k=1..l} (n - k + 1)   (zero product for n <= l-1)
 
+    ``joined_d``/``joined_sqrt_d``, the Rabi-phase columns of both engines,
+    are [D'_0 .. D'_(s-1), D_0 .. D_n_max], s = ``shift`` = min(l, n_max + 1);
+    ``d``/``sqrt_d`` are views of their last columns.  D'_n = D_(n-l), n >= l,
+    bitwise while the products are exact integers ((n_max + l)^l < 2^53), so
+    A'(m) is column m and A(n), B(n) are column s + n.
+
     The photon-number products are evaluated in floating point; they stay well
     inside double range for m <= 1e6 and l <= 8 (max ~1e48).  A table with an
     eigenvalue past the double range raises :class:`LimitError` instead of
@@ -216,17 +222,19 @@ class EigenvalueTable:
         with np.errstate(over="ignore", invalid="ignore"):
             self.prod = np.prod(m[:, None] + np.arange(1, l + 1)[None, :], axis=1)
             prod_down = np.prod(m[:, None] - np.arange(l)[None, :], axis=1)
-            prod_down[: min(l, self.n_max + 1)] = 0.0
-            self.d = half_delta_sq + g * g * self.prod
+            s = self.shift = min(l, self.n_max + 1)
+            prod_down[:s] = 0.0
             self.d_prime = half_delta_sq + g * g * prod_down
+            self.joined_d = np.concatenate([self.d_prime[:s], half_delta_sq + g * g * self.prod])
         # the safety net behind check(), whose product may round differently
-        if not (np.isfinite(self.d).all() and np.isfinite(self.d_prime).all()):
+        if not (np.isfinite(self.joined_d).all() and np.isfinite(self.d_prime).all()):
             raise ValueError(f"Rabi eigenvalues D_m overflow a float at l = {l}, "
                              f"m up to {self.n_max}")
-        self.sqrt_d = np.sqrt(self.d)
+        self.joined_sqrt_d = np.sqrt(self.joined_d)
         self.sqrt_d_prime = np.sqrt(self.d_prime)
-        for arr in (self.prod, self.d, self.d_prime, self.sqrt_d, self.sqrt_d_prime):
+        for arr in (self.prod, self.joined_d, self.d_prime, self.joined_sqrt_d, self.sqrt_d_prime):
             arr.setflags(write=False)
+        self.d, self.sqrt_d = self.joined_d[s:], self.joined_sqrt_d[s:]  # read-only views
 
 
 #: cephes ``lgam`` coefficients: the Stirling correction (A) and the rational

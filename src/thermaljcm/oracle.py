@@ -34,12 +34,13 @@ sample's value does not depend on the grid around it.
 
 Each Rabi phase is evaluated once: D'_m = D_(m-l) for m >= l, so the primed
 amplitude A'(m) is A(m - l), and only the l structurally zero columns m < l
-of D' are evaluated besides D, in the same ``model._osc_pair`` call.  The
-shift equals a direct evaluation of D'_m bitwise while the photon-number
-products of :class:`EigenvalueTable` are exact integers, i.e.
-(n_fock + l)^l < 2^53.  Every cutoff the package sizes is far below that
-(at most 2048 levels, 2052^4 is about 2e13 at l = 4); past it, both are
-roundings of the same exact value.
+of D' are evaluated besides D, in one ``model._osc_pair`` call on the
+joined columns of :class:`EigenvalueTable`, the layout the series engine
+reads too.  The shift equals a direct evaluation of D'_m bitwise while the
+photon-number products are exact integers, i.e. (n_fock + l)^l < 2^53.
+Every cutoff the package sizes is far below that (at most 2048 levels,
+2052^4 is about 2e13 at l = 4); past it, both are roundings of the same
+exact value.
 
 This module is the validation oracle for every perturbative series in
 :mod:`thermaljcm.perturbation`.  It owns the cutoff rules: a cutoff past 2048
@@ -395,18 +396,16 @@ def _block_elements(table: EigenvalueTable, t):
                    coupling for n = 0 .. n_fock-1-l, in both directions
                    because B'(n+l) = B(n).
     ``t`` is a time or an array of times; its axes come in front of the
-    photon axis of every piece.  A'(m) = A(m - l) for m >= l (module
-    docstring), so one ``_osc_pair`` call evaluates D and the structurally
-    zero columns of D'.
+    photon axis of every piece.  One ``_osc_pair`` call evaluates the
+    table's joined columns (:class:`EigenvalueTable`), D and the s
+    structurally zero columns of D' in front, in which A'(m) is column m and
+    A(n) and B(n) are column s + n.
     """
     params = table.params
-    l, n_fock = params.l, table.n_max + 1
-    s = min(l, n_fock)
-    # columns [D'_0 .. D'_(s-1), D_0 .. D_(n_fock-1)]: A'(m) is column m, A(n) column s + n
-    a, b = _osc_pair(np.concatenate([table.sqrt_d_prime[:s], table.sqrt_d]),
-                     np.concatenate([table.d_prime[:s], table.d]),
+    s, n_fock = table.shift, table.n_max + 1
+    a, b = _osc_pair(table.joined_sqrt_d, table.joined_d,
                      np.asarray(t, dtype=float)[..., None], params.delta / 2.0)
-    ncpl = max(n_fock - l, 0)
+    ncpl = max(n_fock - params.l, 0)
     coup = -1j * params.g * np.sqrt(table.prod[:ncpl]) * b[..., s : s + ncpl]
     return np.conj(a[..., s:]), a[..., :n_fock], coup
 

@@ -16,25 +16,19 @@ Engine: the temperature enters only the final combination with the
 Bogoliubov angles; every table before it depends on (params, trunc, t)
 alone.  :func:`series_tables`, the one entry point, builds those tables once
 on a 1-d time grid and returns a :class:`SeriesTables`, which evaluates P_e
-and rho01 at any number of temperatures.  Per time chunk a build takes one
-cos and one sin table of sqrt(D_m) t.  S1 and S2 come from their squares.
-The coherence amplitudes A(m) and B(m) come from the same two tables.  The
-primed amplitudes reuse them through D'_n = D_(n-l), n >= l; only the l
-structurally zero columns n < l use the closed form of ``model._osc_pair``.
-The shift equals a direct evaluation of D'_n bitwise while the photon-number
-products of :class:`EigenvalueTable` are exact integers, i.e.
-(n_max + l + 2)^l < 2^53.  Every preset is far below that (at most 253^4,
-about 4e9); past it, both are roundings of the same exact value.
+and rho01 at any number of temperatures.  Per time chunk its one kernel
+takes one sin and one cos table of sqrt(D) t; S1 and S2 come from their
+squares.  A full build's tables run over the joined columns of
+:class:`EigenvalueTable`, the exact solver's layout too: the s = l
+structurally zero columns of D' in front, so A'(m) is column m and A(n),
+B(n) are column s + n of the same two tables.  A P_e build takes D alone.
 
 Zero temperature: there theta = sin_atom = 0.0 and cos_atom = 1.0 exactly,
 so P_e is p2_0 = g^2 |alpha|^(2l) S2(0) plus signed zeros, which change no
 bit of it.  A zero-temperature build (``zero_temperature=True``, P_e only)
-therefore holds S2(0) alone: per chunk one sin table of sqrt(D_m) t,
-squared, divided by D_m, weighted and reduced in place, the operations of
-S2(0) in the P_e-only build, so its P_e has that build's bits.  It takes no
-cos table and one reduction where that build reduces six.  Its tables
-refuse with ``ValueError`` a temperature with other angles, the order
-terms and rho01.
+is the P_e kernel without its cos table, S1 and S2(1..2), so its P_e has
+that build's bits.  Its tables refuse with ``ValueError`` a temperature
+with other angles, the order terms and rho01.
 
 Threads: a build runs its time chunks on one worker thread per CPU in the
 process's affinity mask (``os.sched_getaffinity``), but on no more workers
@@ -45,18 +39,18 @@ smaller build runs in the calling thread alone.  A chunk has at most
 workspace within ``_TILE_CELLS`` float cells, so it stays cache-sized
 whatever the grid length.  The workspace is the only (t, n) memory a build
 touches, allocated once per build.  The P_e path holds three float tables:
-the trig pair, squared in place, and a product table.  A full build adds an
-S-sum pair, whose cells then hold the family-1 amplitude products, and two
-complex tables: the family-2 products, and A(m), whose cells then hold each
-weighted product.  Every value of a chunk is written into them with
-``out=``, so a chunk allocates nothing of the (t, n) size.  Worker 0 is the
-calling thread, and worker i takes chunks i, i + workers, ...; each chunk
-writes only its own time columns.  A time sample is reduced on its own
-in the same ascending-n order whichever chunk or thread holds it, so the
-output bytes do not depend on the number of CPUs or on the chunk size.  The
-workers call no public function of any layer (their bodies use numpy and
-``model._osc_pair`` only), so a tracer that wraps ``__all__`` sees one call
-per build.
+the trig pair (sin alone at zero temperature), squared in place, and a
+product table.  A full build adds an S-sum pair, whose cells then hold the
+family-1 amplitude products, and two complex tables: the family-2 products,
+and A, whose cells then hold each weighted product.  Every value of a chunk
+is written into them with ``out=``, so a chunk allocates nothing of the
+(t, n) size.  Worker 0 is the calling thread, and worker i takes chunks i,
+i + workers, ...; each chunk writes only its own time columns.  A time
+sample is reduced on its own in the same ascending-n order whichever chunk
+or thread holds it, so the output bytes do not depend on the number of CPUs
+or on the chunk size.  The workers call no public function of any layer
+(their bodies use numpy only), so a tracer that wraps ``__all__`` sees one
+call per build.
 
 This module owns the sizing rules of a build: the table width
 (:meth:`TruncationPolicy.top_row`), the prefactor range
@@ -91,7 +85,6 @@ from .model import (
     ModelParams,
     ThermalParams,
     _log_gamma,
-    _osc_pair,
 )
 
 __all__ = [
@@ -149,9 +142,9 @@ def _row_cells(columns: int, coherence: bool) -> int:
     """float64 cells of a worker's workspace per time row of a build of
     ``columns`` eigenvalue columns: 3 a column on the P_e path (the trig pair
     and the product table), 9 on the full one, which adds the S-sum pair and
-    two complex tables.  The S-sum, product and family-2 tables are l columns
-    narrower than the trig tables; those 5 l cells a row are left for the
-    (rows, l) arrays of the closed-form primed amplitudes."""
+    two complex tables.  There the trig and amplitude tables are l columns
+    wider, and the S-sum, product and family-2 tables l narrower: 9 columns - l
+    cells a row."""
     return (9 if coherence else 3) * columns
 
 
@@ -466,7 +459,7 @@ class SeriesTables:
             + alpha * alpha * S[:, 4]
             + 2.0 * (1.0 + aa) * S[:, 5]
         )
-        return r0, r1, r2  # each (2, nt)
+        return tuple(zip(r0, r1, r2))  # per channel, its three orders
 
     def pe(self, thermal: ThermalParams) -> np.ndarray:
         """Excitation probability through second order in the Bogoliubov
@@ -485,11 +478,7 @@ class SeriesTables:
                 raise ValueError(f"these tables were built for zero temperature, not for "
                                  f"theta = {thermal.theta}, sin_atom = {thermal.sin_atom}")
             return self._p02()
-        p1, p2 = self.pe_terms
-        th = thermal.theta
-        pe1 = p1[0] + th * p1[1] + 0.5 * th * th * p1[2]
-        pe2 = p2[0] + th * p2[1] + 0.5 * th * th * p2[2]
-        return thermal.sin_atom**2 * pe1 + thermal.cos_atom**2 * pe2
+        return _theta_sum(thermal, *self.pe_terms)
 
     def rho01(self, thermal: ThermalParams) -> np.ndarray:
         """Atomic coherence through second order in the Bogoliubov angle, at
@@ -502,11 +491,16 @@ class SeriesTables:
         conjugate one side (verified in the test suite rather than asserted
         symbolically).
         """
-        r0, r1, r2 = self._rho01_arrays
-        th = thermal.theta
-        ch1 = r0[0] + th * r1[0] + 0.5 * th * th * r2[0]
-        ch2 = r0[1] + th * r1[1] + 0.5 * th * th * r2[1]
-        return thermal.sin_atom**2 * ch1 + thermal.cos_atom**2 * ch2
+        return _theta_sum(thermal, *self._rho01_arrays)
+
+
+def _theta_sum(thermal: ThermalParams, channel1, channel2) -> np.ndarray:
+    """sin^2 (x0 + theta x1 + theta^2 x2 / 2) + cos^2 (y0 + theta y1 + ...):
+    the order terms (x0, x1, x2) of channel 1 and (y0, y1, y2) of channel 2
+    at the angles of ``thermal``."""
+    th = thermal.theta
+    ch1, ch2 = (x0 + th * x1 + 0.5 * th * th * x2 for x0, x1, x2 in (channel1, channel2))
+    return thermal.sin_atom**2 * ch1 + thermal.cos_atom**2 * ch2
 
 
 def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
@@ -516,10 +510,8 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
     With ``coherence=False`` the twelve coherence series are skipped and the
     trig tables are sized to the n_max + 3 columns the S sums need, for
     callers that only want P_e.  With ``zero_temperature=True`` as well, the
-    build holds only what P_e at zero temperature reads, S2(0): per chunk one
-    sin table, squared and divided by D in place, weighted and reduced, where
-    the P_e-only build takes a cos table too and reduces six sums.  Each
-    time sample's value is the one the P_e-only build's S2(0) holds, so
+    build holds only what P_e at zero temperature reads, S2(0): the P_e-only
+    kernel without its cos table, S1 and S2(1..2), so
     :meth:`SeriesTables.pe` returns the bits of that build at zero
     temperature; any other use of the tables raises ``ValueError``.  It is
     sized and refused as the P_e-only build.
@@ -535,7 +527,6 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
     l = params.l
     n_cols = n_max + 1
     n_pe = n_max + 3  # columns n + k, k <= 2, of the S sums and the coherence products
-    n_shift = min(l, n_pe)  # structurally zero D' columns
     # the limits first: a cut too large to tabulate fails here at once, before
     # the tail sum spends O(|alpha|) work on it
     trunc.check(params, t_arr.size, coherence)
@@ -553,9 +544,15 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
     w = _poisson_weights(n_max, params.alpha)
     half_delta = params.delta / 2.0
     half_delta_sq = half_delta**2
-    zero = table.d == 0.0  # only at g = 0 and resonance: limits t^2 and (1, t) below
-    d_safe = np.where(zero, 1.0, table.d)[None, :n_pe]
-    sqrt_d_safe = np.where(zero, 1.0, table.sqrt_d)[None, :]
+    # the Rabi phases' columns: a full build takes the table's joined layout,
+    # D' of the s structurally zero columns in front, where A'(m) is column m
+    # and A(n), B(n) are column s + n; a P_e build takes D alone (s = 0)
+    s = table.shift if coherence else 0
+    d, sqrt_d = (table.joined_d, table.joined_sqrt_d) if coherence else (table.d, table.sqrt_d)
+    pe_cols = slice(s, s + n_pe)  # D_0 .. D_(n_max + 2), the columns of the S sums
+    zero = d == 0.0  # only at resonance, at g = 0 or on D': limits t^2 and (1, t) below
+    d_safe = np.where(zero, 1.0, d)[None, pe_cols]
+    sqrt_d_safe = np.where(zero, 1.0, sqrt_d)[None, :]
 
     S1 = None if zero_temperature else np.empty((3, t_arr.size))
     S2 = np.empty((1 if zero_temperature else 3, t_arr.size))
@@ -582,17 +579,15 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
     workers = max(1, min(_usable_cpus(), n_rows, n_rows * columns // _MIN_WORKER_CELLS,
                          (_BUILD_BYTES_LIMIT - shared) // per_worker))
     chunk = max(1, min(n_rows // workers, _TILE_CELLS // _row_cells(columns, coherence)))
-    if zero_temperature:  # sin, then sin^2/D, then the weighted summands
-        trig = np.empty((workers, chunk, n_cols))
-    else:
-        trig = np.empty((workers, 2, chunk, columns))
-        # read flat, as (rows, n_pe) for (delta/2)^2 s2d and then as
-        # (rows, n_cols) for the weighted products: contiguous views of one table
-        prod = np.empty((workers, chunk, n_pe))
+    # sin and cos, the latter unless at zero temperature, which reads no S1
+    trig = np.empty((workers, 1 if zero_temperature else 2, chunk, s + columns))
+    # read flat, as (rows, n_pe) for (delta/2)^2 s2d and then as (rows,
+    # n_cols) for the weighted summands: contiguous views of one table
+    prod = np.empty((workers, chunk, n_pe))
     if coherence:
         sq = np.empty((workers, 2, chunk, n_pe))  # the S sums' pair, then ab1
         ab2_table = np.empty((workers, chunk, n_pe), dtype=complex)
-        amp = np.empty((workers, chunk, columns), dtype=complex)  # A(m), then each product
+        amp = np.empty((workers, chunk, s + columns), dtype=complex)  # A, then each product
     any_zero = bool(zero.any())
 
     def lead(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -604,39 +599,34 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
             sl = slice(lo, lo + chunk)
             tc = t_arr[sl]
             rows = tc.size
-            if zero_temperature:  # S2(0) alone, by the operations below
-                s2d = trig[worker, :rows]
-                np.multiply(tc[:, None], table.sqrt_d[None, :n_cols], out=s2d)
-                np.sin(s2d, out=s2d)
-                np.multiply(s2d, s2d, out=s2d)
-                s2d /= d_safe[:, :n_cols]
-                if any_zero:
-                    s2d[:, zero[:n_cols]] = (tc * tc)[:, None]
-                S2[0, sl] = _reduce_n(np.multiply(s2d, w, out=s2d))
-                continue
-            sin_t, cos_t = trig[worker, :, :rows]
-            # the P_e path squares in place: its trig tables are n_pe wide
-            s1, s2d = sq[worker, :, :rows] if coherence else (cos_t, sin_t)
-            s2d_scaled = lead(prod[worker], rows, n_pe)
-            out = lead(prod[worker], rows, n_cols)
-            np.multiply(tc[:, None], table.sqrt_d[None, :], out=sin_t)
-            np.cos(sin_t, out=cos_t)
+            sin_t = trig[worker, 0, :rows]
+            np.multiply(tc[:, None], sqrt_d[None, :], out=sin_t)
+            if S1 is not None:  # zero temperature reads S2(0) alone
+                cos_t = trig[worker, 1, :rows]
+                np.cos(sin_t, out=cos_t)
             np.sin(sin_t, out=sin_t)
 
-            # S2 summand sin^2/D, S1 summand cos^2 + (delta/2)^2 sin^2/D
-            np.multiply(sin_t[:, :n_pe], sin_t[:, :n_pe], out=s2d)
+            # S2 summand sin^2/D, S1 summand cos^2 + (delta/2)^2 sin^2/D; the
+            # P_e path squares in place: its trig tables are n_pe wide
+            s2d = sq[worker, 1, :rows] if coherence else sin_t
+            np.multiply(sin_t[:, pe_cols], sin_t[:, pe_cols], out=s2d)
             s2d /= d_safe
             if any_zero:
-                s2d[:, zero[:n_pe]] = (tc * tc)[:, None]
-            np.multiply(cos_t[:, :n_pe], cos_t[:, :n_pe], out=s1)
-            s1 += np.multiply(half_delta_sq, s2d, out=s2d_scaled)
-            for k in range(3):
-                S1[k, sl] = _reduce_n(np.multiply(s1[:, k : k + n_cols], w, out=out))
-                S2[k, sl] = _reduce_n(np.multiply(s2d[:, k : k + n_cols], w, out=out))
+                s2d[:, zero[pe_cols]] = (tc * tc)[:, None]
+            sums = [(S2, s2d)]
+            if S1 is not None:
+                s1 = sq[worker, 0, :rows] if coherence else cos_t
+                np.multiply(cos_t[:, pe_cols], cos_t[:, pe_cols], out=s1)
+                s1 += np.multiply(half_delta_sq, s2d, out=lead(prod[worker], rows, n_pe))
+                sums.append((S1, s1))
+            out = lead(prod[worker], rows, n_cols)
+            for S, summand in sums:
+                for k in range(len(S)):
+                    S[k, sl] = _reduce_n(np.multiply(summand[:, k : k + n_cols], w, out=out))
             if not coherence:
                 continue
 
-            # A(m), B(m) on every column; A'(n) = A(n - l), B'(n) = B(n - l) for n >= l
+            # B and A on every column: B(n), A(n) at s + n, A'(m) at m
             b = sin_t
             b /= sqrt_d_safe
             if any_zero:
@@ -644,14 +634,11 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
             a = amp[worker, :rows]
             np.multiply(1j * half_delta, b, out=a)
             np.subtract(cos_t, a, out=a)
-            ap_struct, _ = _osc_pair(table.sqrt_d_prime[None, :n_shift],
-                                     table.d_prime[:n_shift], tc[:, None], half_delta)
             # family 1: A(m + l) B'(m + l) = A(m + l) B(m); family 2: B(m) A'(m)
             ab1 = lead(sq[worker].reshape(-1).view(complex), rows, n_pe)
-            np.multiply(a[:, l : l + n_pe], b[:, :n_pe], out=ab1)
+            np.multiply(a[:, s + l : s + l + n_pe], b[:, pe_cols], out=ab1)
             ab2 = ab2_table[worker, :rows]
-            np.multiply(b[:, :n_shift], ap_struct, out=ab2[:, :n_shift])
-            np.multiply(b[:, n_shift:n_pe], a[:, : n_pe - n_shift], out=ab2[:, n_shift:])
+            np.multiply(b[:, pe_cols], a[:, :n_pe], out=ab2)
             weighted = lead(amp[worker], rows, n_cols)  # a is spent
             for k, off in enumerate(_OFFSETS):
                 np.multiply(ab1[:, off : off + n_cols], cw[k], out=weighted)

@@ -501,7 +501,7 @@ class TestErrorPaths:
     def test_non_finite_number_exits_2(self, tmp_path, capsys):
         doc = small_config(grid={"t_stop": math.nan})
         path = write_config(tmp_path, doc)
-        assert "NaN" in open(path).read()
+        assert "NaN" in Path(path).read_text()
         assert main(["pe-series", "--config", path]) == EXIT_CONFIG
         assert "grid.t_stop" in capsys.readouterr().err
 

@@ -89,6 +89,45 @@ def direct_tilde(params, trunc, t):
     return out
 
 
+def direct_s_sums(params, trunc, t):
+    """S1 and S2 from plain whole-grid trig of t sqrt(D), each shifted window
+    weighted and reduced on its own: the reference for the engine's chunked,
+    in-place S sums."""
+    n_max = trunc.n_max
+    table = EigenvalueTable(params, n_max + 2)
+    arg = t[:, None] * table.sqrt_d[None, :]
+    sin, cos = np.sin(arg), np.cos(arg)
+    zero = table.d == 0.0
+    s2d = np.where(zero, (t * t)[:, None], sin * sin / np.where(zero, 1.0, table.d))
+    s1 = cos * cos + (params.delta / 2.0) ** 2 * s2d
+    w = perturbation._poisson_weights(n_max, params.alpha)
+    return tuple(np.stack([np.add.reduce(x[:, k : k + n_max + 1] * w, axis=-1)
+                           for k in range(3)]) for x in (s1, s2d))
+
+
+#: TILE_CASES, the l > n_max + 2 case, and the paper's alpha 12 at n_max 250
+S_SUM_CASES = TILE_CASES + [
+    (make_params(l=5, omega0=5.0, alpha=0.3), TruncationPolicy(1, tail_tol=1e-2)),
+    (make_params(l=1, alpha=12.0), TruncationPolicy(250)),
+    (make_params(l=4, omega0=4.0, alpha=12.0), TruncationPolicy(250)),
+]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("params, trunc", S_SUM_CASES)
+def test_s_sums_match_direct_evaluation(params, trunc, cpus):
+    t = np.linspace(0.0, 5.0, 2500)
+    S1, S2 = direct_s_sums(params, trunc, t)
+    with mock.patch.object(perturbation, "_usable_cpus", lambda: cpus), \
+            mock.patch.object(perturbation, "_MIN_WORKER_CELLS", 1):
+        for coherence in (False, True):
+            tables = series_tables(t, params, trunc, coherence=coherence)
+            assert_bitwise(tables.S1, S1)
+            assert_bitwise(tables.S2, S2)
+        cold = series_tables(t, params, trunc, coherence=False, zero_temperature=True)
+    assert_bitwise(cold.S2, S2[:1])
+
+
 @pytest.mark.parametrize("params, trunc", CASES + [
     (make_params(l=2, g=0.0, omega0=2.0, alpha=1.5), TruncationPolicy(30)),  # D = 0
     (make_params(l=5, omega0=5.0, alpha=0.3), TruncationPolicy(1, tail_tol=1e-2)),  # l > n_max + 2
@@ -195,7 +234,8 @@ class TestWorkerThreads:
     @pytest.mark.parametrize("cpus, chunk, n, min_cells, workers", [
         (2, 2048, 5000, 1, 2), (3, 2048, 5000, 1, 3), (7, 10, 95, 1, 7),
         (7, 10, 4, 1, 4), (3, 16, 1, 1, 1),
-        # 46 trig columns: a 2048-row chunk holds two workers' 2^15 cells,
+        # 49 trig columns (46 and s = 3 structural ones; workers are sized
+        # on the 46): a 2048-row chunk holds two workers' 2^15 cells,
         # a 500-row grid not even one
         (7, 2048, 5000, 1 << 15, 2), (2, 2048, 500, 1 << 15, 1)])
     def test_workspace_rows_summed_over_workers_stay_within_one_chunk(
@@ -218,7 +258,7 @@ class TestWorkerThreads:
         # per-time output arrays are 2-d or complex
         workspaces = [s for s, dtype in shapes if len(s) >= 3 and dtype == float]
         assert len(workspaces) == 3
-        assert workspaces[0][-1] == 46
+        assert workspaces[0][-1] == 49
         for shape in workspaces:
             assert shape[0] == workers
             assert shape[0] * shape[-2] <= min(chunk, n)

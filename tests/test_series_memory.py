@@ -75,12 +75,13 @@ def test_full_build_peak_is_bounded(cpus):
     assert peak <= FULL_PEAK_LIMIT_MIB * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
-def workspace_shapes(t, params, trunc, cpus, coherence):
+def workspace_shapes(t, params, trunc, cpus, coherence, zero_temperature=False):
     """Shapes and dtypes of the (t, n) workspaces one build allocates, each
-    (workers, ..., rows, columns): trig (w, 2, rows, n) and prod (w, rows, n),
-    and on a full build the S-sum pair (w, 2, rows, n) and the complex ab2
-    and amplitude tables (w, rows, n); the per-time outputs (3, nt) and
-    (2, 6, nt) are told apart by their last axis."""
+    (workers, ..., rows, columns): trig (w, 2, rows, n), (w, 1, rows, n) at
+    zero temperature, and prod (w, rows, n), and on a full build the S-sum
+    pair (w, 2, rows, n) and the complex ab2 and amplitude tables (w, rows,
+    n); the per-time outputs (3, nt) and (2, 6, nt) are told apart by their
+    last axis."""
     shapes = []
     empty = np.empty
 
@@ -91,8 +92,9 @@ def workspace_shapes(t, params, trunc, cpus, coherence):
 
     with mock.patch.object(perturbation, "_usable_cpus", lambda: cpus), \
             mock.patch.object(perturbation.np, "empty", spy):
-        series_tables(t, params, trunc, coherence=coherence)
-    widths = (trunc.n_max + 3, trunc.top_row(params.l) + 1)
+        series_tables(t, params, trunc, coherence=coherence, zero_temperature=zero_temperature)
+    # a full build's trig and amplitude tables carry l structural columns in front
+    widths = (trunc.n_max + 3, trunc.top_row(params.l) + 1 + params.l)
     return [(s, dtype) for s, dtype in shapes if len(s) >= 3 and s[-1] in widths]
 
 
@@ -102,26 +104,34 @@ def worker_cells(shape, dtype):
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-@pytest.mark.parametrize("l, n_max, n, coherence", [
-    (1, 250, 22_270, False),  # the fig3a sweep: 253 columns, 259-row tiles
-    (4, 250, 5_000, True),  # the fig4d map's columns: 85-row tiles
-    (2, 80, 300, True),  # one worker: a 257-row tile, then a 43-row chunk
-    (1, 70_000, 5, False),  # the columns alone exceed the budget: one row
+@pytest.mark.parametrize("l, n_max, n, coherence, zero_temperature", [
+    (1, 250, 22_270, False, False),  # the fig3a sweep: 253 columns, 259-row tiles
+    (1, 250, 22_270, False, True),  # its zero-temperature row
+    (4, 250, 5_000, True, False),  # the fig4d map's columns: 85-row tiles
+    (2, 80, 300, True, False),  # one worker: a 257-row tile, then a 43-row chunk
+    (1, 70_000, 5, False, False),  # the columns alone exceed the budget: one row
+    (1, 70_000, 5, False, True),
 ])
-def test_each_worker_workspace_stays_within_the_cell_budget(cpus, l, n_max, n, coherence):
+def test_each_worker_workspace_stays_within_the_cell_budget(cpus, l, n_max, n, coherence,
+                                                            zero_temperature):
     params = ModelParams(l=l, g=1.0, omega0=1.0, omega=1.0, alpha=3.0)
     trunc = TruncationPolicy(n_max)
-    shapes = workspace_shapes(np.linspace(0.0, 5.0, n), params, trunc, cpus, coherence)
+    shapes = workspace_shapes(np.linspace(0.0, 5.0, n), params, trunc, cpus, coherence,
+                              zero_temperature)
     # float trig, prod and S-sum pair; complex ab2 and amplitudes.  The P_e
     # path squares in its trig pair and holds no complex table
     dtypes = [dtype for _, dtype in shapes]
     assert dtypes == ([float] * 3 + [complex] * 2 if coherence else [float] * 2)
-    columns = shapes[0][0][-1]
-    assert columns == n_max + (l + 3 if coherence else 3)
+    # zero temperature holds no cos table
+    assert shapes[0][0][1] == (1 if zero_temperature else 2)
+    columns = n_max + (l + 3 if coherence else 3)
+    # a full build's trig table carries s = l structural columns in front
+    width = shapes[0][0][-1]
+    assert width == columns + (l if coherence else 0)
     rows = shapes[0][0][-2]
     workers = shapes[0][0][0]
     assert all(s[0] == workers and s[-2] == rows for s, _ in shapes)
-    assert all(s[-1] in (columns, n_max + 3) for s, _ in shapes)
+    assert all(s[-1] in (width, n_max + 3) for s, _ in shapes)
     # 3 float cells a column on the P_e path, at most 9 on a full build
     per_row = 9 * columns if coherence else 3 * columns
     cells = sum(worker_cells(s, dtype) for s, dtype in shapes)
