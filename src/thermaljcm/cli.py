@@ -138,6 +138,13 @@ def _get_number(section: dict, path: str, key: str, default=None, required=False
     return float(value)
 
 
+def _section(data: dict, name: str) -> dict:
+    """An optional section; a false one (missing, null, {}, []) reads as {}."""
+    section = data.get(name) or {}
+    _expect(isinstance(section, dict), name, "must be an object")
+    return section
+
+
 def parse_config(data: dict) -> RunConfig:
     """Validate a configuration document and return its canonical form."""
     _expect(isinstance(data, dict), "config", "document must be a JSON object")
@@ -172,8 +179,7 @@ def parse_config(data: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
 
-    thermal = data.get("thermal", {})
-    _expect(isinstance(thermal, dict), "thermal", "must be an object")
+    thermal = _section(data, "thermal")
     if "inv_beta_grid" in thermal:
         grid_raw = thermal["inv_beta_grid"]
         _expect(isinstance(grid_raw, (list, tuple)) and len(grid_raw) > 0,
@@ -188,8 +194,7 @@ def parse_config(data: dict) -> RunConfig:
         _expect(ib >= 0, "thermal.inv_beta", "temperature must be >= 0")
         inv_betas = [ib]
 
-    grid = data.get("grid", {}) or {}
-    _expect(isinstance(grid, dict), "grid", "must be an object")
+    grid = _section(data, "grid")
     t_start = _get_number(grid, "grid", "t_start")
     t_stop = _get_number(grid, "grid", "t_stop")
     dt = _get_number(grid, "grid", "dt")
@@ -198,8 +203,7 @@ def parse_config(data: dict) -> RunConfig:
     if t_stop is not None and t_start is not None:
         _expect(t_stop >= t_start, "grid.t_stop", "must be >= t_start")
 
-    truncation = data.get("truncation", {}) or {}
-    _expect(isinstance(truncation, dict), "truncation", "must be an object")
+    truncation = _section(data, "truncation")
     n_max_raw = truncation.get("n_max", 250)
     _expect(isinstance(n_max_raw, int) and not isinstance(n_max_raw, bool) and n_max_raw >= 1,
             "truncation.n_max", "must be an integer >= 1")
@@ -208,8 +212,7 @@ def parse_config(data: dict) -> RunConfig:
     adaptive = truncation.get("adaptive", False)
     _expect(isinstance(adaptive, bool), "truncation.adaptive", "must be a boolean")
 
-    oracle_cfg = data.get("oracle", {}) or {}
-    _expect(isinstance(oracle_cfg, dict), "oracle", "must be an object")
+    oracle_cfg = _section(data, "oracle")
     with_oracle = oracle_cfg.get("with_oracle", False)
     _expect(isinstance(with_oracle, bool), "oracle.with_oracle", "must be a boolean")
     n_fock = oracle_cfg.get("n_fock")
@@ -217,8 +220,7 @@ def parse_config(data: dict) -> RunConfig:
         _expect(isinstance(n_fock, int) and not isinstance(n_fock, bool) and n_fock >= 2,
                 "oracle.n_fock", "must be an integer >= 2")
 
-    output = data.get("output", {}) or {}
-    _expect(isinstance(output, dict), "output", "must be an object")
+    output = _section(data, "output")
     out_format = output.get("format", "csv")
     _expect(out_format in ("csv", "json"), "output.format", "must be 'csv' or 'json'")
 

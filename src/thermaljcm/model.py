@@ -44,8 +44,8 @@ class LimitError(ValueError):
     """An input the layer that raises it refuses: past a limit, or outside
     the domain of its formula.  ``param`` is its name: ``"l"``, ``"g"``,
     ``"alpha"``, ``"n_fock"``, ``"n_max"``, ``"dt"``, ``"t"`` (a time
-    grid's length), ``"t_max"`` (its largest time) or ``"inv_beta"`` (a
-    temperature)."""
+    grid's length, or the cells of its (t, n) table), ``"t_max"`` (its
+    largest time) or ``"inv_beta"`` (a temperature)."""
 
     def __init__(self, param: str, message: str):
         super().__init__(message)
@@ -171,18 +171,23 @@ def thermal_mean_photon(params: ModelParams, theta: float) -> float:
     return params.abs_alpha_sq * math.exp(2.0 * theta) + math.sinh(theta) ** 2
 
 
+#: the most cells, time samples x photon columns, of either engine's (t, n)
+#: table (``LimitError("t")``): 5-8 s of series P_e trig, or 13-21 s of
+#: ``oracle.pe_curve``, on a 2-vCPU host; the largest preset table has 9.8e6
+_WORK_CELLS_LIMIT = 1 << 28
+
 #: from l = 171 on, l! = prod_k (0 + k) alone is past the float range
 _L_FACTORIAL_MAX = 170
 
 
 class EigenvalueTable:
-    """Frozen tables of the Rabi eigenvalues D_m and D'_n.
+    """Frozen tables of the Rabi eigenvalues D_m.
 
     D_m  = (delta/2)^2 + g^2 * prod[m],  prod[m] = prod_{k=1..l} (m + k) = (m+l)!/m!
-    D'_n = (delta/2)^2 + g^2 * prod_{k=1..l} (n - k + 1)   (zero product for n <= l-1)
+    D'_n = (delta/2)^2 + g^2 * prod_{k=0..l-1} (n - k): (delta/2)^2 for n < l
 
     ``joined_d``/``joined_sqrt_d``, the Rabi-phase columns of both engines,
-    are [D'_0 .. D'_(s-1), D_0 .. D_n_max], s = ``shift`` = min(l, n_max + 1);
+    are [(delta/2)^2 s times, D_0 .. D_n_max], s = ``shift`` = min(l, n_max + 1);
     ``d``/``sqrt_d`` are views of their last columns.  D'_n = D_(n-l), n >= l,
     bitwise while the products are exact integers ((n_max + l)^l < 2^53), so
     A'(m) is column m and A(n), B(n) are column s + n.
@@ -219,20 +224,17 @@ class EigenvalueTable:
         l, g = params.l, params.g
         half_delta_sq = (params.delta / 2.0) ** 2
         m = np.arange(self.n_max + 1, dtype=float)
+        s = self.shift = min(l, self.n_max + 1)
         with np.errstate(over="ignore", invalid="ignore"):
             self.prod = np.prod(m[:, None] + np.arange(1, l + 1)[None, :], axis=1)
-            prod_down = np.prod(m[:, None] - np.arange(l)[None, :], axis=1)
-            s = self.shift = min(l, self.n_max + 1)
-            prod_down[:s] = 0.0
-            self.d_prime = half_delta_sq + g * g * prod_down
-            self.joined_d = np.concatenate([self.d_prime[:s], half_delta_sq + g * g * self.prod])
+            self.joined_d = np.concatenate([np.full(s, half_delta_sq),
+                                            half_delta_sq + g * g * self.prod])
         # the safety net behind check(), whose product may round differently
-        if not (np.isfinite(self.joined_d).all() and np.isfinite(self.d_prime).all()):
+        if not np.isfinite(self.joined_d).all():
             raise ValueError(f"Rabi eigenvalues D_m overflow a float at l = {l}, "
                              f"m up to {self.n_max}")
         self.joined_sqrt_d = np.sqrt(self.joined_d)
-        self.sqrt_d_prime = np.sqrt(self.d_prime)
-        for arr in (self.prod, self.joined_d, self.d_prime, self.joined_sqrt_d, self.sqrt_d_prime):
+        for arr in (self.prod, self.joined_d, self.joined_sqrt_d):
             arr.setflags(write=False)
         self.d, self.sqrt_d = self.joined_d[s:], self.joined_sqrt_d[s:]  # read-only views
 

@@ -89,6 +89,7 @@ from .model import (
     LimitError,
     ModelParams,
     ThermalParams,
+    _WORK_CELLS_LIMIT,
     _log_gamma,
     _osc_pair,
     thermal_mean_photon,
@@ -212,8 +213,11 @@ def _check_norm(norm_sq: float, leak_tol: float, what: str) -> None:
                            f"exceeds leak_tol = {leak_tol:.1e}")
 
 
-def _squeezed_vacuum_diagonal(theta: float, trunc: FockTruncation) -> np.ndarray:
-    """The real amplitudes on |n, n> of :func:`two_mode_squeezed_vacuum`."""
+def two_mode_squeezed_vacuum(theta: float, trunc: FockTruncation) -> np.ndarray:
+    """Two-mode squeezed vacuum (1/cosh) sum_n tanh^n |n, n>, truncated and
+    renormalized; this is the bosonic thermal vacuum of the doubled space.
+    Returned as its real amplitudes on |n, n>, n < n_fock: the state is
+    diagonal, and no n_fock x n_fock matrix of it is formed."""
     if theta < 0:
         raise ValueError("squeeze angle must be >= 0")
     n = trunc.n_fock
@@ -224,15 +228,6 @@ def _squeezed_vacuum_diagonal(theta: float, trunc: FockTruncation) -> np.ndarray
     diag = tanh ** np.arange(n) / math.cosh(theta)
     diag /= math.sqrt(np.sum(diag**2))
     return diag
-
-
-def two_mode_squeezed_vacuum(theta: float, trunc: FockTruncation) -> np.ndarray:
-    """Two-mode squeezed vacuum (1/cosh) sum_n tanh^n |n, n>, truncated and
-    renormalized; this is the bosonic thermal vacuum of the doubled space."""
-    n = trunc.n_fock
-    out = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(out, _squeezed_vacuum_diagonal(theta, trunc))
-    return out
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -346,7 +341,7 @@ def thermal_coherent_state(alpha: complex, theta: float, trunc: FockTruncation) 
         d_phys = displacement_matrix(alpha * math.exp(theta), trunc)
         # the tilde leak check would repeat the physical one: |conj(d)| = |d|
         d_tilde = np.conj(d_phys)
-        phi = (d_phys * _squeezed_vacuum_diagonal(theta, trunc)) @ d_tilde.T
+        phi = (d_phys * two_mode_squeezed_vacuum(theta, trunc)) @ d_tilde.T
     _check_norm(float(np.sum(np.abs(phi) ** 2)), trunc.leak_tol, "thermal coherent state")
     return phi
 
@@ -522,7 +517,8 @@ def pe_curve(params: ModelParams, thermal: ThermalParams, times,
     depend on the grid around it.  The checks are those of the doubled
     space: the state-construction norms, and a LeakageError when the
     population within l levels of either cutoff (physical: rho; tilde: the
-    other axis of |phi|^2) exceeds ``trunc.leak_tol``.
+    other axis of |phi|^2) exceeds ``trunc.leak_tol``.  Samples x n_fock
+    past ``model._WORK_CELLS_LIMIT`` raise ``LimitError("t")`` first.
     """
     trunc.check(params)
     n = trunc.n_fock
@@ -530,6 +526,9 @@ def pe_curve(params: ModelParams, thermal: ThermalParams, times,
     t_arr = np.atleast_1d(np.asarray(times, dtype=float))
     if t_arr.ndim != 1:
         raise ValueError("time must be a 1-d array")
+    if t_arr.size * n > _WORK_CELLS_LIMIT:
+        raise LimitError("t", f"the exact P_e on {t_arr.size} time samples x {n} Fock levels "
+                              f"has {t_arr.size * n} cells, past the limit of {_WORK_CELLS_LIMIT}")
     pop = np.abs(thermal_coherent_state(params.alpha, thermal.theta, trunc)) ** 2
     s2, c2 = thermal.sin_atom**2, thermal.cos_atom**2
     _check_norm((c2 + s2) * float(np.sum(pop)), trunc.leak_tol, "initial state")

@@ -84,6 +84,7 @@ from .model import (
     LimitError,
     ModelParams,
     ThermalParams,
+    _WORK_CELLS_LIMIT,
     _log_gamma,
 )
 
@@ -91,7 +92,6 @@ __all__ = [
     "TruncationPolicy",
     "TruncationWarning",
     "SeriesTables",
-    "poisson_log_weight",
     "series_tables",
 ]
 
@@ -206,8 +206,9 @@ class TruncationPolicy:
     def check(self, params: ModelParams, samples: int = 0, coherence: bool = False) -> None:
         """Raise :class:`~thermaljcm.model.LimitError` where a build on
         ``samples`` time samples is past the byte budget, summed in integers
-        (``"n_max"`` for its photon axis alone, else ``"t"``), the eigenvalue
-        range, or the prefactor range.  The defaults: the smallest build."""
+        (``"n_max"`` for its photon axis alone, else ``"t"``), the work limit
+        ``model._WORK_CELLS_LIMIT`` on samples x columns (``"t"``), the
+        eigenvalue range, or the prefactor range.  The defaults: the smallest build."""
         l = params.l
         columns = self.top_row(l) + 1 if coherence else self.n_max + 3
         need = sum(_build_bytes(columns, l, coherence, 0))
@@ -220,6 +221,10 @@ class TruncationPolicy:
             raise LimitError("t", f"a series build of {samples} time samples x {columns} photon "
                                   f"columns needs {need >> 20} MiB, more than the limit of "
                                   f"{_BUILD_BYTES_LIMIT >> 20} MiB")
+        if samples * columns > _WORK_CELLS_LIMIT:
+            raise LimitError("t", f"a series build of {samples} time samples x {columns} photon "
+                                  f"columns has {samples * columns} (t, n) cells, more than "
+                                  f"the limit of {_WORK_CELLS_LIMIT}")
         EigenvalueTable.check(params, self.top_row(l))
         SeriesTables.check_prefactors(params)
 
@@ -266,22 +271,8 @@ class TruncationPolicy:
             )
 
 
-def poisson_log_weight(n, alpha: complex):
-    """log of the Poisson weight e^(-|alpha|^2) |alpha|^(2n) / n!.
-
-    alpha = 0 degenerates to weight 1 at n = 0 and 0 elsewhere.
-    """
-    n_arr = np.asarray(n, dtype=float)
-    aa = abs(alpha) ** 2
-    if aa == 0.0:
-        out = np.where(n_arr == 0, 0.0, -np.inf)
-    else:
-        out = _log_weight(n_arr, aa)
-    return float(out) if np.ndim(n) == 0 else out
-
-
 def _log_weight(n, aa: float):
-    """:func:`poisson_log_weight` at an intensity aa > 0, over floats n."""
+    """ln of the Poisson weight e^(-aa) aa^n / n! over floats n, at aa > 0."""
     return n * math.log(aa) - _log_gamma(n + 1.0) - aa
 
 
@@ -291,8 +282,9 @@ _LOG_WEIGHT_FLOOR = -750.0
 
 
 def _poisson_weights(n_max: int, alpha: complex) -> np.ndarray:
-    """The normalized Poisson weights of photon numbers 0 .. n_max, bitwise
-    ``np.exp(poisson_log_weight(np.arange(n_max + 1), alpha))``.
+    """The normalized Poisson weights e^(-|alpha|^2) |alpha|^(2n) / n! of
+    photon numbers 0 .. n_max: 1 at n = 0 and 0 elsewhere when alpha = 0,
+    else bitwise ``np.exp(_log_weight(n, |alpha|^2))`` at every n.
 
     The log-weight is concave in n with its top at floor(|alpha|^2), so it is
     at least ``_LOG_WEIGHT_FLOOR`` on one window around the top.  The window's

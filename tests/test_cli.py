@@ -100,6 +100,16 @@ HUGE_AMPLITUDES = [
 ]
 
 
+#: a P_e-only series build within the byte budget and past the work limit:
+#: 2501 time samples x 400 003 photon columns, 1.0e9 (t, n) cells
+WORK_1E9 = {
+    "model": {"l": 1, "g": 1.0, "omega0": 1.0, "omega": 1.0, "alpha": 2.0},
+    "thermal": {"inv_beta": 0.1},
+    "grid": {"t_start": 0.0, "t_stop": 1.0, "dt": 0.0004},
+    "truncation": {"n_max": 400_000},
+}
+
+
 #: address space of a CLI child process in the size-guard tests: room for
 #: the interpreter and numpy, none for the tables a missing guard asks for
 CAPPED_ADDRESS_SPACE = 2 << 30
@@ -244,6 +254,35 @@ class TestConfigParsing:
             assert cfg is None
         else:
             assert cfg is not None
+
+    @pytest.mark.parametrize("section", ["thermal", "grid", "truncation", "oracle", "output"])
+    @pytest.mark.parametrize("value", [None, {}, False, []])
+    def test_false_optional_section_reads_as_missing(self, section, value):
+        # one rule for the five optional sections: null, {}, false and [] are
+        # the section left out
+        doc = small_config()
+        doc.pop(section, None)
+        missing = parse_config(doc)
+        doc[section] = value
+        assert parse_config(doc) == missing
+
+    @pytest.mark.parametrize("section", ["thermal", "grid", "truncation", "oracle", "output"])
+    @pytest.mark.parametrize("value", [[0.1], "x", 1, True])
+    def test_optional_section_that_is_not_an_object_is_named(self, section, value):
+        doc = small_config()
+        doc[section] = value
+        with pytest.raises(ConfigError, match=f"^{section}: must be an object$"):
+            parse_config(doc)
+
+    def test_null_thermal_section_runs_at_zero_temperature(self, tmp_path):
+        # as a document without the section, like a null grid section
+        doc = small_config()
+        del doc["thermal"]
+        missing = run_cli(["pe-series", "--config", write_config(tmp_path, doc, "a.json")])
+        doc["thermal"] = None
+        null = run_cli(["pe-series", "--config", write_config(tmp_path, doc, "b.json")])
+        assert missing[0] == EXIT_OK
+        assert null == missing
 
     def test_zero_tail_tolerance_is_kept_when_adaptive(self):
         doc = small_config(truncation={"n_max": 40, "tail_tol": 0, "adaptive": True})
@@ -846,6 +885,43 @@ class TestErrorPaths:
         assert proc.stderr.startswith("error: grid: a series build of "), proc.stderr
         assert "MiB, more than the limit of 1024 MiB" in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        # 2501 samples x 400 003 photon columns: 1.0e9 cells of trig, within
+        # the byte budget; it ran for 28.8 s before the work limit
+        ["pe-series", "--config", "work.json"],
+        ["coherence-map", "--config", "work.json"],
+        # 1 457 494 samples on the longest row x 253 columns: 3.7e8 cells
+        ["period-sweep", "--preset", "fig3a", "--dt", "1e-4"],
+    ])
+    def test_series_build_past_the_work_limit_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                       argv):
+        class Refused(EigenvalueTable):
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("built a series table")
+
+        monkeypatch.setattr(thermaljcm.perturbation, "EigenvalueTable", Refused)
+        argv = [write_config(tmp_path, WORK_1E9, a) if a == "work.json" else a for a in argv]
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid: a series build of "), err
+        assert "(t, n) cells, more than the limit of 268435456" in err
+        assert out.read_text() == ""
+
+    def test_oracle_past_the_work_limit_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the series build is 200 001 samples x 43 columns; the exact P_e
+        # would be 200 001 x 2000 Fock levels, 4.0e8 cells
+        def refuse(*args, **kwargs):
+            raise AssertionError("built the thermal coherent state")
+
+        monkeypatch.setattr(oracle, "thermal_coherent_state", refuse)
+        doc = small_config(grid={"t_start": 0.0, "t_stop": 1.0, "dt": 5e-6},
+                           oracle={"with_oracle": True, "n_fock": 2000})
+        doc["model"]["l"] = 1
+        assert main(["pe-series", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid: the exact P_e on 200001 time samples x 2000 "), err
 
     @pytest.mark.parametrize("n_max", [2**53, 10**400], ids=["2**53", "10**400"])
     def test_nmax_past_float_precision_and_range_exits_2(self, tmp_path, n_max):

@@ -25,6 +25,16 @@ def make_params(l=1, g=1.0, omega0=1.0, omega=1.0, alpha=2.0):
     return ModelParams(l=l, g=g, omega0=omega0, omega=omega, alpha=alpha)
 
 
+def direct_d_prime(p, n_max):
+    """D'_n = (delta/2)^2 + g^2 prod_{k=0..l-1} (n - k) on n = 0..n_max, the
+    product taken as it is written (zero for n < l), and its square root."""
+    n = np.arange(n_max + 1, dtype=float)
+    prod = np.prod(n[:, None] - np.arange(p.l)[None, :], axis=1)
+    prod[: p.l] = 0.0
+    d_prime = (p.delta / 2.0) ** 2 + p.g * p.g * prod
+    return d_prime, np.sqrt(d_prime)
+
+
 def interference_period(params: ModelParams, m: int) -> float:
     """Revival time from the constructive-interference condition at photon number m.
 
@@ -167,19 +177,24 @@ class TestEigenvalueTable:
         # D'_{n+l} = D_n from the operator ordering
         p = make_params(l=l, omega0=0.3, omega=1.1)
         table = EigenvalueTable(p, 60)
-        np.testing.assert_array_equal(table.d_prime[l:], table.d[: 61 - l])
+        np.testing.assert_array_equal(direct_d_prime(p, 60)[0][l:], table.d[: 61 - l])
 
     def test_monotone_and_bounded_below(self):
         p = make_params(l=3, omega0=2.0, omega=1.5)
         table = EigenvalueTable(p, 100)
         assert np.all(np.diff(table.d) > 0)
         assert np.all(table.d >= (p.delta / 2) ** 2)
-        assert np.all(table.d_prime >= (p.delta / 2) ** 2)
-        assert np.all(table.d_prime[: p.l] == (p.delta / 2) ** 2)
+        d_prime = direct_d_prime(p, 100)[0]
+        assert np.all(d_prime >= (p.delta / 2) ** 2)
+        assert np.all(d_prime[: p.l] == (p.delta / 2) ** 2)
+        # the joined columns: (delta/2)^2 on the structural columns, then D
+        assert table.shift == p.l
+        np.testing.assert_array_equal(table.joined_d,
+                                      np.concatenate([d_prime[: p.l], table.d]))
 
     def test_tables_are_read_only(self):
         table = EigenvalueTable(make_params(), 10)
-        for arr in (table.prod, table.d, table.d_prime, table.sqrt_d, table.sqrt_d_prime):
+        for arr in (table.prod, table.d, table.joined_d, table.sqrt_d, table.joined_sqrt_d):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
@@ -203,8 +218,9 @@ def block_pairs(p, n_max, t):
     """(A, B) and (A', B') on photon indices 0..n_max through the closed form."""
     table = EigenvalueTable(p, n_max)
     half_delta = p.delta / 2.0
+    d_prime, sqrt_d_prime = direct_d_prime(p, n_max)
     return (_osc_pair(table.sqrt_d, table.d, t, half_delta),
-            _osc_pair(table.sqrt_d_prime, table.d_prime, t, half_delta))
+            _osc_pair(sqrt_d_prime, d_prime, t, half_delta))
 
 
 class TestBlockAmplitudes:
@@ -239,7 +255,7 @@ class TestBlockAmplitudes:
         for n in range(51):
             prod = float(np.prod(np.arange(1, p.l + 1) + n))
             assert abs(abs(ap[n + p.l]) ** 2 + p.g**2 * prod * bp[n + p.l] ** 2 - 1.0) < 1e-12
-        assert table.d_prime[p.l] == table.d[0]
+        assert direct_d_prime(p, p.l)[0][p.l] == table.d[0]
 
 
 class TestPeriods:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from thermaljcm import oracle, perturbation, validation
+from thermaljcm import model, oracle, perturbation, validation
 from thermaljcm.cli import EXIT_OK, main
 from thermaljcm.model import (
     EigenvalueTable,
@@ -54,17 +54,18 @@ def make_params(l=1, g=1.0, omega0=1.0, omega=1.0, alpha=2.0):
 
 class TestSqueezedVacuum:
     def test_zero_angle_is_vacuum(self):
+        # the real amplitudes on |n, n>, not an n_fock x n_fock matrix
         phi = two_mode_squeezed_vacuum(0.0, FockTruncation(20))
-        expected = np.zeros((20, 20))
-        expected[0, 0] = 1.0
+        expected = np.zeros(20)
+        expected[0] = 1.0
+        assert phi.dtype == float
         np.testing.assert_array_equal(phi, expected)
 
     def test_reduced_distribution_is_geometric(self):
         # Bose-Einstein law: p_n = (1 - r) r^n with r = tanh^2
         theta = 0.5
         trunc = FockTruncation(40)
-        phi = two_mode_squeezed_vacuum(theta, trunc)
-        dist = np.sum(np.abs(phi) ** 2, axis=1)
+        dist = two_mode_squeezed_vacuum(theta, trunc) ** 2
         r = math.tanh(theta) ** 2
         for n in range(20):
             assert dist[n] == pytest.approx((1 - r) * r**n, abs=1e-8)
@@ -72,7 +73,7 @@ class TestSqueezedVacuum:
     def test_mean_occupation(self):
         theta = 0.5
         phi = two_mode_squeezed_vacuum(theta, FockTruncation(60))
-        nbar = float(np.sum(np.arange(60)[:, None] * np.abs(phi) ** 2))
+        nbar = float(np.sum(np.arange(60) * phi**2))
         assert nbar == pytest.approx(math.sinh(theta) ** 2, abs=1e-10)
 
     def test_leakage_raised_for_tiny_cutoff(self):
@@ -238,7 +239,7 @@ def two_exponential_state(alpha, theta, trunc):
     with oracle._one_numpy_blas_thread():
         d_phys = displacement_matrix(alpha * scale, trunc)
         d_tilde = displacement_matrix(np.conj(alpha) * scale, trunc)
-        return d_phys @ two_mode_squeezed_vacuum(theta, trunc) @ d_tilde.T
+        return d_phys @ np.diag(two_mode_squeezed_vacuum(theta, trunc)) @ d_tilde.T
 
 
 def complex_generator_state(alpha, theta, n):
@@ -553,6 +554,26 @@ class TestReducedStatePe:
             propagate(init, t, p)
             pe_curve(p, thermal, [t], trunc)
 
+    def test_grid_past_the_work_limit_is_refused_before_the_state(self, monkeypatch):
+        # samples x n_fock cells, under the limit the series build has too
+        class Built(Exception):
+            pass
+
+        def build(*args, **kwargs):
+            raise Built
+
+        monkeypatch.setattr(oracle, "thermal_coherent_state", build)
+        assert oracle._WORK_CELLS_LIMIT is model._WORK_CELLS_LIMIT
+        p = make_params(l=1, alpha=2.0)
+        n_fock = 2048
+        edge = model._WORK_CELLS_LIMIT // n_fock
+        with pytest.raises(Built):
+            pe_curve(p, COLD, np.zeros(edge), FockTruncation(n_fock))
+        with pytest.raises(LimitError, match=f"on {edge + 1} time samples x 2048 Fock levels "
+                                             f"has {(edge + 1) * n_fock} ") as exc:
+            pe_curve(p, COLD, np.zeros(edge + 1), FockTruncation(n_fock))
+        assert exc.value.param == "t"
+
     def test_rejects_basis_smaller_than_multiplicity(self):
         p = make_params(l=3, alpha=0.1)
         with pytest.raises(ValueError):
@@ -681,7 +702,12 @@ class TestGridPropagation:
             t = np.array([0.0, 0.3, 1.7, 12.5, 400.0])
             diag_e, diag_g, coup = oracle._block_elements(table, t)
             a, b = _osc_pair(table.sqrt_d, table.d, t[:, None], p.delta / 2.0)
-            ap, _ = _osc_pair(table.sqrt_d_prime, table.d_prime, t[:, None], p.delta / 2.0)
+            # D'_m = (delta/2)^2 + g^2 prod_{k=0..l-1} (m - k), zero product for m < l
+            mm = np.arange(n_fock, dtype=float)
+            prod = np.prod(mm[:, None] - np.arange(l)[None, :], axis=1)
+            prod[:l] = 0.0
+            d_prime = (p.delta / 2.0) ** 2 + p.g * p.g * prod
+            ap, _ = _osc_pair(np.sqrt(d_prime), d_prime, t[:, None], p.delta / 2.0)
             nn = np.arange(max(n_fock - l, 0), dtype=float)
             beta = np.sqrt(np.prod(nn[:, None] + np.arange(1, l + 1)[None, :], axis=1))
             np.testing.assert_array_equal(diag_e, np.conj(a))

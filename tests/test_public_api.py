@@ -35,7 +35,39 @@ def test_perturbation_has_one_series_entry_point():
 
     functions = [attr for attr in perturbation.__all__
                  if inspect.isfunction(getattr(perturbation, attr))]
-    assert functions == ["poisson_log_weight", "series_tables"]
+    assert functions == ["series_tables"]
+
+
+def referenced_names(tree, skip=None):
+    """Every name an AST reads, as a ``Name`` or as an ``Attribute``; not a
+    string, a docstring or an import.  A name in ``skip`` is not counted
+    inside its own top-level definition."""
+    names = set()
+    for node in tree.body:
+        own = getattr(node, "name", None)
+        for sub in ast.walk(node):
+            name = (sub.id if isinstance(sub, ast.Name)
+                    else sub.attr if isinstance(sub, ast.Attribute) else None)
+            if name is not None and not (skip and name == own and own in skip):
+                names.add(name)
+    return names
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_public_function_and_class_has_a_reader(name):
+    # a function or class in a layer's __all__ is read by the package's own
+    # code outside its definition, or by a README example: no test-only
+    # helper in the public API
+    mod = importlib.import_module(f"thermaljcm.{name}")
+    public = {attr for attr in mod.__all__
+              if inspect.isfunction(getattr(mod, attr)) or inspect.isclass(getattr(mod, attr))}
+    read = set()
+    for path in sorted((ROOT / "src" / "thermaljcm").glob("*.py")):
+        read |= referenced_names(ast.parse(path.read_text()),
+                                 skip=public if path.stem == name else None)
+    for block in re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S):
+        read |= referenced_names(ast.parse(block))
+    assert sorted(public - read) == []
 
 
 def test_readme_python_blocks_run_in_order(capsys):

@@ -7,6 +7,7 @@ how many temperatures one build serves.
 """
 
 import inspect
+import math
 import sys
 from unittest import mock
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from thermaljcm import perturbation
 from thermaljcm.analysis import period_vs_temperature_sweep
@@ -61,18 +63,38 @@ def assert_tables_bitwise(a, b):
         assert_bitwise(a.tilde, b.tilde)
 
 
+def direct_d_prime(params, n_max):
+    """D'_n = (delta/2)^2 + g^2 prod_{k=0..l-1} (n - k) on n = 0..n_max, the
+    product taken as it is written (zero for n < l), and its square root."""
+    n = np.arange(n_max + 1, dtype=float)
+    prod = np.prod(n[:, None] - np.arange(params.l)[None, :], axis=1)
+    prod[: params.l] = 0.0
+    d_prime = (params.delta / 2.0) ** 2 + params.g * params.g * prod
+    return d_prime, np.sqrt(d_prime)
+
+
+def poisson_weights(n_max, alpha):
+    """e^(-|alpha|^2) |alpha|^(2n) / n! on n = 0..n_max, from scipy's gammaln
+    (1 at n = 0 and 0 elsewhere at alpha = 0)."""
+    n = np.arange(n_max + 1, dtype=float)
+    aa = abs(alpha) ** 2
+    if aa == 0.0:
+        return (n == 0).astype(float)
+    return np.exp(n * math.log(aa) - gammaln(n + 1.0) - aa)
+
+
 def direct_tilde(params, trunc, t):
     """The twelve coherence series with A', B' evaluated directly on the D'
     table (no index shift), full-width products: the reference for the
     engine's shared trig tables."""
     n_max, l = trunc.n_max, params.l
     table = EigenvalueTable(params, n_max + l + 2)
-    w = np.exp(perturbation.poisson_log_weight(np.arange(n_max + 1), params.alpha))
+    w = poisson_weights(n_max, params.alpha)
     m = np.arange(n_max + 1, dtype=float)
     cw = (w, w * (m + l), w, w * ((m + l - 1) * (m + l)), w, w * (m + l + 1))
     a, b = _osc_pair(table.sqrt_d[None, :], table.d, t[:, None], params.delta / 2.0)
-    ap, bp = _osc_pair(table.sqrt_d_prime[None, :], table.d_prime, t[:, None],
-                       params.delta / 2.0)
+    d_prime, sqrt_d_prime = direct_d_prime(params, n_max + l + 2)
+    ap, bp = _osc_pair(sqrt_d_prime[None, :], d_prime, t[:, None], params.delta / 2.0)
     ab1, ab2 = a * bp, b * ap
     out = np.empty((2, 6, t.size), dtype=complex)
     ac = np.conj(params.alpha)
@@ -415,8 +437,12 @@ class TestPrimedIndexShift:
         n_max = doc["truncation"]["n_max"]
         l = params.l
         table = EigenvalueTable(params, n_max + l + 2)
-        assert_bitwise(table.d_prime[l:], table.d[:-l])
-        assert_bitwise(table.sqrt_d_prime[l:], table.sqrt_d[:-l])
+        d_prime, sqrt_d_prime = direct_d_prime(params, n_max + l + 2)
+        assert_bitwise(d_prime[l:], table.d[:-l])
+        assert_bitwise(sqrt_d_prime[l:], table.sqrt_d[:-l])
+        # the joined columns both engines read are D'_0 .. D'_(l-1), then D
+        assert_bitwise(table.joined_d, np.concatenate([d_prime[:l], table.d]))
+        assert_bitwise(table.joined_sqrt_d, np.concatenate([sqrt_d_prime[:l], table.sqrt_d]))
         # the products the shift relies on are exact integers
         assert (n_max + l + 2) ** l < 2**53
 
@@ -424,8 +450,9 @@ class TestPrimedIndexShift:
         params = make_params(l=3, g=0.8, omega0=2.5)
         table = EigenvalueTable(params, 60)
         assert params.delta != 0
-        assert_bitwise(table.d_prime[3:], table.d[:-3])
-        assert np.all(table.d_prime[:3] == (params.delta / 2.0) ** 2)
+        d_prime = direct_d_prime(params, 60)[0]
+        assert_bitwise(d_prime[3:], table.d[:-3])
+        assert np.all(d_prime[:3] == (params.delta / 2.0) ** 2)
 
 
 def test_zero_time_identities_at_every_temperature():
@@ -469,7 +496,6 @@ def test_zero_eigenvalues_take_their_small_coupling_limit(coherence):
     params, trunc = TILE_CASES[3]
     t = np.linspace(0.0, 5.0, 11)
     tables = series_tables(t, params, trunc, coherence=coherence)
-    mass = np.exp(perturbation.poisson_log_weight(np.arange(trunc.n_max + 1),
-                                                  params.alpha)).sum()
+    mass = poisson_weights(trunc.n_max, params.alpha).sum()
     np.testing.assert_allclose(tables.S1, np.full((3, t.size), mass), rtol=1e-14)
     np.testing.assert_allclose(tables.S2, np.tile(t * t * mass, (3, 1)), rtol=1e-14)

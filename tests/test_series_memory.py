@@ -7,6 +7,7 @@ with the length of the time grid beyond the per-time outputs.  Its photon
 axis is bounded by a byte budget, checked before anything is allocated.
 """
 
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -14,9 +15,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from thermaljcm import perturbation
-from thermaljcm.analysis import SAMPLES_PER_CYCLE, SPAN_FACTOR
-from thermaljcm.cli import PRESETS, build_preset, parse_config
+from thermaljcm import model, perturbation
+from thermaljcm.analysis import SAMPLES_PER_CYCLE, SPAN_FACTOR, default_dt
+from thermaljcm.cli import PRESETS, _grid_samples, build_preset, parse_config
 from thermaljcm.model import (
     LimitError,
     ModelParams,
@@ -37,15 +38,24 @@ PEAK_LIMIT_MIB = 12
 FULL_PEAK_LIMIT_MIB = 6
 
 
+def preset_samples(name, config):
+    """Time samples of the largest grid a preset's command builds at the
+    ``config`` made from it: the longest row of a period sweep (fig3a-d),
+    else the time grid."""
+    if not name.startswith("fig3"):
+        return _grid_samples(config)[2]
+    dt = config.dt if config.dt is not None else default_dt(config.params)
+    return max(math.ceil(SPAN_FACTOR * t0_prime_period(config.params,
+                                                       thermal_from_inv_beta(ib, config.params))
+                         / dt) + 1 for ib in config.inv_betas)
+
+
 def fig3a_sweep_grid():
     """Parameters, truncation and longest-row grid of the fig3a period sweep
     (alpha 12, l 1, n_max 250, 22 270 samples)."""
     config = parse_config(build_preset("fig3a"))
     dt = rabi_period(config.params) / SAMPLES_PER_CYCLE
-    n = max(math.ceil(SPAN_FACTOR * t0_prime_period(config.params,
-                                                    thermal_from_inv_beta(ib, config.params))
-                      / dt) + 1 for ib in config.inv_betas)
-    return config.params, config.trunc, dt * np.arange(n)
+    return config.params, config.trunc, dt * np.arange(preset_samples("fig3a", config))
 
 
 def traced_peak(cpus, *args, **kwargs):
@@ -212,11 +222,37 @@ def test_budget_caps_the_workers(monkeypatch):
 
 
 def test_every_preset_fits_the_budget_on_64_workers():
-    # no preset grid has more samples than the fig3a sweep's longest row
+    # no preset grid at its default density has more samples than the fig3a
+    # sweep's longest row
     samples = fig3a_sweep_grid()[2].size
     for name in PRESETS:
         config = parse_config(build_preset(name))
-        columns = config.trunc.top_row(config.params.l) + 1
-        shared, per_worker = perturbation._build_bytes(columns, config.params.l, True,
-                                                       samples)
+        l = config.params.l
+        columns = config.trunc.top_row(l) + 1
+        shared, per_worker = perturbation._build_bytes(columns, l, True, samples)
         assert shared + 64 * per_worker <= perturbation._BUILD_BYTES_LIMIT
+        # a full build on its own grid, at its default density and at the
+        # paper's dt of a fortieth of the fast cycle (38 593 samples x 254
+        # columns at fig4a), passes the byte budget and the work limit
+        for dt in (config.dt, rabi_period(config.params) / SAMPLES_PER_CYCLE):
+            own = preset_samples(name, dataclasses.replace(config, dt=dt))
+            if dt == config.dt:
+                assert own <= samples
+            shared, per_worker = perturbation._build_bytes(columns, l, True, own)
+            assert shared + 64 * per_worker <= perturbation._BUILD_BYTES_LIMIT
+            config.trunc.check(config.params, own, coherence=True)
+
+
+def test_work_limit_is_samples_times_columns():
+    # one limit, defined in model, on time samples x eigenvalue columns: 1024
+    # columns on the P_e path at n_max 1021, 1025 on a full build at l = 1
+    assert perturbation._WORK_CELLS_LIMIT is model._WORK_CELLS_LIMIT
+    params = ModelParams(l=1, g=1.0, omega0=1.0, omega=1.0, alpha=3.0)
+    trunc = TruncationPolicy(1021, 1.0)
+    for coherence, columns in ((False, 1024), (True, 1025)):
+        edge = model._WORK_CELLS_LIMIT // columns
+        trunc.check(params, edge, coherence)
+        with pytest.raises(LimitError, match=f"x {columns} photon columns has "
+                                             f"{(edge + 1) * columns} \\(t, n\\) cells") as exc:
+            trunc.check(params, edge + 1, coherence)
+        assert exc.value.param == "t"
