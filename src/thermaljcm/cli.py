@@ -369,6 +369,10 @@ def cmd_pe_series(config: RunConfig) -> tuple[int, tuple]:
     thermal = thermal_from_inv_beta(config.inv_betas[0], params)
     trunc = config.trunc
     t = _time_grid(config)
+    if config.with_oracle:  # the exact table is sized before the series is built
+        ftrunc = (FockTruncation(config.n_fock) if config.n_fock
+                  else FockTruncation.auto(params, thermal))
+        ftrunc.check(params, t.size)
 
     p1, p2 = perturbation.series_tables(t, params, trunc, coherence=False).pe_terms
     s2, c2 = thermal.sin_atom**2, thermal.cos_atom**2
@@ -383,8 +387,6 @@ def cmd_pe_series(config: RunConfig) -> tuple[int, tuple]:
                "pe_order2_contrib", "physicality_flag"]
     cols = [t, pe, order0, order1, order2, flags]
     if config.with_oracle:
-        ftrunc = (FockTruncation(config.n_fock) if config.n_fock
-                  else FockTruncation.auto(params, thermal))
         try:  # a leak is found as the solver runs: the cutoff was too small
             cols.append(oracle.pe_curve(params, thermal, t, ftrunc))
         except oracle.LeakageError as exc:

@@ -192,11 +192,9 @@ class EigenvalueTable:
     bitwise while the products are exact integers ((n_max + l)^l < 2^53), so
     A'(m) is column m and A(n), B(n) are column s + n.
 
-    The photon-number products are evaluated in floating point; they stay well
-    inside double range for m <= 1e6 and l <= 8 (max ~1e48).  A table with an
-    eigenvalue past the double range raises :class:`LimitError` instead of
-    feeding inf and nan to every series.  Arrays are read-only after
-    construction, so the table is safe to share across threads.
+    The photon-number products are floats (~1e48 at m = 1e6, l = 8); an
+    eigenvalue past the float range raises :class:`LimitError` (module
+    docstring).  Arrays are read-only, so the table is safe to share across threads.
     """
 
     @staticmethod
@@ -296,21 +294,26 @@ def _log_gamma(x) -> np.ndarray:
     return np.fromiter(map(_lgam, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _osc_pair(sqrt_d: np.ndarray, d: np.ndarray, t, half_delta: float):
-    """cos(sqrt(D) t) - i (delta/2) sin(sqrt(D) t)/sqrt(D) and sin(sqrt(D) t)/sqrt(D).
+def _rabi_trig(sqrt_d: np.ndarray, t: np.ndarray, sin_out: np.ndarray, cos_out=None) -> None:
+    """sin(sqrt(D) t) into ``sin_out`` and, unless it is None, cos(sqrt(D) t)
+    into ``cos_out``: tables with the axes of ``t`` in front of the columns."""
+    np.multiply(t[..., None], sqrt_d, out=sin_out)
+    if cos_out is not None:
+        np.cos(sin_out, out=cos_out)
+    np.sin(sin_out, out=sin_out)
 
-    The removable singularity at D = 0 (possible only when the eigenvalue is
-    structurally zero) is evaluated by its limit: the pair (1, t).  Broadcasts
-    over any combination of eigenvalue and time axes.
-    """
-    t = np.asarray(t, dtype=float)
-    arg = sqrt_d * t
-    zero = d == 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sinc = np.where(zero, 1.0, np.sin(arg) / np.where(zero, 1.0, sqrt_d))
-    b = np.where(zero, np.broadcast_to(t, np.broadcast_shapes(d.shape, t.shape)), sinc)
-    a = np.cos(arg) - 1j * half_delta * b
-    return a, b
+
+def _rabi_amplitudes(sin_t, cos_t, sqrt_d, t, half_delta: float, a_out: np.ndarray):
+    """(A, B) from the tables of :func:`_rabi_trig`: B = sin(sqrt(D) t)/sqrt(D)
+    in place of ``sin_t``, with its limit t where D = 0 (a structurally zero
+    eigenvalue), and A = cos(sqrt(D) t) - i (delta/2) B into ``a_out``."""
+    zero = sqrt_d == 0.0
+    sin_t /= np.where(zero, 1.0, sqrt_d)
+    if zero.any():
+        sin_t[..., zero] = t[..., None]
+    np.multiply(1j * half_delta, sin_t, out=a_out)
+    np.subtract(cos_t, a_out, out=a_out)
+    return a_out, sin_t
 
 
 def _require_drive(params: ModelParams) -> None:

@@ -34,9 +34,9 @@ sample's value does not depend on the grid around it.
 
 Each Rabi phase is evaluated once: D'_m = D_(m-l) for m >= l, so the primed
 amplitude A'(m) is A(m - l), and only the l structurally zero columns m < l
-of D' are evaluated besides D, in one ``model._osc_pair`` call on the
-joined columns of :class:`EigenvalueTable`, the layout the series engine
-reads too.  The shift equals a direct evaluation of D'_m bitwise while the
+of D' are evaluated besides D, by the model's Rabi-block kernel on the joined
+columns of :class:`EigenvalueTable`: the series engine's kernel and layout
+too.  The shift equals a direct evaluation of D'_m bitwise while the
 photon-number products are exact integers, i.e. (n_fock + l)^l < 2^53.
 Every cutoff the package sizes is far below that (at most 2048 levels,
 2052^4 is about 2e13 at l = 4); past it, both are roundings of the same
@@ -91,7 +91,8 @@ from .model import (
     ThermalParams,
     _WORK_CELLS_LIMIT,
     _log_gamma,
-    _osc_pair,
+    _rabi_amplitudes,
+    _rabi_trig,
     thermal_mean_photon,
 )
 
@@ -162,12 +163,17 @@ class FockTruncation:
             raise LimitError("n_fock", "the automatic n_fock is past the float range") from None
         return cls(n_fock=int(n))
 
-    def check(self, params: ModelParams) -> None:
-        """Raise :class:`~thermaljcm.model.LimitError` unless n_fock exceeds l
-        and the Rabi eigenvalues of rows m < n_fock are finite."""
-        if self.n_fock <= params.l:
-            raise LimitError("n_fock", f"n_fock = {self.n_fock} must exceed l = {params.l}")
-        EigenvalueTable.check(params, self.n_fock - 1)
+    def check(self, params: ModelParams, samples: int = 0) -> None:
+        """Raise :class:`~thermaljcm.model.LimitError` unless n_fock exceeds l,
+        the Rabi eigenvalues of rows m < n_fock are finite, and the exact P_e
+        on ``samples`` time samples is within ``model._WORK_CELLS_LIMIT`` cells."""
+        n = self.n_fock
+        if n <= params.l:
+            raise LimitError("n_fock", f"n_fock = {n} must exceed l = {params.l}")
+        EigenvalueTable.check(params, n - 1)
+        if samples * n > _WORK_CELLS_LIMIT:
+            raise LimitError("t", f"the exact P_e on {samples} time samples x {n} Fock levels has "
+                                  f"{samples * n} cells, past the limit of {_WORK_CELLS_LIMIT}")
 
 
 @dataclass
@@ -391,15 +397,17 @@ def _block_elements(table: EigenvalueTable, t):
                    coupling for n = 0 .. n_fock-1-l, in both directions
                    because B'(n+l) = B(n).
     ``t`` is a time or an array of times; its axes come in front of the
-    photon axis of every piece.  One ``_osc_pair`` call evaluates the
-    table's joined columns (:class:`EigenvalueTable`), D and the s
-    structurally zero columns of D' in front, in which A'(m) is column m and
-    A(n) and B(n) are column s + n.
+    photon axis of every piece.  The model's Rabi-block kernel evaluates the
+    table's joined columns, in which A'(m) is column m and A(n) and B(n) are
+    column s + n.
     """
     params = table.params
     s, n_fock = table.shift, table.n_max + 1
-    a, b = _osc_pair(table.joined_sqrt_d, table.joined_d,
-                     np.asarray(t, dtype=float)[..., None], params.delta / 2.0)
+    t, sqrt_d = np.asarray(t, dtype=float), table.joined_sqrt_d
+    sin_t, cos_t = np.empty((2,) + t.shape + sqrt_d.shape)
+    _rabi_trig(sqrt_d, t, sin_t, cos_t)
+    a, b = _rabi_amplitudes(sin_t, cos_t, sqrt_d, t, params.delta / 2.0,
+                            np.empty(sin_t.shape, dtype=complex))
     ncpl = max(n_fock - params.l, 0)
     coup = -1j * params.g * np.sqrt(table.prod[:ncpl]) * b[..., s : s + ncpl]
     return np.conj(a[..., s:]), a[..., :n_fock], coup
@@ -517,18 +525,15 @@ def pe_curve(params: ModelParams, thermal: ThermalParams, times,
     depend on the grid around it.  The checks are those of the doubled
     space: the state-construction norms, and a LeakageError when the
     population within l levels of either cutoff (physical: rho; tilde: the
-    other axis of |phi|^2) exceeds ``trunc.leak_tol``.  Samples x n_fock
-    past ``model._WORK_CELLS_LIMIT`` raise ``LimitError("t")`` first.
+    other axis of |phi|^2) exceeds ``trunc.leak_tol``.  ``trunc.check`` on
+    the grid runs first.
     """
-    trunc.check(params)
-    n = trunc.n_fock
-    l = params.l
     t_arr = np.atleast_1d(np.asarray(times, dtype=float))
+    trunc.check(params, t_arr.size)
     if t_arr.ndim != 1:
         raise ValueError("time must be a 1-d array")
-    if t_arr.size * n > _WORK_CELLS_LIMIT:
-        raise LimitError("t", f"the exact P_e on {t_arr.size} time samples x {n} Fock levels "
-                              f"has {t_arr.size * n} cells, past the limit of {_WORK_CELLS_LIMIT}")
+    n = trunc.n_fock
+    l = params.l
     pop = np.abs(thermal_coherent_state(params.alpha, thermal.theta, trunc)) ** 2
     s2, c2 = thermal.sin_atom**2, thermal.cos_atom**2
     _check_norm((c2 + s2) * float(np.sum(pop)), trunc.leak_tol, "initial state")

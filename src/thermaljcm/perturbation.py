@@ -16,12 +16,13 @@ Engine: the temperature enters only the final combination with the
 Bogoliubov angles; every table before it depends on (params, trunc, t)
 alone.  :func:`series_tables`, the one entry point, builds those tables once
 on a 1-d time grid and returns a :class:`SeriesTables`, which evaluates P_e
-and rho01 at any number of temperatures.  Per time chunk its one kernel
-takes one sin and one cos table of sqrt(D) t; S1 and S2 come from their
-squares.  A full build's tables run over the joined columns of
-:class:`EigenvalueTable`, the exact solver's layout too: the s = l
-structurally zero columns of D' in front, so A'(m) is column m and A(n),
-B(n) are column s + n of the same two tables.  A P_e build takes D alone.
+and rho01 at any number of temperatures.  Per time chunk the model's
+Rabi-block kernel, the exact solver's too, writes one sin and one cos table
+of sqrt(D) t; S1 and S2 come from their squares, then B and A from the same
+tables.  A full build's tables run over the joined columns of
+:class:`EigenvalueTable`: the s = l structurally zero columns of D' in
+front, so A'(m) is column m and A(n), B(n) are column s + n.  A P_e build
+takes D alone.
 
 Zero temperature: there theta = sin_atom = 0.0 and cos_atom = 1.0 exactly,
 so P_e is p2_0 = g^2 |alpha|^(2l) S2(0) plus signed zeros, which change no
@@ -49,8 +50,8 @@ i + workers, ...; each chunk writes only its own time columns.  A time
 sample is reduced on its own in the same ascending-n order whichever chunk
 or thread holds it, so the output bytes do not depend on the number of CPUs
 or on the chunk size.  The workers call no public function of any layer
-(their bodies use numpy only), so a tracer that wraps ``__all__`` sees one
-call per build.
+(only numpy and the model's private kernel), so a tracer that wraps
+``__all__`` sees one call per build.
 
 This module owns the sizing rules of a build: the table width
 (:meth:`TruncationPolicy.top_row`), the prefactor range
@@ -86,6 +87,8 @@ from .model import (
     ThermalParams,
     _WORK_CELLS_LIMIT,
     _log_gamma,
+    _rabi_amplitudes,
+    _rabi_trig,
 )
 
 __all__ = [
@@ -502,13 +505,9 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
     With ``coherence=False`` the twelve coherence series are skipped and the
     trig tables are sized to the n_max + 3 columns the S sums need, for
     callers that only want P_e.  With ``zero_temperature=True`` as well, the
-    build holds only what P_e at zero temperature reads, S2(0): the P_e-only
-    kernel without its cos table, S1 and S2(1..2), so
-    :meth:`SeriesTables.pe` returns the bits of that build at zero
-    temperature; any other use of the tables raises ``ValueError``.  It is
-    sized and refused as the P_e-only build.
-    :meth:`TruncationPolicy.check` runs first, on the build's own columns and
-    samples.
+    build holds S2(0) alone (module docstring), sized and refused as the
+    P_e-only build.  :meth:`TruncationPolicy.check` runs first, on the
+    build's own columns and samples.
     """
     if zero_temperature and coherence:
         raise ValueError("a zero-temperature build holds P_e only: pass coherence=False")
@@ -542,9 +541,8 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
     s = table.shift if coherence else 0
     d, sqrt_d = (table.joined_d, table.joined_sqrt_d) if coherence else (table.d, table.sqrt_d)
     pe_cols = slice(s, s + n_pe)  # D_0 .. D_(n_max + 2), the columns of the S sums
-    zero = d == 0.0  # only at resonance, at g = 0 or on D': limits t^2 and (1, t) below
+    zero = d == 0.0  # only at resonance, at g = 0 or on D': the limit t^2 below
     d_safe = np.where(zero, 1.0, d)[None, pe_cols]
-    sqrt_d_safe = np.where(zero, 1.0, sqrt_d)[None, :]
 
     S1 = None if zero_temperature else np.empty((3, t_arr.size))
     S2 = np.empty((1 if zero_temperature else 3, t_arr.size))
@@ -592,11 +590,8 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
             tc = t_arr[sl]
             rows = tc.size
             sin_t = trig[worker, 0, :rows]
-            np.multiply(tc[:, None], sqrt_d[None, :], out=sin_t)
-            if S1 is not None:  # zero temperature reads S2(0) alone
-                cos_t = trig[worker, 1, :rows]
-                np.cos(sin_t, out=cos_t)
-            np.sin(sin_t, out=sin_t)
+            cos_t = None if S1 is None else trig[worker, 1, :rows]  # S2(0) alone at T = 0
+            _rabi_trig(sqrt_d, tc, sin_t, cos_t)
 
             # S2 summand sin^2/D, S1 summand cos^2 + (delta/2)^2 sin^2/D; the
             # P_e path squares in place: its trig tables are n_pe wide
@@ -618,14 +613,8 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
             if not coherence:
                 continue
 
-            # B and A on every column: B(n), A(n) at s + n, A'(m) at m
-            b = sin_t
-            b /= sqrt_d_safe
-            if any_zero:
-                b[:, zero] = tc[:, None]
-            a = amp[worker, :rows]
-            np.multiply(1j * half_delta, b, out=a)
-            np.subtract(cos_t, a, out=a)
+            # B over the sin table and A on every column: B(n), A(n) at s + n, A'(m) at m
+            a, b = _rabi_amplitudes(sin_t, cos_t, sqrt_d, tc, half_delta, amp[worker, :rows])
             # family 1: A(m + l) B'(m + l) = A(m + l) B(m); family 2: B(m) A'(m)
             ab1 = lead(sq[worker].reshape(-1).view(complex), rows, n_pe)
             np.multiply(a[:, s + l : s + l + n_pe], b[:, pe_cols], out=ab1)

@@ -33,6 +33,7 @@ from thermaljcm.model import (
 from thermaljcm.oracle import FockTruncation
 from thermaljcm.perturbation import TruncationPolicy, series_tables
 from thermaljcm.validation import theta_for_angle
+from reference import direct_d_prime, osc_pair
 
 SWEEP_TEMPS = (0.0, 0.04, 0.08, 0.12, 0.16)
 
@@ -43,16 +44,6 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 def make_params(l, alpha, g=1.0):
     return ModelParams(l=l, g=g, omega0=1.0, omega=1.0, alpha=alpha)
-
-
-def direct_d_prime(params, n_max):
-    """D'_n = (delta/2)^2 + g^2 prod_{k=0..l-1} (n - k) on n = 0..n_max, the
-    product taken as it is written (zero for n < l), and its square root."""
-    n = np.arange(n_max + 1, dtype=float)
-    prod = np.prod(n[:, None] - np.arange(params.l)[None, :], axis=1)
-    prod[: params.l] = 0.0
-    d_prime = (params.delta / 2.0) ** 2 + params.g * params.g * prod
-    return d_prime, np.sqrt(d_prime)
 
 
 def coherence_curve(params, thermal, t, trunc):
@@ -273,13 +264,12 @@ def test_criterion_8_structural_identities():
 
     # blockwise unitarity via the propagator elements:
     # |A'(n+l)|^2 + g^2 prod_{k=1..l}(n+k) B'(n+l)^2 = 1
-    from thermaljcm.model import _osc_pair
     worst_u = 0.0
     params = make_params(2, 3.0, g=0.9)
     d_prime, sqrt_d_prime = direct_d_prime(params, 50 + params.l)
     prod = np.prod(np.arange(51)[:, None] + np.arange(1, params.l + 1)[None, :], axis=1)
     for t in (0.1, 1.0, 10.0):
-        ap, bp = _osc_pair(sqrt_d_prime, d_prime, t, params.delta / 2.0)
+        ap, bp = osc_pair(sqrt_d_prime, d_prime, t, params.delta / 2.0)
         ap, bp = ap[params.l :], bp[params.l :]
         worst_u = max(worst_u, float(np.max(np.abs(np.abs(ap) ** 2
                                                      + params.g**2 * prod * bp**2 - 1))))

@@ -911,11 +911,17 @@ class TestErrorPaths:
 
     def test_oracle_past_the_work_limit_exits_2(self, tmp_path, capsys, monkeypatch):
         # the series build is 200 001 samples x 43 columns; the exact P_e
-        # would be 200 001 x 2000 Fock levels, 4.0e8 cells
+        # would be 200 001 x 2000 Fock levels, 4.0e8 cells, refused before
+        # either engine builds a table
         def refuse(*args, **kwargs):
             raise AssertionError("built the thermal coherent state")
 
+        class RefusedTable(EigenvalueTable):
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("built the series table")
+
         monkeypatch.setattr(oracle, "thermal_coherent_state", refuse)
+        monkeypatch.setattr(thermaljcm.perturbation, "EigenvalueTable", RefusedTable)
         doc = small_config(grid={"t_start": 0.0, "t_stop": 1.0, "dt": 5e-6},
                            oracle={"with_oracle": True, "n_fock": 2000})
         doc["model"]["l"] = 1

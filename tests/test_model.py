@@ -9,7 +9,8 @@ from thermaljcm.model import (
     EigenvalueTable,
     LimitError,
     ModelParams,
-    _osc_pair,
+    _rabi_amplitudes,
+    _rabi_trig,
     _require_drive,
     bogoliubov_angles,
     rabi_period,
@@ -19,20 +20,7 @@ from thermaljcm.model import (
     thermal_from_inv_beta,
     thermal_mean_photon,
 )
-
-
-def make_params(l=1, g=1.0, omega0=1.0, omega=1.0, alpha=2.0):
-    return ModelParams(l=l, g=g, omega0=omega0, omega=omega, alpha=alpha)
-
-
-def direct_d_prime(p, n_max):
-    """D'_n = (delta/2)^2 + g^2 prod_{k=0..l-1} (n - k) on n = 0..n_max, the
-    product taken as it is written (zero for n < l), and its square root."""
-    n = np.arange(n_max + 1, dtype=float)
-    prod = np.prod(n[:, None] - np.arange(p.l)[None, :], axis=1)
-    prod[: p.l] = 0.0
-    d_prime = (p.delta / 2.0) ** 2 + p.g * p.g * prod
-    return d_prime, np.sqrt(d_prime)
+from reference import direct_d_prime, make_params, osc_pair
 
 
 def interference_period(params: ModelParams, m: int) -> float:
@@ -219,8 +207,8 @@ def block_pairs(p, n_max, t):
     table = EigenvalueTable(p, n_max)
     half_delta = p.delta / 2.0
     d_prime, sqrt_d_prime = direct_d_prime(p, n_max)
-    return (_osc_pair(table.sqrt_d, table.d, t, half_delta),
-            _osc_pair(sqrt_d_prime, d_prime, t, half_delta))
+    return (osc_pair(table.sqrt_d, table.d, t, half_delta),
+            osc_pair(sqrt_d_prime, d_prime, t, half_delta))
 
 
 class TestBlockAmplitudes:
@@ -256,6 +244,29 @@ class TestBlockAmplitudes:
             prod = float(np.prod(np.arange(1, p.l + 1) + n))
             assert abs(abs(ap[n + p.l]) ** 2 + p.g**2 * prod * bp[n + p.l] ** 2 - 1.0) < 1e-12
         assert direct_d_prime(p, p.l)[0][p.l] == table.d[0]
+
+
+class TestRabiKernel:
+    @pytest.mark.parametrize("t", [0.7, np.array([0.0, 0.3, 1.7, 12.5, 400.0])],
+                             ids=["time", "grid"])
+    @pytest.mark.parametrize("l, g, omega0", [(1, 1.0, 1.0), (2, 0.7, 2.0), (3, 0.8, 2.5),
+                                              (2, 0.0, 2.0)])
+    def test_equals_the_direct_formula_bitwise(self, l, g, omega0, t):
+        # the joined columns, with the zero columns of D' at resonance and
+        # every column zero at g = 0
+        table = EigenvalueTable(make_params(l=l, g=g, omega0=omega0), 40)
+        sqrt_d, half_delta = table.joined_sqrt_d, table.params.delta / 2.0
+        t = np.asarray(t)
+        sin_t, cos_t, sin_only = np.empty((3,) + t.shape + sqrt_d.shape)
+        _rabi_trig(sqrt_d, t, sin_t, cos_t)
+        _rabi_trig(sqrt_d, t, sin_only)
+        assert sin_only.tobytes() == sin_t.tobytes()
+        a_out = np.empty(sin_t.shape, dtype=complex)
+        a, b = _rabi_amplitudes(sin_t, cos_t, sqrt_d, t, half_delta, a_out)
+        assert a is a_out and b is sin_t  # in the caller's tables
+        ref_a, ref_b = osc_pair(sqrt_d, table.joined_d, t[..., None], half_delta)
+        assert a.tobytes() == ref_a.tobytes()
+        assert b.tobytes() == ref_b.tobytes()
 
 
 class TestPeriods:

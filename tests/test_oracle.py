@@ -21,7 +21,6 @@ from thermaljcm.model import (
     EigenvalueTable,
     LimitError,
     ModelParams,
-    _osc_pair,
     bogoliubov_angles,
     t0_period,
     thermal_from_inv_beta,
@@ -44,12 +43,9 @@ from thermaljcm.oracle import (
 from thermaljcm.coherence import coherence_values
 from thermaljcm.perturbation import TruncationPolicy, series_tables
 from thermaljcm.validation import run_validation_suite, theta_for_angle
+from reference import make_params, osc_pair
 
 COLD = bogoliubov_angles(math.inf, 1.0, 1.0)
-
-
-def make_params(l=1, g=1.0, omega0=1.0, omega=1.0, alpha=2.0):
-    return ModelParams(l=l, g=g, omega0=omega0, omega=omega, alpha=alpha)
 
 
 class TestSqueezedVacuum:
@@ -701,13 +697,13 @@ class TestGridPropagation:
             table = EigenvalueTable(p, n_fock - 1)
             t = np.array([0.0, 0.3, 1.7, 12.5, 400.0])
             diag_e, diag_g, coup = oracle._block_elements(table, t)
-            a, b = _osc_pair(table.sqrt_d, table.d, t[:, None], p.delta / 2.0)
+            a, b = osc_pair(table.sqrt_d, table.d, t[:, None], p.delta / 2.0)
             # D'_m = (delta/2)^2 + g^2 prod_{k=0..l-1} (m - k), zero product for m < l
             mm = np.arange(n_fock, dtype=float)
             prod = np.prod(mm[:, None] - np.arange(l)[None, :], axis=1)
             prod[:l] = 0.0
             d_prime = (p.delta / 2.0) ** 2 + p.g * p.g * prod
-            ap, _ = _osc_pair(np.sqrt(d_prime), d_prime, t[:, None], p.delta / 2.0)
+            ap, _ = osc_pair(np.sqrt(d_prime), d_prime, t[:, None], p.delta / 2.0)
             nn = np.arange(max(n_fock - l, 0), dtype=float)
             beta = np.sqrt(np.prod(nn[:, None] + np.arange(1, l + 1)[None, :], axis=1))
             np.testing.assert_array_equal(diag_e, np.conj(a))

@@ -11,8 +11,6 @@ from thermaljcm import oracle, perturbation
 from thermaljcm.coherence import physical_population
 from thermaljcm.model import (
     EigenvalueTable,
-    ModelParams,
-    _osc_pair,
     bogoliubov_angles,
     thermal_from_inv_beta,
 )
@@ -24,12 +22,9 @@ from thermaljcm.perturbation import (
     series_tables,
 )
 from thermaljcm.validation import theta_for_angle
+from reference import direct_d_prime, make_params, osc_pair
 
 COLD = bogoliubov_angles(math.inf, 1.0, 1.0)
-
-
-def make_params(l=1, g=1.0, omega0=1.0, omega=1.0, alpha=2.0):
-    return ModelParams(l=l, g=g, omega0=omega0, omega=omega, alpha=alpha)
 
 
 def poisson_log_weight(n, alpha):
@@ -42,16 +37,6 @@ def poisson_log_weight(n, alpha):
     else:
         out = n_arr * math.log(aa) - gammaln(n_arr + 1.0) - aa
     return float(out) if np.ndim(n) == 0 else out
-
-
-def direct_d_prime(p, n_max):
-    """D'_n = (delta/2)^2 + g^2 prod_{k=0..l-1} (n - k) on n = 0..n_max, the
-    product taken as it is written (zero for n < l), and its square root."""
-    n = np.arange(n_max + 1, dtype=float)
-    prod = np.prod(n[:, None] - np.arange(p.l)[None, :], axis=1)
-    prod[: p.l] = 0.0
-    d_prime = (p.delta / 2.0) ** 2 + p.g * p.g * prod
-    return d_prime, np.sqrt(d_prime)
 
 
 def at(t, params, trunc, **kwargs):
@@ -328,9 +313,9 @@ class TestTildeSeries:
         trunc = TruncationPolicy(10)
         p1 = make_params(l=1, omega0=1.0, omega=1.0, alpha=0.0)
         table = EigenvalueTable(p1, 1)
-        a1 = _osc_pair(table.sqrt_d, table.d, 0.7, p1.delta / 2.0)[0][1]
+        a1 = osc_pair(table.sqrt_d, table.d, 0.7, p1.delta / 2.0)[0][1]
         d_prime, sqrt_d_prime = direct_d_prime(p1, 1)
-        bp1 = _osc_pair(sqrt_d_prime, d_prime, 0.7, p1.delta / 2.0)[1][1]
+        bp1 = osc_pair(sqrt_d_prime, d_prime, 0.7, p1.delta / 2.0)[1][1]
         expected = -1j * p1.g * (0 + 1) * a1 * bp1  # m = 0 term of (j, k) = (1, 1)
         tilde = at(0.7, p1, trunc).tilde[:, :, 0]
         assert tilde[0, 1] == pytest.approx(expected, abs=1e-14)

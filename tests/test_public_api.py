@@ -144,3 +144,16 @@ def test_cli_handlers_write_nothing():
         elif isinstance(node, ast.ImportFrom) and node.module:
             imported.add(node.module)
     assert "io" not in imported
+
+
+@pytest.mark.parametrize("name", ["perturbation", "oracle"])
+def test_engines_take_their_trig_from_the_model_kernel(name):
+    # both engines evaluate the Rabi blocks through model's one kernel: a
+    # second np.sin or np.cos would be a second copy of it
+    tree = ast.parse((ROOT / "src" / "thermaljcm" / f"{name}.py").read_text())
+    trig = [f"line {node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("sin", "cos")
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module == "numpy" for alias in node.names]
+    assert trig + [f"imports {n}" for n in imported if n in ("sin", "cos")] == []

@@ -20,15 +20,12 @@ from scipy.special import gammaln
 from thermaljcm import perturbation
 from thermaljcm.analysis import period_vs_temperature_sweep
 from thermaljcm.cli import PRESETS, build_preset
-from thermaljcm.model import EigenvalueTable, ModelParams, _osc_pair, thermal_from_inv_beta
+from thermaljcm.model import EigenvalueTable, ModelParams, thermal_from_inv_beta
 from thermaljcm.perturbation import TruncationPolicy, TruncationWarning, series_tables
 from thermaljcm.validation import THETA_GRID, run_validation_suite, theta_for_angle
+from reference import direct_d_prime, make_params, osc_pair
 
 INV_BETAS = (0.0, 0.04, 0.08, 0.12, 0.16)
-
-
-def make_params(l=1, g=1.0, omega0=1.0, omega=1.0, alpha=2.0):
-    return ModelParams(l=l, g=g, omega0=omega0, omega=omega, alpha=alpha)
 
 
 # resonant presets plus a detuned, complex-amplitude case (delta != 0 keeps
@@ -63,16 +60,6 @@ def assert_tables_bitwise(a, b):
         assert_bitwise(a.tilde, b.tilde)
 
 
-def direct_d_prime(params, n_max):
-    """D'_n = (delta/2)^2 + g^2 prod_{k=0..l-1} (n - k) on n = 0..n_max, the
-    product taken as it is written (zero for n < l), and its square root."""
-    n = np.arange(n_max + 1, dtype=float)
-    prod = np.prod(n[:, None] - np.arange(params.l)[None, :], axis=1)
-    prod[: params.l] = 0.0
-    d_prime = (params.delta / 2.0) ** 2 + params.g * params.g * prod
-    return d_prime, np.sqrt(d_prime)
-
-
 def poisson_weights(n_max, alpha):
     """e^(-|alpha|^2) |alpha|^(2n) / n! on n = 0..n_max, from scipy's gammaln
     (1 at n = 0 and 0 elsewhere at alpha = 0)."""
@@ -92,9 +79,9 @@ def direct_tilde(params, trunc, t):
     w = poisson_weights(n_max, params.alpha)
     m = np.arange(n_max + 1, dtype=float)
     cw = (w, w * (m + l), w, w * ((m + l - 1) * (m + l)), w, w * (m + l + 1))
-    a, b = _osc_pair(table.sqrt_d[None, :], table.d, t[:, None], params.delta / 2.0)
+    a, b = osc_pair(table.sqrt_d[None, :], table.d, t[:, None], params.delta / 2.0)
     d_prime, sqrt_d_prime = direct_d_prime(params, n_max + l + 2)
-    ap, bp = _osc_pair(sqrt_d_prime[None, :], d_prime, t[:, None], params.delta / 2.0)
+    ap, bp = osc_pair(sqrt_d_prime[None, :], d_prime, t[:, None], params.delta / 2.0)
     ab1, ab2 = a * bp, b * ap
     out = np.empty((2, 6, t.size), dtype=complex)
     ac = np.conj(params.alpha)
