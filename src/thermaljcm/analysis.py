@@ -6,13 +6,13 @@ followed by locating the strongest raw peak near the envelope maximum.  The
 closed-form thermal period provides the search window prior; the fast
 oscillation granularity quantizes the extracted values.  The time step
 rules, :func:`default_dt` and :func:`check_dt`, and the ``SAMPLE_LIMIT`` on
-a sweep's rows and the approximation's table are this module's, the period
-formulas' domain (g > 0, alpha != 0) is the model's; each raises
-:class:`~thermaljcm.model.LimitError` before anything is built.
+a sweep's rows are this module's, the period formulas' domain and the (t, n) table rule
+the model's; each raises :class:`~thermaljcm.model.LimitError` before anything is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +23,13 @@ from .model import (
     LimitError,
     ModelParams,
     ThermalParams,
+    _check_table,
     rabi_period,
     t0_prime_period,
     tau1,
     thermal_from_inv_beta,
 )
-from .perturbation import TruncationPolicy, _poisson_cut, _poisson_weights
+from .perturbation import _TILE_CELLS, TruncationPolicy, _poisson_cut, _poisson_weights
 
 __all__ = [
     "TimeSeries",
@@ -63,8 +64,7 @@ SAMPLES_PER_CYCLE = 40
 #: coarsest grid period extraction accepts, in samples per fast cycle
 MIN_SAMPLES_PER_CYCLE = 20
 
-#: the most samples of a time grid, and the most (time, photon) cells of
-#: :func:`approx_cos_sum`'s table; 2^24 samples of 8 bytes are 128 MiB
+#: the most samples of a time grid: 2^24 samples of 8 bytes are 128 MiB
 SAMPLE_LIMIT = 1 << 24
 
 #: sweep rows span this multiple of the thermal period prior; must stay
@@ -134,19 +134,38 @@ def approx_cos_sum(alpha: complex, l: int, g: float, t):
     lhs: sum_m w_m cos(2 g m^(l/2) t) with normalized Poisson weights w_m;
     rhs: exp(|a|^2 [cos(g |a|^(l-2) l t) - 1]) cos(g |a|^l t + |a|^2 sin(g |a|^(l-2) l t)).
     Both sides carry the e^(-|a|^2) normalization, so they equal 1 at t = 0.
+    alpha = 0, or |a|^(l-2) or |a|^l that underflows to 0 or passes the float
+    range, raises ``LimitError("alpha")``; then the lhs's (t, m) table passes
+    the model's table rule at the phase rate 2 g n_max^(l/2) (or the rhs's).
     """
     if alpha == 0:
         raise LimitError("alpha", "approximation requires alpha != 0")
     aa = abs(alpha) ** 2
     n_max = _poisson_cut(alpha)
     t = np.asarray(t, dtype=float)
-    if t.size * (n_max + 1) > SAMPLE_LIMIT:
-        raise LimitError("alpha", f"alpha = {alpha}: approx-check's table of {t.size} time "
-                                  f"samples x {n_max + 1} photon numbers is larger than the "
-                                  f"limit of {SAMPLE_LIMIT} cells")
+    try:  # a Python float ** past the float range raises instead of giving inf
+        powers = (abs(alpha) ** (l - 2), abs(alpha) ** l)
+        # the largest phase rate: the table's, or the rhs's slow one at l = 1
+        rate = max(2.0 * g * n_max ** (l / 2.0), g * powers[0] * l)
+    except OverflowError:
+        powers, rate = (math.inf,), math.inf
+    if not all(0.0 < p < math.inf for p in powers):
+        raise LimitError("alpha", f"alpha = {alpha}: |alpha|^{l - 2} or |alpha|^{l} is past "
+                                  f"the float range")
+    _check_table("approx-check's table of {} time samples x {} photon numbers", t.size,
+                 n_max + 1, float(np.max(np.abs(t), initial=0.0)), rate, "alpha")
     w = _poisson_weights(n_max, alpha)
-    m_pow = np.arange(n_max + 1, dtype=float) ** (l / 2.0)
-    lhs = np.add.reduce(w * np.cos(2.0 * g * m_pow * t[..., None]), axis=-1)
+    rates = 2.0 * g * np.arange(n_max + 1, dtype=float) ** (l / 2.0)
+    # in chunks of rows of one (rows, n) table, each row reduced as in a
+    # whole table: the same bits in _TILE_CELLS cells (one row at least)
+    t_flat, lhs = t.reshape(-1), np.empty(t.size)
+    rows = max(1, _TILE_CELLS // (n_max + 1))
+    table = np.empty((min(rows, t.size), n_max + 1))
+    for lo in range(0, t.size, rows):
+        tc = t_flat[lo : lo + rows]
+        tab = np.cos(np.multiply(tc[:, None], rates, out=table[: tc.size]), out=table[: tc.size])
+        lhs[lo : lo + tc.size] = np.add.reduce(np.multiply(tab, w, out=tab), axis=-1)
+    lhs = lhs.reshape(t.shape)[()]
     slow = g * abs(alpha) ** (l - 2) * l * t
     fast = g * abs(alpha) ** l * t
     rhs = revival_envelope(alpha, l, g, t) * np.cos(fast + aa * np.sin(slow))

@@ -93,8 +93,8 @@ class RunConfig:
             return "truncation.n_max"
         if param == "t_max":  # period-sweep rows span the periods, never grid.t_stop
             return "grid" if self.t_stop is not None and command != "period-sweep" else "model.g"
-        if param == "t":
-            return "grid"
+        if param == "t":  # oracle-validate's times are the suite's: its phases follow g
+            return "model.g" if command == "oracle-validate" else "grid"
         return f"model.{param}" if param in ("l", "g") else "model.alpha"
 
     def canonical(self) -> dict:
@@ -372,7 +372,7 @@ def cmd_pe_series(config: RunConfig) -> tuple[int, tuple]:
     if config.with_oracle:  # the exact table is sized before the series is built
         ftrunc = (FockTruncation(config.n_fock) if config.n_fock
                   else FockTruncation.auto(params, thermal))
-        ftrunc.check(params, t.size)
+        ftrunc.check(params, t.size, float(np.max(np.abs(t))))
 
     p1, p2 = perturbation.series_tables(t, params, trunc, coherence=False).pe_terms
     s2, c2 = thermal.sin_atom**2, thermal.cos_atom**2

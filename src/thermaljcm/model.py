@@ -9,8 +9,8 @@ temperature-dependent Bogoliubov angles of the thermal vacuum.
 This module owns the float range of the Rabi eigenvalues: the table runs
 :meth:`EigenvalueTable.check` before it allocates, so a library call past it
 raises :class:`LimitError` instead of returning nan.  It owns the domain of
-the period formulas too: g = 0, and alpha = 0 where a formula needs it,
-raise :class:`LimitError` naming ``"g"`` or ``"alpha"``.
+the period formulas too (g = 0, alpha = 0 or an |alpha|^k that underflows raise
+:class:`LimitError` naming ``"g"``, ``"alpha"``), and the (t, n) table rule, :func:`_check_table`.
 
 :func:`_log_gamma` is the package's one log-gamma: a port of the cephes
 ``lgam`` behind ``scipy.special.gammaln`` (the same coefficients and branch
@@ -44,8 +44,9 @@ class LimitError(ValueError):
     """An input the layer that raises it refuses: past a limit, or outside
     the domain of its formula.  ``param`` is its name: ``"l"``, ``"g"``,
     ``"alpha"``, ``"n_fock"``, ``"n_max"``, ``"dt"``, ``"t"`` (a time
-    grid's length, or the cells of its (t, n) table), ``"t_max"`` (its
-    largest time) or ``"inv_beta"`` (a temperature)."""
+    grid's length, the cells of its (t, n) table or the rounding of its
+    largest phase), ``"t_max"`` (its largest time) or ``"inv_beta"`` (a
+    temperature)."""
 
     def __init__(self, param: str, message: str):
         super().__init__(message)
@@ -171,10 +172,34 @@ def thermal_mean_photon(params: ModelParams, theta: float) -> float:
     return params.abs_alpha_sq * math.exp(2.0 * theta) + math.sinh(theta) ** 2
 
 
-#: the most cells, time samples x photon columns, of either engine's (t, n)
-#: table (``LimitError("t")``): 5-8 s of series P_e trig, or 13-21 s of
+#: the most cells, time samples x photon columns, of a (t, n) table
+#: (:func:`_check_table`): 5-8 s of series P_e trig, or 13-21 s of
 #: ``oracle.pe_curve``, on a 2-vCPU host; the largest preset table has 9.8e6
 _WORK_CELLS_LIMIT = 1 << 28
+
+#: the most a (t, n) table's largest phase, rate x max |t|, may be off in
+#: radians by its float64 rounding, 2^-52 of it (:func:`_check_table`).  At
+#: l = 1, alpha 2, the float64 P_e is off by 3.8e-7 where that rounding is
+#: 1.4e-5 rad, and by 5.4e-4 where it is 0.14 rad; the largest preset phase,
+#: 4.0e3, rounds by 9e-13 rad
+_PHASE_TOL = 1e-5
+
+
+def _check_table(table: str, samples: int, columns: int, t_max: float, rate: float,
+                 wide: str) -> None:
+    """Raise :class:`LimitError` where a (t, n) table, ``table`` with its samples and
+    columns, has more than ``_WORK_CELLS_LIMIT`` cells (``"t"``; ``wide`` where a row has)
+    or its largest phase ``rate`` x ``t_max`` rounds by over ``_PHASE_TOL`` rad (``"t"``)."""
+    name = table.format(samples, columns)
+    if samples * columns > _WORK_CELLS_LIMIT:
+        raise LimitError("t" if columns <= _WORK_CELLS_LIMIT else wide,
+                         f"{name} has {samples * columns} (t, n) cells, more than the "
+                         f"limit of {_WORK_CELLS_LIMIT}")
+    rounding = 2.0**-52 * rate * t_max
+    if not rounding <= _PHASE_TOL:  # nan too: an infinite rate at t = 0
+        raise LimitError("t", f"{name}: its largest phase, {rate:.6g} x {t_max:.6g}, rounds by "
+                              f"{rounding:.3g} rad, more than the limit of {_PHASE_TOL:g} rad")
+
 
 #: from l = 171 on, l! = prod_k (0 + k) alone is past the float range
 _L_FACTORIAL_MAX = 170
@@ -198,20 +223,23 @@ class EigenvalueTable:
     """
 
     @staticmethod
-    def check(params: ModelParams, n_max: int) -> None:
+    def check(params: ModelParams, n_max: int) -> float:
         """Raise :class:`LimitError` (``"l"`` for the product alone, else
-        ``"g"``) where the eigenvalues of rows m <= n_max overflow a float.
-        The products grow with m, so a table overflows where its last row
-        does; that row is evaluated in O(l), as the table evaluates it."""
+        ``"g"``) where the eigenvalues of rows m <= n_max overflow a float,
+        else return D_(n_max), the largest.  The products grow with m, so a
+        table overflows where its last row does; that row is evaluated in
+        O(l), as the table evaluates it."""
         l = params.l
         prod = (math.prod(float(n_max + k) for k in range(1, l + 1))
                 if l <= _L_FACTORIAL_MAX else math.inf)
         if not math.isfinite(prod):
             raise LimitError("l", f"l = {l}: the Rabi eigenvalues D_m overflow a float "
                                   f"for m up to {n_max}")
-        if not math.isfinite((params.delta / 2.0) ** 2 + params.g * params.g * prod):
+        d_last = (params.delta / 2.0) ** 2 + params.g * params.g * prod
+        if not math.isfinite(d_last):
             raise LimitError("g", f"g = {params.g}: the Rabi eigenvalues D_m overflow a "
                                   f"float for m up to {n_max}")
+        return d_last
 
     def __init__(self, params: ModelParams, n_max: int):
         if n_max < 0:
@@ -321,12 +349,26 @@ def _require_drive(params: ModelParams) -> None:
         raise LimitError("g", "period formulas require g > 0")
 
 
+def _period(params: ModelParams, name: str, formula) -> float:
+    """``formula()``, a period: ``LimitError("alpha")`` where a power of |alpha|
+    in it underflows to 0 (a period of 0, or a division by 0) or it passes the
+    float range (a Python float ** raises instead of giving inf)."""
+    try:
+        period = formula()
+    except (OverflowError, ZeroDivisionError):
+        period = math.inf
+    if not 0.0 < period < math.inf:
+        raise LimitError("alpha", f"{name} is past the float range at alpha = {params.alpha}, "
+                                  f"l = {params.l}, g = {params.g}")
+    return period
+
+
 def tau1(params: ModelParams) -> float:
     """Fast Rabi period pi/(g |alpha|) of the single-photon model."""
     _require_drive(params)
     if params.alpha == 0:
         raise LimitError("alpha", "tau1 is undefined for alpha = 0")
-    return math.pi / (params.g * abs(params.alpha))
+    return _period(params, "tau1", lambda: math.pi / (params.g * abs(params.alpha)))
 
 
 def t0_period(params: ModelParams) -> float:
@@ -350,7 +392,8 @@ def t0_prime_period(params: ModelParams, thermal: ThermalParams) -> float:
     mean = params.abs_alpha_sq * (1.0 + 2.0 * th + 2.0 * th * th) + th * th
     if mean == 0 and params.l != 2:
         raise LimitError("alpha", "revival period is undefined for alpha = 0 unless l = 2")
-    return (2.0 * math.pi / (params.g * params.l)) * mean ** (1.0 - params.l / 2.0)
+    return _period(params, "the revival period", lambda: (
+        (2.0 * math.pi / (params.g * params.l)) * mean ** (1.0 - params.l / 2.0)))
 
 
 def rabi_period(params: ModelParams) -> float:
@@ -364,4 +407,5 @@ def rabi_period(params: ModelParams) -> float:
     _require_drive(params)
     if params.alpha == 0:
         raise LimitError("alpha", "rabi_period is undefined for alpha = 0")
-    return math.pi / (params.g * abs(params.alpha) ** params.l)
+    return _period(params, "the Rabi period",
+                   lambda: math.pi / (params.g * abs(params.alpha) ** params.l))

@@ -89,7 +89,7 @@ from .model import (
     LimitError,
     ModelParams,
     ThermalParams,
-    _WORK_CELLS_LIMIT,
+    _check_table,
     _log_gamma,
     _rabi_amplitudes,
     _rabi_trig,
@@ -163,17 +163,16 @@ class FockTruncation:
             raise LimitError("n_fock", "the automatic n_fock is past the float range") from None
         return cls(n_fock=int(n))
 
-    def check(self, params: ModelParams, samples: int = 0) -> None:
+    def check(self, params: ModelParams, samples: int = 0, t_max: float = 0.0) -> None:
         """Raise :class:`~thermaljcm.model.LimitError` unless n_fock exceeds l,
-        the Rabi eigenvalues of rows m < n_fock are finite, and the exact P_e
-        on ``samples`` time samples is within ``model._WORK_CELLS_LIMIT`` cells."""
+        the Rabi eigenvalues of rows m < n_fock are finite, and the tables on
+        ``samples`` time samples up to |t| = ``t_max`` pass ``model._check_table``."""
         n = self.n_fock
         if n <= params.l:
             raise LimitError("n_fock", f"n_fock = {n} must exceed l = {params.l}")
-        EigenvalueTable.check(params, n - 1)
-        if samples * n > _WORK_CELLS_LIMIT:
-            raise LimitError("t", f"the exact P_e on {samples} time samples x {n} Fock levels has "
-                                  f"{samples * n} cells, past the limit of {_WORK_CELLS_LIMIT}")
+        d_last = EigenvalueTable.check(params, n - 1)
+        _check_table("the exact P_e on {} time samples x {} Fock levels", samples, n, t_max,
+                     math.sqrt(d_last), "n_fock")
 
 
 @dataclass
@@ -471,10 +470,10 @@ def propagate(state: DoubledFockState, t, params: ModelParams, observe=None):
     gives the arrays (rho00, rho01).  Raises at the first sample whose
     population within l levels of either cutoff exceeds the leakage budget.
     """
-    state.trunc.check(params)
+    t_arr = np.asarray(t, dtype=float)
+    state.trunc.check(params, t_arr.size, float(np.max(np.abs(t_arr), initial=0.0)))
     if state.amp.ndim != 4:
         raise ValueError("propagate takes one state, not a batch")
-    t_arr = np.asarray(t, dtype=float)
     table = EigenvalueTable(params, state.trunc.n_fock - 1)
     if t_arr.ndim == 0:
         out = _propagate_block(state, table, t_arr)
@@ -529,7 +528,7 @@ def pe_curve(params: ModelParams, thermal: ThermalParams, times,
     the grid runs first.
     """
     t_arr = np.atleast_1d(np.asarray(times, dtype=float))
-    trunc.check(params, t_arr.size)
+    trunc.check(params, t_arr.size, float(np.max(np.abs(t_arr), initial=0.0)))
     if t_arr.ndim != 1:
         raise ValueError("time must be a 1-d array")
     n = trunc.n_fock

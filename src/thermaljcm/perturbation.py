@@ -57,8 +57,8 @@ This module owns the sizing rules of a build: the table width
 (:meth:`TruncationPolicy.top_row`), the prefactor range
 (:meth:`SeriesTables.check_prefactors`), the Poisson cut and the byte budget
 (``_BUILD_BYTES_LIMIT``, on the photon axis and what a build holds per time
-sample).  :meth:`TruncationPolicy.check` applies them; :func:`series_tables`
-calls it before it allocates, so a library call past them raises
+sample).  :meth:`TruncationPolicy.check` applies them and the model's table rule;
+:func:`series_tables` calls it on its grid before it allocates, so a call past them raises
 :class:`~thermaljcm.model.LimitError` instead of returning nan or asking
 numpy for more memory than the host has.  A build that needs more workers'
 workspaces than the budget holds runs on fewer workers, with the same
@@ -85,7 +85,7 @@ from .model import (
     LimitError,
     ModelParams,
     ThermalParams,
-    _WORK_CELLS_LIMIT,
+    _check_table,
     _log_gamma,
     _rabi_amplitudes,
     _rabi_trig,
@@ -206,12 +206,13 @@ class TruncationPolicy:
         the coherence products l rows further."""
         return self.n_max + l + 2
 
-    def check(self, params: ModelParams, samples: int = 0, coherence: bool = False) -> None:
-        """Raise :class:`~thermaljcm.model.LimitError` where a build on
-        ``samples`` time samples is past the byte budget, summed in integers
-        (``"n_max"`` for its photon axis alone, else ``"t"``), the work limit
-        ``model._WORK_CELLS_LIMIT`` on samples x columns (``"t"``), the
-        eigenvalue range, or the prefactor range.  The defaults: the smallest build."""
+    def check(self, params: ModelParams, samples: int = 0, coherence: bool = False,
+              t_max: float = 0.0) -> None:
+        """Raise :class:`~thermaljcm.model.LimitError` where a build on ``samples``
+        time samples up to |t| = ``t_max`` is past the byte budget, summed in
+        integers (``"n_max"`` for its photon axis alone, else ``"t"``), the
+        eigenvalue or prefactor range, t^2 and 1/D's (``"t_max"``), or the table
+        rule at the rate sqrt(D) of a full build's last row.  Defaults: no grid."""
         l = params.l
         columns = self.top_row(l) + 1 if coherence else self.n_max + 3
         need = sum(_build_bytes(columns, l, coherence, 0))
@@ -224,12 +225,16 @@ class TruncationPolicy:
             raise LimitError("t", f"a series build of {samples} time samples x {columns} photon "
                                   f"columns needs {need >> 20} MiB, more than the limit of "
                                   f"{_BUILD_BYTES_LIMIT >> 20} MiB")
-        if samples * columns > _WORK_CELLS_LIMIT:
-            raise LimitError("t", f"a series build of {samples} time samples x {columns} photon "
-                                  f"columns has {samples * columns} (t, n) cells, more than "
-                                  f"the limit of {_WORK_CELLS_LIMIT}")
-        EigenvalueTable.check(params, self.top_row(l))
+        d_last = EigenvalueTable.check(params, self.top_row(l))
         SeriesTables.check_prefactors(params)
+        # the S2 summand sin^2(sqrt(D) t)/D is at most both t^2 (its D = 0 limit)
+        # and 1/D, so it overflows only where both do at D_0; then g^2 S2 is nan
+        d_low = EigenvalueTable.check(params, 0)
+        if math.isinf(t_max * t_max) and d_low < 1.0 / np.finfo(float).max:
+            raise LimitError("t_max", f"t = {t_max:g}: sin^2(sqrt(D) t)/D is past the float "
+                                      f"range at the eigenvalue D = {d_low:g} (g = {params.g})")
+        _check_table("a series build of {} time samples x {} photon columns", samples, columns,
+                     t_max, math.sqrt(d_last), "n_max")
 
     def tail_mass(self, alpha: complex) -> float:
         """Poisson probability mass above n_max for intensity |alpha|^2.
@@ -520,17 +525,10 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
     n_pe = n_max + 3  # columns n + k, k <= 2, of the S sums and the coherence products
     # the limits first: a cut too large to tabulate fails here at once, before
     # the tail sum spends O(|alpha|) work on it
-    trunc.check(params, t_arr.size, coherence)
+    trunc.check(params, t_arr.size, coherence, float(np.max(np.abs(t_arr), initial=0.0)))
     columns = trunc.top_row(l) + 1 if coherence else n_pe
     shared, per_worker = _build_bytes(columns, l, coherence, t_arr.size)
     table = EigenvalueTable(params, columns - 1)
-    # the S2 summand sin^2(sqrt(D) t)/D is at most both t^2 (its D = 0 limit)
-    # and 1/D, so it overflows only where both do; then g^2 S2 is nan
-    t_top = float(np.max(np.abs(t_arr), initial=0.0))
-    d_low = float(table.d[:n_pe].min())
-    if math.isinf(t_top * t_top) and d_low < 1.0 / np.finfo(float).max:
-        raise LimitError("t_max", f"t = {t_top:g}: sin^2(sqrt(D) t)/D is past the float "
-                                  f"range at the eigenvalue D = {d_low:g} (g = {params.g})")
     trunc.warn_if_leaky(params.alpha)
     w = _poisson_weights(n_max, params.alpha)
     half_delta = params.delta / 2.0

@@ -7,11 +7,11 @@ the exact solver must shrink like the cube of the Bogoliubov angle; the
 twelve coherence series are checked one by one against operator expectations
 evaluated with explicit truncated matrices.
 
-Every truncation the suite uses is sized, and its Rabi eigenvalues checked,
-before the first series table or doubled state is built, so a parameter set
-it cannot run raises :class:`~thermaljcm.model.LimitError` with nothing
-allocated: ``"l"`` for an exact-solver cutoff past the limit at any amplitude,
-else ``"alpha"``.
+Every truncation the suite uses is sized, and every table it builds passes
+its engine's check on the suite's times, before anything is built, so a
+parameter set it cannot run raises :class:`~thermaljcm.model.LimitError`
+with nothing allocated: ``"l"`` for an exact-solver cutoff past the limit
+at any amplitude, ``"alpha"`` for one past it at this one, else the check's.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 
 from . import oracle, perturbation
 from .model import (
-    EigenvalueTable,
     LimitError,
     ModelParams,
     ThermalParams,
@@ -44,6 +43,9 @@ THETA_GRID = np.geomspace(0.02, 0.2, 7)
 
 #: times of the scaling fits; the coherence series are checked at the last
 T_VALUES = (0.5, 1.0)
+
+#: grids of the zero-temperature degeneracy, unitarity and complex-alpha checks
+DEGENERACY_T, UNITARITY_T, COMPLEX_T = np.linspace(0.0, 3.0, 100), np.array([0.5, 5.0, 50.0]), 0.9
 
 #: residuals below this are indistinguishable from truncation noise and are
 #: excluded from the scaling fit
@@ -90,12 +92,6 @@ class SuiteCutoffs:
         return cls(params=params, warm=warm, cold=cold,
                    tilde=FockTruncation(cold.n_fock + 10),
                    series=TruncationPolicy.adaptive(params))
-
-    @property
-    def top_row(self) -> int:
-        """The last Rabi-eigenvalue row m of any table the suite builds here."""
-        return max(self.series.top_row(self.params.l),
-                   self.warm.n_fock - 1, self.tilde.n_fock - 1)
 
 
 def _fit_slope(theta: np.ndarray, residual: np.ndarray):
@@ -252,7 +248,7 @@ def _check_thermal_states(cut: SuiteCutoffs, state: oracle.DoubledFockState) -> 
                    "max_error": float(err_fd)})
 
     # unitarity of the closed-form propagation
-    norms = oracle.propagate(state, np.array([0.5, 5.0, 50.0]), params, lambda s: s.norm_sq)
+    norms = oracle.propagate(state, UNITARITY_T, params, lambda s: s.norm_sq)
     drift = float(np.max(np.abs(norms - 1.0)))
     checks.append({"name": "unitarity_drift", "passed": drift < trunc.leak_tol,
                    "max_drift": float(drift)})
@@ -262,11 +258,10 @@ def _check_thermal_states(cut: SuiteCutoffs, state: oracle.DoubledFockState) -> 
 def _check_zero_temperature_degeneracy(cut: SuiteCutoffs) -> dict:
     params = cut.params
     thermal = bogoliubov_angles(math.inf, params.omega, params.omega0)
-    t_grid = np.linspace(0.0, 3.0, 100)
     # the doubled-space route, independent of the reduced-state pe_curve
     init = oracle.build_initial_state(params, thermal, cut.cold)
-    exact = oracle.propagate(init, t_grid, params, lambda s: s.excited_population)
-    series = perturbation.series_tables(t_grid, params, cut.series, coherence=False,
+    exact = oracle.propagate(init, DEGENERACY_T, params, lambda s: s.excited_population)
+    series = perturbation.series_tables(DEGENERACY_T, params, cut.series, coherence=False,
                                         zero_temperature=thermal.zero_temperature).pe(thermal)
     err = float(np.max(np.abs(exact - series)))
     return {"name": f"zero_temperature_degeneracy[l={params.l}]",
@@ -300,10 +295,13 @@ def run_validation_suite(params: ModelParams | None = None) -> dict:
     models = (params,) if params is not None else tuple(
         ModelParams(l=l, g=1.0, omega0=1.0, omega=1.0, alpha=2.0) for l in (1, 2))
     # the complex amplitude exercises the conjugate-power structure of the series
-    sized = [_size(p) for p in (*models, replace(models[-1], alpha=1.1 + 0.6j))]
-    for cut in sized:  # the largest table of each set, before any is built
-        EigenvalueTable.check(cut.params, cut.top_row)
-    *suite, complex_cut = sized
+    *suite, complex_cut = [_size(p) for p in (*models, replace(models[-1], alpha=1.1 + 0.6j))]
+    for cut in suite:  # each table by its engine's check before any is built; warm covers cold
+        cut.series.check(cut.params, DEGENERACY_T.size, True, DEGENERACY_T[-1])
+        cut.warm.check(cut.params, UNITARITY_T.size, UNITARITY_T[-1])
+        cut.tilde.check(cut.params, 1, T_VALUES[-1])
+    complex_cut.series.check(complex_cut.params, 1, True, COMPLEX_T)
+    complex_cut.tilde.check(complex_cut.params, 1, COMPLEX_T)
     checks: list[dict] = []
     for cut in suite:
         # one build serves the t = 0 identities, the scaling fits and the
@@ -315,6 +313,6 @@ def run_validation_suite(params: ModelParams | None = None) -> dict:
         checks.extend(_check_tilde_series(cut, T_VALUES[-1], tables.tilde[:, :, -1]))
         checks.append(_check_zero_temperature_degeneracy(cut))
     checks.extend(_check_thermal_states(suite[-1], warm_state))
-    ctables = perturbation.series_tables([0.9], complex_cut.params, complex_cut.series)
-    checks.extend(_check_tilde_series(complex_cut, 0.9, ctables.tilde[:, :, -1]))
+    ctables = perturbation.series_tables([COMPLEX_T], complex_cut.params, complex_cut.series)
+    checks.extend(_check_tilde_series(complex_cut, COMPLEX_T, ctables.tilde[:, :, -1]))
     return {"passed": bool(all(c["passed"] for c in checks)), "checks": checks}

@@ -33,7 +33,7 @@ from thermaljcm.cli import (
     parse_config,
 )
 from thermaljcm.analysis import SAMPLE_LIMIT
-from thermaljcm.model import EigenvalueTable, ModelParams, thermal_from_inv_beta
+from thermaljcm.model import EigenvalueTable, LimitError, ModelParams, thermal_from_inv_beta
 from thermaljcm.perturbation import TruncationPolicy, series_tables
 
 
@@ -107,6 +107,17 @@ WORK_1E9 = {
     "thermal": {"inv_beta": 0.1},
     "grid": {"t_start": 0.0, "t_stop": 1.0, "dt": 0.0004},
     "truncation": {"n_max": 400_000},
+}
+
+
+#: a pe-series document on 11 time samples from t = 1e17, with the exact
+#: solver: the float64 rounding of its Rabi phases is 32 rad
+PHASE_1E17 = {
+    "model": {"l": 1, "g": 1.0, "omega0": 1.0, "omega": 1.0, "alpha": 2.0},
+    "thermal": {"inv_beta": 0.1},
+    "grid": {"t_start": 1e17, "t_stop": 1e17 + 1e7, "dt": 1e6},
+    "truncation": {"n_max": 40},
+    "oracle": {"with_oracle": True},
 }
 
 
@@ -929,6 +940,79 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: grid: the exact P_e on 200001 time samples x 2000 "), err
 
+    def test_t_squared_past_the_float_range_is_refused_before_the_table(self, tmp_path,
+                                                                        capsys, monkeypatch):
+        # g = 0: t^2 and 1/D both pass the float range; refused by the
+        # truncation check, not after the eigenvalue table
+        class Refused(EigenvalueTable):
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("built a series table")
+
+        monkeypatch.setattr(thermaljcm.perturbation, "EigenvalueTable", Refused)
+        doc = {"model": {"l": 1, "g": 0.0, "omega0": 1.0, "omega": 1.0, "alpha": 2.0},
+               "grid": {"t_start": 0.0, "t_stop": 1e200, "dt": 2.5e199},
+               "truncation": {"n_max": 40}}
+        for command in ("pe-series", "coherence-map"):
+            assert main([command, "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+            assert capsys.readouterr().err.startswith("error: grid: t = 1e+200: ")
+
+    @pytest.mark.parametrize("command, doc, table", [
+        # the exact P_e is refused first, before scipy is imported: this
+        # document exited 0 with physicality_flag 1 and pe_oracle within
+        # 1.6e-6 of pe_pert, both rounding noise (the ulp of the phase is 32)
+        ("pe-series", PHASE_1E17, "the exact P_e on 11 time samples x 29 Fock levels"),
+        ("coherence-map", PHASE_1E17, "a series build of 11 time samples x 44 photon columns"),
+        # lhs and abs_dev were nan
+        ("approx-check", {**PHASE_1E17, "grid": {"t_start": 0.0, "t_stop": 1e308, "dt": 1e307}},
+         "approx-check's table of 11 time samples x 42 photon numbers"),
+    ])
+    def test_phase_past_the_float_precision_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                     command, doc, table):
+        class Refused(EigenvalueTable):
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("built a series table")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built the thermal coherent state")
+
+        monkeypatch.setattr(thermaljcm.perturbation, "EigenvalueTable", Refused)
+        monkeypatch.setattr(oracle, "thermal_coherent_state", refuse)
+        assert main([command, "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: grid: {table}: its largest phase, "), err
+        assert err.endswith(" rad, more than the limit of 1e-05 rad\n"), err
+
+    def test_phase_just_inside_the_float_precision_runs(self, tmp_path):
+        # the series' largest phase, sqrt(44) x (6.7e9 + 10), rounds by 9.9e-6
+        # rad; the exact solver's, on 29 Fock levels, by 8.0e-6
+        doc = {**PHASE_1E17, "grid": {"t_start": 6.7e9, "t_stop": 6.7e9 + 10.0, "dt": 1.0}}
+        rc, out = run_cli(["pe-series", "--config", write_config(tmp_path, doc)])
+        assert rc == EXIT_OK
+        rows = np.array([row.split(",") for row in out.splitlines()[1:]], dtype=float)
+        assert rows.shape == (11, 7) and np.isfinite(rows).all()
+        assert np.max(np.abs(rows[:, 1] - rows[:, 6])) < 1e-3
+
+    @pytest.mark.parametrize("command, l, alpha, grid, field", [
+        # |alpha|^l underflows to 0: a ZeroDivisionError in rabi_period, or
+        # mean^(1 - l/2) past the float range, an OverflowError in
+        # t0_prime_period; the default grid follows both
+        *[(c, l, 1e-160, None, "grid") for c in ("pe-series", "coherence-map", "approx-check")
+          for l in (3, 4)],
+        ("period-sweep", 3, 1e-160, None, "model.alpha"),
+        ("period-sweep", 4, 1e-160, None, "model.alpha"),
+        # approx-check's own |alpha|^(l - 2), 1e310
+        ("approx-check", 1, 1e-310, {"t_start": 0.0, "t_stop": 1.0, "dt": 0.5}, "model.alpha"),
+    ])
+    def test_tiny_amplitude_exits_2(self, tmp_path, capsys, command, l, alpha, grid, field):
+        doc = {"model": {"l": l, "g": 1.0, "omega0": 1.0, "omega": 1.0, "alpha": alpha},
+               "thermal": {"inv_beta": 0.1}, "truncation": {"n_max": 40}}
+        if grid is not None:
+            doc["grid"] = grid
+        assert main([command, "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {field}: "), captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("n_max", [2**53, 10**400], ids=["2**53", "10**400"])
     def test_nmax_past_float_precision_and_range_exits_2(self, tmp_path, n_max):
         # the budget is summed in integers: neither n_max reaches a float
@@ -1050,13 +1134,32 @@ SIGNED = st.tuples(log_uniform(1e200), st.sampled_from([1.0, -1.0])).map(
     lambda pair: pair[0] * pair[1])
 
 
+#: magnitudes from 1e-300 to 3, uniform in the exponent, or zero, either
+#: sign: a default grid has 108 |alpha|^2 / l samples, at most 972, and a
+#: sweep row 148 |alpha|^2 / l
+SMALL_SIGNED = st.tuples(st.just(0.0) | st.floats(-300.0, math.log10(3.0)).map(
+    lambda e: 10.0**e), st.sampled_from([1.0, -1.0])).map(lambda pair: pair[0] * pair[1])
+
+
+def finite_table(command, out):
+    """Every number of a command's CSV table is finite, but a sweep's
+    extracted period where its flag is the documented no-revival."""
+    rows = [row.split(",") for row in out.splitlines()[1:]]
+    if command == "period-sweep":
+        rows = [row[:1] + row[2:-1] if row[-1] == "no-revival" else row[:-1] for row in rows]
+    return rows and all(math.isfinite(float(v)) for row in rows for v in row)
+
+
 class TestFiniteOutput:
     """No series command exits 0 with a non-finite number in its table.
 
-    ``period-sweep`` and ``approx-check`` are left out: their grids and
-    truncations scale with |alpha|^2, so a large amplitude asks for more
-    samples than fit in memory.  Every example has at most 50 time samples
-    and n_max <= 60.
+    The first property draws amplitudes up to 1e200 on explicit grids of at
+    most 50 time samples, for ``pe-series`` and ``coherence-map`` only:
+    ``period-sweep`` and ``approx-check`` size their grids or photon axis
+    with |alpha|^2.  The second draws amplitudes down to 1e-300 and at most
+    3 for all four commands, with no grid (``period-sweep`` always takes the
+    default dt) or with one of at most 10 samples reaching up to 1e308.
+    Every example has n_max <= 60.
     """
 
     @settings(max_examples=200, deadline=None)
@@ -1114,6 +1217,50 @@ class TestFiniteOutput:
             assert 1 <= len(rows) <= 50
             cells = [float(v) for row in rows for v in row.split(",")]
             assert all(math.isfinite(v) for v in cells)
+
+    @settings(max_examples=300, deadline=None)
+    @given(command=st.sampled_from(["pe-series", "coherence-map", "period-sweep",
+                                    "approx-check"]),
+           l=st.integers(1, 6), n_max=st.integers(1, 60),
+           alpha=SMALL_SIGNED | st.lists(SMALL_SIGNED, min_size=2, max_size=2),
+           g=log_uniform(1e200), omega=FREQUENCIES, omega0=FREQUENCIES,
+           inv_beta=st.floats(0.0, 1e3) | log_uniform(1e300), tail_tol=st.floats(0.0, 1.0),
+           grid=st.none() | st.tuples(st.floats(0.0, 100.0) | log_uniform(1e308),
+                                      log_uniform(1e307).filter(lambda v: v > 0),
+                                      st.integers(0, 9)))
+    # a phase past the float64 precision: nan in approx-check's lhs
+    @example(command="approx-check", l=1, n_max=40, alpha=2.0, g=1.0, omega=1.0, omega0=1.0,
+             inv_beta=0.1, tail_tol=1.0, grid=(0.0, 1e307, 9))
+    # the rhs's slow phase g t / |alpha| past the float range: nan in rhs
+    @example(command="approx-check", l=1, n_max=40, alpha=1e-300, g=1.0, omega=1.0, omega0=1.0,
+             inv_beta=0.1, tail_tol=1.0, grid=(1e9, 1.0, 2))
+    # |alpha|^l underflows to 0: a ZeroDivisionError in rabi_period, an
+    # OverflowError in t0_prime_period, or in approx-check's |alpha|^(l - 2)
+    @example(command="pe-series", l=3, n_max=40, alpha=1e-160, g=1.0, omega=1.0, omega0=1.0,
+             inv_beta=0.1, tail_tol=1.0, grid=None)
+    @example(command="period-sweep", l=4, n_max=40, alpha=1e-160, g=1.0, omega=1.0,
+             omega0=1.0, inv_beta=0.1, tail_tol=1.0, grid=None)
+    @example(command="approx-check", l=1, n_max=40, alpha=1e-310, g=1.0, omega=1.0,
+             omega0=1.0, inv_beta=0.1, tail_tol=1.0, grid=(0.0, 0.5, 2))
+    def test_exit_0_means_every_number_is_finite_at_any_time(
+            self, command, l, n_max, alpha, g, omega, omega0, inv_beta, tail_tol, grid):
+        doc = {
+            "schema": 1,
+            "model": {"l": l, "g": g, "omega0": omega0, "omega": omega, "alpha": alpha},
+            "thermal": {"inv_beta": inv_beta},
+            "truncation": {"n_max": n_max, "tail_tol": tail_tol},
+        }
+        if grid is not None and command != "period-sweep":
+            t_start, dt, k = grid
+            doc["grid"] = {"t_start": t_start, "t_stop": t_start + k * dt, "dt": dt}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_config(Path(tmp), doc)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", thermaljcm.perturbation.TruncationWarning)
+                rc, out = run_cli([command, "--config", path])
+        assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_NO_REVIVAL)
+        if rc != EXIT_CONFIG:
+            assert finite_table(command, out), out
 
 
 class TestOutFile:
@@ -1250,7 +1397,9 @@ def series_builds(params, trunc):
 
 class TestLimitsAgree:
     """``parse_config`` refuses a model exactly where the series layer does:
-    both apply the same definitions of the eigenvalue and prefactor limits."""
+    both apply the same definitions of the eigenvalue and prefactor limits.
+    The one exception is the phase bound of a (t, n) table, which needs a
+    grid: a build refused by it on [0, 0.5] is one ``parse_config`` accepts."""
 
     @settings(max_examples=300, deadline=None)
     @given(l=st.integers(1, 200), n_max=st.integers(1, 300), g=log_uniform(1e200),
@@ -1260,6 +1409,7 @@ class TestLimitsAgree:
     @example(l=4, n_max=40, g=1.0, alpha=1e40)
     @example(l=200, n_max=20, g=1.0, alpha=2.0)
     @example(l=1, n_max=10, g=3.5e153, alpha=2.0)
+    @example(l=1, n_max=40, g=1e12, alpha=2.0)  # a phase of 3.3e12 at t = 0.5
     def test_parse_accepts_exactly_what_the_series_builds(self, l, n_max, g, alpha):
         doc = small_config(thermal={"inv_beta": 0.0},
                            grid={"t_start": 0.0, "t_stop": 0.5, "dt": 0.5},
@@ -1276,6 +1426,9 @@ class TestLimitsAgree:
             assert not accepted
             return
         for tables in series_builds(params, TruncationPolicy(n_max, tail_tol=1.0)):
+            if isinstance(tables, LimitError) and tables.param == "t":
+                assert accepted and "largest phase" in str(tables), tables
+                continue
             assert accepted == (not isinstance(tables, ValueError)), tables
             if not accepted:
                 continue

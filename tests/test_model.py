@@ -360,6 +360,20 @@ class TestPeriods:
             with pytest.raises(ValueError):
                 formula(p)
 
+    @pytest.mark.parametrize("formula, params", [
+        # |alpha|^4 underflows to 0: pi / 0.0 raised ZeroDivisionError
+        (rabi_period, make_params(l=4, alpha=1e-160)),
+        # g |alpha| underflows to 0
+        (tau1, make_params(g=1e-200, alpha=1e-200)),
+        # mean^-1 past the float range raised OverflowError; mean^-2 underflows
+        (t0_period, make_params(l=4, alpha=1e-160)),
+        (t0_period, make_params(l=6, alpha=1e100)),
+    ])
+    def test_periods_past_the_float_range_name_alpha(self, formula, params):
+        with pytest.raises(LimitError, match="past the float range") as exc:
+            formula(params)
+        assert exc.value.param == "alpha"
+
     @pytest.mark.parametrize("params, param", [(make_params(l=1, alpha=0.0), "alpha"),
                                                (make_params(g=0.0), "g")])
     def test_undefined_periods_name_their_input(self, params, param):

@@ -378,6 +378,19 @@ class TestPropagation:
         with pytest.raises(LeakageError):
             propagate(state, 2.0, p)
 
+    def test_phase_past_the_float_precision_is_refused(self):
+        # from t = 1e17 the phase sqrt(D) t rounds by 32 rad: both routes
+        # would agree on rounding noise
+        p = make_params(l=1, alpha=2.0)
+        trunc = FockTruncation(40)
+        init = build_initial_state(p, COLD, trunc)
+        grid = 1e17 + 1e6 * np.arange(11)
+        for call in (lambda: propagate(init, grid, p, reduce_atom),
+                     lambda: pe_curve(p, COLD, grid, trunc)):
+            with pytest.raises(LimitError, match="its largest phase") as exc:
+                call()
+            assert exc.value.param == "t"
+
     def test_rejects_basis_smaller_than_multiplicity(self):
         p = make_params(l=3, omega0=1.0, omega=1.0, alpha=0.1)
         trunc = FockTruncation(3, leak_tol=0.5)
@@ -550,8 +563,10 @@ class TestReducedStatePe:
             propagate(init, t, p)
             pe_curve(p, thermal, [t], trunc)
 
-    def test_grid_past_the_work_limit_is_refused_before_the_state(self, monkeypatch):
-        # samples x n_fock cells, under the limit the series build has too
+    @pytest.mark.parametrize("limit", [model._WORK_CELLS_LIMIT, 1 << 16])
+    def test_grid_past_the_work_limit_is_refused_before_the_state(self, monkeypatch, limit):
+        # samples x n_fock cells, under the model's one limit, which the series
+        # build has too: patched, the edge moves with it
         class Built(Exception):
             pass
 
@@ -559,10 +574,10 @@ class TestReducedStatePe:
             raise Built
 
         monkeypatch.setattr(oracle, "thermal_coherent_state", build)
-        assert oracle._WORK_CELLS_LIMIT is model._WORK_CELLS_LIMIT
+        monkeypatch.setattr(model, "_WORK_CELLS_LIMIT", limit)
         p = make_params(l=1, alpha=2.0)
         n_fock = 2048
-        edge = model._WORK_CELLS_LIMIT // n_fock
+        edge = limit // n_fock
         with pytest.raises(Built):
             pe_curve(p, COLD, np.zeros(edge), FockTruncation(n_fock))
         with pytest.raises(LimitError, match=f"on {edge + 1} time samples x 2048 Fock levels "

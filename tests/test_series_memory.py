@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from thermaljcm import model, perturbation
-from thermaljcm.analysis import SAMPLES_PER_CYCLE, SPAN_FACTOR, default_dt
+from thermaljcm.analysis import SAMPLES_PER_CYCLE, SPAN_FACTOR, approx_cos_sum, default_dt
 from thermaljcm.cli import PRESETS, _grid_samples, build_preset, parse_config
 from thermaljcm.model import (
     LimitError,
@@ -25,6 +25,7 @@ from thermaljcm.model import (
     t0_prime_period,
     thermal_from_inv_beta,
 )
+from thermaljcm.oracle import FockTruncation
 from thermaljcm.perturbation import TruncationPolicy, series_tables
 
 #: traced peak of the fig3a sweep build: ~3.7 MiB on one worker and ~6.4 MiB
@@ -243,16 +244,30 @@ def test_every_preset_fits_the_budget_on_64_workers():
             config.trunc.check(config.params, own, coherence=True)
 
 
-def test_work_limit_is_samples_times_columns():
-    # one limit, defined in model, on time samples x eigenvalue columns: 1024
-    # columns on the P_e path at n_max 1021, 1025 on a full build at l = 1
-    assert perturbation._WORK_CELLS_LIMIT is model._WORK_CELLS_LIMIT
+@pytest.mark.parametrize("limit", [model._WORK_CELLS_LIMIT, 1 << 20])
+def test_work_limit_is_samples_times_columns(monkeypatch, limit):
+    # one limit, model's, on time samples x photon columns of every (t, n)
+    # table: patched, its edge moves for all three.  1024 columns on the P_e
+    # path at n_max 1021, 1025 on a full build at l = 1; 1021 Fock levels;
+    # 42 photon numbers of approx-check at alpha 2
+    monkeypatch.setattr(model, "_WORK_CELLS_LIMIT", limit)
     params = ModelParams(l=1, g=1.0, omega0=1.0, omega=1.0, alpha=3.0)
     trunc = TruncationPolicy(1021, 1.0)
     for coherence, columns in ((False, 1024), (True, 1025)):
-        edge = model._WORK_CELLS_LIMIT // columns
+        edge = limit // columns
         trunc.check(params, edge, coherence)
         with pytest.raises(LimitError, match=f"x {columns} photon columns has "
                                              f"{(edge + 1) * columns} \\(t, n\\) cells") as exc:
             trunc.check(params, edge + 1, coherence)
         assert exc.value.param == "t"
+    edge = limit // 1021
+    FockTruncation(1021).check(params, edge)
+    with pytest.raises(LimitError, match=f"x 1021 Fock levels has {(edge + 1) * 1021} ") as exc:
+        FockTruncation(1021).check(params, edge + 1)
+    assert exc.value.param == "t"
+    edge = limit // 42
+    if limit < model._WORK_CELLS_LIMIT:  # 6.4 million samples at the limit itself
+        assert approx_cos_sum(2.0, 1, 1.0, np.zeros(edge))[0].size == edge
+    with pytest.raises(LimitError, match=f"x 42 photon numbers has {(edge + 1) * 42} ") as exc:
+        approx_cos_sum(2.0, 1, 1.0, np.zeros(edge + 1))
+    assert exc.value.param == "t"
