@@ -24,6 +24,7 @@ from .model import (
     ModelParams,
     ThermalParams,
     _check_table,
+    _grid_extent,
     rabi_period,
     t0_prime_period,
     tau1,
@@ -134,9 +135,10 @@ def approx_cos_sum(alpha: complex, l: int, g: float, t):
     lhs: sum_m w_m cos(2 g m^(l/2) t) with normalized Poisson weights w_m;
     rhs: exp(|a|^2 [cos(g |a|^(l-2) l t) - 1]) cos(g |a|^l t + |a|^2 sin(g |a|^(l-2) l t)).
     Both sides carry the e^(-|a|^2) normalization, so they equal 1 at t = 0.
-    alpha = 0, or |a|^(l-2) or |a|^l that underflows to 0 or passes the float
-    range, raises ``LimitError("alpha")``; then the lhs's (t, m) table passes
-    the model's table rule at the phase rate 2 g n_max^(l/2) (or the rhs's).
+    alpha = 0, |a|^(l-2) or |a|^l that underflows to 0 or passes the float
+    range, or a photon axis past the series engine's byte budget raises
+    ``LimitError("alpha")``; then the lhs's (t, m) table passes the model's
+    table rule at the phase rate 2 g n_max^(l/2) (or the rhs's).
     """
     if alpha == 0:
         raise LimitError("alpha", "approximation requires alpha != 0")
@@ -152,8 +154,16 @@ def approx_cos_sum(alpha: complex, l: int, g: float, t):
     if not all(0.0 < p < math.inf for p in powers):
         raise LimitError("alpha", f"alpha = {alpha}: |alpha|^{l - 2} or |alpha|^{l} is past "
                                   f"the float range")
-    _check_table("approx-check's table of {} time samples x {} photon numbers", t.size,
-                 n_max + 1, float(np.max(np.abs(t), initial=0.0)), rate, "alpha")
+    # the weights, the rates with their temporaries and one table row: at
+    # most four float arrays of n_max + 1 at a time
+    need, limit = 4 * 8 * (n_max + 1), perturbation._BUILD_BYTES_LIMIT
+    if need > limit:
+        raise LimitError("alpha", f"alpha = {alpha}: approx-check's {n_max + 1} photon numbers "
+                                  f"need {need >> 20} MiB, more than the limit of "
+                                  f"{limit >> 20} MiB")
+    samples, t_max = _grid_extent(t)
+    _check_table("approx-check's table of {} time samples x {} photon numbers", samples,
+                 n_max + 1, t_max, rate)
     w = _poisson_weights(n_max, alpha)
     rates = 2.0 * g * np.arange(n_max + 1, dtype=float) ** (l / 2.0)
     # in chunks of rows of one (rows, n) table, each row reduced as in a
@@ -188,7 +198,8 @@ def envelope(series: TimeSeries, window_width: float) -> TimeSeries:
     """
     if window_width < 2.0 * series.dt:
         raise ValueError("envelope window must span at least two samples")
-    size = max(int(round(window_width / series.dt)), 2)
+    # a window of 2n + 1 samples or more holds all n from each: the same maxima
+    size = min(max(int(round(window_width / series.dt)), 2), 2 * series.values.size + 1)
     return TimeSeries(t0=series.t0, dt=series.dt,
                       values=_sliding_max(np.abs(series.values - 0.5), size))
 

@@ -91,10 +91,11 @@ class RunConfig:
             return "thermal.inv_beta"
         if param == "n_max" and not self.adaptive:
             return "truncation.n_max"
-        if param == "t_max":  # period-sweep rows span the periods, never grid.t_stop
-            return "grid" if self.t_stop is not None and command != "period-sweep" else "model.g"
-        if param == "t":  # oracle-validate's times are the suite's: its phases follow g
-            return "model.g" if command == "oracle-validate" else "grid"
+        if param == "t_max":  # period-sweep rows and the suite's times span g's periods
+            return ("grid" if self.t_stop is not None
+                    and command not in ("period-sweep", "oracle-validate") else "model.g")
+        if param == "t":
+            return "grid"
         return f"model.{param}" if param in ("l", "g") else "model.alpha"
 
     def canonical(self) -> dict:
@@ -229,7 +230,7 @@ def parse_config(data: dict) -> RunConfig:
                        adaptive=adaptive, with_oracle=with_oracle, n_fock=n_fock,
                        out_format=out_format)
     try:  # the limits of the smallest series build a command makes
-        config.trunc.check(params)
+        config.trunc.check(params, ())
     except LimitError as exc:
         raise ConfigError(f"{config.field(exc.param)}: {exc}") from None
     return config
@@ -372,7 +373,7 @@ def cmd_pe_series(config: RunConfig) -> tuple[int, tuple]:
     if config.with_oracle:  # the exact table is sized before the series is built
         ftrunc = (FockTruncation(config.n_fock) if config.n_fock
                   else FockTruncation.auto(params, thermal))
-        ftrunc.check(params, t.size, float(np.max(np.abs(t))))
+        ftrunc.check(params, t)
 
     p1, p2 = perturbation.series_tables(t, params, trunc, coherence=False).pe_terms
     s2, c2 = thermal.sin_atom**2, thermal.cos_atom**2

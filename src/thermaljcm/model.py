@@ -44,9 +44,9 @@ class LimitError(ValueError):
     """An input the layer that raises it refuses: past a limit, or outside
     the domain of its formula.  ``param`` is its name: ``"l"``, ``"g"``,
     ``"alpha"``, ``"n_fock"``, ``"n_max"``, ``"dt"``, ``"t"`` (a time
-    grid's length, the cells of its (t, n) table or the rounding of its
-    largest phase), ``"t_max"`` (its largest time) or ``"inv_beta"`` (a
-    temperature)."""
+    grid's length, or the cells of its (t, n) table), ``"t_max"`` (its
+    largest time, or the rounding of a table's largest phase) or
+    ``"inv_beta"`` (a temperature)."""
 
     def __init__(self, param: str, message: str):
         super().__init__(message)
@@ -185,20 +185,26 @@ _WORK_CELLS_LIMIT = 1 << 28
 _PHASE_TOL = 1e-5
 
 
-def _check_table(table: str, samples: int, columns: int, t_max: float, rate: float,
-                 wide: str) -> None:
+def _grid_extent(t) -> tuple[int, float]:
+    """A time grid's samples and largest |t|: (0, 0.0) for ``()``, no grid."""
+    t = np.asarray(t, dtype=float)
+    return t.size, float(np.max(np.abs(t), initial=0.0))
+
+
+def _check_table(table: str, samples: int, columns: int, t_max: float, rate: float) -> None:
     """Raise :class:`LimitError` where a (t, n) table, ``table`` with its samples and
-    columns, has more than ``_WORK_CELLS_LIMIT`` cells (``"t"``; ``wide`` where a row has)
-    or its largest phase ``rate`` x ``t_max`` rounds by over ``_PHASE_TOL`` rad (``"t"``)."""
+    columns, has more than ``_WORK_CELLS_LIMIT`` cells (``"t"``) or its largest phase
+    ``rate`` x ``t_max`` rounds by over ``_PHASE_TOL`` rad (``"t_max"``).  Each caller
+    holds its photon axis to its own budget first, so no one row is past the limit."""
     name = table.format(samples, columns)
     if samples * columns > _WORK_CELLS_LIMIT:
-        raise LimitError("t" if columns <= _WORK_CELLS_LIMIT else wide,
-                         f"{name} has {samples * columns} (t, n) cells, more than the "
-                         f"limit of {_WORK_CELLS_LIMIT}")
+        raise LimitError("t", f"{name} has {samples * columns} (t, n) cells, more than the "
+                              f"limit of {_WORK_CELLS_LIMIT}")
     rounding = 2.0**-52 * rate * t_max
     if not rounding <= _PHASE_TOL:  # nan too: an infinite rate at t = 0
-        raise LimitError("t", f"{name}: its largest phase, {rate:.6g} x {t_max:.6g}, rounds by "
-                              f"{rounding:.3g} rad, more than the limit of {_PHASE_TOL:g} rad")
+        raise LimitError("t_max", f"{name}: its largest phase, {rate:.6g} x {t_max:.6g}, "
+                                  f"rounds by {rounding:.3g} rad, more than the limit of "
+                                  f"{_PHASE_TOL:g} rad")
 
 
 #: from l = 171 on, l! = prod_k (0 + k) alone is past the float range

@@ -90,6 +90,7 @@ from .model import (
     ModelParams,
     ThermalParams,
     _check_table,
+    _grid_extent,
     _log_gamma,
     _rabi_amplitudes,
     _rabi_trig,
@@ -163,16 +164,17 @@ class FockTruncation:
             raise LimitError("n_fock", "the automatic n_fock is past the float range") from None
         return cls(n_fock=int(n))
 
-    def check(self, params: ModelParams, samples: int = 0, t_max: float = 0.0) -> None:
+    def check(self, params: ModelParams, t) -> None:
         """Raise :class:`~thermaljcm.model.LimitError` unless n_fock exceeds l,
         the Rabi eigenvalues of rows m < n_fock are finite, and the tables on
-        ``samples`` time samples up to |t| = ``t_max`` pass ``model._check_table``."""
+        the time grid ``t`` pass ``model._check_table``."""
         n = self.n_fock
         if n <= params.l:
             raise LimitError("n_fock", f"n_fock = {n} must exceed l = {params.l}")
         d_last = EigenvalueTable.check(params, n - 1)
+        samples, t_max = _grid_extent(t)
         _check_table("the exact P_e on {} time samples x {} Fock levels", samples, n, t_max,
-                     math.sqrt(d_last), "n_fock")
+                     math.sqrt(d_last))
 
 
 @dataclass
@@ -471,7 +473,7 @@ def propagate(state: DoubledFockState, t, params: ModelParams, observe=None):
     population within l levels of either cutoff exceeds the leakage budget.
     """
     t_arr = np.asarray(t, dtype=float)
-    state.trunc.check(params, t_arr.size, float(np.max(np.abs(t_arr), initial=0.0)))
+    state.trunc.check(params, t_arr)
     if state.amp.ndim != 4:
         raise ValueError("propagate takes one state, not a batch")
     table = EigenvalueTable(params, state.trunc.n_fock - 1)
@@ -528,7 +530,7 @@ def pe_curve(params: ModelParams, thermal: ThermalParams, times,
     the grid runs first.
     """
     t_arr = np.atleast_1d(np.asarray(times, dtype=float))
-    trunc.check(params, t_arr.size, float(np.max(np.abs(t_arr), initial=0.0)))
+    trunc.check(params, t_arr)
     if t_arr.ndim != 1:
         raise ValueError("time must be a 1-d array")
     n = trunc.n_fock
@@ -570,6 +572,7 @@ def atom_block_matrices(t: float, params: ModelParams, n_fock: int):
     Used to evaluate coherence-series operator expectations directly in the
     Fock basis, independently of the series code.
     """
+    FockTruncation(n_fock).check(params, t)
     diag_e, diag_g, coup = _block_elements(EigenvalueTable(params, n_fock - 1), t)
     rows = np.arange(coup.size)
     u01 = np.zeros((n_fock, n_fock), dtype=complex)

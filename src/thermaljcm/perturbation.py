@@ -86,6 +86,7 @@ from .model import (
     ModelParams,
     ThermalParams,
     _check_table,
+    _grid_extent,
     _log_gamma,
     _rabi_amplitudes,
     _rabi_trig,
@@ -206,14 +207,14 @@ class TruncationPolicy:
         the coherence products l rows further."""
         return self.n_max + l + 2
 
-    def check(self, params: ModelParams, samples: int = 0, coherence: bool = False,
-              t_max: float = 0.0) -> None:
-        """Raise :class:`~thermaljcm.model.LimitError` where a build on ``samples``
-        time samples up to |t| = ``t_max`` is past the byte budget, summed in
-        integers (``"n_max"`` for its photon axis alone, else ``"t"``), the
-        eigenvalue or prefactor range, t^2 and 1/D's (``"t_max"``), or the table
-        rule at the rate sqrt(D) of a full build's last row.  Defaults: no grid."""
+    def check(self, params: ModelParams, t, coherence: bool = False) -> None:
+        """Raise :class:`~thermaljcm.model.LimitError` where a build on the time
+        grid ``t`` (``()``: none) is past the byte budget, summed in integers
+        (``"n_max"`` for its photon axis alone, else ``"t"``), the eigenvalue or
+        prefactor range, t^2 and 1/D's (``"t_max"``), or the table rule at the
+        rate sqrt(D) of a full build's last row."""
         l = params.l
+        samples, t_max = _grid_extent(t)
         columns = self.top_row(l) + 1 if coherence else self.n_max + 3
         need = sum(_build_bytes(columns, l, coherence, 0))
         if need > _BUILD_BYTES_LIMIT:
@@ -234,7 +235,7 @@ class TruncationPolicy:
             raise LimitError("t_max", f"t = {t_max:g}: sin^2(sqrt(D) t)/D is past the float "
                                       f"range at the eigenvalue D = {d_low:g} (g = {params.g})")
         _check_table("a series build of {} time samples x {} photon columns", samples, columns,
-                     t_max, math.sqrt(d_last), "n_max")
+                     t_max, math.sqrt(d_last))
 
     def tail_mass(self, alpha: complex) -> float:
         """Poisson probability mass above n_max for intensity |alpha|^2.
@@ -525,7 +526,7 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
     n_pe = n_max + 3  # columns n + k, k <= 2, of the S sums and the coherence products
     # the limits first: a cut too large to tabulate fails here at once, before
     # the tail sum spends O(|alpha|) work on it
-    trunc.check(params, t_arr.size, coherence, float(np.max(np.abs(t_arr), initial=0.0)))
+    trunc.check(params, t_arr, coherence)
     columns = trunc.top_row(l) + 1 if coherence else n_pe
     shared, per_worker = _build_bytes(columns, l, coherence, t_arr.size)
     table = EigenvalueTable(params, columns - 1)

@@ -296,12 +296,14 @@ def run_validation_suite(params: ModelParams | None = None) -> dict:
         ModelParams(l=l, g=1.0, omega0=1.0, omega=1.0, alpha=2.0) for l in (1, 2))
     # the complex amplitude exercises the conjugate-power structure of the series
     *suite, complex_cut = [_size(p) for p in (*models, replace(models[-1], alpha=1.1 + 0.6j))]
-    for cut in suite:  # each table by its engine's check before any is built; warm covers cold
-        cut.series.check(cut.params, DEGENERACY_T.size, True, DEGENERACY_T[-1])
-        cut.warm.check(cut.params, UNITARITY_T.size, UNITARITY_T[-1])
-        cut.tilde.check(cut.params, 1, T_VALUES[-1])
-    complex_cut.series.check(complex_cut.params, 1, True, COMPLEX_T)
-    complex_cut.tilde.check(complex_cut.params, 1, COMPLEX_T)
+    for cut in suite:  # each table on its own times by its engine's check, before any is built
+        cut.series.check(cut.params, (0.0, *T_VALUES), True)
+        cut.series.check(cut.params, DEGENERACY_T)
+        cut.cold.check(cut.params, DEGENERACY_T)
+        cut.warm.check(cut.params, UNITARITY_T)  # and on T_VALUES, inside it
+        cut.tilde.check(cut.params, T_VALUES[-1])
+    complex_cut.series.check(complex_cut.params, COMPLEX_T, True)
+    complex_cut.tilde.check(complex_cut.params, COMPLEX_T)
     checks: list[dict] = []
     for cut in suite:
         # one build serves the t = 0 identities, the scaling fits and the

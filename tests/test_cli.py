@@ -121,6 +121,15 @@ PHASE_1E17 = {
 }
 
 
+#: documents whose times follow the periods, with no grid or with a grid
+#: section the command does not read: l 3, alpha 1e-50, where a sweep row
+#: spans 7.9e148, and g 1e9, where the validation suite's times reach 50
+SWEEP_1E_50 = {"model": {"l": 3, "g": 1.0, "omega0": 1.0, "omega": 1.0, "alpha": 1e-50},
+               "thermal": {"inv_beta": 0.1}, "truncation": {"n_max": 40}}
+VALIDATE_G1E9 = {**SWEEP_1E_50, "model": {**SWEEP_1E_50["model"], "l": 1, "g": 1e9,
+                                          "alpha": 2.0}}
+
+
 #: address space of a CLI child process in the size-guard tests: room for
 #: the interpreter and numpy, none for the tables a missing guard asks for
 CAPPED_ADDRESS_SPACE = 2 << 30
@@ -819,6 +828,18 @@ class TestErrorPaths:
         assert "model.alpha" in capsys.readouterr().err
         assert out.read_text() == ""
 
+    def test_approx_check_photon_axis_past_the_byte_budget_exits_2(self, tmp_path):
+        # one sample, but 1.0e8 photon numbers at alpha 1e4: the weights and
+        # the phase rates alone were 3 GiB
+        doc = small_config(grid={"t_start": 0.0, "t_stop": 0.0, "dt": 0.5})
+        doc["model"]["alpha"] = 1e4
+        proc = run_capped_cli(["approx-check", "--config", write_config(tmp_path, doc)])
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stderr.startswith("error: model.alpha: alpha = (10000+0j): approx-check's "
+                                      "100120012 photon numbers need 3055 MiB, more than the "
+                                      "limit of 1024 MiB"), proc.stderr
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("flags, alpha, field", [
         # 1.46e9 and 1.46e14 samples on the longest row: 10.9 GiB and 1 PiB
         (["--preset", "fig3a", "--dt", "1e-7"], None, "grid.dt"),
@@ -956,18 +977,26 @@ class TestErrorPaths:
             assert main([command, "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
             assert capsys.readouterr().err.startswith("error: grid: t = 1e+200: ")
 
-    @pytest.mark.parametrize("command, doc, table", [
+    @pytest.mark.parametrize("command, doc, field, table", [
         # the exact P_e is refused first, before scipy is imported: this
         # document exited 0 with physicality_flag 1 and pe_oracle within
         # 1.6e-6 of pe_pert, both rounding noise (the ulp of the phase is 32)
-        ("pe-series", PHASE_1E17, "the exact P_e on 11 time samples x 29 Fock levels"),
-        ("coherence-map", PHASE_1E17, "a series build of 11 time samples x 44 photon columns"),
+        ("pe-series", PHASE_1E17, "grid", "the exact P_e on 11 time samples x 29 Fock levels"),
+        ("coherence-map", PHASE_1E17, "grid",
+         "a series build of 11 time samples x 44 photon columns"),
         # lhs and abs_dev were nan
         ("approx-check", {**PHASE_1E17, "grid": {"t_start": 0.0, "t_stop": 1e308, "dt": 1e307}},
-         "approx-check's table of 11 time samples x 42 photon numbers"),
+         "grid", "approx-check's table of 11 time samples x 42 photon numbers"),
+        # times that follow the periods name model.g, with a grid section or not
+        *[(command, {**doc, **grid}, "model.g", table)
+          for command, doc, table in (
+              ("period-sweep", SWEEP_1E_50, "a series build of 2 time samples x 43 photon columns"),
+              ("oracle-validate", VALIDATE_G1E9,
+               "the exact P_e on 3 time samples x 34 Fock levels"))
+          for grid in ({}, {"grid": {"t_start": 0.0, "t_stop": 1.0}})],
     ])
     def test_phase_past_the_float_precision_exits_2(self, tmp_path, capsys, monkeypatch,
-                                                     command, doc, table):
+                                                     command, doc, field, table):
         class Refused(EigenvalueTable):
             def __init__(self, *args, **kwargs):
                 raise AssertionError("built a series table")
@@ -979,7 +1008,7 @@ class TestErrorPaths:
         monkeypatch.setattr(oracle, "thermal_coherent_state", refuse)
         assert main([command, "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith(f"error: grid: {table}: its largest phase, "), err
+        assert err.startswith(f"error: {field}: {table}: its largest phase, "), err
         assert err.endswith(" rad, more than the limit of 1e-05 rad\n"), err
 
     def test_phase_just_inside_the_float_precision_runs(self, tmp_path):
@@ -1012,6 +1041,16 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {field}: "), captured.err
         assert captured.out == ""
+
+    def test_sweep_fast_cycle_past_its_rows_is_no_revival(self, tmp_path):
+        # at alpha 1e-50, l 3 the envelope window, one fast cycle of 3.1e150,
+        # was 6.3e150 samples at dt 0.5: np.pad raised TypeError.  Wider than
+        # the row, it holds the whole row from every sample
+        doc = {"model": {"l": 3, "g": 1.0, "omega0": 1.0, "omega": 1.0, "alpha": 1e-50},
+               "thermal": {"inv_beta": 0.1}, "grid": {"dt": 0.5}, "truncation": {"n_max": 40}}
+        rc, out = run_cli(["period-sweep", "--config", write_config(tmp_path, doc)])
+        assert rc == EXIT_NO_REVIVAL
+        assert out.splitlines()[1].startswith("0.1,nan,310.831089524,3.14159265359e+50,")
 
     @pytest.mark.parametrize("n_max", [2**53, 10**400], ids=["2**53", "10**400"])
     def test_nmax_past_float_precision_and_range_exits_2(self, tmp_path, n_max):
@@ -1426,7 +1465,7 @@ class TestLimitsAgree:
             assert not accepted
             return
         for tables in series_builds(params, TruncationPolicy(n_max, tail_tol=1.0)):
-            if isinstance(tables, LimitError) and tables.param == "t":
+            if isinstance(tables, LimitError) and tables.param == "t_max":
                 assert accepted and "largest phase" in str(tables), tables
                 continue
             assert accepted == (not isinstance(tables, ValueError)), tables

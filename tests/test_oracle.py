@@ -386,10 +386,11 @@ class TestPropagation:
         init = build_initial_state(p, COLD, trunc)
         grid = 1e17 + 1e6 * np.arange(11)
         for call in (lambda: propagate(init, grid, p, reduce_atom),
-                     lambda: pe_curve(p, COLD, grid, trunc)):
+                     lambda: pe_curve(p, COLD, grid, trunc),
+                     lambda: atom_block_matrices(grid[0], p, 40)):
             with pytest.raises(LimitError, match="its largest phase") as exc:
                 call()
-            assert exc.value.param == "t"
+            assert exc.value.param == "t_max"
 
     def test_rejects_basis_smaller_than_multiplicity(self):
         p = make_params(l=3, omega0=1.0, omega=1.0, alpha=0.1)

@@ -241,7 +241,7 @@ def test_every_preset_fits_the_budget_on_64_workers():
                 assert own <= samples
             shared, per_worker = perturbation._build_bytes(columns, l, True, own)
             assert shared + 64 * per_worker <= perturbation._BUILD_BYTES_LIMIT
-            config.trunc.check(config.params, own, coherence=True)
+            config.trunc.check(config.params, np.zeros(own), coherence=True)
 
 
 @pytest.mark.parametrize("limit", [model._WORK_CELLS_LIMIT, 1 << 20])
@@ -255,15 +255,15 @@ def test_work_limit_is_samples_times_columns(monkeypatch, limit):
     trunc = TruncationPolicy(1021, 1.0)
     for coherence, columns in ((False, 1024), (True, 1025)):
         edge = limit // columns
-        trunc.check(params, edge, coherence)
+        trunc.check(params, np.zeros(edge), coherence)
         with pytest.raises(LimitError, match=f"x {columns} photon columns has "
                                              f"{(edge + 1) * columns} \\(t, n\\) cells") as exc:
-            trunc.check(params, edge + 1, coherence)
+            trunc.check(params, np.zeros(edge + 1), coherence)
         assert exc.value.param == "t"
     edge = limit // 1021
-    FockTruncation(1021).check(params, edge)
+    FockTruncation(1021).check(params, np.zeros(edge))
     with pytest.raises(LimitError, match=f"x 1021 Fock levels has {(edge + 1) * 1021} ") as exc:
-        FockTruncation(1021).check(params, edge + 1)
+        FockTruncation(1021).check(params, np.zeros(edge + 1))
     assert exc.value.param == "t"
     edge = limit // 42
     if limit < model._WORK_CELLS_LIMIT:  # 6.4 million samples at the limit itself
