@@ -24,7 +24,6 @@ from .model import (
     ModelParams,
     ThermalParams,
     _check_table,
-    _grid_extent,
     rabi_period,
     t0_prime_period,
     tau1,
@@ -161,9 +160,8 @@ def approx_cos_sum(alpha: complex, l: int, g: float, t):
         raise LimitError("alpha", f"alpha = {alpha}: approx-check's {n_max + 1} photon numbers "
                                   f"need {need >> 20} MiB, more than the limit of "
                                   f"{limit >> 20} MiB")
-    samples, t_max = _grid_extent(t)
-    _check_table("approx-check's table of {} time samples x {} photon numbers", samples,
-                 n_max + 1, t_max, rate)
+    _check_table("approx-check's table of {} time samples x {} photon numbers", t, n_max + 1,
+                 rate)
     w = _poisson_weights(n_max, alpha)
     rates = 2.0 * g * np.arange(n_max + 1, dtype=float) ** (l / 2.0)
     # in chunks of rows of one (rows, n) table, each row reduced as in a

@@ -173,8 +173,8 @@ def thermal_mean_photon(params: ModelParams, theta: float) -> float:
 
 
 #: the most cells, time samples x photon columns, of a (t, n) table
-#: (:func:`_check_table`): 5-8 s of series P_e trig, or 13-21 s of
-#: ``oracle.pe_curve``, on a 2-vCPU host; the largest preset table has 9.8e6
+#: (:func:`_check_table`): 5-8 s of series P_e trig, or 3-4 s of the
+#: ``oracle.pe_curve`` one-sin sum, on a 2-vCPU host; the largest preset has 9.8e6
 _WORK_CELLS_LIMIT = 1 << 28
 
 #: the most a (t, n) table's largest phase, rate x max |t|, may be off in
@@ -185,18 +185,18 @@ _WORK_CELLS_LIMIT = 1 << 28
 _PHASE_TOL = 1e-5
 
 
-def _grid_extent(t) -> tuple[int, float]:
-    """A time grid's samples and largest |t|: (0, 0.0) for ``()``, no grid."""
+def _check_table(table: str, t, columns: int, rate: float, d_low: float | None = None) -> None:
+    """Raise :class:`LimitError` where a (t, n) table on the grid ``t`` (``()``: none),
+    ``table`` with its samples and columns, has sin^2(sqrt(D) t)/D past the float range
+    (``"t_max"``: at most t^2 and 1/D, only where both are at a Rabi table's smallest
+    eigenvalue ``d_low``), more than ``_WORK_CELLS_LIMIT`` cells (``"t"``), or its largest
+    phase, ``rate`` x max |t|, rounding by over ``_PHASE_TOL`` rad (``"t_max"``)."""
     t = np.asarray(t, dtype=float)
-    return t.size, float(np.max(np.abs(t), initial=0.0))
-
-
-def _check_table(table: str, samples: int, columns: int, t_max: float, rate: float) -> None:
-    """Raise :class:`LimitError` where a (t, n) table, ``table`` with its samples and
-    columns, has more than ``_WORK_CELLS_LIMIT`` cells (``"t"``) or its largest phase
-    ``rate`` x ``t_max`` rounds by over ``_PHASE_TOL`` rad (``"t_max"``).  Each caller
-    holds its photon axis to its own budget first, so no one row is past the limit."""
+    samples, t_max = t.size, float(np.max(np.abs(t), initial=0.0))
     name = table.format(samples, columns)
+    if d_low is not None and math.isinf(t_max * t_max) and d_low < 1.0 / np.finfo(float).max:
+        raise LimitError("t_max", f"t = {t_max:g}: sin^2(sqrt(D) t)/D is past the float range "
+                                  f"at the eigenvalue D = {d_low:g}")
     if samples * columns > _WORK_CELLS_LIMIT:
         raise LimitError("t", f"{name} has {samples * columns} (t, n) cells, more than the "
                               f"limit of {_WORK_CELLS_LIMIT}")
@@ -335,6 +335,17 @@ def _rabi_trig(sqrt_d: np.ndarray, t: np.ndarray, sin_out: np.ndarray, cos_out=N
     if cos_out is not None:
         np.cos(sin_out, out=cos_out)
     np.sin(sin_out, out=sin_out)
+
+
+def _rabi_sin_sq(sin_t: np.ndarray, d: np.ndarray, t: np.ndarray, out: np.ndarray):
+    """sin^2(sqrt(D) t)/D from the sin table of :func:`_rabi_trig` into ``out``,
+    which may be ``sin_t``, with its limit t^2 where D = 0."""
+    zero = d == 0.0
+    np.multiply(sin_t, sin_t, out=out)
+    out /= np.where(zero, 1.0, d)
+    if zero.any():
+        out[..., zero] = (t * t)[..., None]
+    return out
 
 
 def _rabi_amplitudes(sin_t, cos_t, sqrt_d, t, half_delta: float, a_out: np.ndarray):

@@ -16,20 +16,17 @@ product.  The doubled-space reference construction exponentiates its
 squeeze generator, which is real, in float64.
 
 Two routes share that propagator.  :func:`pe_curve` works on the reduced
-state: P_e depends only on the photon populations of the thermal coherent
-state, because the atom starts diagonal and the tilde factor drops out of
-the partial trace, so a time sample costs O(n_fock) and the time grid is
-vectorized.  :func:`propagate` and :class:`DoubledFockState` carry the full
-doubled-space state at O(n_fock^2) per sample; they are the reference that
-:mod:`thermaljcm.validation` and the tests read exact values from.
+state: as the atom starts diagonal, P_e depends only on the photon
+populations, and as each Rabi block is unitary it is a constant plus the
+series' zero-temperature reduction (``perturbation._sin_sq_sums``) with two
+weight rows, P_e's and the cutoff edge population's: O(n_fock) a sample, on
+the series' worker threads.  :func:`propagate` and :class:`DoubledFockState`
+carry the full doubled-space state at O(n_fock^2) per sample; they are the
+independent reference that :mod:`thermaljcm.validation` and the tests read.
 
-:func:`propagate` takes a time or a 1-d time grid.  A grid is one call: one
-eigenvalue table, and per chunk of at most ``_STATE_CELLS`` amplitudes one
-evaluation of the block elements and one set of block products, with the
-time axis in front of the state's axes.  Each chunk's states go to the
-caller's ``observe``, such as :func:`reduce_atom` or a state's ``norm_sq``,
-which reduce the trailing axes of each state, so the memory of a call does
-not grow with the grid.  A time is the same code with no time axis, and a
+:func:`propagate` takes a time or a 1-d time grid, which it runs in chunks
+of at most ``_STATE_CELLS`` amplitudes, each handed to the caller's
+``observe``, so the memory of a call does not grow with the grid, and a
 sample's value does not depend on the grid around it.
 
 Each Rabi phase is evaluated once: D'_m = D_(m-l) for m >= l, so the primed
@@ -90,12 +87,12 @@ from .model import (
     ModelParams,
     ThermalParams,
     _check_table,
-    _grid_extent,
     _log_gamma,
     _rabi_amplitudes,
     _rabi_trig,
     thermal_mean_photon,
 )
+from .perturbation import _sin_sq_sums
 
 __all__ = [
     "FockTruncation",
@@ -113,10 +110,6 @@ __all__ = [
     "atom_block_matrices",
 ]
 
-
-#: time-axis block size of :func:`pe_curve`; bounds its (t, n) tables
-#: without affecting any per-sample value
-_T_CHUNK = 512
 
 #: amplitudes of the states :func:`propagate` holds per chunk of a time grid
 #: (4 MiB), whatever the grid's length; a chunk holds at least one sample
@@ -165,16 +158,15 @@ class FockTruncation:
         return cls(n_fock=int(n))
 
     def check(self, params: ModelParams, t) -> None:
-        """Raise :class:`~thermaljcm.model.LimitError` unless n_fock exceeds l,
-        the Rabi eigenvalues of rows m < n_fock are finite, and the tables on
-        the time grid ``t`` pass ``model._check_table``."""
+        """Raise :class:`~thermaljcm.model.LimitError` unless n_fock exceeds l, the Rabi
+        eigenvalues of rows m < n_fock are finite, and the tables on the time grid
+        ``t`` pass ``model._check_table`` at the sqrt(D) of row n_fock - 1 and D_0."""
         n = self.n_fock
         if n <= params.l:
             raise LimitError("n_fock", f"n_fock = {n} must exceed l = {params.l}")
-        d_last = EigenvalueTable.check(params, n - 1)
-        samples, t_max = _grid_extent(t)
-        _check_table("the exact P_e on {} time samples x {} Fock levels", samples, n, t_max,
-                     math.sqrt(d_last))
+        _check_table("the exact P_e on {} time samples x {} Fock levels", t, n,
+                     math.sqrt(EigenvalueTable.check(params, n - 1)),
+                     EigenvalueTable.check(params, 0))
 
 
 @dataclass
@@ -506,63 +498,48 @@ def reduce_atom(state: DoubledFockState):
             _sum_trailing(np.multiply(excited, np.conj(ground)), 3))
 
 
-def _abs_sq(z: np.ndarray) -> np.ndarray:
-    return z.real * z.real + z.imag * z.imag
-
-
 def pe_curve(params: ModelParams, thermal: ThermalParams, times,
              trunc: FockTruncation) -> np.ndarray:
     """Exact excitation probability over a time grid, from the reduced state.
 
-    The atom starts diagonal, (cos|g g~> + sin|e e~>) x phi, and P_e and the
-    edge populations are sums of squared moduli, so the tilde factor of the
-    propagator drops out and no cross term survives: with rho[n] = sum over
-    n~ of |phi[n, n~]|^2,
-
-        P_e(t) = sum_n sin^2 |A_n|^2 rho[n] + cos^2 |c_n|^2 rho[n + l],
-
-    where |A_n| = 1 for the |e, n> whose partner |g, n + l> is past the
-    cutoff.  Each sample costs O(n_fock), and a sample's value does not
-    depend on the grid around it.  The checks are those of the doubled
-    space: the state-construction norms, and a LeakageError when the
-    population within l levels of either cutoff (physical: rho; tilde: the
-    other axis of |phi|^2) exceeds ``trunc.leak_tol``.  ``trunc.check`` on
-    the grid runs first.
-    """
+    The atom starts diagonal and P_e is a sum of squared moduli, so the tilde
+    factor drops out: with rho[n] = sum over n~ of |phi[n, n~]|^2, P_e =
+    sum_n sin^2 |A_n|^2 rho[n] + cos^2 |c_n|^2 rho[n + l] (|A_n| = 1 past the
+    N = n_fock - l coupled levels).  The Rabi blocks are unitary, |A_n|^2 =
+    1 - |c_n|^2 = 1 - g^2 prod_n sin^2(sqrt(D_n) t)/D_n, so P_e is sin^2
+    sum_n rho[n] plus the series' one-sin reduction with the row w_n = g^2
+    prod_n (cos^2 rho[n + l] - sin^2 rho[n]).  The row v_k = g^2 prod_k
+    (sin^2 a[k] - cos^2 a[k + l]), N - l <= k < N, a = rho plus the tilde
+    populations, plus (sin^2 + cos^2) sum_(m>=N) a[m] is the population
+    within l levels of either cutoff: a LeakageError at the first sample where
+    it exceeds ``trunc.leak_tol``, after ``trunc.check`` and the state norms.
+    The bytes do not depend on the grid, chunks or threads; :func:`propagate`
+    is the independent reference."""
     t_arr = np.atleast_1d(np.asarray(times, dtype=float))
     trunc.check(params, t_arr)
     if t_arr.ndim != 1:
         raise ValueError("time must be a 1-d array")
-    n = trunc.n_fock
     l = params.l
     pop = np.abs(thermal_coherent_state(params.alpha, thermal.theta, trunc)) ** 2
     s2, c2 = thermal.sin_atom**2, thermal.cos_atom**2
     _check_norm((c2 + s2) * float(np.sum(pop)), trunc.leak_tol, "initial state")
     rho = np.sum(pop, axis=1)
-    axes = np.stack([rho, np.sum(pop, axis=0)])  # physical and tilde populations
-    ncpl = n - l
-    lo_x = max(ncpl - l, 0)  # |e, m - l> feeding an edge level |g, m>, m >= l
-
-    table = EigenvalueTable(params, n - 1)
-    out = np.empty(t_arr.size)
-    for lo in range(0, t_arr.size, _T_CHUNK):
-        tc = t_arr[lo : lo + _T_CHUNK]
-        diag_e, diag_g, coup = _block_elements(table, tc)
-        ae = _abs_sq(diag_e)
-        ae[:, ncpl:] = 1.0  # the bare detuning phase of propagate
-        cc = _abs_sq(coup)
-        summand = s2 * ae * rho
-        summand[:, :ncpl] += c2 * cc * rho[l:]
-        out[lo : lo + tc.size] = np.add.reduce(summand, axis=-1)
-
-        ag = _abs_sq(diag_g[:, ncpl:])
-        edge = np.sum((s2 + c2 * ag) * axes[:, None, ncpl:], axis=(0, 2))
-        edge += s2 * np.sum(cc[:, lo_x:] * axes[:, None, lo_x:ncpl], axis=(0, 2))
-        bad = np.flatnonzero(edge > trunc.leak_tol)
-        if bad.size:
-            raise LeakageError(f"population {edge[bad[0]]:.3e} within {l} levels of the Fock "
-                               f"cutoff exceeds leak_tol at t = {tc[bad[0]]:g}")
-    return out
+    a = rho + np.sum(pop, axis=0)  # physical plus tilde populations
+    ncpl = trunc.n_fock - l
+    lo = max(ncpl - l, 0)  # |e, k> feeding an edge level |g, k + l>, k + l >= ncpl
+    table = EigenvalueTable(params, ncpl - 1)
+    coupling = params.g * params.g * table.prod
+    weights = np.zeros((2, ncpl))
+    weights[0] = coupling * (c2 * rho[l:] - s2 * rho[:ncpl])
+    weights[1, lo:] = coupling[lo:] * (s2 * a[lo:ncpl] - c2 * a[lo + l :])
+    pe, edge = _sin_sq_sums(table.sqrt_d, table.d, t_arr, weights, pop.nbytes)
+    pe += s2 * np.add.reduce(rho)
+    edge += (s2 + c2) * np.add.reduce(a[ncpl:])
+    bad = np.flatnonzero(edge > trunc.leak_tol)
+    if bad.size:
+        raise LeakageError(f"population {edge[bad[0]]:.3e} within {l} levels of the Fock "
+                           f"cutoff exceeds leak_tol at t = {t_arr[bad[0]]:g}")
+    return pe
 
 
 def atom_block_matrices(t: float, params: ModelParams, n_fock: int):

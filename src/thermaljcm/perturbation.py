@@ -27,9 +27,11 @@ takes D alone.
 Zero temperature: there theta = sin_atom = 0.0 and cos_atom = 1.0 exactly,
 so P_e is p2_0 = g^2 |alpha|^(2l) S2(0) plus signed zeros, which change no
 bit of it.  A zero-temperature build (``zero_temperature=True``, P_e only)
-is the P_e kernel without its cos table, S1 and S2(1..2), so its P_e has
-that build's bits.  Its tables refuse with ``ValueError`` a temperature
-with other angles, the order terms and rho01.
+forms S2(0) alone by the one-sin reduction :func:`_sin_sq_sums`, with the
+operations and bits of the P_e kernel's S2(0), and one weight row, the
+Poisson weights; ``oracle.pe_curve`` passes two rows, the exact P_e's and its
+cutoff edge population's.  The tables of a zero-temperature build refuse
+with ``ValueError`` a temperature with other angles, the order terms and rho01.
 
 Threads: a build runs its time chunks on one worker thread per CPU in the
 process's affinity mask (``os.sched_getaffinity``), but on no more workers
@@ -39,19 +41,20 @@ smaller build runs in the calling thread alone.  A chunk has at most
 ``_T_CHUNK`` / workers rows, and no more than keep the worker's whole
 workspace within ``_TILE_CELLS`` float cells, so it stays cache-sized
 whatever the grid length.  The workspace is the only (t, n) memory a build
-touches, allocated once per build.  The P_e path holds three float tables:
-the trig pair (sin alone at zero temperature), squared in place, and a
-product table.  A full build adds an S-sum pair, whose cells then hold the
-family-1 amplitude products, and two complex tables: the family-2 products,
-and A, whose cells then hold each weighted product.  Every value of a chunk
-is written into them with ``out=``, so a chunk allocates nothing of the
-(t, n) size.  Worker 0 is the calling thread, and worker i takes chunks i,
-i + workers, ...; each chunk writes only its own time columns.  A time
-sample is reduced on its own in the same ascending-n order whichever chunk
-or thread holds it, so the output bytes do not depend on the number of CPUs
-or on the chunk size.  The workers call no public function of any layer
-(only numpy and the model's private kernel), so a tracer that wraps
-``__all__`` sees one call per build.
+touches, allocated once per build and reused by each worker for all of its
+chunks (tables allocated afresh per chunk fault their pages in again each
+time).  The P_e path holds three float tables: the trig pair (the sin table
+alone in the one-sin reduction), squared in place, and a product table.  A
+full build adds an S-sum pair, whose cells then hold the family-1 amplitude
+products, and two complex tables: the family-2 products, and A, whose cells
+then hold each weighted product.  Every value of a chunk is written into them
+with ``out=``, so a chunk allocates nothing of the (t, n) size.  Worker 0 is
+the calling thread, and worker i takes chunks i, i + workers, ...; each chunk
+writes only its own time columns.  A time sample is reduced on its own, with
+``np.add.reduce`` in ascending n, whichever chunk or thread holds it, so the
+output bytes do not depend on the number of CPUs or on the chunk size.  The
+workers call no public function of any layer (only numpy and the model's
+private kernel), so a tracer that wraps ``__all__`` sees one call per build.
 
 This module owns the sizing rules of a build: the table width
 (:meth:`TruncationPolicy.top_row`), the prefactor range
@@ -86,9 +89,9 @@ from .model import (
     ModelParams,
     ThermalParams,
     _check_table,
-    _grid_extent,
     _log_gamma,
     _rabi_amplitudes,
+    _rabi_sin_sq,
     _rabi_trig,
 )
 
@@ -169,6 +172,59 @@ def _build_bytes(columns: int, l: int, coherence: bool, samples: int) -> tuple[i
     return 8 * shared, 8 * per_worker
 
 
+def _plan(samples: int, columns: int, row_cells: int, shared: int) -> tuple[int, int]:
+    """(workers, rows a chunk) of ``samples`` time samples on ``columns`` columns, with
+    ``row_cells`` workspace cells a row a worker, beside ``shared`` bytes (module docstring)."""
+    n_rows = min(samples, _T_CHUNK)
+    workers = max(1, min(_usable_cpus(), n_rows, n_rows * columns // _MIN_WORKER_CELLS,
+                         (_BUILD_BYTES_LIMIT - shared) // (8 * max(_TILE_CELLS, row_cells))))
+    return workers, max(1, min(n_rows // workers, _TILE_CELLS // row_cells))
+
+
+def _run(samples: int, workers: int, chunk: int, kernel) -> None:
+    """``kernel(worker, rows)`` on each ``chunk`` rows (a slice) of ``samples``: worker i
+    takes chunks i, i + workers, ..., worker 0 in the calling thread."""
+
+    def work(worker: int) -> None:
+        for lo in range(worker * chunk, samples, workers * chunk):
+            kernel(worker, slice(lo, lo + chunk))
+
+    if workers == 1:
+        return work(0)
+    from concurrent.futures import ThreadPoolExecutor  # not paid by `import thermaljcm`
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        others = [pool.submit(work, i) for i in range(1, workers)]
+        work(0)
+        for future in others:
+            future.result()  # re-raises a worker's exception
+
+
+def _sin_sq_sums(sqrt_d: np.ndarray, d: np.ndarray, t: np.ndarray, weights: np.ndarray,
+                 shared: int) -> np.ndarray:
+    """sum_n weights[r, n] sin^2(sqrt(D_n) t)/D_n (t^2 where D_n = 0) for each row r,
+    shape (rows, t.size): per chunk one sin table, squared and divided in place, times
+    each row into a product table, reduced in ascending n.  ``shared``: the bytes the
+    caller holds beside those two tables, for :func:`_plan`'s budget."""
+    columns = d.size
+    sums = np.empty((len(weights), t.size))
+    workers, chunk = _plan(t.size, columns, 2 * columns, shared)
+    sin_sq = np.empty((workers, chunk, columns))
+    prod = np.empty((workers, chunk, columns))
+
+    def kernel(worker: int, sl: slice) -> None:
+        tc = t[sl]
+        table = sin_sq[worker, : tc.size]
+        _rabi_trig(sqrt_d, tc, table)
+        _rabi_sin_sq(table, d, tc, table)
+        out = prod[worker, : tc.size]
+        for row, w in zip(sums, weights):
+            row[sl] = np.add.reduce(np.multiply(table, w, out=out), axis=-1)
+
+    _run(t.size, workers, chunk, kernel)
+    return sums
+
+
 def _poisson_cut(alpha: complex, extra: int = 0) -> int:
     """Last photon number of a Poisson sum at intensity |alpha|^2: the mean
     plus 12 standard deviations, ``extra`` and 10."""
@@ -211,10 +267,9 @@ class TruncationPolicy:
         """Raise :class:`~thermaljcm.model.LimitError` where a build on the time
         grid ``t`` (``()``: none) is past the byte budget, summed in integers
         (``"n_max"`` for its photon axis alone, else ``"t"``), the eigenvalue or
-        prefactor range, t^2 and 1/D's (``"t_max"``), or the table rule at the
-        rate sqrt(D) of a full build's last row."""
+        prefactor range, or the table rule at a full build's last sqrt(D) and D_0."""
         l = params.l
-        samples, t_max = _grid_extent(t)
+        samples = np.size(t)
         columns = self.top_row(l) + 1 if coherence else self.n_max + 3
         need = sum(_build_bytes(columns, l, coherence, 0))
         if need > _BUILD_BYTES_LIMIT:
@@ -228,14 +283,8 @@ class TruncationPolicy:
                                   f"{_BUILD_BYTES_LIMIT >> 20} MiB")
         d_last = EigenvalueTable.check(params, self.top_row(l))
         SeriesTables.check_prefactors(params)
-        # the S2 summand sin^2(sqrt(D) t)/D is at most both t^2 (its D = 0 limit)
-        # and 1/D, so it overflows only where both do at D_0; then g^2 S2 is nan
-        d_low = EigenvalueTable.check(params, 0)
-        if math.isinf(t_max * t_max) and d_low < 1.0 / np.finfo(float).max:
-            raise LimitError("t_max", f"t = {t_max:g}: sin^2(sqrt(D) t)/D is past the float "
-                                      f"range at the eigenvalue D = {d_low:g} (g = {params.g})")
-        _check_table("a series build of {} time samples x {} photon columns", samples, columns,
-                     t_max, math.sqrt(d_last))
+        _check_table("a series build of {} time samples x {} photon columns", t, columns,
+                     math.sqrt(d_last), EigenvalueTable.check(params, 0))
 
     def tail_mass(self, alpha: complex) -> float:
         """Poisson probability mass above n_max for intensity |alpha|^2.
@@ -330,11 +379,6 @@ def _last_true(pred, inside: int, edge: int) -> int:
         else:
             edge = mid
     return inside
-
-
-def _reduce_n(prod: np.ndarray) -> np.ndarray:
-    """Fixed summation order over the trailing (ascending-n) axis."""
-    return np.add.reduce(np.ascontiguousarray(prod), axis=-1)
 
 
 #: conj(alpha) exponent carried by each of the six series per family
@@ -528,23 +572,22 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
     # the tail sum spends O(|alpha|) work on it
     trunc.check(params, t_arr, coherence)
     columns = trunc.top_row(l) + 1 if coherence else n_pe
-    shared, per_worker = _build_bytes(columns, l, coherence, t_arr.size)
+    shared = _build_bytes(columns, l, coherence, t_arr.size)[0]
     table = EigenvalueTable(params, columns - 1)
     trunc.warn_if_leaky(params.alpha)
     w = _poisson_weights(n_max, params.alpha)
+    if zero_temperature:
+        S2 = _sin_sq_sums(table.sqrt_d[:n_cols], table.d[:n_cols], t_arr, w[None], shared)
+        return SeriesTables(params, None, S2, None)
     half_delta = params.delta / 2.0
-    half_delta_sq = half_delta**2
     # the Rabi phases' columns: a full build takes the table's joined layout,
     # D' of the s structurally zero columns in front, where A'(m) is column m
     # and A(n), B(n) are column s + n; a P_e build takes D alone (s = 0)
     s = table.shift if coherence else 0
     d, sqrt_d = (table.joined_d, table.joined_sqrt_d) if coherence else (table.d, table.sqrt_d)
     pe_cols = slice(s, s + n_pe)  # D_0 .. D_(n_max + 2), the columns of the S sums
-    zero = d == 0.0  # only at resonance, at g = 0 or on D': the limit t^2 below
-    d_safe = np.where(zero, 1.0, d)[None, pe_cols]
 
-    S1 = None if zero_temperature else np.empty((3, t_arr.size))
-    S2 = np.empty((1 if zero_temperature else 3, t_arr.size))
+    S1, S2 = np.empty((3, t_arr.size)), np.empty((3, t_arr.size))
     tilde = None
     if coherence:
         tilde = np.empty((2, 6, t_arr.size), dtype=complex)
@@ -559,17 +602,8 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
             pref = (1.0 if p == 0 else 0.0) if params.alpha == 0 else ac**p
             c[:, k, 0] = (-1j * params.g * pref, 1j * params.g * pref)
 
-    # workers and chunks as in the module docstring.  The caller allocates
-    # every worker's workspace, with rows summing to at most _T_CHUNK and
-    # each worker's within _TILE_CELLS cells; each worker reuses its own for
-    # all of its chunks: tables allocated afresh per chunk are page-faulted
-    # in again each time (3x the faults on a fig3 grid).
-    n_rows = min(t_arr.size, _T_CHUNK)
-    workers = max(1, min(_usable_cpus(), n_rows, n_rows * columns // _MIN_WORKER_CELLS,
-                         (_BUILD_BYTES_LIMIT - shared) // per_worker))
-    chunk = max(1, min(n_rows // workers, _TILE_CELLS // _row_cells(columns, coherence)))
-    # sin and cos, the latter unless at zero temperature, which reads no S1
-    trig = np.empty((workers, 1 if zero_temperature else 2, chunk, s + columns))
+    workers, chunk = _plan(t_arr.size, columns, _row_cells(columns, coherence), shared)
+    trig = np.empty((workers, 2, chunk, s + columns))
     # read flat, as (rows, n_pe) for (delta/2)^2 s2d and then as (rows,
     # n_cols) for the weighted summands: contiguous views of one table
     prod = np.empty((workers, chunk, n_pe))
@@ -577,71 +611,50 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
         sq = np.empty((workers, 2, chunk, n_pe))  # the S sums' pair, then ab1
         ab2_table = np.empty((workers, chunk, n_pe), dtype=complex)
         amp = np.empty((workers, chunk, s + columns), dtype=complex)  # A, then each product
-    any_zero = bool(zero.any())
 
     def lead(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
         """The first rows x cols cells of a worker's table, as one contiguous view."""
         return buf.reshape(-1)[: rows * cols].reshape(rows, cols)
 
-    def build(worker: int) -> None:
-        for lo in range(worker * chunk, t_arr.size, workers * chunk):
-            sl = slice(lo, lo + chunk)
-            tc = t_arr[sl]
-            rows = tc.size
-            sin_t = trig[worker, 0, :rows]
-            cos_t = None if S1 is None else trig[worker, 1, :rows]  # S2(0) alone at T = 0
-            _rabi_trig(sqrt_d, tc, sin_t, cos_t)
+    def build(worker: int, sl: slice) -> None:
+        tc = t_arr[sl]
+        rows = tc.size
+        sin_t, cos_t = trig[worker, :, :rows]
+        _rabi_trig(sqrt_d, tc, sin_t, cos_t)
 
-            # S2 summand sin^2/D, S1 summand cos^2 + (delta/2)^2 sin^2/D; the
-            # P_e path squares in place: its trig tables are n_pe wide
-            s2d = sq[worker, 1, :rows] if coherence else sin_t
-            np.multiply(sin_t[:, pe_cols], sin_t[:, pe_cols], out=s2d)
-            s2d /= d_safe
-            if any_zero:
-                s2d[:, zero[pe_cols]] = (tc * tc)[:, None]
-            sums = [(S2, s2d)]
-            if S1 is not None:
-                s1 = sq[worker, 0, :rows] if coherence else cos_t
-                np.multiply(cos_t[:, pe_cols], cos_t[:, pe_cols], out=s1)
-                s1 += np.multiply(half_delta_sq, s2d, out=lead(prod[worker], rows, n_pe))
-                sums.append((S1, s1))
-            out = lead(prod[worker], rows, n_cols)
-            for S, summand in sums:
-                for k in range(len(S)):
-                    S[k, sl] = _reduce_n(np.multiply(summand[:, k : k + n_cols], w, out=out))
-            if not coherence:
-                continue
+        # S2 summand sin^2/D, S1 summand cos^2 + (delta/2)^2 sin^2/D; the P_e
+        # path squares in place: its trig tables are n_pe wide
+        s2d = _rabi_sin_sq(sin_t[:, pe_cols], d[pe_cols], tc,
+                           sq[worker, 1, :rows] if coherence else sin_t)
+        s1 = sq[worker, 0, :rows] if coherence else cos_t
+        np.multiply(cos_t[:, pe_cols], cos_t[:, pe_cols], out=s1)
+        s1 += np.multiply(half_delta**2, s2d, out=lead(prod[worker], rows, n_pe))
+        out = lead(prod[worker], rows, n_cols)
+        for S, summand in ((S2, s2d), (S1, s1)):
+            for k in range(3):
+                S[k, sl] = np.add.reduce(np.multiply(summand[:, k : k + n_cols], w, out=out), -1)
+        if not coherence:
+            return
 
-            # B over the sin table and A on every column: B(n), A(n) at s + n, A'(m) at m
-            a, b = _rabi_amplitudes(sin_t, cos_t, sqrt_d, tc, half_delta, amp[worker, :rows])
-            # family 1: A(m + l) B'(m + l) = A(m + l) B(m); family 2: B(m) A'(m)
-            ab1 = lead(sq[worker].reshape(-1).view(complex), rows, n_pe)
-            np.multiply(a[:, s + l : s + l + n_pe], b[:, pe_cols], out=ab1)
-            ab2 = ab2_table[worker, :rows]
-            np.multiply(b[:, pe_cols], a[:, :n_pe], out=ab2)
-            weighted = lead(amp[worker], rows, n_cols)  # a is spent
-            for k, off in enumerate(_OFFSETS):
-                np.multiply(ab1[:, off : off + n_cols], cw[k], out=weighted)
-                tilde[0, k, sl] = _reduce_n(weighted)
-                np.multiply(ab2[:, off : off + n_cols], cw[k], out=weighted)
-                tilde[1, k, sl] = _reduce_n(weighted)
-            # real arithmetic: numpy's complex multiply rounds one element differently
-            part = tilde[:, :, sl]
-            re, im = part.real.copy(), part.imag
-            part.real = re * c.real - im * c.imag
-            part.imag = re * c.imag + im * c.real
+        # B over the sin table and A on every column: B(n), A(n) at s + n, A'(m) at m
+        a, b = _rabi_amplitudes(sin_t, cos_t, sqrt_d, tc, half_delta, amp[worker, :rows])
+        # family 1: A(m + l) B'(m + l) = A(m + l) B(m); family 2: B(m) A'(m)
+        ab1 = lead(sq[worker].reshape(-1).view(complex), rows, n_pe)
+        np.multiply(a[:, s + l : s + l + n_pe], b[:, pe_cols], out=ab1)
+        ab2 = ab2_table[worker, :rows]
+        np.multiply(b[:, pe_cols], a[:, :n_pe], out=ab2)
+        weighted = lead(amp[worker], rows, n_cols)  # a is spent
+        for k, off in enumerate(_OFFSETS):
+            np.multiply(ab1[:, off : off + n_cols], cw[k], out=weighted)
+            tilde[0, k, sl] = np.add.reduce(weighted, axis=-1)
+            np.multiply(ab2[:, off : off + n_cols], cw[k], out=weighted)
+            tilde[1, k, sl] = np.add.reduce(weighted, axis=-1)
+        # real arithmetic: numpy's complex multiply rounds one element differently
+        part = tilde[:, :, sl]
+        re, im = part.real.copy(), part.imag
+        part.real = re * c.real - im * c.imag
+        part.imag = re * c.imag + im * c.real
 
-    if workers == 1:
-        build(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # not paid by `import thermaljcm`
-
-        # worker 0 runs in the calling thread
-        with ThreadPoolExecutor(workers - 1) as pool:
-            others = [pool.submit(build, i) for i in range(1, workers)]
-            build(0)
-            for future in others:
-                future.result()  # re-raises a worker's exception
-
+    _run(t_arr.size, workers, chunk, build)
     return SeriesTables(params, S1, S2, tilde)
 

@@ -3,7 +3,8 @@ formula and shares no code with the engine a test checks."""
 
 import numpy as np
 
-from thermaljcm.model import ModelParams
+from thermaljcm import oracle
+from thermaljcm.model import EigenvalueTable, ModelParams
 
 
 def make_params(l=1, g=1.0, omega0=1.0, omega=1.0, alpha=2.0):
@@ -32,3 +33,20 @@ def osc_pair(sqrt_d, d, t, half_delta):
     b = np.where(zero, np.broadcast_to(t, np.broadcast_shapes(d.shape, t.shape)), sinc)
     a = np.cos(arg) - 1j * half_delta * b
     return a, b
+
+
+def block_element_pe(params, thermal, t, rho):
+    """P_e = sum_n sin^2 |A_n|^2 rho[n] + cos^2 |c_n|^2 rho[n + l] on the 1-d
+    grid t, from the doubled-space propagator's block elements
+    (``oracle._block_elements``) on the rho.size levels of the photon
+    populations rho, with |A_n| = 1 where |g, n + l> is past the cutoff."""
+    n, l = rho.size, params.l
+    ncpl = n - l
+    diag_e, _, coup = oracle._block_elements(EigenvalueTable(params, n - 1),
+                                             np.asarray(t, dtype=float))
+    abs_e = diag_e.real * diag_e.real + diag_e.imag * diag_e.imag
+    abs_e[:, ncpl:] = 1.0
+    summand = thermal.sin_atom**2 * abs_e * rho
+    summand[:, :ncpl] += thermal.cos_atom**2 * (coup.real * coup.real
+                                                + coup.imag * coup.imag) * rho[l:]
+    return np.add.reduce(summand, axis=-1)

@@ -1196,9 +1196,10 @@ class TestFiniteOutput:
     most 50 time samples, for ``pe-series`` and ``coherence-map`` only:
     ``period-sweep`` and ``approx-check`` size their grids or photon axis
     with |alpha|^2.  The second draws amplitudes down to 1e-300 and at most
-    3 for all four commands, with no grid (``period-sweep`` always takes the
-    default dt) or with one of at most 10 samples reaching up to 1e308.
-    Every example has n_max <= 60.
+    3 for all four commands and ``pe-series --with-oracle``, with no grid
+    (``period-sweep`` always takes the default dt) or with one of at most 10
+    samples reaching up to 1e308.  Every example has n_max <= 60, and
+    n_fock <= 60 with the oracle, so that none builds a large state.
     """
 
     @settings(max_examples=200, deadline=None)
@@ -1259,36 +1260,48 @@ class TestFiniteOutput:
 
     @settings(max_examples=300, deadline=None)
     @given(command=st.sampled_from(["pe-series", "coherence-map", "period-sweep",
-                                    "approx-check"]),
+                                    "approx-check", "pe-series --with-oracle"]),
            l=st.integers(1, 6), n_max=st.integers(1, 60),
            alpha=SMALL_SIGNED | st.lists(SMALL_SIGNED, min_size=2, max_size=2),
            g=log_uniform(1e200), omega=FREQUENCIES, omega0=FREQUENCIES,
            inv_beta=st.floats(0.0, 1e3) | log_uniform(1e300), tail_tol=st.floats(0.0, 1.0),
            grid=st.none() | st.tuples(st.floats(0.0, 100.0) | log_uniform(1e308),
                                       log_uniform(1e307).filter(lambda v: v > 0),
-                                      st.integers(0, 9)))
+                                      st.integers(0, 9)),
+           n_fock=st.integers(2, 60))
     # a phase past the float64 precision: nan in approx-check's lhs
     @example(command="approx-check", l=1, n_max=40, alpha=2.0, g=1.0, omega=1.0, omega0=1.0,
-             inv_beta=0.1, tail_tol=1.0, grid=(0.0, 1e307, 9))
+             inv_beta=0.1, tail_tol=1.0, grid=(0.0, 1e307, 9), n_fock=2)
     # the rhs's slow phase g t / |alpha| past the float range: nan in rhs
     @example(command="approx-check", l=1, n_max=40, alpha=1e-300, g=1.0, omega=1.0, omega0=1.0,
-             inv_beta=0.1, tail_tol=1.0, grid=(1e9, 1.0, 2))
+             inv_beta=0.1, tail_tol=1.0, grid=(1e9, 1.0, 2), n_fock=2)
     # |alpha|^l underflows to 0: a ZeroDivisionError in rabi_period, an
     # OverflowError in t0_prime_period, or in approx-check's |alpha|^(l - 2)
     @example(command="pe-series", l=3, n_max=40, alpha=1e-160, g=1.0, omega=1.0, omega0=1.0,
-             inv_beta=0.1, tail_tol=1.0, grid=None)
+             inv_beta=0.1, tail_tol=1.0, grid=None, n_fock=2)
     @example(command="period-sweep", l=4, n_max=40, alpha=1e-160, g=1.0, omega=1.0,
-             omega0=1.0, inv_beta=0.1, tail_tol=1.0, grid=None)
+             omega0=1.0, inv_beta=0.1, tail_tol=1.0, grid=None, n_fock=2)
     @example(command="approx-check", l=1, n_max=40, alpha=1e-310, g=1.0, omega=1.0,
-             omega0=1.0, inv_beta=0.1, tail_tol=1.0, grid=(0.0, 0.5, 2))
+             omega0=1.0, inv_beta=0.1, tail_tol=1.0, grid=(0.0, 0.5, 2), n_fock=2)
+    # the exact P_e where g^2 underflows (its limit t^2 past the float range),
+    # at g = 0, and at a grid reaching 1e308
+    @example(command="pe-series --with-oracle", l=1, n_max=40, alpha=2.0, g=1e-170,
+             omega=1.0, omega0=1.0, inv_beta=0.1, tail_tol=1.0, grid=(0.0, 2.5e199, 4),
+             n_fock=30)
+    @example(command="pe-series --with-oracle", l=2, n_max=40, alpha=1.5, g=0.0, omega=1.0,
+             omega0=2.0, inv_beta=0.1, tail_tol=1.0, grid=(0.0, 0.5, 9), n_fock=30)
+    @example(command="pe-series --with-oracle", l=1, n_max=40, alpha=2.0, g=1.0, omega=1.0,
+             omega0=1.0, inv_beta=0.1, tail_tol=1.0, grid=(0.0, 1e307, 9), n_fock=30)
     def test_exit_0_means_every_number_is_finite_at_any_time(
-            self, command, l, n_max, alpha, g, omega, omega0, inv_beta, tail_tol, grid):
+            self, command, l, n_max, alpha, g, omega, omega0, inv_beta, tail_tol, grid, n_fock):
         doc = {
             "schema": 1,
             "model": {"l": l, "g": g, "omega0": omega0, "omega": omega, "alpha": alpha},
             "thermal": {"inv_beta": inv_beta},
             "truncation": {"n_max": n_max, "tail_tol": tail_tol},
         }
+        if command.endswith("--with-oracle"):
+            doc["oracle"] = {"n_fock": n_fock}
         if grid is not None and command != "period-sweep":
             t_start, dt, k = grid
             doc["grid"] = {"t_start": t_start, "t_stop": t_start + k * dt, "dt": dt}
@@ -1296,7 +1309,7 @@ class TestFiniteOutput:
             path = write_config(Path(tmp), doc)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", thermaljcm.perturbation.TruncationWarning)
-                rc, out = run_cli([command, "--config", path])
+                rc, out = run_cli([*command.split(), "--config", path])
         assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_NO_REVIVAL)
         if rc != EXIT_CONFIG:
             assert finite_table(command, out), out

@@ -6,8 +6,10 @@ were recorded before the series engine and the table writer were rewritten,
 so any change in a printed digit, a flag, the row order or the JSON layout
 fails here.  The two ``*_oracle`` cases at the automatic Fock cutoff were
 recorded with the doubled-space ``pe_curve``, before it became a
-reduced-state computation.  A change that alters the output on purpose must say so and
-record new hashes.
+reduced-state computation, and the three ``*_oracle`` hashes hold for the
+one-sin ``pe_curve`` on the series' reduction too: its ``pe_oracle`` moved by
+at most 3.3e-16, below the 12 printed digits.  A change that alters the
+output on purpose must say so and record new hashes.
 """
 
 import hashlib

@@ -11,18 +11,20 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from thermaljcm import model, oracle, perturbation, validation
-from thermaljcm.cli import EXIT_OK, main
+from thermaljcm.analysis import default_dt
+from thermaljcm.cli import EXIT_OK, build_preset, main, parse_config
 from thermaljcm.model import (
     EigenvalueTable,
     LimitError,
     ModelParams,
     bogoliubov_angles,
     t0_period,
+    t0_prime_period,
     thermal_from_inv_beta,
 )
 from thermaljcm.oracle import (
@@ -43,7 +45,7 @@ from thermaljcm.oracle import (
 from thermaljcm.coherence import coherence_values
 from thermaljcm.perturbation import TruncationPolicy, series_tables
 from thermaljcm.validation import run_validation_suite, theta_for_angle
-from reference import make_params, osc_pair
+from reference import block_element_pe, make_params, osc_pair
 
 COLD = bogoliubov_angles(math.inf, 1.0, 1.0)
 
@@ -392,6 +394,22 @@ class TestPropagation:
                 call()
             assert exc.value.param == "t_max"
 
+    @pytest.mark.parametrize("g", [0.0, 1e-170])
+    def test_t_squared_past_the_float_range_is_refused(self, g):
+        # g^2 underflows, so every D_m rounds to 0 and B takes its limit t,
+        # which no longer holds: at t = 1e200 both routes raised LeakageError
+        # with edge populations of 1.5e43 and 8.2e103.  At g = 0 the one-sin
+        # sum would be 0 x t^2 = 0 x inf = nan
+        p = make_params(l=1, g=g, alpha=2.0)
+        thermal = thermal_from_inv_beta(0.1, p)
+        trunc = FockTruncation(30)
+        init = build_initial_state(p, thermal, trunc)
+        for call in (lambda: propagate(init, 1e200, p),
+                     lambda: pe_curve(p, thermal, [0.0, 1e200], trunc)):
+            with pytest.raises(LimitError, match="t = 1e\\+200: sin\\^2") as exc:
+                call()
+            assert exc.value.param == "t_max"
+
     def test_rejects_basis_smaller_than_multiplicity(self):
         p = make_params(l=3, omega0=1.0, omega=1.0, alpha=0.1)
         trunc = FockTruncation(3, leak_tol=0.5)
@@ -614,6 +632,65 @@ class TestReducedStatePe:
         split = np.concatenate([pe_curve(p, thermal, part, trunc) for part in parts
                                 if part.size])
         np.testing.assert_array_equal(split, full)
+
+
+#: a real and a complex amplitude, a detuned case, and g = 0 at resonance,
+#: where every D_n is 0 and the reduction takes its limit t^2
+ONE_SIN_CASES = [
+    (make_params(l=1, alpha=2.0), 0.16),
+    (make_params(l=3, g=0.8, omega0=2.5, alpha=1.2 + 0.5j), 0.1),
+    (make_params(l=2, g=0.0, omega0=2.0, alpha=1.5), 0.16),
+]
+
+
+class TestOneSinPe:
+    """``pe_curve`` on the series' one-sin reduction: against the block
+    elements of the doubled-space propagator, and bitwise independent of the
+    worker threads and chunks."""
+
+    # the fig3a-d sweeps' parameters (alpha 12, l 1-4), on their grid's last
+    # 400 samples before 1.3 revival periods
+    @pytest.mark.parametrize("inv_beta", [0.08, 0.16])
+    @pytest.mark.parametrize("preset", ["fig3a", "fig3b", "fig3c", "fig3d"])
+    def test_matches_the_block_elements_at_the_paper_amplitudes(self, preset, inv_beta):
+        p = parse_config(build_preset(preset)).params
+        thermal = thermal_from_inv_beta(inv_beta, p)
+        trunc = FockTruncation.auto(p, thermal)
+        dt = default_dt(p)
+        end = math.floor(1.3 * t0_prime_period(p, thermal) / dt)
+        t = dt * np.arange(end - 399, end + 1)
+        phi = thermal_coherent_state(p.alpha, thermal.theta, trunc)
+        reference = block_element_pe(p, thermal, t, np.sum(np.abs(phi) ** 2, axis=1))
+        assert np.max(np.abs(pe_curve(p, thermal, t, trunc) - reference)) <= 1e-15
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=st.sampled_from(range(len(ONE_SIN_CASES))),
+           workers=st.sampled_from([1, 2, 3]),
+           chunk=st.integers(1, 16),
+           n=st.integers(1, 60),
+           tile=st.integers(1, 4096))
+    # one sample; one-row tiles; tiles crossing the grid end at D = 0
+    @example(case=1, workers=3, chunk=4, n=1, tile=4096)
+    @example(case=0, workers=3, chunk=16, n=60, tile=1)
+    @example(case=2, workers=2, chunk=12, n=29, tile=100)
+    def test_worker_count_changes_no_bit(self, case, workers, chunk, n, tile):
+        p, inv_beta = ONE_SIN_CASES[case]
+        thermal = thermal_from_inv_beta(inv_beta, p)
+        trunc = FockTruncation.auto(p, thermal)
+        t = np.linspace(0.0, 5.0, n)
+        with mock.patch.object(perturbation, "_usable_cpus", lambda: 1):
+            serial = pe_curve(p, thermal, t, trunc)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(perturbation, "_usable_cpus", lambda: workers), \
+                    mock.patch.object(perturbation, "_T_CHUNK", chunk), \
+                    mock.patch.object(perturbation, "_MIN_WORKER_CELLS", 1), \
+                    mock.patch.object(perturbation, "_TILE_CELLS", tile):
+                threaded = pe_curve(p, thermal, t, trunc)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.tobytes() == serial.tobytes()
 
 
 def per_sample(init, times, p):

@@ -3,11 +3,14 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from thermaljcm import oracle, perturbation
+from thermaljcm import model, oracle, perturbation
 from thermaljcm.coherence import physical_population
 from thermaljcm.model import (
     EigenvalueTable,
@@ -126,6 +129,40 @@ class TestZeroTemperature:
         value = at(0.7, p, TruncationPolicy.adaptive(p), coherence=False).pe(COLD)[0]
         exact = oracle.pe_curve(p, COLD, [0.7], FockTruncation(40))[0]
         assert value == pytest.approx(exact, abs=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(l=st.integers(1, 4), abs_alpha=st.floats(0.0, 3.0), arg=st.floats(0.0, 6.3),
+           g=st.floats(0.01, 10.0), delta=st.sampled_from([0.0, 0.3, -1.5]),
+           fraction=st.floats(0.0, 1.0))
+    # the largest t both tables admit, at the fastest phases
+    @example(l=4, abs_alpha=3.0, arg=0.0, g=10.0, delta=0.0, fraction=1.0)
+    @example(l=1, abs_alpha=3.0, arg=1.0, g=0.01, delta=-1.5, fraction=1.0)
+    @example(l=2, abs_alpha=0.0, arg=0.0, g=1.0, delta=0.3, fraction=0.5)
+    def test_both_engines_match_mpmath_below_the_phase_limit(self, l, abs_alpha, arg, g,
+                                                             delta, fraction):
+        # at zero temperature both engines' P_e is g^2 e^(-|a|^2) |a|^(2l)
+        # sum_n |a|^(2n)/n! sin^2(sqrt(D_n) t)/D_n, here in 40 digits at the
+        # same float t; below the phase limit each float64 phase rounds by at
+        # most model._PHASE_TOL rad
+        p = make_params(l=l, g=g, omega0=l - delta, alpha=cmath.rect(abs_alpha, arg))
+        ftrunc, trunc = FockTruncation(40), TruncationPolicy(40, tail_tol=1.0)
+        rate = math.sqrt(max(EigenvalueTable.check(p, ftrunc.n_fock - 1),
+                             EigenvalueTable.check(p, trunc.top_row(l))))
+        # less a few ulps, which the bound 2^-52 rate t takes in rounding
+        t = fraction * model._PHASE_TOL / (2.0**-52 * rate) * (1.0 - 1e-14)
+        exact = oracle.pe_curve(p, COLD, [t], ftrunc)[0]
+        series = series_tables([t], p, trunc, coherence=False,
+                               zero_temperature=True).pe(COLD)[0]
+        with mpmath.workdps(40):
+            aa, tt = mpmath.mpf(abs(p.alpha)) ** 2, mpmath.mpf(t)
+            total = mpmath.mpf(0)
+            for n in range(60):
+                prod = mpmath.rf(n + 1, l)  # (n + l)!/n!
+                d = (mpmath.mpf(p.delta) / 2) ** 2 + mpmath.mpf(g) ** 2 * prod
+                total += aa**n / mpmath.factorial(n) * mpmath.sin(mpmath.sqrt(d) * tt) ** 2 / d
+            reference = float(mpmath.mpf(g) ** 2 * mpmath.exp(-aa) * aa**l * total)
+        assert abs(exact - reference) <= 2 * model._PHASE_TOL
+        assert abs(series - reference) <= 2 * model._PHASE_TOL
 
 
 def brute_force_series(j, k, t, params, n_terms):

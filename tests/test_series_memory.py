@@ -88,11 +88,11 @@ def test_full_build_peak_is_bounded(cpus):
 
 def workspace_shapes(t, params, trunc, cpus, coherence, zero_temperature=False):
     """Shapes and dtypes of the (t, n) workspaces one build allocates, each
-    (workers, ..., rows, columns): trig (w, 2, rows, n), (w, 1, rows, n) at
-    zero temperature, and prod (w, rows, n), and on a full build the S-sum
-    pair (w, 2, rows, n) and the complex ab2 and amplitude tables (w, rows,
-    n); the per-time outputs (3, nt) and (2, 6, nt) are told apart by their
-    last axis."""
+    (workers, ..., rows, columns): trig (w, 2, rows, n) and prod (w, rows, n),
+    and on a full build the S-sum pair (w, 2, rows, n) and the complex ab2
+    and amplitude tables (w, rows, n); at zero temperature the one-sin
+    kernel's sin and product tables (w, rows, n_max + 1).  The per-time
+    outputs (3, nt) and (2, 6, nt) are told apart by their last axis."""
     shapes = []
     empty = np.empty
 
@@ -105,7 +105,8 @@ def workspace_shapes(t, params, trunc, cpus, coherence, zero_temperature=False):
             mock.patch.object(perturbation.np, "empty", spy):
         series_tables(t, params, trunc, coherence=coherence, zero_temperature=zero_temperature)
     # a full build's trig and amplitude tables carry l structural columns in front
-    widths = (trunc.n_max + 3, trunc.top_row(params.l) + 1 + params.l)
+    widths = ((trunc.n_max + 1,) if zero_temperature
+              else (trunc.n_max + 3, trunc.top_row(params.l) + 1 + params.l))
     return [(s, dtype) for s, dtype in shapes if len(s) >= 3 and s[-1] in widths]
 
 
@@ -133,9 +134,9 @@ def test_each_worker_workspace_stays_within_the_cell_budget(cpus, l, n_max, n, c
     # path squares in its trig pair and holds no complex table
     dtypes = [dtype for _, dtype in shapes]
     assert dtypes == ([float] * 3 + [complex] * 2 if coherence else [float] * 2)
-    # zero temperature holds no cos table
-    assert shapes[0][0][1] == (1 if zero_temperature else 2)
-    columns = n_max + (l + 3 if coherence else 3)
+    # zero temperature holds no cos table: a sin table and a product table
+    assert [len(s) for s, _ in shapes[:2]] == ([3, 3] if zero_temperature else [4, 3])
+    columns = n_max + (l + 3 if coherence else 1 if zero_temperature else 3)
     # a full build's trig table carries s = l structural columns in front
     width = shapes[0][0][-1]
     assert width == columns + (l if coherence else 0)
@@ -143,8 +144,9 @@ def test_each_worker_workspace_stays_within_the_cell_budget(cpus, l, n_max, n, c
     workers = shapes[0][0][0]
     assert all(s[0] == workers and s[-2] == rows for s, _ in shapes)
     assert all(s[-1] in (width, n_max + 3) for s, _ in shapes)
-    # 3 float cells a column on the P_e path, at most 9 on a full build
-    per_row = 9 * columns if coherence else 3 * columns
+    # 2 float cells a column at zero temperature, 3 on the P_e path, at most
+    # 9 on a full build
+    per_row = (9 if coherence else 2 if zero_temperature else 3) * columns
     cells = sum(worker_cells(s, dtype) for s, dtype in shapes)
     assert cells <= rows * per_row
     budget = perturbation._TILE_CELLS
