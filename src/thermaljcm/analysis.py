@@ -8,6 +8,7 @@ oscillation granularity quantizes the extracted values.  The time step
 rules, :func:`default_dt` and :func:`check_dt`, and the ``SAMPLE_LIMIT`` on
 a sweep's rows are this module's, the period formulas' domain and the (t, n) table rule
 the model's; each raises :class:`~thermaljcm.model.LimitError` before anything is built.
+:func:`approx_cos_sum` runs on the model's (t, n) runner (its module docstring).
 """
 
 from __future__ import annotations
@@ -20,16 +21,19 @@ import numpy as np
 from . import perturbation
 from .coherence import physical_population
 from .model import (
+    _BUILD_BYTES_LIMIT,
     LimitError,
     ModelParams,
     ThermalParams,
     _check_table,
+    _weighted_sums,
+    _worker_bytes,
     rabi_period,
     t0_prime_period,
     tau1,
     thermal_from_inv_beta,
 )
-from .perturbation import _TILE_CELLS, TruncationPolicy, _poisson_cut, _poisson_weights
+from .perturbation import TruncationPolicy, _poisson_cut, _poisson_weights
 
 __all__ = [
     "TimeSeries",
@@ -135,7 +139,7 @@ def approx_cos_sum(alpha: complex, l: int, g: float, t):
     rhs: exp(|a|^2 [cos(g |a|^(l-2) l t) - 1]) cos(g |a|^l t + |a|^2 sin(g |a|^(l-2) l t)).
     Both sides carry the e^(-|a|^2) normalization, so they equal 1 at t = 0.
     alpha = 0, |a|^(l-2) or |a|^l that underflows to 0 or passes the float
-    range, or a photon axis past the series engine's byte budget raises
+    range, or a photon axis past the model's byte budget raises
     ``LimitError("alpha")``; then the lhs's (t, m) table passes the model's
     table rule at the phase rate 2 g n_max^(l/2) (or the rhs's).
     """
@@ -153,27 +157,23 @@ def approx_cos_sum(alpha: complex, l: int, g: float, t):
     if not all(0.0 < p < math.inf for p in powers):
         raise LimitError("alpha", f"alpha = {alpha}: |alpha|^{l - 2} or |alpha|^{l} is past "
                                   f"the float range")
-    # the weights, the rates with their temporaries and one table row: at
-    # most four float arrays of n_max + 1 at a time
-    need, limit = 4 * 8 * (n_max + 1), perturbation._BUILD_BYTES_LIMIT
-    if need > limit:
-        raise LimitError("alpha", f"alpha = {alpha}: approx-check's {n_max + 1} photon numbers "
+    # the weights and the rates, and one worker's table row and product row
+    columns = n_max + 1
+    shared = 8 * 2 * columns
+    need = shared + _worker_bytes(2 * columns)
+    if need > _BUILD_BYTES_LIMIT:
+        raise LimitError("alpha", f"alpha = {alpha}: approx-check's {columns} photon numbers "
                                   f"need {need >> 20} MiB, more than the limit of "
-                                  f"{limit >> 20} MiB")
-    _check_table("approx-check's table of {} time samples x {} photon numbers", t, n_max + 1,
+                                  f"{_BUILD_BYTES_LIMIT >> 20} MiB")
+    _check_table("approx-check's table of {} time samples x {} photon numbers", t, columns,
                  rate)
     w = _poisson_weights(n_max, alpha)
-    rates = 2.0 * g * np.arange(n_max + 1, dtype=float) ** (l / 2.0)
-    # in chunks of rows of one (rows, n) table, each row reduced as in a
-    # whole table: the same bits in _TILE_CELLS cells (one row at least)
-    t_flat, lhs = t.reshape(-1), np.empty(t.size)
-    rows = max(1, _TILE_CELLS // (n_max + 1))
-    table = np.empty((min(rows, t.size), n_max + 1))
-    for lo in range(0, t.size, rows):
-        tc = t_flat[lo : lo + rows]
-        tab = np.cos(np.multiply(tc[:, None], rates, out=table[: tc.size]), out=table[: tc.size])
-        lhs[lo : lo + tc.size] = np.add.reduce(np.multiply(tab, w, out=tab), axis=-1)
-    lhs = lhs.reshape(t.shape)[()]
+    rates = 2.0 * g * np.arange(columns, dtype=float) ** (l / 2.0)
+
+    def cos_fill(tc: np.ndarray, out: np.ndarray) -> None:
+        np.cos(np.multiply(tc[:, None], rates, out=out), out=out)
+
+    lhs = _weighted_sums(cos_fill, t.reshape(-1), w[None], shared)[0].reshape(t.shape)[()]
     slow = g * abs(alpha) ** (l - 2) * l * t
     fast = g * abs(alpha) ** l * t
     rhs = revival_envelope(alpha, l, g, t) * np.cos(fast + aa * np.sin(slow))

@@ -10,7 +10,22 @@ This module owns the float range of the Rabi eigenvalues: the table runs
 :meth:`EigenvalueTable.check` before it allocates, so a library call past it
 raises :class:`LimitError` instead of returning nan.  It owns the domain of
 the period formulas too (g = 0, alpha = 0 or an |alpha|^k that underflows raise
-:class:`LimitError` naming ``"g"``, ``"alpha"``), and the (t, n) table rule, :func:`_check_table`.
+:class:`LimitError` naming ``"g"``, ``"alpha"``), the (t, n) table rule, :func:`_check_table`,
+and the runner of every (t, n) table: both engines' and ``approx-check``'s.
+
+Threads: a (t, n) table runs its time chunks (:func:`_run`) on one worker per
+CPU in the process's affinity mask, but on no more than give each
+``_MIN_WORKER_CELLS`` cells or than ``_BUILD_BYTES_LIMIT`` holds beside the
+caller's bytes, in chunks of at most samples / workers rows that keep a
+worker's whole workspace within ``_TILE_CELLS`` cells (:func:`_plan`).  The
+workspace, allocated once and reused for every chunk (``out=``), is the only
+(t, n) memory.  Worker i takes chunks i, i + workers, ... (worker 0 is the
+calling thread), and each sample is reduced on its own with ``np.add.reduce``
+in ascending n, so the bytes depend on neither the CPUs nor the chunks.
+:func:`_weighted_sums` is the one weighted-row reduction: the series'
+zero-temperature build and ``oracle.pe_curve`` run it on :func:`_sin_sq_fill`,
+``analysis.approx_cos_sum`` on its cosine table.  The workers call only numpy
+and these private kernels: a tracer that wraps ``__all__`` sees one call.
 
 :func:`_log_gamma` is the package's one log-gamma: a port of the cephes
 ``lgam`` behind ``scipy.special.gammaln`` (the same coefficients and branch
@@ -21,6 +36,7 @@ keep scipy's bits without importing it.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,6 +223,87 @@ def _check_table(table: str, t, columns: int, rate: float, d_low: float | None =
                                   f"{_PHASE_TOL:g} rad")
 
 
+#: float64 cells of one worker's whole (t, n) workspace, a complex cell counting
+#: two: a chunk has the most rows that fit, and at least one (259 rows at n_max = 250
+#: on the series' P_e path, 1.5 MiB, and about 85 of a full build at 255 columns).
+#: The fig3 sweeps (2 vCPUs) peaked at about 41, 43, 50 and 61 MiB RSS with 129,
+#: 259, 518 and 1024 rows a chunk, at wall times within the noise of each other.
+_TILE_CELLS = 3 << 16
+
+#: (t, n) cells each worker thread needs to pay for itself: on smaller tables numpy's
+#: calls are too short to keep the GIL released, and on a 2-vCPU host two threads
+#: were slower at every size up to 22 600 cells (200 rows x 113 columns).
+_MIN_WORKER_CELLS = 1 << 15
+
+#: bytes a (t, n) table's caller and workers may allocate together, held by
+#: ``perturbation.TruncationPolicy.check`` and ``analysis.approx_cos_sum``: 7.5 and
+#: 4.3 million columns of a P_e-only and a full series build at l = 1, or 11.2 and
+#: 2.9 million samples at n_max = 250 (presets: at most 257 columns, 22 270 samples).
+_BUILD_BYTES_LIMIT = 1 << 30
+
+
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on (its affinity mask)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_bytes(row_cells: int) -> int:
+    """Bytes of a worker's workspace: its tile, or one row of ``row_cells`` cells."""
+    return 8 * max(_TILE_CELLS, row_cells)
+
+
+def _plan(samples: int, columns: int, row_cells: int, shared: int) -> tuple[int, int]:
+    """(workers, rows a chunk) of ``samples`` time samples on ``columns`` columns, with
+    ``row_cells`` workspace cells a row a worker, beside ``shared`` bytes (module docstring)."""
+    workers = max(1, min(_usable_cpus(), samples, samples * columns // _MIN_WORKER_CELLS,
+                         (_BUILD_BYTES_LIMIT - shared) // _worker_bytes(row_cells)))
+    return workers, max(1, min(samples // workers, _TILE_CELLS // row_cells))
+
+
+def _run(samples: int, workers: int, chunk: int, kernel) -> None:
+    """``kernel(worker, rows)`` on each ``chunk`` rows (a slice) of ``samples``: worker i
+    takes chunks i, i + workers, ..., worker 0 in the calling thread."""
+
+    def work(worker: int) -> None:
+        for lo in range(worker * chunk, samples, workers * chunk):
+            kernel(worker, slice(lo, lo + chunk))
+
+    if workers == 1:
+        return work(0)
+    from concurrent.futures import ThreadPoolExecutor  # not paid by `import thermaljcm`
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        others = [pool.submit(work, i) for i in range(1, workers)]
+        work(0)
+        for future in others:
+            future.result()  # re-raises a worker's exception
+
+
+def _weighted_sums(fill, t: np.ndarray, weights: np.ndarray, shared: int) -> np.ndarray:
+    """sum_n weights[r, n] x[i, n] for each row r and time i, shape (rows, t.size), where
+    ``fill(tc, out)`` writes a chunk's (tc.size, columns) table x: times each row into a
+    product table, reduced in ascending n.  ``shared``: the bytes the caller holds beside those
+    two tables, for :func:`_plan`'s budget."""
+    columns = weights.shape[-1]
+    sums = np.empty((len(weights), t.size))
+    workers, chunk = _plan(t.size, columns, 2 * columns, shared)
+    table = np.empty((workers, chunk, columns))
+    prod = np.empty((workers, chunk, columns))
+
+    def kernel(worker: int, sl: slice) -> None:
+        tc = t[sl]
+        x, out = table[worker, : tc.size], prod[worker, : tc.size]
+        fill(tc, x)
+        for row, w in zip(sums, weights):
+            row[sl] = np.add.reduce(np.multiply(x, w, out=out), axis=-1)
+
+    _run(t.size, workers, chunk, kernel)
+    return sums
+
+
 #: from l = 171 on, l! = prod_k (0 + k) alone is past the float range
 _L_FACTORIAL_MAX = 170
 
@@ -328,13 +425,13 @@ def _log_gamma(x) -> np.ndarray:
     return np.fromiter(map(_lgam, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _rabi_trig(sqrt_d: np.ndarray, t: np.ndarray, sin_out: np.ndarray, cos_out=None) -> None:
-    """sin(sqrt(D) t) into ``sin_out`` and, unless it is None, cos(sqrt(D) t)
-    into ``cos_out``: tables with the axes of ``t`` in front of the columns."""
+def _rabi_trig(sqrt_d: np.ndarray, t: np.ndarray, sin_out: np.ndarray, cos_out=None):
+    """sin(sqrt(D) t) into ``sin_out``, which it returns, and, unless it is None,
+    cos(sqrt(D) t) into ``cos_out``: tables with the axes of ``t`` in front of the columns."""
     np.multiply(t[..., None], sqrt_d, out=sin_out)
     if cos_out is not None:
         np.cos(sin_out, out=cos_out)
-    np.sin(sin_out, out=sin_out)
+    return np.sin(sin_out, out=sin_out)
 
 
 def _rabi_sin_sq(sin_t: np.ndarray, d: np.ndarray, t: np.ndarray, out: np.ndarray):
@@ -346,6 +443,12 @@ def _rabi_sin_sq(sin_t: np.ndarray, d: np.ndarray, t: np.ndarray, out: np.ndarra
     if zero.any():
         out[..., zero] = (t * t)[..., None]
     return out
+
+
+def _sin_sq_fill(sqrt_d: np.ndarray, d: np.ndarray):
+    """The fill of :func:`_weighted_sums` that writes sin^2(sqrt(D) t)/D (t^2 where
+    D = 0): one sin table of :func:`_rabi_trig`, squared and divided in place."""
+    return lambda t, out: _rabi_sin_sq(_rabi_trig(sqrt_d, t, out), d, t, out)
 
 
 def _rabi_amplitudes(sin_t, cos_t, sqrt_d, t, half_delta: float, a_out: np.ndarray):

@@ -18,11 +18,12 @@ squeeze generator, which is real, in float64.
 Two routes share that propagator.  :func:`pe_curve` works on the reduced
 state: as the atom starts diagonal, P_e depends only on the photon
 populations, and as each Rabi block is unitary it is a constant plus the
-series' zero-temperature reduction (``perturbation._sin_sq_sums``) with two
-weight rows, P_e's and the cutoff edge population's: O(n_fock) a sample, on
-the series' worker threads.  :func:`propagate` and :class:`DoubledFockState`
-carry the full doubled-space state at O(n_fock^2) per sample; they are the
-independent reference that :mod:`thermaljcm.validation` and the tests read.
+series' zero-temperature one-sin reduction (``model._weighted_sums`` on
+``model._sin_sq_fill``; threads: the model's module docstring) with two weight
+rows, P_e's and the cutoff edge population's: O(n_fock) a sample.
+:func:`propagate` and :class:`DoubledFockState` carry the full doubled-space
+state at O(n_fock^2) per sample; they are the independent reference that
+:mod:`thermaljcm.validation` and the tests read.
 
 :func:`propagate` takes a time or a 1-d time grid, which it runs in chunks
 of at most ``_STATE_CELLS`` amplitudes, each handed to the caller's
@@ -90,9 +91,10 @@ from .model import (
     _log_gamma,
     _rabi_amplitudes,
     _rabi_trig,
+    _sin_sq_fill,
+    _weighted_sums,
     thermal_mean_photon,
 )
-from .perturbation import _sin_sq_sums
 
 __all__ = [
     "FockTruncation",
@@ -336,11 +338,13 @@ def thermal_coherent_state(alpha: complex, theta: float, trunc: FockTruncation) 
     remains.  The generator route below cross-validates this on small
     cutoffs.
     """
+    # its leak check first: past it, alpha e^theta can overflow the expm below
+    vacuum = two_mode_squeezed_vacuum(theta, trunc)
     with _one_numpy_blas_thread():
         d_phys = displacement_matrix(alpha * math.exp(theta), trunc)
         # the tilde leak check would repeat the physical one: |conj(d)| = |d|
         d_tilde = np.conj(d_phys)
-        phi = (d_phys * two_mode_squeezed_vacuum(theta, trunc)) @ d_tilde.T
+        phi = (d_phys * vacuum) @ d_tilde.T
     _check_norm(float(np.sum(np.abs(phi) ** 2)), trunc.leak_tol, "thermal coherent state")
     return phi
 
@@ -532,7 +536,7 @@ def pe_curve(params: ModelParams, thermal: ThermalParams, times,
     weights = np.zeros((2, ncpl))
     weights[0] = coupling * (c2 * rho[l:] - s2 * rho[:ncpl])
     weights[1, lo:] = coupling[lo:] * (s2 * a[lo:ncpl] - c2 * a[lo + l :])
-    pe, edge = _sin_sq_sums(table.sqrt_d, table.d, t_arr, weights, pop.nbytes)
+    pe, edge = _weighted_sums(_sin_sq_fill(table.sqrt_d, table.d), t_arr, weights, pop.nbytes)
     pe += s2 * np.add.reduce(rho)
     edge += (s2 + c2) * np.add.reduce(a[ncpl:])
     bad = np.flatnonzero(edge > trunc.leak_tol)

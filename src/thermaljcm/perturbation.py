@@ -27,45 +27,24 @@ takes D alone.
 Zero temperature: there theta = sin_atom = 0.0 and cos_atom = 1.0 exactly,
 so P_e is p2_0 = g^2 |alpha|^(2l) S2(0) plus signed zeros, which change no
 bit of it.  A zero-temperature build (``zero_temperature=True``, P_e only)
-forms S2(0) alone by the one-sin reduction :func:`_sin_sq_sums`, with the
-operations and bits of the P_e kernel's S2(0), and one weight row, the
-Poisson weights; ``oracle.pe_curve`` passes two rows, the exact P_e's and its
-cutoff edge population's.  The tables of a zero-temperature build refuse
-with ``ValueError`` a temperature with other angles, the order terms and rho01.
+forms S2(0) alone by the model's one-sin reduction (``model._weighted_sums``
+on ``model._sin_sq_fill``), with the operations and bits of the P_e kernel's
+S2(0), and one weight row, the Poisson weights.  The tables of a
+zero-temperature build refuse with ``ValueError`` a temperature with other
+angles, the order terms and rho01.
 
-Threads: a build runs its time chunks on one worker thread per CPU in the
-process's affinity mask (``os.sched_getaffinity``), but on no more workers
-than give each one ``_MIN_WORKER_CELLS`` cells of the first ``_T_CHUNK``
-rows of the (t, n) trig table, or than the byte budget below holds; a
-smaller build runs in the calling thread alone.  A chunk has at most
-``_T_CHUNK`` / workers rows, and no more than keep the worker's whole
-workspace within ``_TILE_CELLS`` float cells, so it stays cache-sized
-whatever the grid length.  The workspace is the only (t, n) memory a build
-touches, allocated once per build and reused by each worker for all of its
-chunks (tables allocated afresh per chunk fault their pages in again each
-time).  The P_e path holds three float tables: the trig pair (the sin table
-alone in the one-sin reduction), squared in place, and a product table.  A
-full build adds an S-sum pair, whose cells then hold the family-1 amplitude
-products, and two complex tables: the family-2 products, and A, whose cells
-then hold each weighted product.  Every value of a chunk is written into them
-with ``out=``, so a chunk allocates nothing of the (t, n) size.  Worker 0 is
-the calling thread, and worker i takes chunks i, i + workers, ...; each chunk
-writes only its own time columns.  A time sample is reduced on its own, with
-``np.add.reduce`` in ascending n, whichever chunk or thread holds it, so the
-output bytes do not depend on the number of CPUs or on the chunk size.  The
-workers call no public function of any layer (only numpy and the model's
-private kernel), so a tracer that wraps ``__all__`` sees one call per build.
+Threads: a build runs on the model's (t, n) runner (its module docstring),
+with the workspace :func:`_row_cells` counts.
 
 This module owns the sizing rules of a build: the table width
 (:meth:`TruncationPolicy.top_row`), the prefactor range
 (:meth:`SeriesTables.check_prefactors`), the Poisson cut and the byte budget
-(``_BUILD_BYTES_LIMIT``, on the photon axis and what a build holds per time
-sample).  :meth:`TruncationPolicy.check` applies them and the model's table rule;
-:func:`series_tables` calls it on its grid before it allocates, so a call past them raises
-:class:`~thermaljcm.model.LimitError` instead of returning nan or asking
-numpy for more memory than the host has.  A build that needs more workers'
-workspaces than the budget holds runs on fewer workers, with the same
-bytes; one refused on one worker is refused on every host.
+(the model's ``_BUILD_BYTES_LIMIT``, on the photon axis and what a build
+holds per time sample).  :meth:`TruncationPolicy.check` applies them and the
+model's table rule; :func:`series_tables` calls it on its grid before it
+allocates, so a call past them raises :class:`~thermaljcm.model.LimitError`
+instead of returning nan or asking numpy for more memory than the host has.
+It counts one worker, so one refused on one worker is refused on every host.
 
 No scipy: the log-factorials of the weights come from ``model._log_gamma``,
 which keeps the bits of ``scipy.special.gammaln``, called only where a
@@ -76,7 +55,6 @@ of the truncation warning is a bounded log-domain sum.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -84,15 +62,21 @@ from functools import cached_property
 import numpy as np
 
 from .model import (
+    _BUILD_BYTES_LIMIT,
     EigenvalueTable,
     LimitError,
     ModelParams,
     ThermalParams,
     _check_table,
     _log_gamma,
+    _plan,
     _rabi_amplitudes,
     _rabi_sin_sq,
     _rabi_trig,
+    _run,
+    _sin_sq_fill,
+    _weighted_sums,
+    _worker_bytes,
 )
 
 __all__ = [
@@ -107,51 +91,12 @@ DEFAULT_TAIL_TOL = 1e-9
 #: Poisson terms per step of :meth:`TruncationPolicy.tail_mass`
 _TAIL_CHUNK = 4096
 
-#: time rows of the (t, n) workspaces, summed over the worker threads; with
-#: ``_MIN_WORKER_CELLS`` it sets the number of workers, and it bounds the rows
-#: of a chunk with ``_TILE_CELLS``.  No per-time-point result depends on it.
-_T_CHUNK = 2048
-
-#: float64 cells of one worker's whole (t, n) workspace, a complex cell
-#: counting two: a chunk has the most rows whose :func:`_row_cells` fit in
-#: this, and at least one.  That is 259 rows at n_max = 250 on the P_e path
-#: (1.5 MiB a worker) and about 85 rows of a full build at 255 columns.  On
-#: the fig3 period sweeps (2 vCPUs) the P_e path peaked at about 41, 43 and
-#: 50 MiB RSS with 129, 259 and 518 rows a chunk, and 61 MiB with 1024, with
-#: wall times within the noise of each other.  No per-time-point result
-#: depends on it.
-_TILE_CELLS = 3 << 16
-
-#: trig-table cells (time rows x eigenvalue columns of one chunk) each worker
-#: thread needs to pay for itself.  On smaller tables numpy's calls are too
-#: short to keep the GIL released, and thread start-up and GIL hand-offs cost
-#: more than the parallel trig saves: on a 2-vCPU host two threads were
-#: slower at every size up to 22 600 cells (200 rows x 113 columns).
-_MIN_WORKER_CELLS = 1 << 15
-
-#: bytes a build may allocate (:func:`_build_bytes`), held by
-#: :meth:`TruncationPolicy.check`.  1 GiB admits about 7.5 million columns to
-#: a P_e-only build and 4.3 million to a full one, at l = 1 on one worker; at
-#: n_max = 250, about 11.2 and 2.9 million time samples.  No preset has more
-#: than 257 columns or 22 270 samples.
-_BUILD_BYTES_LIMIT = 1 << 30
-
-
-def _usable_cpus() -> int:
-    """Number of CPUs this process may run on (its affinity mask)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
 
 def _row_cells(columns: int, coherence: bool) -> int:
-    """float64 cells of a worker's workspace per time row of a build of
-    ``columns`` eigenvalue columns: 3 a column on the P_e path (the trig pair
-    and the product table), 9 on the full one, which adds the S-sum pair and
-    two complex tables.  There the trig and amplitude tables are l columns
-    wider, and the S-sum, product and family-2 tables l narrower: 9 columns - l
-    cells a row."""
+    """float64 workspace cells a time row of a build of ``columns`` eigenvalue columns:
+    3 a column on the P_e path (the trig pair and the product table), 9 on the full one,
+    which adds the S-sum pair and two complex tables (its trig and amplitude tables are
+    l columns wider, the others l narrower: 9 columns - l)."""
     return (9 if coherence else 3) * columns
 
 
@@ -164,65 +109,11 @@ def _build_bytes(columns: int, l: int, coherence: bool, samples: int) -> tuple[i
     weights, 2 for the masks, and 7 more for the weighted coherence columns;
     per time sample, 12 for S1, S2 and the cached order terms (traced), 47 for
     a full build, which peaks as it forms the rho01 order terms.  Each worker:
-    its workspace, at most max(``_TILE_CELLS``, one row) cells
-    (:func:`_row_cells`), all it allocates of the (t, n) size.
+    its workspace (``model._worker_bytes`` of :func:`_row_cells`), all it
+    allocates of the (t, n) size.
     """
     shared = columns * (l + 14 + (7 if coherence else 0)) + samples * (47 if coherence else 12)
-    per_worker = max(_TILE_CELLS, _row_cells(columns, coherence))
-    return 8 * shared, 8 * per_worker
-
-
-def _plan(samples: int, columns: int, row_cells: int, shared: int) -> tuple[int, int]:
-    """(workers, rows a chunk) of ``samples`` time samples on ``columns`` columns, with
-    ``row_cells`` workspace cells a row a worker, beside ``shared`` bytes (module docstring)."""
-    n_rows = min(samples, _T_CHUNK)
-    workers = max(1, min(_usable_cpus(), n_rows, n_rows * columns // _MIN_WORKER_CELLS,
-                         (_BUILD_BYTES_LIMIT - shared) // (8 * max(_TILE_CELLS, row_cells))))
-    return workers, max(1, min(n_rows // workers, _TILE_CELLS // row_cells))
-
-
-def _run(samples: int, workers: int, chunk: int, kernel) -> None:
-    """``kernel(worker, rows)`` on each ``chunk`` rows (a slice) of ``samples``: worker i
-    takes chunks i, i + workers, ..., worker 0 in the calling thread."""
-
-    def work(worker: int) -> None:
-        for lo in range(worker * chunk, samples, workers * chunk):
-            kernel(worker, slice(lo, lo + chunk))
-
-    if workers == 1:
-        return work(0)
-    from concurrent.futures import ThreadPoolExecutor  # not paid by `import thermaljcm`
-
-    with ThreadPoolExecutor(workers - 1) as pool:
-        others = [pool.submit(work, i) for i in range(1, workers)]
-        work(0)
-        for future in others:
-            future.result()  # re-raises a worker's exception
-
-
-def _sin_sq_sums(sqrt_d: np.ndarray, d: np.ndarray, t: np.ndarray, weights: np.ndarray,
-                 shared: int) -> np.ndarray:
-    """sum_n weights[r, n] sin^2(sqrt(D_n) t)/D_n (t^2 where D_n = 0) for each row r,
-    shape (rows, t.size): per chunk one sin table, squared and divided in place, times
-    each row into a product table, reduced in ascending n.  ``shared``: the bytes the
-    caller holds beside those two tables, for :func:`_plan`'s budget."""
-    columns = d.size
-    sums = np.empty((len(weights), t.size))
-    workers, chunk = _plan(t.size, columns, 2 * columns, shared)
-    sin_sq = np.empty((workers, chunk, columns))
-    prod = np.empty((workers, chunk, columns))
-
-    def kernel(worker: int, sl: slice) -> None:
-        tc = t[sl]
-        table = sin_sq[worker, : tc.size]
-        _rabi_trig(sqrt_d, tc, table)
-        _rabi_sin_sq(table, d, tc, table)
-        out = prod[worker, : tc.size]
-        for row, w in zip(sums, weights):
-            row[sl] = np.add.reduce(np.multiply(table, w, out=out), axis=-1)
-
-    _run(t.size, workers, chunk, kernel)
-    return sums
+    return 8 * shared, _worker_bytes(_row_cells(columns, coherence))
 
 
 def _poisson_cut(alpha: complex, extra: int = 0) -> int:
@@ -577,7 +468,8 @@ def series_tables(t, params: ModelParams, trunc: TruncationPolicy, *,
     trunc.warn_if_leaky(params.alpha)
     w = _poisson_weights(n_max, params.alpha)
     if zero_temperature:
-        S2 = _sin_sq_sums(table.sqrt_d[:n_cols], table.d[:n_cols], t_arr, w[None], shared)
+        S2 = _weighted_sums(_sin_sq_fill(table.sqrt_d[:n_cols], table.d[:n_cols]), t_arr,
+                            w[None], shared)
         return SeriesTables(params, None, S2, None)
     half_delta = params.delta / 2.0
     # the Rabi phases' columns: a full build takes the table's joined layout,

@@ -1,11 +1,16 @@
 """Approximations, envelope detection, period extraction, sweeps."""
 
 import math
+import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from thermaljcm import model
 from thermaljcm.analysis import (
     NoRevivalError,
     TimeSeries,
@@ -86,6 +91,32 @@ class TestApproxCosSum:
             env = revival_envelope(7.0, 2, 1.0, float(t[i]))
             assert np.ndim(lhs) == np.ndim(rhs) == np.ndim(env) == 0
             assert (lhs, rhs, env) == (grid_lhs[i], grid_rhs[i], grid_env[i])
+
+    @settings(max_examples=30, deadline=None)
+    @given(l=st.integers(1, 4), alpha=st.sampled_from([0.5, 2.0, 4.5 + 1.0j, 7.0]),
+           workers=st.integers(1, 3), n=st.integers(0, 80), tile=st.integers(1, 2048))
+    # one-row tiles; one sample; more workers than samples; tiles crossing the grid end
+    @example(l=1, alpha=7.0, workers=3, n=80, tile=1)
+    @example(l=2, alpha=2.0, workers=2, n=1, tile=2048)
+    @example(l=3, alpha=4.5 + 1.0j, workers=3, n=2, tile=300)
+    @example(l=1, alpha=2.0, workers=2, n=41, tile=200)
+    def test_worker_count_changes_no_bit(self, l, alpha, workers, n, tile):
+        # the lhs runs on the model's (t, n) runner: each sample is reduced on
+        # its own, whichever chunk or thread holds it
+        t = np.linspace(0.0, 3.0, n)
+        with mock.patch.object(model, "_usable_cpus", lambda: 1):
+            serial, rhs = approx_cos_sum(alpha, l, 1.0, t)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(model, "_usable_cpus", lambda: workers), \
+                    mock.patch.object(model, "_MIN_WORKER_CELLS", 1), \
+                    mock.patch.object(model, "_TILE_CELLS", tile):
+                threaded, threaded_rhs = approx_cos_sum(alpha, l, 1.0, t)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.shape == t.shape and threaded.tobytes() == serial.tobytes()
+        assert threaded_rhs.tobytes() == rhs.tobytes()
 
 
 def pe_collapse_revival_approx(t, params: ModelParams):

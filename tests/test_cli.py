@@ -1199,7 +1199,11 @@ class TestFiniteOutput:
     3 for all four commands and ``pe-series --with-oracle``, with no grid
     (``period-sweep`` always takes the default dt) or with one of at most 10
     samples reaching up to 1e308.  Every example has n_max <= 60, and
-    n_fock <= 60 with the oracle, so that none builds a large state.
+    n_fock <= 60 with the oracle, so that none builds a large state.  The
+    third draws ``period-sweep`` at amplitudes 3 to 12, with the default dt
+    or a document's ``grid.dt``, and n_max up to 60 or 250; its grids grow as
+    |alpha|^2, so each example runs in a child process under
+    ``CAPPED_ADDRESS_SPACE``, where it must not end in a traceback either.
     """
 
     @settings(max_examples=200, deadline=None)
@@ -1292,6 +1296,11 @@ class TestFiniteOutput:
              omega0=2.0, inv_beta=0.1, tail_tol=1.0, grid=(0.0, 0.5, 9), n_fock=30)
     @example(command="pe-series --with-oracle", l=1, n_max=40, alpha=2.0, g=1.0, omega=1.0,
              omega0=1.0, inv_beta=0.1, tail_tol=1.0, grid=(0.0, 1e307, 9), n_fock=30)
+    # a squeeze angle of about 235, whose alpha e^theta = 1e25 overflowed the
+    # displacement's expm before the squeezed vacuum's leak was refused
+    @example(command="pe-series --with-oracle", l=1, n_max=1, alpha=1e-77, g=0.0,
+             omega=1e-109, omega0=1.0, inv_beta=1e95, tail_tol=0.0, grid=(0.0, 1.0, 0),
+             n_fock=2)
     def test_exit_0_means_every_number_is_finite_at_any_time(
             self, command, l, n_max, alpha, g, omega, omega0, inv_beta, tail_tol, grid, n_fock):
         doc = {
@@ -1313,6 +1322,44 @@ class TestFiniteOutput:
         assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_NO_REVIVAL)
         if rc != EXIT_CONFIG:
             assert finite_table(command, out), out
+
+    @settings(max_examples=30, deadline=None)
+    @given(l=st.integers(1, 6), n_max=st.integers(1, 60) | st.just(250),
+           alpha=st.tuples(st.floats(3.0, 12.0), st.floats(0.0, 2.0 * math.pi)),
+           real=st.booleans(), g=log_uniform(1e200).filter(lambda v: v > 0),
+           omega=st.just(1.0) | FREQUENCIES,
+           omega0=st.none() | FREQUENCIES,  # none: at resonance, l omega
+           inv_beta=st.floats(0.0, 1e3) | log_uniform(1e300), tail_tol=st.floats(0.0, 1.0),
+           cycles=st.none() | st.floats(-2.5, -1.0).map(lambda e: 10.0**e))
+    # the fig3a sweep's parameters at a fine dt, and the fig3d ones at a
+    # coarse one
+    @example(l=1, n_max=250, alpha=(12.0, 0.0), real=True, g=1.0, omega=1.0, omega0=1.0,
+             inv_beta=0.16, tail_tol=1.0, cycles=0.01)
+    @example(l=4, n_max=250, alpha=(12.0, 0.0), real=True, g=1.0, omega=1.0, omega0=4.0,
+             inv_beta=0.08, tail_tol=1.0, cycles=0.06)
+    def test_period_sweep_past_alpha_3_exits_0_only_with_finite_numbers(
+            self, l, n_max, alpha, real, g, omega, omega0, inv_beta, tail_tol, cycles):
+        size, phase = alpha
+        amplitude = size * (-1.0 if phase > math.pi else 1.0) if real else [
+            size * math.cos(phase), size * math.sin(phase)]
+        doc = {
+            "schema": 1,
+            "model": {"l": l, "g": g, "omega0": l * omega if omega0 is None else omega0,
+                      "omega": omega, "alpha": amplitude},
+            "thermal": {"inv_beta": inv_beta},
+            "truncation": {"n_max": n_max, "tail_tol": tail_tol},
+        }
+        if cycles is not None:
+            # a step of that many fast cycles, pi / (g |alpha|^l), where it is a float
+            with np.errstate(all="ignore"):
+                dt = float(cycles * np.pi / (np.float64(g) * np.float64(size) ** l))
+            doc["grid"] = {"dt": dt if 0.0 < dt < math.inf else cycles}
+        with tempfile.TemporaryDirectory() as tmp:
+            proc = run_capped_cli(["period-sweep", "--config", write_config(Path(tmp), doc)])
+        assert proc.returncode in (EXIT_OK, EXIT_CONFIG, EXIT_NO_REVIVAL), proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        if proc.returncode != EXIT_CONFIG:
+            assert finite_table("period-sweep", proc.stdout), proc.stdout
 
 
 class TestOutFile:

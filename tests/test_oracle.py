@@ -666,27 +666,25 @@ class TestOneSinPe:
     @settings(max_examples=25, deadline=None)
     @given(case=st.sampled_from(range(len(ONE_SIN_CASES))),
            workers=st.sampled_from([1, 2, 3]),
-           chunk=st.integers(1, 16),
            n=st.integers(1, 60),
            tile=st.integers(1, 4096))
     # one sample; one-row tiles; tiles crossing the grid end at D = 0
-    @example(case=1, workers=3, chunk=4, n=1, tile=4096)
-    @example(case=0, workers=3, chunk=16, n=60, tile=1)
-    @example(case=2, workers=2, chunk=12, n=29, tile=100)
-    def test_worker_count_changes_no_bit(self, case, workers, chunk, n, tile):
+    @example(case=1, workers=3, n=1, tile=4096)
+    @example(case=0, workers=3, n=60, tile=1)
+    @example(case=2, workers=2, n=29, tile=100)
+    def test_worker_count_changes_no_bit(self, case, workers, n, tile):
         p, inv_beta = ONE_SIN_CASES[case]
         thermal = thermal_from_inv_beta(inv_beta, p)
         trunc = FockTruncation.auto(p, thermal)
         t = np.linspace(0.0, 5.0, n)
-        with mock.patch.object(perturbation, "_usable_cpus", lambda: 1):
+        with mock.patch.object(model, "_usable_cpus", lambda: 1):
             serial = pe_curve(p, thermal, t, trunc)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with mock.patch.object(perturbation, "_usable_cpus", lambda: workers), \
-                    mock.patch.object(perturbation, "_T_CHUNK", chunk), \
-                    mock.patch.object(perturbation, "_MIN_WORKER_CELLS", 1), \
-                    mock.patch.object(perturbation, "_TILE_CELLS", tile):
+            with mock.patch.object(model, "_usable_cpus", lambda: workers), \
+                    mock.patch.object(model, "_MIN_WORKER_CELLS", 1), \
+                    mock.patch.object(model, "_TILE_CELLS", tile):
                 threaded = pe_curve(p, thermal, t, trunc)
         finally:
             sys.setswitchinterval(interval)

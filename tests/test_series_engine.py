@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from thermaljcm import perturbation
+from thermaljcm import model, perturbation
 from thermaljcm.analysis import period_vs_temperature_sweep
 from thermaljcm.cli import PRESETS, build_preset
 from thermaljcm.model import EigenvalueTable, ModelParams, thermal_from_inv_beta
@@ -41,7 +41,7 @@ CASES = [
 TILE_CASES = CASES + [(make_params(l=2, g=0.0, omega0=2.0, alpha=1.5), TruncationPolicy(30))]
 
 #: the default cell budget of a chunk, which the explicit examples below keep
-DEFAULT_TILE = perturbation._TILE_CELLS
+DEFAULT_TILE = model._TILE_CELLS
 
 
 def assert_bitwise(a, b):
@@ -127,8 +127,8 @@ S_SUM_CASES = TILE_CASES + [
 def test_s_sums_match_direct_evaluation(params, trunc, cpus):
     t = np.linspace(0.0, 5.0, 2500)
     S1, S2 = direct_s_sums(params, trunc, t)
-    with mock.patch.object(perturbation, "_usable_cpus", lambda: cpus), \
-            mock.patch.object(perturbation, "_MIN_WORKER_CELLS", 1):
+    with mock.patch.object(model, "_usable_cpus", lambda: cpus), \
+            mock.patch.object(model, "_MIN_WORKER_CELLS", 1):
         for coherence in (False, True):
             tables = series_tables(t, params, trunc, coherence=coherence)
             assert_bitwise(tables.S1, S1)
@@ -150,7 +150,7 @@ class TestGridSplit:
     @pytest.mark.parametrize("params, trunc", CASES)
     def test_rho01_split_across_chunk_boundary(self, params, trunc):
         thermal = thermal_from_inv_beta(0.12, params)
-        t = np.linspace(0.0, 6.0, 2500)  # two chunks of the default 2048
+        t = np.linspace(0.0, 6.0, 2500)  # many chunks of the default tile
         whole = series_tables(t, params, trunc).rho01(thermal)
         parts = np.concatenate([series_tables(t[a:b], params, trunc).rho01(thermal)
                                 for a, b in ((0, 1000), (1000, 2100), (2100, None))])
@@ -160,21 +160,19 @@ class TestGridSplit:
     @given(case=st.sampled_from(range(len(TILE_CASES))),
            n=st.integers(1, 120),
            cuts=st.lists(st.integers(1, 119), max_size=4),
-           chunk=st.integers(1, 64),
            tile=st.integers(1, 4096))
     # one-row tiles (fewer cells than columns); tiles crossing the grid end;
     # the D = 0 columns
-    @example(case=2, n=120, cuts=[], chunk=64, tile=1)
-    @example(case=0, n=97, cuts=[], chunk=64, tile=2000)
-    @example(case=3, n=45, cuts=[7], chunk=16, tile=200)
-    def test_any_split_and_chunking_is_bitwise_equal(self, case, n, cuts, chunk, tile):
+    @example(case=2, n=120, cuts=[], tile=1)
+    @example(case=0, n=97, cuts=[], tile=2000)
+    @example(case=3, n=45, cuts=[7], tile=200)
+    def test_any_split_and_chunking_is_bitwise_equal(self, case, n, cuts, tile):
         params, trunc = TILE_CASES[case]
         thermal = thermal_from_inv_beta(0.16, params)
         t = np.linspace(0.0, 5.0, n)
         whole = series_tables(t, params, trunc)
         bounds = [0, *sorted({c for c in cuts if c < n}), n]
-        with mock.patch.object(perturbation, "_T_CHUNK", chunk), \
-                mock.patch.object(perturbation, "_TILE_CELLS", tile):
+        with mock.patch.object(model, "_TILE_CELLS", tile):
             pieces = [series_tables(t[a:b], params, trunc) for a, b in zip(bounds, bounds[1:])]
         assert_bitwise(whole.pe(thermal), np.concatenate([p.pe(thermal) for p in pieces]))
         assert_bitwise(whole.rho01(thermal),
@@ -202,36 +200,34 @@ class TestWorkerThreads:
     @settings(max_examples=40, deadline=None)
     @given(case=st.sampled_from(range(len(TILE_CASES))),
            workers=st.sampled_from([1, 2, 3, 7]),
-           chunk=st.integers(1, 16),
            n=st.integers(1, 60),
            coherence=st.booleans(),
            tile=st.integers(1, 4096))
     # one sample; fewer samples than workers; chunks crossing the grid end
-    @example(case=2, workers=7, chunk=4, n=1, coherence=True, tile=DEFAULT_TILE)
-    @example(case=0, workers=7, chunk=16, n=3, coherence=False, tile=DEFAULT_TILE)
-    @example(case=2, workers=3, chunk=5, n=47, coherence=True, tile=DEFAULT_TILE)
-    @example(case=1, workers=2, chunk=8, n=41, coherence=False, tile=DEFAULT_TILE)
+    @example(case=2, workers=7, n=1, coherence=True, tile=DEFAULT_TILE)
+    @example(case=0, workers=7, n=3, coherence=False, tile=DEFAULT_TILE)
+    @example(case=2, workers=3, n=47, coherence=True, tile=DEFAULT_TILE)
+    @example(case=1, workers=2, n=41, coherence=False, tile=DEFAULT_TILE)
     # one-row tiles; tiles of a few rows crossing the grid end; D = 0
-    @example(case=2, workers=3, chunk=16, n=60, coherence=True, tile=1)
-    @example(case=0, workers=2, chunk=16, n=59, coherence=False, tile=200)
-    @example(case=1, workers=7, chunk=16, n=53, coherence=True, tile=150)
-    @example(case=3, workers=2, chunk=12, n=29, coherence=True, tile=100)
-    @example(case=3, workers=3, chunk=16, n=40, coherence=False, tile=1)
-    def test_worker_count_changes_no_bit(self, case, workers, chunk, n, coherence, tile):
+    @example(case=2, workers=3, n=60, coherence=True, tile=1)
+    @example(case=0, workers=2, n=59, coherence=False, tile=200)
+    @example(case=1, workers=7, n=53, coherence=True, tile=150)
+    @example(case=3, workers=2, n=29, coherence=True, tile=100)
+    @example(case=3, workers=3, n=40, coherence=False, tile=1)
+    def test_worker_count_changes_no_bit(self, case, workers, n, coherence, tile):
         # TILE_CASES holds real and complex alpha; 7 workers is more threads
         # than cores, and a short switch interval interleaves them finely
         params, trunc = TILE_CASES[case]
         thermal = thermal_from_inv_beta(0.16, params)
         t = np.linspace(0.0, 5.0, n)
-        with mock.patch.object(perturbation, "_usable_cpus", lambda: 1):
+        with mock.patch.object(model, "_usable_cpus", lambda: 1):
             serial = series_tables(t, params, trunc, coherence=coherence)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with mock.patch.object(perturbation, "_usable_cpus", lambda: workers), \
-                    mock.patch.object(perturbation, "_T_CHUNK", chunk), \
-                    mock.patch.object(perturbation, "_MIN_WORKER_CELLS", 1), \
-                    mock.patch.object(perturbation, "_TILE_CELLS", tile):
+            with mock.patch.object(model, "_usable_cpus", lambda: workers), \
+                    mock.patch.object(model, "_MIN_WORKER_CELLS", 1), \
+                    mock.patch.object(model, "_TILE_CELLS", tile):
                 threaded = series_tables(t, params, trunc, coherence=coherence)
         finally:
             sys.setswitchinterval(interval)
@@ -240,15 +236,15 @@ class TestWorkerThreads:
             assert_bitwise(threaded.rho01(thermal), serial.rho01(thermal))
         assert_tables_bitwise(threaded, serial)
 
-    @pytest.mark.parametrize("cpus, chunk, n, min_cells, workers", [
-        (2, 2048, 5000, 1, 2), (3, 2048, 5000, 1, 3), (7, 10, 95, 1, 7),
-        (7, 10, 4, 1, 4), (3, 16, 1, 1, 1),
+    @pytest.mark.parametrize("cpus, tile, n, min_cells, workers", [
+        (2, DEFAULT_TILE, 5000, 1, 2), (3, DEFAULT_TILE, 5000, 1, 3), (7, 4140, 95, 1, 7),
+        (7, 4140, 4, 1, 4), (3, 6624, 1, 1, 1),  # tiles of 10 and 16 rows
         # 49 trig columns (46 and s = 3 structural ones; workers are sized
-        # on the 46): a 2048-row chunk holds two workers' 2^15 cells,
-        # a 500-row grid not even one
-        (7, 2048, 5000, 1 << 15, 2), (2, 2048, 500, 1 << 15, 1)])
-    def test_workspace_rows_summed_over_workers_stay_within_one_chunk(
-            self, cpus, chunk, n, min_cells, workers):
+        # on the 46): a 2000-row grid holds two workers' 2^15 cells, a
+        # 500-row grid not even one
+        (7, DEFAULT_TILE, 2000, 1 << 15, 2), (2, DEFAULT_TILE, 500, 1 << 15, 1)])
+    def test_workspace_rows_summed_over_workers_stay_within_the_grid(
+            self, cpus, tile, n, min_cells, workers):
         params, trunc = CASES[2]
         shapes = []
         empty = np.empty
@@ -258,9 +254,9 @@ class TestWorkerThreads:
             shapes.append((out.shape, out.dtype))
             return out
 
-        with mock.patch.object(perturbation, "_usable_cpus", lambda: cpus), \
-                mock.patch.object(perturbation, "_T_CHUNK", chunk), \
-                mock.patch.object(perturbation, "_MIN_WORKER_CELLS", min_cells), \
+        with mock.patch.object(model, "_usable_cpus", lambda: cpus), \
+                mock.patch.object(model, "_MIN_WORKER_CELLS", min_cells), \
+                mock.patch.object(model, "_TILE_CELLS", tile), \
                 mock.patch.object(perturbation.np, "empty", spy):
             series_tables(np.linspace(0.0, 5.0, n), params, trunc)
         # trig (w, 2, rows, n), sq (w, 2, rows, n), prod (w, rows, n); the
@@ -268,9 +264,11 @@ class TestWorkerThreads:
         workspaces = [s for s, dtype in shapes if len(s) >= 3 and dtype == float]
         assert len(workspaces) == 3
         assert workspaces[0][-1] == 49
+        # 9 float cells a row of the 46 columns: 414 a row of the tile
         for shape in workspaces:
             assert shape[0] == workers
-            assert shape[0] * shape[-2] <= min(chunk, n)
+            assert shape[0] * shape[-2] <= n
+            assert shape[-2] == max(1, min(n // workers, tile // 414))
 
 
 class TestOneBuildManyTemperatures:
@@ -347,26 +345,21 @@ class TestZeroTemperatureBuild:
            n=st.integers(1, 90),
            t_stop=st.sampled_from([0.0, 0.7, 5.0, 40.0]),
            cpus=st.integers(1, 3),
-           chunk=st.integers(1, 32),
            tile=st.integers(1, 4096))
     # resonance at g = 0: every D_m is 0; one-row tiles; a t = 0 grid
-    @example(l=2, alpha=1.5, g=0.0, omega0=2.0, n_max=30, n=45, t_stop=5.0, cpus=2,
-             chunk=16, tile=200)
-    @example(l=1, alpha=3.0, g=1.0, omega0=1.0, n_max=40, n=90, t_stop=40.0, cpus=3,
-             chunk=32, tile=1)
-    @example(l=4, alpha=0.0, g=1.0, omega0=1.0, n_max=5, n=3, t_stop=0.0, cpus=1,
-             chunk=1, tile=1)
+    @example(l=2, alpha=1.5, g=0.0, omega0=2.0, n_max=30, n=45, t_stop=5.0, cpus=2, tile=200)
+    @example(l=1, alpha=3.0, g=1.0, omega0=1.0, n_max=40, n=90, t_stop=40.0, cpus=3, tile=1)
+    @example(l=4, alpha=0.0, g=1.0, omega0=1.0, n_max=5, n=3, t_stop=0.0, cpus=1, tile=1)
     def test_pe_is_bitwise_the_full_build(self, l, alpha, g, omega0, n_max, n, t_stop, cpus,
-                                          chunk, tile):
+                                          tile):
         params = make_params(l=l, g=g, omega0=omega0, alpha=alpha)
         trunc = TruncationPolicy(n_max, tail_tol=1.0)
         cold = thermal_from_inv_beta(0.0, params)
         t = np.linspace(0.0, t_stop, n)
         full = series_tables(t, params, trunc).pe(cold)
-        with mock.patch.object(perturbation, "_usable_cpus", lambda: cpus), \
-                mock.patch.object(perturbation, "_T_CHUNK", chunk), \
-                mock.patch.object(perturbation, "_MIN_WORKER_CELLS", 1), \
-                mock.patch.object(perturbation, "_TILE_CELLS", tile):
+        with mock.patch.object(model, "_usable_cpus", lambda: cpus), \
+                mock.patch.object(model, "_MIN_WORKER_CELLS", 1), \
+                mock.patch.object(model, "_TILE_CELLS", tile):
             tables = series_tables(t, params, trunc, coherence=False, zero_temperature=True)
         assert tables.S1 is None and tables.S2.shape == (1, n)
         for inv_beta in (0.0, 1e-320):
@@ -380,7 +373,7 @@ class TestZeroTemperatureBuild:
                                                        cpus):
         params = make_params(l=l, alpha=alpha)
         trunc = TruncationPolicy(n_max)
-        monkeypatch.setattr(perturbation, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
         kinds = []
         build = perturbation.series_tables
         monkeypatch.setattr(perturbation, "series_tables", lambda *a, **k: kinds.append(

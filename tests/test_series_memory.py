@@ -8,8 +8,12 @@ axis is bounded by a byte budget, checked before anything is allocated.
 """
 
 import dataclasses
+import io
+import json
 import math
 import tracemalloc
+from contextlib import redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,7 +21,7 @@ import pytest
 
 from thermaljcm import model, perturbation
 from thermaljcm.analysis import SAMPLES_PER_CYCLE, SPAN_FACTOR, approx_cos_sum, default_dt
-from thermaljcm.cli import PRESETS, _grid_samples, build_preset, parse_config
+from thermaljcm.cli import PRESETS, _grid_samples, build_preset, main, parse_config
 from thermaljcm.model import (
     LimitError,
     ModelParams,
@@ -61,7 +65,7 @@ def fig3a_sweep_grid():
 
 def traced_peak(cpus, *args, **kwargs):
     """tracemalloc peak of one ``series_tables`` build on ``cpus`` workers."""
-    with mock.patch.object(perturbation, "_usable_cpus", lambda: cpus):
+    with mock.patch.object(model, "_usable_cpus", lambda: cpus):
         tracemalloc.start()
         try:
             series_tables(*args, **kwargs)
@@ -101,7 +105,7 @@ def workspace_shapes(t, params, trunc, cpus, coherence, zero_temperature=False):
         shapes.append((out.shape, out.dtype))
         return out
 
-    with mock.patch.object(perturbation, "_usable_cpus", lambda: cpus), \
+    with mock.patch.object(model, "_usable_cpus", lambda: cpus), \
             mock.patch.object(perturbation.np, "empty", spy):
         series_tables(t, params, trunc, coherence=coherence, zero_temperature=zero_temperature)
     # a full build's trig and amplitude tables carry l structural columns in front
@@ -149,10 +153,11 @@ def test_each_worker_workspace_stays_within_the_cell_budget(cpus, l, n_max, n, c
     per_row = (9 if coherence else 2 if zero_temperature else 3) * columns
     cells = sum(worker_cells(s, dtype) for s, dtype in shapes)
     assert cells <= rows * per_row
-    budget = perturbation._TILE_CELLS
+    budget = model._TILE_CELLS
     assert cells <= budget or rows == 1
-    if n >= perturbation._T_CHUNK:
-        # a long grid fills the tile: one more row would pass the budget
+    if n >= workers * (rows + 1):
+        # a grid long enough for more rows fills the tile: one more row would
+        # pass the budget
         assert (rows + 1) * per_row > budget
 
 
@@ -180,7 +185,7 @@ def test_build_bytes_bound_what_a_build_holds_per_sample(cpus, coherence):
     trunc = TruncationPolicy(10, 1.0)
     columns = trunc.n_max + (l + 3 if coherence else 3)
     shared, per_worker = perturbation._build_bytes(columns, l, coherence, n)
-    with mock.patch.object(perturbation, "_usable_cpus", lambda: cpus):
+    with mock.patch.object(model, "_usable_cpus", lambda: cpus):
         tracemalloc.start()
         try:
             tables = series_tables(np.linspace(0.0, 5.0, n), params, trunc,
@@ -216,7 +221,7 @@ def test_budget_caps_the_workers(monkeypatch):
     # a build that fits on two workers but not on 64 runs on two
     params = ModelParams(l=1, g=1.0, omega0=1.0, omega=1.0, alpha=3.0)
     shared, per_worker = perturbation._build_bytes(200_003, 1, False, 64)
-    monkeypatch.setattr(perturbation, "_BUILD_BYTES_LIMIT", shared + 2 * per_worker)
+    monkeypatch.setattr(model, "_BUILD_BYTES_LIMIT", shared + 2 * per_worker)
     shapes = workspace_shapes(np.linspace(0.0, 1.0, 64), params,
                               TruncationPolicy(200_000, 1.0), 64, False)
     assert [shape[0] for shape, _ in shapes] == [2, 2]
@@ -233,7 +238,7 @@ def test_every_preset_fits_the_budget_on_64_workers():
         l = config.params.l
         columns = config.trunc.top_row(l) + 1
         shared, per_worker = perturbation._build_bytes(columns, l, True, samples)
-        assert shared + 64 * per_worker <= perturbation._BUILD_BYTES_LIMIT
+        assert shared + 64 * per_worker <= model._BUILD_BYTES_LIMIT
         # a full build on its own grid, at its default density and at the
         # paper's dt of a fortieth of the fast cycle (38 593 samples x 254
         # columns at fig4a), passes the byte budget and the work limit
@@ -242,8 +247,29 @@ def test_every_preset_fits_the_budget_on_64_workers():
             if dt == config.dt:
                 assert own <= samples
             shared, per_worker = perturbation._build_bytes(columns, l, True, own)
-            assert shared + 64 * per_worker <= perturbation._BUILD_BYTES_LIMIT
+            assert shared + 64 * per_worker <= model._BUILD_BYTES_LIMIT
             config.trunc.check(config.params, np.zeros(own), coherence=True)
+
+
+@pytest.mark.parametrize("cpus, n", [(1, 1), (2, 1), (2, 5)])
+@pytest.mark.parametrize("alpha", [400.0, 1000.0])
+def test_approx_photon_axis_rule_counts_what_it_holds(cpus, n, alpha):
+    # past a tile a row, approx-check holds its weights and phase rates, and
+    # each worker a table row and a product row: the rule counts one worker,
+    # four float arrays of n_max + 1, and the budget caps the workers
+    row = 8 * (perturbation._poisson_cut(alpha) + 1)
+    assert row > 8 * model._TILE_CELLS // 2
+    with mock.patch.object(model, "_usable_cpus", lambda: cpus):
+        tracemalloc.start()
+        try:
+            approx_cos_sum(alpha, 1, 1.0, np.linspace(0.0, 1e-3, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # beside the arrays: the per-sample outputs, and the thread pool's first
+    # import where two workers run
+    workers = min(cpus, n)
+    assert (2 + 2 * workers) * row < peak <= (2 + 2 * workers) * row + (1 << 18)
 
 
 @pytest.mark.parametrize("limit", [model._WORK_CELLS_LIMIT, 1 << 20])
@@ -273,3 +299,40 @@ def test_work_limit_is_samples_times_columns(monkeypatch, limit):
     with pytest.raises(LimitError, match=f"x 42 photon numbers has {(edge + 1) * 42} ") as exc:
         approx_cos_sum(2.0, 1, 1.0, np.zeros(edge + 1))
     assert exc.value.param == "t"
+
+
+#: (workers, rows a chunk) of each (t, n) table of each benchmark operation
+#: on two CPUs, in the order of its builds: what the runner planned while it
+#: capped the workers and rows by the first 2048 samples, so the benchmark
+#: figures keep their plans
+BENCHMARK_PLANS = {
+    "fig4a": [(2, 86)], **{f"fig4{m}": [(2, 85)] for m in "bcd"},
+    **{f"fig3{m}_ib{ib}": [(2, 391 if ib == "0.00" else 259)]
+       for m in "abcd" for ib in ("0.00", "0.08", "0.16")},
+    **{f"fig1a_oracle_t{w}": [(1, 383)] * 2 for w in ("0-5", "5-10", "10-15", "15-20")},
+    **{f"fig1b_oracle_t{w}": [(1, 313)] * 2 for w in ("0-0.5", "0.5-1")},
+    "oracle_validate": [(1, 3), (1, 100), (1, 3), (1, 100), (1, 1)],
+}
+
+
+def test_benchmark_builds_keep_their_plans(monkeypatch):
+    root = Path(__file__).resolve().parent.parent
+    workloads = json.loads((root / "perfbench" / "workloads.json").read_text())["workloads"]
+    ops = [op for workload in workloads.values() for op in workload["ops"]]
+    assert sorted(op["name"] for op in ops) == sorted(BENCHMARK_PLANS)
+    plans = []
+    plan = model._plan
+
+    def spy(*args):
+        plans.append(plan(*args))
+        return plans[-1]
+
+    monkeypatch.chdir(root)  # the operations name their documents from the root
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+    for module in (model, perturbation):  # perturbation imports the name
+        monkeypatch.setattr(module, "_plan", spy)
+    for op in ops:
+        plans.clear()
+        with redirect_stdout(io.StringIO()):
+            assert main(op["argv"]) == op["exit_code"]
+        assert plans == BENCHMARK_PLANS[op["name"]], op["name"]
