@@ -23,12 +23,11 @@ series' zero-temperature one-sin reduction (``model._weighted_sums`` on
 rows, P_e's and the cutoff edge population's: O(n_fock) a sample.
 :func:`propagate` and :class:`DoubledFockState` carry the full doubled-space
 state at O(n_fock^2) per sample; they are the independent reference that
-:mod:`thermaljcm.validation` and the tests read.
-
-:func:`propagate` takes a time or a 1-d time grid, which it runs in chunks
-of at most ``_STATE_CELLS`` amplitudes, each handed to the caller's
-``observe``, so the memory of a call does not grow with the grid, and a
-sample's value does not depend on the grid around it.
+:mod:`thermaljcm.validation` and the tests read.  The reference holds one
+state at one time: a 1-d time grid is walked one sample at a time, each
+state handed to the caller's ``observe``, so the memory of a call does not
+grow with the grid, and a sample's value does not depend on the grid around
+it.
 
 Each Rabi phase is evaluated once: D'_m = D_(m-l) for m >= l, so the primed
 amplitude A'(m) is A(m - l), and only the l structurally zero columns m < l
@@ -113,10 +112,6 @@ __all__ = [
 ]
 
 
-#: amplitudes of the states :func:`propagate` holds per chunk of a time grid
-#: (4 MiB), whatever the grid's length; a chunk holds at least one sample
-_STATE_CELLS = 2**18
-
 #: largest accepted cutoff: one n_fock x n_fock complex matrix is then
 #: 64 MiB, and the state construction holds a few at once
 _N_FOCK_MAX = 2048
@@ -173,11 +168,10 @@ class FockTruncation:
 
 @dataclass
 class DoubledFockState:
-    """Amplitudes over (atom, tilde atom, cavity, tilde cavity).
+    """One state's amplitudes over (atom, tilde atom, cavity, tilde cavity).
 
-    ``amp[..., f, ft, n, nt]`` with f = 1 the excited atomic level; leading
-    axes, such as the time axis of a chunk of :func:`propagate`, hold a
-    batch of states.  The array is exclusively owned by its state;
+    ``amp[f, ft, n, nt]``, of shape (2, 2, n_fock, n_fock), with f = 1 the
+    excited atomic level.  The array is exclusively owned by its state;
     propagation returns a fresh state.
     """
 
@@ -186,26 +180,23 @@ class DoubledFockState:
 
     def __post_init__(self) -> None:
         n = self.trunc.n_fock
-        if self.amp.shape[-4:] != (2, 2, n, n):
-            raise ValueError(f"amplitude array must have shape (..., 2, 2, {n}, {n})")
+        if self.amp.shape != (2, 2, n, n):
+            raise ValueError(f"amplitude array must have shape (2, 2, {n}, {n})")
 
     @property
-    def norm_sq(self):
-        """Squared norm: a float, or an array over the batch axes."""
-        return _sum_trailing(np.abs(self.amp) ** 2, 4)
+    def norm_sq(self) -> float:
+        """Squared norm."""
+        return _flat_sum(np.abs(self.amp) ** 2)
 
     @property
-    def excited_population(self):
-        """rho00, the excited level's weight: a float, or an array over the batch axes."""
-        return _sum_trailing(np.abs(self.amp[..., 1, :, :, :]) ** 2, 3)
+    def excited_population(self) -> float:
+        """rho00, the excited level's weight."""
+        return _flat_sum(np.abs(self.amp[1]) ** 2)
 
 
-def _sum_trailing(x: np.ndarray, k: int):
-    """Sum of each contiguous block of the last k axes of ``x``, in the
-    pairwise order np.sum takes on one block alone; a Python scalar when
-    there are no other axes."""
-    out = np.add.reduce(x.reshape(x.shape[:-k] + (math.prod(x.shape[-k:]),)), axis=-1)
-    return out.item() if out.ndim == 0 else out
+def _flat_sum(x: np.ndarray):
+    """The pairwise sum of all of ``x`` in C order, as a Python number."""
+    return np.add.reduce(x.reshape(-1)).item()
 
 
 def _check_norm(norm_sq: float, leak_tol: float, what: str) -> None:
@@ -411,9 +402,8 @@ def _block_elements(table: EigenvalueTable, t):
 
 
 def _propagate_block(state: DoubledFockState, table: EigenvalueTable,
-                     t: np.ndarray) -> DoubledFockState:
-    """The states at the times ``t`` (a 0-d or 1-d array), with the axes of
-    ``t`` in front; raises at the first sample that leaks."""
+                     t: float) -> DoubledFockState:
+    """The state at time ``t``; raises if it leaks."""
     n = state.trunc.n_fock
     params = table.params
     l = params.l
@@ -421,35 +411,34 @@ def _propagate_block(state: DoubledFockState, table: EigenvalueTable,
     ncpl = n - l
     # |e, n> whose partner |g, n+l> is past the cutoff takes the bare
     # detuning phase, so the truncated propagator stays exactly unitary
-    diag_e[..., ncpl:] = np.exp(1j * params.delta * t[..., None] / 2.0)
+    diag_e[ncpl:] = np.exp(1j * params.delta * t / 2.0)
 
-    # the physical factor acts on the cavity axis n of [..., f, ft, n, nt]
+    # the physical factor acts on the cavity axis n of [f, ft, n, nt]
     old_g, old_e = state.amp  # [ft, n, nt]
-    half = np.empty(t.shape + state.amp.shape, dtype=complex)
-    new_g, new_e = half[..., 0, :, :, :], half[..., 1, :, :, :]
-    de, dg, cp = (x[..., None, :, None] for x in (diag_e, diag_g, coup))
+    half = np.empty_like(state.amp)
+    new_g, new_e = half
+    de, dg, cp = (x[:, None] for x in (diag_e, diag_g, coup))
     np.multiply(de, old_e, out=new_e)
-    new_e[..., :ncpl, :] += cp * old_g[:, l:, :]
+    new_e[:, :ncpl] += cp * old_g[:, l:]
     np.multiply(dg, old_g, out=new_g)
-    new_g[..., l:, :] += cp * old_e[:, :ncpl, :]
+    new_g[:, l:] += cp * old_e[:, :ncpl]
 
     # the tilde factor, the conjugate, on the tilde cavity axis nt
-    tg, te = half[..., 0, :, :], half[..., 1, :, :]  # [..., f, n, nt]
+    tg, te = half[:, 0], half[:, 1]  # [f, n, nt]
     amp = np.empty_like(half)
-    new_tg, new_te = amp[..., 0, :, :], amp[..., 1, :, :]
-    cde, cdg, cc = (np.conj(x)[..., None, None, :] for x in (diag_e, diag_g, coup))
+    new_tg, new_te = amp[:, 0], amp[:, 1]
+    cde, cdg, cc = (np.conj(x) for x in (diag_e, diag_g, coup))
     np.multiply(cde, te, out=new_te)
     new_te[..., :ncpl] += cc * tg[..., l:]
     np.multiply(cdg, tg, out=new_tg)
     new_tg[..., l:] += cc * te[..., :ncpl]
     del half, tg, te
 
-    edge = (_sum_trailing(np.abs(amp[..., n - l :, :]) ** 2, 4)
-            + _sum_trailing(np.abs(amp[..., n - l :]) ** 2, 4))
-    bad = np.flatnonzero(np.asarray(edge) > state.trunc.leak_tol)
-    if bad.size:
-        raise LeakageError(f"population {np.ravel(edge)[bad[0]]:.3e} within {l} levels of the "
-                           f"Fock cutoff exceeds leak_tol at t = {t.flat[bad[0]]:g}")
+    edge = (_flat_sum(np.abs(amp[:, :, n - l :]) ** 2)
+            + _flat_sum(np.abs(amp[..., n - l :]) ** 2))
+    if edge > state.trunc.leak_tol:
+        raise LeakageError(f"population {edge:.3e} within {l} levels of the "
+                           f"Fock cutoff exceeds leak_tol at t = {t:g}")
     return DoubledFockState(amp=amp, trunc=state.trunc)
 
 
@@ -460,30 +449,29 @@ def propagate(state: DoubledFockState, t, params: ModelParams, observe=None):
     The physical factor uses the closed-form block elements; the tilde factor
     is their elementwise complex conjugate (the tilde Hamiltonian enters with
     the opposite sign of i t).  At a time the result is the propagated
-    state, or ``observe`` of it.  A grid needs ``observe``: the samples run
-    in chunks of at most ``_STATE_CELLS`` amplitudes, each chunk's states go
-    to ``observe`` as one state with the time axis in front, and its
-    results, an array or a tuple of arrays over the chunk's times, are
-    joined along that axis; ``propagate(state, grid, params, reduce_atom)``
-    gives the arrays (rho00, rho01).  Raises at the first sample whose
-    population within l levels of either cutoff exceeds the leakage budget.
+    state, or ``observe`` of it.  A grid needs ``observe``: one eigenvalue
+    table serves the grid, whose samples are propagated one at a time, each
+    state handed to ``observe``, and its results, a number or a tuple of
+    numbers, are joined into an array or a tuple of arrays over the grid;
+    ``propagate(state, grid, params, reduce_atom)`` gives the arrays (rho00,
+    rho01).  Raises at the first sample whose population within l levels of
+    either cutoff exceeds the leakage budget.
     """
     t_arr = np.asarray(t, dtype=float)
     state.trunc.check(params, t_arr)
-    if state.amp.ndim != 4:
-        raise ValueError("propagate takes one state, not a batch")
     table = EigenvalueTable(params, state.trunc.n_fock - 1)
     if t_arr.ndim == 0:
-        out = _propagate_block(state, table, t_arr)
+        out = _propagate_block(state, table, float(t_arr))
         return out if observe is None else observe(out)
     if t_arr.ndim != 1 or observe is None:
         raise ValueError("time must be a scalar, or a 1-d array with observe")
-    rows = max(1, _STATE_CELLS // state.amp.size)
-    parts = [observe(_propagate_block(state, table, t_arr[lo : lo + rows]))
-             for lo in range(0, max(t_arr.size, 1), rows)]
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(p) for p in zip(*parts))
-    return np.concatenate(parts)
+    # an empty grid observes the input state for the results' structure and
+    # keeps none of it
+    values = [observe(_propagate_block(state, table, float(x))) for x in t_arr]
+    values = values or [observe(state)]
+    if isinstance(values[0], tuple):
+        return tuple(np.array(v)[: t_arr.size] for v in zip(*values))
+    return np.array(values)[: t_arr.size]
 
 
 def reduce_atom(state: DoubledFockState):
@@ -491,15 +479,14 @@ def reduce_atom(state: DoubledFockState):
 
     rho00 is the excitation probability (the total weight on the excited
     physical level) and rho01 the excited-ground matrix element <e| rho |g>;
-    rho11 = 1 - rho00 and rho10 = conj(rho01) follow.  A float and a
-    complex, or two arrays over the batch axes of ``state``.
+    rho11 = 1 - rho00 and rho10 = conj(rho01) follow.  A float and a complex.
     """
-    excited, ground = state.amp[..., 1, :, :, :], state.amp[..., 0, :, :, :]
+    excited, ground = state.amp[1], state.amp[0]
     # not ``excited * np.conj(ground)``: numpy multiplies into a temporary
-    # operand in place once it passes 256 KiB, and rounds complex products
-    # differently there, so a batch would differ from one state in the last bit
-    return (state.excited_population,
-            _sum_trailing(np.multiply(excited, np.conj(ground)), 3))
+    # operand in place once it passes 256 KiB, which one state reaches from
+    # about 90 levels, and rounds complex products differently there, so a
+    # larger state would round otherwise than a smaller one
+    return state.excited_population, _flat_sum(np.multiply(excited, np.conj(ground)))
 
 
 def pe_curve(params: ModelParams, thermal: ThermalParams, times,

@@ -1189,6 +1189,44 @@ def finite_table(command, out):
     return rows and all(math.isfinite(float(v)) for row in rows for v in row)
 
 
+#: the model of a document past |alpha| = 3: a size from 3 to 12 and a phase,
+#: whose half-turn gives a real amplitude its sign
+PAST_ALPHA_3 = {
+    "l": st.integers(1, 6), "n_max": st.integers(1, 60) | st.just(250),
+    "alpha": st.tuples(st.floats(3.0, 12.0), st.floats(0.0, 2.0 * math.pi)),
+    "real": st.booleans(), "g": log_uniform(1e200).filter(lambda v: v > 0),
+    "omega": st.just(1.0) | FREQUENCIES,
+    "omega0": st.none() | FREQUENCIES,  # none: at resonance, l omega
+    "inv_beta": st.floats(0.0, 1e3) | log_uniform(1e300), "tail_tol": st.floats(0.0, 1.0),
+}
+
+
+def past_alpha_3_doc(l, n_max, alpha, real, g, omega, omega0, inv_beta, tail_tol):
+    """The document of one ``PAST_ALPHA_3`` draw, with no grid."""
+    size, phase = alpha
+    amplitude = size * (-1.0 if phase > math.pi else 1.0) if real else [
+        size * math.cos(phase), size * math.sin(phase)]
+    return {
+        "schema": 1,
+        "model": {"l": l, "g": g, "omega0": l * omega if omega0 is None else omega0,
+                  "omega": omega, "alpha": amplitude},
+        "thermal": {"inv_beta": inv_beta},
+        "truncation": {"n_max": n_max, "tail_tol": tail_tol},
+    }
+
+
+def assert_capped_table(command, doc, exits):
+    """``command`` on ``doc`` under ``CAPPED_ADDRESS_SPACE`` exits with one of
+    ``exits``, never in a traceback, and prints only finite numbers unless
+    it refuses the document."""
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = run_capped_cli([command, "--config", write_config(Path(tmp), doc)])
+    assert proc.returncode in exits, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    if proc.returncode != EXIT_CONFIG:
+        assert finite_table(command, proc.stdout), proc.stdout
+
+
 class TestFiniteOutput:
     """No series command exits 0 with a non-finite number in its table.
 
@@ -1201,9 +1239,11 @@ class TestFiniteOutput:
     samples reaching up to 1e308.  Every example has n_max <= 60, and
     n_fock <= 60 with the oracle, so that none builds a large state.  The
     third draws ``period-sweep`` at amplitudes 3 to 12, with the default dt
-    or a document's ``grid.dt``, and n_max up to 60 or 250; its grids grow as
-    |alpha|^2, so each example runs in a child process under
-    ``CAPPED_ADDRESS_SPACE``, where it must not end in a traceback either.
+    or a document's ``grid.dt``, and n_max up to 60 or 250, and the fourth
+    ``pe-series``, ``coherence-map`` and ``approx-check`` at the same
+    amplitudes with no grid; their grids grow as |alpha|^2, so each example
+    runs in a child process under ``CAPPED_ADDRESS_SPACE``, where it must not
+    end in a traceback either.
     """
 
     @settings(max_examples=200, deadline=None)
@@ -1324,42 +1364,35 @@ class TestFiniteOutput:
             assert finite_table(command, out), out
 
     @settings(max_examples=30, deadline=None)
-    @given(l=st.integers(1, 6), n_max=st.integers(1, 60) | st.just(250),
-           alpha=st.tuples(st.floats(3.0, 12.0), st.floats(0.0, 2.0 * math.pi)),
-           real=st.booleans(), g=log_uniform(1e200).filter(lambda v: v > 0),
-           omega=st.just(1.0) | FREQUENCIES,
-           omega0=st.none() | FREQUENCIES,  # none: at resonance, l omega
-           inv_beta=st.floats(0.0, 1e3) | log_uniform(1e300), tail_tol=st.floats(0.0, 1.0),
-           cycles=st.none() | st.floats(-2.5, -1.0).map(lambda e: 10.0**e))
+    @given(**PAST_ALPHA_3, cycles=st.none() | st.floats(-2.5, -1.0).map(lambda e: 10.0**e))
     # the fig3a sweep's parameters at a fine dt, and the fig3d ones at a
     # coarse one
     @example(l=1, n_max=250, alpha=(12.0, 0.0), real=True, g=1.0, omega=1.0, omega0=1.0,
              inv_beta=0.16, tail_tol=1.0, cycles=0.01)
     @example(l=4, n_max=250, alpha=(12.0, 0.0), real=True, g=1.0, omega=1.0, omega0=4.0,
              inv_beta=0.08, tail_tol=1.0, cycles=0.06)
-    def test_period_sweep_past_alpha_3_exits_0_only_with_finite_numbers(
-            self, l, n_max, alpha, real, g, omega, omega0, inv_beta, tail_tol, cycles):
-        size, phase = alpha
-        amplitude = size * (-1.0 if phase > math.pi else 1.0) if real else [
-            size * math.cos(phase), size * math.sin(phase)]
-        doc = {
-            "schema": 1,
-            "model": {"l": l, "g": g, "omega0": l * omega if omega0 is None else omega0,
-                      "omega": omega, "alpha": amplitude},
-            "thermal": {"inv_beta": inv_beta},
-            "truncation": {"n_max": n_max, "tail_tol": tail_tol},
-        }
+    def test_period_sweep_past_alpha_3_exits_0_only_with_finite_numbers(self, cycles, **model):
+        doc = past_alpha_3_doc(**model)
         if cycles is not None:
             # a step of that many fast cycles, pi / (g |alpha|^l), where it is a float
+            size, l, g = model["alpha"][0], model["l"], model["g"]
             with np.errstate(all="ignore"):
                 dt = float(cycles * np.pi / (np.float64(g) * np.float64(size) ** l))
             doc["grid"] = {"dt": dt if 0.0 < dt < math.inf else cycles}
-        with tempfile.TemporaryDirectory() as tmp:
-            proc = run_capped_cli(["period-sweep", "--config", write_config(Path(tmp), doc)])
-        assert proc.returncode in (EXIT_OK, EXIT_CONFIG, EXIT_NO_REVIVAL), proc.stderr
-        assert "Traceback" not in proc.stderr, proc.stderr
-        if proc.returncode != EXIT_CONFIG:
-            assert finite_table("period-sweep", proc.stdout), proc.stdout
+        assert_capped_table("period-sweep", doc, (EXIT_OK, EXIT_CONFIG, EXIT_NO_REVIVAL))
+
+    @settings(max_examples=30, deadline=None)
+    @given(**PAST_ALPHA_3,
+           command=st.sampled_from(["pe-series", "coherence-map", "approx-check"]))
+    # the paper's largest amplitude at its fig1 and fig4 parameters
+    @example(command="pe-series", l=1, n_max=250, alpha=(12.0, 0.0), real=True, g=1.0,
+             omega=1.0, omega0=1.0, inv_beta=0.16, tail_tol=1.0)
+    @example(command="coherence-map", l=2, n_max=250, alpha=(12.0, 1.0), real=False, g=1.0,
+             omega=1.0, omega0=None, inv_beta=0.08, tail_tol=1.0)
+    @example(command="approx-check", l=1, n_max=250, alpha=(12.0, 4.0), real=True, g=1.0,
+             omega=1.0, omega0=1.0, inv_beta=0.16, tail_tol=1.0)
+    def test_no_grid_past_alpha_3_exits_0_only_with_finite_numbers(self, command, **model):
+        assert_capped_table(command, past_alpha_3_doc(**model), (EXIT_OK, EXIT_CONFIG))
 
 
 class TestOutFile:

@@ -345,6 +345,32 @@ class TestPropagation:
         out = propagate(state, 0.0, p)
         np.testing.assert_array_equal(out.amp, state.amp)
 
+    @pytest.mark.parametrize("inv_beta", [0.0, 0.2])
+    @pytest.mark.parametrize("alpha", [1.2, 0.8 - 0.6j])
+    @pytest.mark.parametrize("detuning", [0.0, 0.3])
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_blocks_are_the_truncated_hamiltonians_exponential(self, l, detuning, alpha,
+                                                               inv_beta):
+        # H = -(delta/2)(|e><e| - |g><g|) x 1 + g (sigma+ x a^l + sigma- x a^dag^l)
+        # on n_fock levels, on the (atom, cavity) index f n_fock + n, and U =
+        # expm(-i H t); the tilde factor is conj(U).  omega = 1 and omega0 =
+        # l - delta: at 14 levels no case leaks past 1e-2
+        p = make_params(l=l, omega0=l - detuning, omega=1.0, alpha=alpha)
+        n = 14
+        trunc = FockTruncation(n, leak_tol=1e-2)
+        init = build_initial_state(p, thermal_from_inv_beta(inv_beta, p), trunc)
+        a_l = np.linalg.matrix_power(np.diag(np.sqrt(np.arange(1.0, n)), 1), l)
+        h = np.zeros((2 * n, 2 * n), dtype=complex)
+        h[:n, :n] = p.delta / 2.0 * np.eye(n)  # |g><g|
+        h[n:, n:] = -p.delta / 2.0 * np.eye(n)  # |e><e|
+        h[n:, :n] = p.g * a_l  # sigma+ x a^l: |e, m> <g, m + l|
+        h[:n, n:] = p.g * a_l.T
+        amp = init.amp.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)  # [(f, n), (ft, nt)]
+        for t in (0.3, 1.7, 4.0):
+            u = expm(-1j * h * t)
+            want = (u @ amp @ np.conj(u).T).reshape(2, n, 2, n).transpose(0, 2, 1, 3)
+            assert np.max(np.abs(propagate(init, t, p).amp - want)) <= 1e-13
+
     @pytest.mark.parametrize("t", [0.5, 5.0, 50.0])
     def test_norm_preserved(self, t):
         p = make_params(l=1, alpha=2.0)
@@ -525,6 +551,14 @@ class TestAtomBlockMatrices:
         with pytest.raises(ValueError):
             DoubledFockState(amp=np.zeros((2, 2, 3, 4), dtype=complex),
                              trunc=FockTruncation(4))
+
+    @pytest.mark.parametrize("shape", [
+        (1, 2, 2, 4, 4), (3, 2, 2, 4, 4),  # a batch of states, even of one
+        (2, 2, 4, 4, 1), (2, 2, 16), (4, 4), (2, 2, 5, 5), (1, 2, 4, 4),
+    ])
+    def test_state_holds_exactly_one_state(self, shape):
+        with pytest.raises(ValueError, match=r"shape \(2, 2, 4, 4\)"):
+            DoubledFockState(amp=np.zeros(shape, dtype=complex), trunc=FockTruncation(4))
 
 
 def doubled_space_pe(p, thermal, times, trunc):
@@ -713,20 +747,15 @@ class TestGridPropagation:
     @pytest.mark.parametrize("alpha", [1.5, 1.3 + 0.7j])
     @pytest.mark.parametrize("detuning", [0.0, 0.3])
     @pytest.mark.parametrize("l", [1, 2, 3, 4])
-    @pytest.mark.parametrize("chunk_states", [None, 2.5])
-    def test_grid_equals_per_sample_bitwise(self, l, detuning, alpha, inv_beta, chunk_states):
-        # omega0 = 1 and l omega = 1 + detuning; 2.5 states a chunk puts two
-        # samples in each and leaves a last chunk of one
+    def test_grid_equals_per_sample_bitwise(self, l, detuning, alpha, inv_beta):
+        # omega0 = 1 and l omega = 1 + detuning
         p = make_params(l=l, omega0=1.0, omega=(1.0 + detuning) / l, alpha=alpha)
         thermal = thermal_from_inv_beta(inv_beta, p)
         trunc = FockTruncation(FockTruncation.auto(p, thermal).n_fock + 12)
         init = build_initial_state(p, thermal, trunc)
         t = np.linspace(0.0, 4.0, 11)
-        budget = (oracle._STATE_CELLS if chunk_states is None
-                  else int(chunk_states * init.amp.size))
-        with mock.patch.object(oracle, "_STATE_CELLS", budget):
-            rho00, rho01 = propagate(init, t, p, reduce_atom)
-            norms = propagate(init, t, p, lambda s: s.norm_sq)
+        rho00, rho01 = propagate(init, t, p, reduce_atom)
+        norms = propagate(init, t, p, lambda s: s.norm_sq)
         want00, want01, want_norms = per_sample(init, t, p)
         np.testing.assert_array_equal(rho00, want00)
         np.testing.assert_array_equal(rho01, want01)
@@ -750,31 +779,27 @@ class TestGridPropagation:
             propagate(init, [0.5, 1.0], p)
         with pytest.raises(ValueError, match="1-d"):
             propagate(init, np.zeros((2, 2)), p, reduce_atom)
-        batch = DoubledFockState(amp=np.stack([init.amp, init.amp]), trunc=init.trunc)
-        with pytest.raises(ValueError, match="one state"):
-            propagate(batch, 0.5, p)
+        with pytest.raises(ValueError, match="shape"):
+            DoubledFockState(amp=np.stack([init.amp, init.amp]), trunc=init.trunc)
 
-    @pytest.mark.parametrize("chunk_states", [None, 2])
     @pytest.mark.parametrize("l, omega, alpha, inv_beta, n_fock, t, tol", [
         # the edge population grows along these grids, the second descending
         (3, 0.7, 1.3 + 0.7j, 0.3, 16, np.linspace(1.25, 2.5, 5), 2.5e-3),
         (2, 0.7, 2.0, 0.2, 22, np.linspace(2.5, 0.0, 9), 5e-6),
     ])
     def test_leak_inside_the_grid_raises_the_per_sample_error(self, l, omega, alpha, inv_beta,
-                                                              n_fock, t, tol, chunk_states):
+                                                              n_fock, t, tol):
         p = make_params(l=l, omega0=1.0, omega=omega, alpha=alpha)
         thermal = thermal_from_inv_beta(inv_beta, p)
         edges = np.array([doubled_space_edge(p, thermal, x, n_fock) for x in t])
-        # the first sample past the budget is past the first chunk of two
+        # the first sample past the budget is not among the first two, which
+        # the grid propagates before it raises
         assert np.flatnonzero(edges > tol)[0] >= 2
         init = build_initial_state(p, thermal, FockTruncation(n_fock, leak_tol=tol))
         message = first_leak(init, t, p)
         assert message is not None and "Fock cutoff" in message
-        budget = (oracle._STATE_CELLS if chunk_states is None
-                  else chunk_states * init.amp.size)
-        with mock.patch.object(oracle, "_STATE_CELLS", budget):
-            with pytest.raises(LeakageError) as exc:
-                propagate(init, t, p, reduce_atom)
+        with pytest.raises(LeakageError) as exc:
+            propagate(init, t, p, reduce_atom)
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("n_fock", [2, 3, 5, 64, 2048])
@@ -817,17 +842,19 @@ def propagate_peak(init, times, p):
 
 
 def test_grid_propagation_memory_does_not_grow_with_the_grid():
-    # n_fock 120: a state is 0.9 MB and 2 000 of them 1.8 GB; a chunk holds
-    # its states, the states after the physical factor and one product
+    # n_fock 120: a state is 0.9 MB and 2 000 of them 1.8 GB.  One sample
+    # holds the state after the physical factor, the new state and at most
+    # one state of temporaries: a coupling product of under half a state with
+    # numpy's 8192-element ufunc buffer, or reduce_atom's conjugate and
+    # product, or the abs temporaries.  The input state is the caller's
     p = make_params(l=2, alpha=6.0)
     trunc = FockTruncation(120)
     init = build_initial_state(p, thermal_from_inv_beta(0.1, p), trunc)
     short = propagate_peak(init, np.linspace(0.0, 3.0, 200), p)
     long = propagate_peak(init, np.linspace(0.0, 3.0, 2000), p)
-    state_bytes = init.amp.nbytes
-    assert long <= 3 * 16 * oracle._STATE_CELLS + 4 * state_bytes
-    # beyond the chunk a grid holds its output, 24 bytes a sample, and each
-    # chunk's part of it until they are joined: ~90 bytes a sample here
+    assert long <= 3 * init.amp.nbytes + 2000 * 128
+    # beyond one sample a grid holds its output, a float and a complex in a
+    # tuple per sample until they are joined: ~100 bytes a sample here
     assert long - short <= (2000 - 200) * 128
 
 
