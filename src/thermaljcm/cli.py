@@ -9,8 +9,9 @@ with 12 significant digits and all reductions run in fixed order.  A
 table, or the validation report), and ``main`` alone writes that, to stdout
 or ``--out`` alike, CSV a block of rows at a time.
 
-Limits: the one size rule here is the time grid this module allocates.
-Every other rule is the layer's that applies it, which raises a
+Limits: ``parse_config`` checks the document's form only, and the one size
+rule here is the time grid this module allocates.  Every other rule is the
+layer's that applies it, to the build it makes, which raises a
 :class:`~thermaljcm.model.LimitError` before it builds; ``main`` alone names
 the field that set the value and exits 2.
 """
@@ -147,7 +148,7 @@ def _section(data: dict, name: str) -> dict:
 
 
 def parse_config(data: dict) -> RunConfig:
-    """Validate a configuration document and return its canonical form."""
+    """Check a configuration document's form only; return its canonical form."""
     _expect(isinstance(data, dict), "config", "document must be a JSON object")
     schema = data.get("schema", SCHEMA_VERSION)
     _expect(schema == SCHEMA_VERSION, "schema", f"unsupported version {schema!r}")
@@ -225,15 +226,10 @@ def parse_config(data: dict) -> RunConfig:
     out_format = output.get("format", "csv")
     _expect(out_format in ("csv", "json"), "output.format", "must be 'csv' or 'json'")
 
-    config = RunConfig(params=params, inv_betas=inv_betas, t_start=t_start,
-                       t_stop=t_stop, dt=dt, n_max=n_max_raw, tail_tol=tail_tol,
-                       adaptive=adaptive, with_oracle=with_oracle, n_fock=n_fock,
-                       out_format=out_format)
-    try:  # the limits of the smallest series build a command makes
-        config.trunc.check(params, ())
-    except LimitError as exc:
-        raise ConfigError(f"{config.field(exc.param)}: {exc}") from None
-    return config
+    return RunConfig(params=params, inv_betas=inv_betas, t_start=t_start,
+                     t_stop=t_stop, dt=dt, n_max=n_max_raw, tail_tol=tail_tol,
+                     adaptive=adaptive, with_oracle=with_oracle, n_fock=n_fock,
+                     out_format=out_format)
 
 
 # ---------------------------------------------------------------------------

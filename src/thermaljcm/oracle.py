@@ -401,38 +401,37 @@ def _block_elements(table: EigenvalueTable, t):
     return np.conj(a[..., s:]), a[..., :n_fock], coup
 
 
-def _propagate_block(state: DoubledFockState, table: EigenvalueTable,
-                     t: float) -> DoubledFockState:
-    """The state at time ``t``; raises if it leaks."""
-    n = state.trunc.n_fock
-    params = table.params
-    l = params.l
-    diag_e, diag_g, coup = _block_elements(table, t)
-    ncpl = n - l
-    # |e, n> whose partner |g, n+l> is past the cutoff takes the bare
-    # detuning phase, so the truncated propagator stays exactly unitary
-    diag_e[ncpl:] = np.exp(1j * params.delta * t / 2.0)
-
-    # the physical factor acts on the cavity axis n of [f, ft, n, nt]
-    old_g, old_e = state.amp  # [ft, n, nt]
-    half = np.empty_like(state.amp)
-    new_g, new_e = half
+def _apply_block(src, out, diag_e, diag_g, coup, l: int) -> None:
+    """Write into ``out`` the block propagator on ``src``: each is a pair of
+    halves (g, e) along its first axis, acted on along axis 1 of a half."""
+    (old_g, old_e), (new_g, new_e) = src, out
+    ncpl = coup.size
     de, dg, cp = (x[:, None] for x in (diag_e, diag_g, coup))
     np.multiply(de, old_e, out=new_e)
     new_e[:, :ncpl] += cp * old_g[:, l:]
     np.multiply(dg, old_g, out=new_g)
     new_g[:, l:] += cp * old_e[:, :ncpl]
 
-    # the tilde factor, the conjugate, on the tilde cavity axis nt
-    tg, te = half[:, 0], half[:, 1]  # [f, n, nt]
+
+def _propagate_block(state: DoubledFockState, table: EigenvalueTable,
+                     t: float) -> DoubledFockState:
+    """The state at time ``t``; raises if it leaks."""
+    n = state.trunc.n_fock
+    params = table.params
+    l = params.l
+    blocks = _block_elements(table, t)
+    # |e, n> whose partner |g, n+l> is past the cutoff takes the bare
+    # detuning phase, so the truncated propagator stays exactly unitary
+    blocks[0][n - l :] = np.exp(1j * params.delta * t / 2.0)
+
+    # U on the cavity axis n of [f, ft, n, nt], then its conjugate on the
+    # tilde axis nt of the [ft, f, nt, n] view: U (x) conj(U)
+    half = np.empty_like(state.amp)
+    _apply_block(state.amp, half, *blocks, l)
     amp = np.empty_like(half)
-    new_tg, new_te = amp[:, 0], amp[:, 1]
-    cde, cdg, cc = (np.conj(x) for x in (diag_e, diag_g, coup))
-    np.multiply(cde, te, out=new_te)
-    new_te[..., :ncpl] += cc * tg[..., l:]
-    np.multiply(cdg, tg, out=new_tg)
-    new_tg[..., l:] += cc * te[..., :ncpl]
-    del half, tg, te
+    _apply_block(half.transpose(1, 0, 3, 2), amp.transpose(1, 0, 3, 2),
+                 *map(np.conj, blocks), l)
+    del half
 
     edge = (_flat_sum(np.abs(amp[:, :, n - l :]) ** 2)
             + _flat_sum(np.abs(amp[..., n - l :]) ** 2))

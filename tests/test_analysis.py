@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thermaljcm import model
+from thermaljcm import analysis, model
 from thermaljcm.analysis import (
     NoRevivalError,
     TimeSeries,
@@ -226,6 +226,11 @@ class TestEnvelope:
 
 
 class TestExtractRevivalPeriod:
+    @pytest.mark.parametrize("y", [(1.0, 1.0, 1.0), (0.5, 1.0, 1.5), (1.0, 0.5, 1.0)],
+                             ids=["flat", "straight", "convex"])
+    def test_top_that_is_no_maximum_is_not_shifted(self, y):
+        assert analysis._parabolic_offset(*y) == 0.0
+
     def test_synthetic_known_period(self):
         p = make_params(l=1, alpha=6.0)
         T = t0_period(p)  # prior matches construction at zero temperature

@@ -110,6 +110,16 @@ WORK_1E9 = {
 }
 
 
+#: a document whose series build, of 10^9 photon columns, is past the byte
+#: budget; its dt is fine enough for a period sweep
+NMAX_1E9 = {
+    "model": {"l": 2, "g": 1.0, "omega0": 1.0, "omega": 1.0, "alpha": 2.0},
+    "thermal": {"inv_beta": 0.1},
+    "grid": {"t_start": 0.0, "t_stop": 2.0, "dt": 0.02},
+    "truncation": {"n_max": 10**9},
+}
+
+
 #: a pe-series document on 11 time samples from t = 1e17, with the exact
 #: solver: the float64 rounding of its Rabi phases is 32 rad
 PHASE_1E17 = {
@@ -203,11 +213,8 @@ class TestConfigParsing:
         (lambda d: d["model"].__setitem__("l", 0), "model.l"),
         (lambda d: d["model"].__setitem__("l", 2.5), "model.l"),
         (lambda d: d["model"].__setitem__("l", 10**400), "model.l"),
-        (lambda d: d["model"].__setitem__("l", 200), "model.l"),
-        (lambda d: d["model"].__setitem__("g", 1e200), "model.g"),
         (lambda d: d["model"].__setitem__("omega", 1e200), "model: omega = "),
         (lambda d: d["model"].__setitem__("omega0", 1e200), "model: omega0 = "),
-        (lambda d: d["truncation"].__setitem__("n_max", 10**400), "truncation.n_max"),
         (lambda d: d["model"].__setitem__("g", "strong"), "model.g"),
         (lambda d: d["model"].pop("omega"), "model.omega"),
         (lambda d: d["thermal"].__setitem__("inv_beta", -0.1), "thermal.inv_beta"),
@@ -258,22 +265,21 @@ class TestConfigParsing:
     @settings(max_examples=60, deadline=None)
     @given(l=st.integers(1, 200), n_max=st.integers(1, 3000))
     def test_eigenvalue_check_agrees_with_the_table(self, l, n_max):
-        # parse_config accepts l exactly when the largest series table,
-        # rows m <= n_max + l + 2, is finite
-        doc = small_config()
-        doc["model"]["l"] = l
-        doc["truncation"]["n_max"] = n_max
+        # a full series build is admitted at l exactly when its table, rows
+        # m <= n_max + l + 2, is finite
+        params = ModelParams(**{**small_config()["model"], "l": l})
         try:
-            cfg = parse_config(doc)
-        except ConfigError as exc:
-            assert "model.l" in str(exc)
-            cfg = None
+            TruncationPolicy(n_max).check(params, (), True)
+            admitted = True
+        except LimitError as exc:
+            assert exc.param == "l"
+            admitted = False
         try:
-            EigenvalueTable(ModelParams(**doc["model"]), n_max + l + 2)
+            EigenvalueTable(params, n_max + l + 2)
         except ValueError:
-            assert cfg is None
+            assert not admitted
         else:
-            assert cfg is not None
+            assert admitted
 
     @pytest.mark.parametrize("section", ["thermal", "grid", "truncation", "oracle", "output"])
     @pytest.mark.parametrize("value", [None, {}, False, []])
@@ -312,6 +318,10 @@ class TestConfigParsing:
         for name in PRESETS:
             cfg = parse_config(build_preset(name))
             assert cfg.params.g == 1.0
+
+    def test_unknown_preset_is_named(self):
+        with pytest.raises(ConfigError, match="^preset: unknown name 'fig9'$"):
+            build_preset("fig9")
 
     def test_preset_parameters_match_captions(self):
         checks = {
@@ -1062,18 +1072,58 @@ class TestErrorPaths:
             proc.stderr
         assert proc.stdout == ""
 
-    def test_series_table_columns_stop_at_the_limit(self):
+    def test_series_table_columns_stop_at_the_limit(self, tmp_path, capsys):
         # the smallest build, P_e-only on no samples, of n_max + 3 columns at
-        # l = 2: 8 x (16 + 3) bytes a column, at most 2^30 / 152 columns;
-        # nothing is built by parse_config
+        # l = 2: 8 x (16 + 3) bytes a column, at most 2^30 / 152 columns
         edge = (1 << 30) // 152 - 3
         assert sum(thermaljcm.perturbation._build_bytes(edge + 3, 2, False, 0)) <= 1 << 30
-        doc = small_config(truncation={"n_max": edge})
-        assert parse_config(doc).trunc.n_max == edge
-        doc["truncation"]["n_max"] += 1
-        with pytest.raises(ConfigError, match="^truncation.n_max: .* more than the limit of "
-                                              "1024 MiB$"):
-            parse_config(doc)
+        params = ModelParams(**small_config()["model"])
+        TruncationPolicy(edge).check(params, ())
+        with pytest.raises(LimitError, match="^n_max = .* more than the limit of 1024 MiB$"):
+            TruncationPolicy(edge + 1).check(params, ())
+        doc = small_config(truncation={"n_max": edge + 1})
+        assert main(["pe-series", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: truncation.n_max: n_max = {edge + 1} ")
+
+    @pytest.mark.parametrize("command", ["pe-series", "coherence-map"])
+    def test_coupling_whose_eigenvalues_overflow_exits_2(self, tmp_path, capsys, command):
+        # g^2 alone is past the float range
+        doc = small_config()
+        doc["model"]["g"] = 1e200
+        assert main([command, "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: model.g: g = 1e+200: the Rabi ")
+
+    @pytest.mark.parametrize("command", ["approx-check", "oracle-validate"])
+    def test_command_that_builds_no_series_ignores_its_limits(self, tmp_path, command):
+        # neither builds a series at truncation.n_max, so its limits refuse nothing
+        rc, out = run_cli([command, "--config", write_config(tmp_path, NMAX_1E9)])
+        assert rc == EXIT_OK
+        if command == "oracle-validate":
+            assert json.loads(out)["passed"] is True
+        else:
+            assert out.splitlines()[1].startswith("0,1,1,")
+
+    @pytest.mark.parametrize("command", ["pe-series", "coherence-map", "period-sweep"])
+    def test_series_command_refuses_its_own_build(self, tmp_path, capsys, command):
+        assert main([command, "--config", write_config(tmp_path, NMAX_1E9)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncation.n_max: n_max = 1000000000 at l = 2: "), err
+
+    def test_sweep_names_the_first_fault_it_meets(self, tmp_path, capsys):
+        # its dt is checked before its series build is admitted
+        doc = {**NMAX_1E9, "grid": {"dt": 0.05}}
+        assert main(["period-sweep", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: grid.dt: dt = 0.05 too coarse ")
+
+    def test_approx_check_past_the_series_eigenvalues_runs(self, tmp_path):
+        # (m + 1)...(m + 150) overflows from m = 47 on, so a series build of
+        # n_max 40 is refused; approx-check's own sums are finite here
+        doc = small_config(grid={"t_start": 0.0, "t_stop": 2e-130, "dt": 1e-130})
+        doc["model"]["l"] = 150
+        rc, out = run_cli(["approx-check", "--config", write_config(tmp_path, doc)])
+        assert rc == EXIT_OK
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 3 and all(row[1:3] == ["1", "1"] for row in rows)
 
     @pytest.mark.parametrize("command", ["pe-series", "coherence-map"])
     @pytest.mark.parametrize("fields, field", HUGE_AMPLITUDES)
@@ -1082,10 +1132,11 @@ class TestErrorPaths:
                                                             field):
         # the Poisson weights underflow to 0, and an infinite prefactor would
         # turn the zero sums into nan, or aa**l would raise OverflowError
-        def refuse(*args, **kwargs):
-            raise AssertionError("built a series table")
+        class Refused(EigenvalueTable):
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("built a series table")
 
-        monkeypatch.setattr(thermaljcm.perturbation, "series_tables", refuse)
+        monkeypatch.setattr(thermaljcm.perturbation, "EigenvalueTable", Refused)
         doc = huge_amplitude_doc(**fields)
         assert main([command, "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -1528,10 +1579,9 @@ def series_builds(params, trunc):
 
 
 class TestLimitsAgree:
-    """``parse_config`` refuses a model exactly where the series layer does:
-    both apply the same definitions of the eigenvalue and prefactor limits.
-    The one exception is the phase bound of a (t, n) table, which needs a
-    grid: a build refused by it on [0, 0.5] is one ``parse_config`` accepts."""
+    """The series layer's limits agree with its builds: every build that
+    :func:`series_tables` admits is finite, and every one it refuses raises a
+    :class:`LimitError` before it allocates."""
 
     @settings(max_examples=300, deadline=None)
     @given(l=st.integers(1, 200), n_max=st.integers(1, 300), g=log_uniform(1e200),
@@ -1542,27 +1592,18 @@ class TestLimitsAgree:
     @example(l=200, n_max=20, g=1.0, alpha=2.0)
     @example(l=1, n_max=10, g=3.5e153, alpha=2.0)
     @example(l=1, n_max=40, g=1e12, alpha=2.0)  # a phase of 3.3e12 at t = 0.5
-    def test_parse_accepts_exactly_what_the_series_builds(self, l, n_max, g, alpha):
-        doc = small_config(thermal={"inv_beta": 0.0},
-                           grid={"t_start": 0.0, "t_stop": 0.5, "dt": 0.5},
-                           truncation={"n_max": n_max, "tail_tol": 1.0})
-        doc["model"].update(l=l, g=g, alpha=alpha)
+    def test_every_admitted_build_is_finite(self, l, n_max, g, alpha):
+        model = {**small_config()["model"], "l": l, "g": g,
+                 "alpha": complex(*np.atleast_1d(alpha))}
         try:
-            parse_config(doc)
-            accepted = True
-        except ConfigError:
-            accepted = False
-        try:
-            params = ModelParams(**{**doc["model"], "alpha": complex(*np.atleast_1d(alpha))})
+            params = ModelParams(**model)
         except ValueError:  # |alpha|^2 past the float range: nothing to build
-            assert not accepted
             return
         for tables in series_builds(params, TruncationPolicy(n_max, tail_tol=1.0)):
-            if isinstance(tables, LimitError) and tables.param == "t_max":
-                assert accepted and "largest phase" in str(tables), tables
-                continue
-            assert accepted == (not isinstance(tables, ValueError)), tables
-            if not accepted:
+            if isinstance(tables, ValueError):
+                assert isinstance(tables, LimitError), tables
+                if tables.param == "t_max":
+                    assert "largest phase" in str(tables), tables
                 continue
             assert all(np.isfinite(term).all() for terms in tables.pe_terms for term in terms)
             for inv_beta in (0.0, 0.16):

@@ -1,10 +1,12 @@
 """Model parameters, Bogoliubov angles, eigenvalue tables, period formulas."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+from thermaljcm import model
 from thermaljcm.model import (
     EigenvalueTable,
     LimitError,
@@ -92,6 +94,11 @@ class TestBogoliubovAngles:
         th = bogoliubov_angles(beta, 1.0, 1.0)
         assert th.cosh_theta**2 - th.sinh_theta**2 == pytest.approx(1.0, abs=1e-12)
         assert th.cos_atom**2 + th.sin_atom**2 == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("omega, omega0", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0)])
+    def test_nonpositive_frequency_rejected(self, omega, omega0):
+        with pytest.raises(ValueError, match="frequencies must be positive"):
+            bogoliubov_angles(1.0, omega, omega0)
 
     @pytest.mark.parametrize("beta", [0.0, -1.0])
     def test_nonpositive_beta_rejected(self, beta):
@@ -267,6 +274,12 @@ class TestRabiKernel:
         ref_a, ref_b = osc_pair(sqrt_d, table.joined_d, t[..., None], half_delta)
         assert a.tobytes() == ref_a.tobytes()
         assert b.tobytes() == ref_b.tobytes()
+
+
+def test_usable_cpus_without_affinity_masks(monkeypatch):
+    # a platform without sched_getaffinity counts every CPU
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert model._usable_cpus() == (os.cpu_count() or 1)
 
 
 class TestPeriods:

@@ -223,6 +223,25 @@ class TestNumpyBlasPin:
         assert inside == [1] * 1600
         assert get_fn() == 3
 
+    def test_construction_without_openblas_is_unpinned(self, monkeypatch):
+        # where numpy's extension cannot be opened as a library there is no
+        # thread count to pin, and the state is the one the pin builds
+        trunc = FockTruncation(20)
+        pinned = thermal_coherent_state(1.0, 0.3, trunc)
+
+        def no_library(*args, **kwargs):
+            raise OSError("cannot open the library")
+
+        oracle._numpy_openblas_threads.cache_clear()
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(oracle.ctypes, "CDLL", no_library)
+                assert oracle._numpy_openblas_threads() is None
+                unpinned = thermal_coherent_state(1.0, 0.3, trunc)
+        finally:
+            oracle._numpy_openblas_threads.cache_clear()
+        assert np.max(np.abs(unpinned - pinned)) <= 1e-14
+
     def test_pin_is_private(self):
         assert not any("blas" in name for name in oracle.__all__)
 
@@ -419,6 +438,10 @@ class TestPropagation:
             with pytest.raises(LimitError, match="its largest phase") as exc:
                 call()
             assert exc.value.param == "t_max"
+
+    def test_pe_curve_refuses_a_2d_grid(self):
+        with pytest.raises(ValueError, match="1-d array"):
+            pe_curve(make_params(l=1, alpha=2.0), COLD, np.zeros((2, 2)), FockTruncation(20))
 
     @pytest.mark.parametrize("g", [0.0, 1e-170])
     def test_t_squared_past_the_float_range_is_refused(self, g):
@@ -890,6 +913,12 @@ class TestPropagateCallCount:
         assert run_validation_suite()["passed"]
         assert sum(np.size(t) for t in calls) == 2 * 7 * 2 + 3 + 2 * 100
         assert len(calls) == 2 * 7 + 1 + 2
+
+
+def test_zero_angle_is_zero_temperature():
+    thermal = theta_for_angle(0.0, 1.0, 1.0)
+    assert thermal == bogoliubov_angles(math.inf, 1.0, 1.0)
+    assert thermal.zero_temperature
 
 
 def test_validation_suite_builds_16_initial_states(monkeypatch):
