@@ -5,9 +5,10 @@ probability time series, the period-vs-temperature sweep, the coherence map,
 the closed-form approximation check, and the oracle validation report.
 Identical configuration yields byte-identical output: floats are printed
 with 12 significant digits and all reductions run in fixed order.  A
-``cmd_*`` handler writes nothing: it returns its exit code and its output (a
-table, or the validation report), and ``main`` alone writes that, to stdout
-or ``--out`` alike, CSV a block of rows at a time.
+``cmd_*`` handler writes nothing: it refuses first, then returns its exit
+code and its output, the validation report or a table in row blocks.
+``main`` alone writes that to stdout or ``--out`` alike, CSV a block at a
+time (``coherence-map`` makes one per temperature), JSON all rows at once.
 
 Limits: ``parse_config`` checks the document's form only, and the one size
 rule here is the time grid this module allocates.  Every other rule is the
@@ -300,27 +301,30 @@ _CELL_FORMATS = {"f": "%.12g", "b": "%d", "i": "%d", "u": "%d"}
 _CSV_BLOCK_ROWS = 4096
 
 
-def _write_table(stream, columns: list[str], cols: list, out_format: str) -> None:
-    """Write a table given column-wise: one equal-length array or list per name.
+def _write_table(stream, columns: list[str], blocks, out_format: str) -> None:
+    """Write a table given in row blocks, in order: each block one
+    equal-length array or list per name.
 
-    CSV rows are formatted with one %-format string per row, ``_CSV_BLOCK_ROWS``
-    rows at a time: floats as %.12g (nan, inf and -0 included), booleans and
-    integers as %d, anything else as %s.  JSON rows keep the values of
-    :func:`_coerce_json`.
+    CSV writes the header once, then each block ``_CSV_BLOCK_ROWS`` rows at a
+    time before it asks for the next, one %-format string per row: floats as
+    %.12g (nan, inf and -0 included), booleans and integers as %d, anything
+    else as %s.  JSON gathers the rows of every block into one document, with
+    the values of :func:`_coerce_json`.
     """
-    arrays = [np.asarray(c) for c in cols]
-    if out_format == "csv":
-        fmt = ",".join(_CELL_FORMATS.get(a.dtype.kind, "%s") for a in arrays) + "\n"
-        stream.write(",".join(columns) + "\n")
-        for lo in range(0, len(arrays[0]), _CSV_BLOCK_ROWS):
-            block = (a[lo : lo + _CSV_BLOCK_ROWS].tolist() for a in arrays)
-            stream.write("".join([fmt % row for row in zip(*block)]))
-    else:
-        rows = zip(*(a.tolist() for a in arrays))
-        doc = {"columns": columns,
-               "rows": [[_coerce_json(v) for v in row] for row in rows]}
-        json.dump(doc, stream, indent=2, sort_keys=True)
+    if out_format == "json":
+        rows = [[_coerce_json(v) for v in row] for block in blocks
+                for row in zip(*(np.asarray(c).tolist() for c in block))]
+        json.dump({"columns": columns, "rows": rows}, stream, indent=2, sort_keys=True)
         stream.write("\n")
+        return
+    stream.write(",".join(columns) + "\n")
+    for block in blocks:
+        arrays = [np.asarray(c) for c in block]
+        fmt = ",".join(_CELL_FORMATS.get(a.dtype.kind, "%s") for a in arrays) + "\n"
+        for lo in range(0, len(arrays[0]), _CSV_BLOCK_ROWS):
+            piece = (a[lo : lo + _CSV_BLOCK_ROWS].tolist() for a in arrays)
+            stream.write("".join([fmt % row for row in zip(*piece)]))
+        del block, arrays  # so the next block is made without this one
 
 
 def _coerce_json(value):
@@ -355,8 +359,8 @@ def _time_grid(config: RunConfig) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns its exit code and its output, a table (column
-# names, equal-length columns) or the validation report, and writes nothing
+# subcommands: each returns its exit code and its output, a table (names, row
+# blocks of equal-length columns) or the validation report, and writes nothing
 
 def cmd_pe_series(config: RunConfig) -> tuple[int, tuple]:
     """Excitation-probability time series with per-order contributions."""
@@ -390,7 +394,7 @@ def cmd_pe_series(config: RunConfig) -> tuple[int, tuple]:
             raise ConfigError(f"{config.field('n_fock')}: oracle cutoff n_fock = "
                               f"{ftrunc.n_fock} is too small, {exc}") from None
         columns.append("pe_oracle")
-    return EXIT_OK, (columns, cols)
+    return EXIT_OK, (columns, [cols])
 
 
 def cmd_period_sweep(config: RunConfig) -> tuple[int, tuple]:
@@ -402,8 +406,8 @@ def cmd_period_sweep(config: RunConfig) -> tuple[int, tuple]:
              for row in sweep]
     n_missing = sum(row.no_revival for row in sweep)
     table = (["inv_beta", "extracted_period", "t0_prime", "tau1_quantum", "stability_flag"],
-             [[row.inv_beta for row in sweep], periods, [row.t0_prime for row in sweep],
-              [row.quantum for row in sweep], flags])
+             [[[row.inv_beta for row in sweep], periods, [row.t0_prime for row in sweep],
+               [row.quantum for row in sweep], flags]])
     return EXIT_NO_REVIVAL if n_missing == len(sweep) else EXIT_OK, table
 
 
@@ -418,17 +422,12 @@ def cmd_coherence_map(config: RunConfig) -> tuple[int, tuple]:
     # before the build
     thermals = [thermal_from_inv_beta(inv_beta, params) for inv_beta in config.inv_betas]
     tables = perturbation.series_tables(t, params, config.trunc)
-    # the output columns, filled one temperature's slice at a time
-    t_col, inv_beta_col, coh, p00, z = (np.empty(rows) for _ in range(5))
-    projected = np.empty(rows, dtype=bool)
-    for i, (inv_beta, thermal) in enumerate(zip(config.inv_betas, thermals)):
-        sl = slice(i * t.size, (i + 1) * t.size)
-        p00[sl], z[sl], projected[sl] = project_values(tables.pe(thermal),
-                                                       np.abs(tables.rho01(thermal)))
-        coh[sl] = coherence_values(p00[sl], z[sl])
-        t_col[sl], inv_beta_col[sl] = t, inv_beta
+
+    def block(inv_beta, thermal):  # one temperature's rows, made as main writes
+        p00, z, projected = project_values(tables.pe(thermal), np.abs(tables.rho01(thermal)))
+        return [t, np.full(t.size, inv_beta), coherence_values(p00, z), p00, z, projected]
     return EXIT_OK, (["t", "inv_beta", "coherence", "rho00", "abs_rho01",
-                      "projection_applied"], [t_col, inv_beta_col, coh, p00, z, projected])
+                      "projection_applied"], map(block, config.inv_betas, thermals))
 
 
 def cmd_approx_check(config: RunConfig) -> tuple[int, tuple]:
@@ -436,7 +435,7 @@ def cmd_approx_check(config: RunConfig) -> tuple[int, tuple]:
     params = config.params
     t = _time_grid(config)
     lhs, rhs = approx_cos_sum(params.alpha, params.l, params.g, t)
-    return EXIT_OK, (["t", "lhs", "rhs", "abs_dev"], [t, lhs, rhs, np.abs(lhs - rhs)])
+    return EXIT_OK, (["t", "lhs", "rhs", "abs_dev"], [[t, lhs, rhs, np.abs(lhs - rhs)]])
 
 
 def cmd_oracle_validate(config: RunConfig | None) -> tuple[int, dict]:
@@ -535,8 +534,9 @@ def main(argv=None) -> int:
         if config is None and args.command != "oracle-validate":
             raise ConfigError("config: pass --preset or --config")
         # --out is opened for appending before any work: an unwritable path
-        # exits 2 at once, a refusal or a traceback leaves an earlier result
-        # as it was, and a new path is created empty
+        # exits 2 at once, a handler's refusal or traceback leaves an earlier
+        # result as it was, a new path is created empty, and a row block that
+        # raises as it is made leaves the blocks before it, like a failed write
         try:
             out = (open(args.out, "a", encoding="utf-8", newline="") if args.out
                    else contextlib.nullcontext(sys.stdout))

@@ -370,6 +370,17 @@ class TestPeSeries:
         assert main(["pe-series", "--config", path, "--out", out2]) == EXIT_OK
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_pe_pert_is_the_sum_of_its_order_columns(self):
+        # bitwise: the series' own P_e (SeriesTables.pe) sums the same terms
+        # per channel first and differs in the last bits at 1904 of these
+        # 3889 samples, one of them printed, so the two are not one sum
+        code, (names, blocks) = cli.cmd_pe_series(parse_config(build_preset("fig1a")))
+        (cols,) = blocks
+        table = dict(zip(names, cols))
+        total = table["pe_order0"] + table["pe_order1_contrib"] + table["pe_order2_contrib"]
+        assert code == EXIT_OK and table["t"].size == 3889
+        assert table["pe_pert"].tobytes() == total.tobytes()
+
     def test_oracle_column_when_requested(self, tmp_path, capsys):
         doc = small_config(grid={"t_start": 0.0, "t_stop": 0.5, "dt": 0.1})
         rc = main(["pe-series", "--config", write_config(tmp_path, doc),
@@ -468,6 +479,32 @@ class TestCoherenceMap:
             if float(vals[0]) == 0.0:
                 assert float(vals[2]) == 0.0
                 assert float(vals[4]) == 0.0
+
+    def test_memory_holds_one_temperature_at_a_time(self, tmp_path):
+        # 20 001 samples: main writes one temperature's rows and lets them go
+        # before the next are made, so eight temperatures peak where two and
+        # one do, within a quarter of one temperature's six columns
+        samples = 20_001
+
+        def peak(temperatures):
+            doc = {"model": {"l": 1, "g": 1.0, "omega0": 1.0, "omega": 1.0, "alpha": 2.0},
+                   "thermal": {"inv_beta_grid": [0.02 * i for i in range(temperatures)]},
+                   "grid": {"t_start": 0.0, "t_stop": 400.0, "dt": 0.02},
+                   "truncation": {"n_max": 40}}
+            argv = ["coherence-map", "--config", write_config(tmp_path, doc),
+                    "--out", str(tmp_path / "map.csv")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # warm: one-time allocations are in no peak
+        one, two, eight = peak(1), peak(2), peak(8)
+        assert (tmp_path / "map.csv").read_text().count("\n") == 1 + 8 * samples
+        quarter_block = 6 * 8 * samples / 4
+        assert eight <= two + quarter_block and two <= one + quarter_block
 
 
 class TestApproxCheck:
@@ -1482,6 +1519,27 @@ class TestOutFile:
             main(argv)
         assert out.read_text() == self.EARLIER
 
+    def test_block_that_raises_leaves_the_blocks_before_it(self, monkeypatch, tmp_path, out):
+        # coherence-map makes each temperature's rows as main writes them: a
+        # failure in the second leaves the header and the first, as a failed
+        # write leaves what it wrote
+        made = []
+
+        def fail_second(p00, z, coherence_values=cli.coherence_values):
+            made.append(p00.size)
+            if len(made) == 2:
+                raise RuntimeError("failed in the second block")
+            return coherence_values(p00, z)
+
+        monkeypatch.setattr(cli, "coherence_values", fail_second)
+        doc = small_config(thermal={"inv_beta_grid": [0.0, 0.1]})
+        argv = ["coherence-map", "--config", write_config(tmp_path, doc), "--out", str(out)]
+        with pytest.raises(RuntimeError, match="second block"):
+            main(argv)
+        lines = out.read_text().splitlines()
+        assert made == [41, 41] and len(lines) == 1 + 41
+        assert lines[0].startswith("t,inv_beta,") and {r.split(",")[1] for r in lines[1:]} == {"0"}
+
     @pytest.mark.parametrize("target, reason", [
         ("", "Is a directory"),
         ("missing/out.csv", "No such file or directory"),
@@ -1541,24 +1599,34 @@ class TestCsvWriter:
         names = ["t", "scaled", "flag", "index", "label"]
         cols = [t, -3.0 * t, t > 0.5, np.arange(10), ["ok", "unstable"] * 5]
 
-        def write():
+        def write(blocks, out_format="csv"):
             out = io.StringIO()
-            cli._write_table(out, names, cols, "csv")
+            cli._write_table(out, names, blocks, out_format)
             return out.getvalue()
 
+        def split(*cuts):  # the rows of cols in blocks that end at the cuts
+            edges = [0, *cuts, 10]
+            return [[c[lo:hi] for c in cols] for lo, hi in zip(edges, edges[1:])]
+
         monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 10)
-        whole = write()
+        whole = write([cols])
         assert whole.count("\n") == 11
         assert "-0,0," in whole and "nan,nan,0," in whole and "inf,-inf,1," in whole
         monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 3)
-        assert write() == whole
+        assert write([cols]) == whole
+        assert write(split(1, 5, 9)) == whole
+        assert write(iter(split(4, 7))) == whole  # blocks asked for one at a time
+        as_json = write([cols], "json")
+        assert json.loads(as_json)["rows"][2][:3] == [None, None, 0]
+        assert write(split(1, 5, 9), "json") == as_json
+        assert write(iter(split(4, 7)), "json") == as_json
 
     def test_memory_does_not_grow_with_the_rows(self):
         def peak(rows):
             cols = [np.linspace(0.0, 1.0, rows), np.arange(rows) % 2 == 0]
             tracemalloc.start()
             try:
-                cli._write_table(_Sink(), ["t", "flag"], cols, "csv")
+                cli._write_table(_Sink(), ["t", "flag"], [cols], "csv")
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
