@@ -8,7 +8,7 @@ with 12 significant digits and all reductions run in fixed order.  A
 ``cmd_*`` handler writes nothing: it refuses first, then returns its exit
 code and its output, the validation report or a table in row blocks.
 ``main`` alone writes that to stdout or ``--out`` alike, CSV a block at a
-time (``coherence-map`` makes one per temperature), JSON all rows at once.
+time (``coherence-map`` makes one per temperature), JSON too.
 
 Limits: ``parse_config`` checks the document's form only, and the one size
 rule here is the time grid this module allocates.  Every other rule is the
@@ -296,35 +296,45 @@ PRESETS = tuple(sorted([*_FIG1, "fig2", *_SWEEP_LS, *_MAP_LS]))
 
 _CELL_FORMATS = {"f": "%.12g", "b": "%d", "i": "%d", "u": "%d"}
 
-#: CSV rows turned into Python values and written as one string at a time:
+#: table rows turned into Python values and written as one string at a time:
 #: the writer's memory does not grow with the table
 _CSV_BLOCK_ROWS = 4096
+
+
+def _json_at(value, depth: int) -> str:
+    """``value`` as ``json.dump(..., indent=2)`` writes it ``depth`` levels deep."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
 def _write_table(stream, columns: list[str], blocks, out_format: str) -> None:
     """Write a table given in row blocks, in order: each block one
     equal-length array or list per name.
 
-    CSV writes the header once, then each block ``_CSV_BLOCK_ROWS`` rows at a
-    time before it asks for the next, one %-format string per row: floats as
-    %.12g (nan, inf and -0 included), booleans and integers as %d, anything
-    else as %s.  JSON gathers the rows of every block into one document, with
-    the values of :func:`_coerce_json`.
+    Each block is written ``_CSV_BLOCK_ROWS`` rows at a time before the next
+    is asked for.  CSV writes the header once, then one %-format string per
+    row: floats as %.12g (nan, inf and -0 included), booleans and integers as
+    %d, anything else as %s.  JSON writes the bytes of ``json.dump({"columns":
+    columns, "rows": rows}, indent=2, sort_keys=True)``, with the values of
+    :func:`_coerce_json` encoded by json.
     """
-    if out_format == "json":
-        rows = [[_coerce_json(v) for v in row] for block in blocks
-                for row in zip(*(np.asarray(c).tolist() for c in block))]
-        json.dump({"columns": columns, "rows": rows}, stream, indent=2, sort_keys=True)
-        stream.write("\n")
-        return
-    stream.write(",".join(columns) + "\n")
+    as_json = out_format == "json"
+    stream.write(f'{{\n  "columns": {_json_at(columns, 1)},\n  "rows": [' if as_json
+                 else ",".join(columns) + "\n")
+    sep = ""
     for block in blocks:
         arrays = [np.asarray(c) for c in block]
         fmt = ",".join(_CELL_FORMATS.get(a.dtype.kind, "%s") for a in arrays) + "\n"
         for lo in range(0, len(arrays[0]), _CSV_BLOCK_ROWS):
-            piece = (a[lo : lo + _CSV_BLOCK_ROWS].tolist() for a in arrays)
-            stream.write("".join([fmt % row for row in zip(*piece)]))
+            rows = zip(*(a[lo : lo + _CSV_BLOCK_ROWS].tolist() for a in arrays))
+            if as_json:  # the rows' list without its brackets, then a comma
+                rows = [[_coerce_json(v) for v in row] for row in rows]
+                stream.write(sep + _json_at(rows, 1)[1:-4])
+                sep = ","
+            else:
+                stream.write("".join([fmt % row for row in rows]))
         del block, arrays  # so the next block is made without this one
+    if as_json:
+        stream.write(("\n  ]" if sep else "]") + "\n}\n")
 
 
 def _coerce_json(value):

@@ -23,11 +23,8 @@ series' zero-temperature one-sin reduction (``model._weighted_sums`` on
 rows, P_e's and the cutoff edge population's: O(n_fock) a sample.
 :func:`propagate` and :class:`DoubledFockState` carry the full doubled-space
 state at O(n_fock^2) per sample; they are the independent reference that
-:mod:`thermaljcm.validation` and the tests read.  The reference holds one
-state at one time: a 1-d time grid is walked one sample at a time, each
-state handed to the caller's ``observe``, so the memory of a call does not
-grow with the grid, and a sample's value does not depend on the grid around
-it.
+:mod:`thermaljcm.validation` and the tests read.  The reference takes one
+time and returns one state; a caller that wants a grid loops over it.
 
 Each Rabi phase is evaluated once: D'_m = D_(m-l) for m >= l, so the primed
 amplitude A'(m) is A(m - l), and only the l structurally zero columns m < l
@@ -374,9 +371,9 @@ def build_initial_state(params: ModelParams, thermal: ThermalParams,
     return state
 
 
-def _block_elements(table: EigenvalueTable, t):
-    """Closed-form propagator pieces on the n_fock = ``table.n_max + 1``
-    levels of ``table``.
+def _block_elements(table: EigenvalueTable, t: float):
+    """Closed-form propagator pieces at time ``t`` on the n_fock =
+    ``table.n_max + 1`` levels of ``table``.
 
     Returns (diag_e, diag_g, coup):
       diag_e[n]  = conj(A(n)) acting on |e, n>;
@@ -384,21 +381,19 @@ def _block_elements(table: EigenvalueTable, t):
       coup[n]    = -i g sqrt((n+l)!/n!) B(n), the |e, n> <-> |g, n+l>
                    coupling for n = 0 .. n_fock-1-l, in both directions
                    because B'(n+l) = B(n).
-    ``t`` is a time or an array of times; its axes come in front of the
-    photon axis of every piece.  The model's Rabi-block kernel evaluates the
-    table's joined columns, in which A'(m) is column m and A(n) and B(n) are
-    column s + n.
+    The model's Rabi-block kernel evaluates the table's joined columns, in
+    which A'(m) is column m and A(n) and B(n) are column s + n.
     """
     params = table.params
     s, n_fock = table.shift, table.n_max + 1
     t, sqrt_d = np.asarray(t, dtype=float), table.joined_sqrt_d
-    sin_t, cos_t = np.empty((2,) + t.shape + sqrt_d.shape)
+    sin_t, cos_t = np.empty((2,) + sqrt_d.shape)
     _rabi_trig(sqrt_d, t, sin_t, cos_t)
     a, b = _rabi_amplitudes(sin_t, cos_t, sqrt_d, t, params.delta / 2.0,
                             np.empty(sin_t.shape, dtype=complex))
     ncpl = max(n_fock - params.l, 0)
-    coup = -1j * params.g * np.sqrt(table.prod[:ncpl]) * b[..., s : s + ncpl]
-    return np.conj(a[..., s:]), a[..., :n_fock], coup
+    coup = -1j * params.g * np.sqrt(table.prod[:ncpl]) * b[s : s + ncpl]
+    return np.conj(a[s:]), a[:n_fock], coup
 
 
 def _apply_block(src, out, diag_e, diag_g, coup, l: int) -> None:
@@ -413,13 +408,21 @@ def _apply_block(src, out, diag_e, diag_g, coup, l: int) -> None:
     new_g[:, l:] += cp * old_e[:, :ncpl]
 
 
-def _propagate_block(state: DoubledFockState, table: EigenvalueTable,
-                     t: float) -> DoubledFockState:
-    """The state at time ``t``; raises if it leaks."""
-    n = state.trunc.n_fock
-    params = table.params
-    l = params.l
-    blocks = _block_elements(table, t)
+def propagate(state: DoubledFockState, t: float, params: ModelParams) -> DoubledFockState:
+    """The state at time ``t``, a scalar, under the interaction-picture propagator.
+
+    The physical factor uses the closed-form block elements; the tilde factor
+    is their elementwise complex conjugate (the tilde Hamiltonian enters with
+    the opposite sign of i t).  Raises a LeakageError where the population
+    within l levels of either cutoff exceeds the leakage budget.
+    """
+    if np.ndim(t) != 0:
+        raise ValueError("time must be a scalar")
+    t = float(t)
+    trunc = state.trunc
+    trunc.check(params, t)
+    n, l = trunc.n_fock, params.l
+    blocks = _block_elements(EigenvalueTable(params, n - 1), t)
     # |e, n> whose partner |g, n+l> is past the cutoff takes the bare
     # detuning phase, so the truncated propagator stays exactly unitary
     blocks[0][n - l :] = np.exp(1j * params.delta * t / 2.0)
@@ -435,42 +438,10 @@ def _propagate_block(state: DoubledFockState, table: EigenvalueTable,
 
     edge = (_flat_sum(np.abs(amp[:, :, n - l :]) ** 2)
             + _flat_sum(np.abs(amp[..., n - l :]) ** 2))
-    if edge > state.trunc.leak_tol:
+    if edge > trunc.leak_tol:
         raise LeakageError(f"population {edge:.3e} within {l} levels of the "
                            f"Fock cutoff exceeds leak_tol at t = {t:g}")
-    return DoubledFockState(amp=amp, trunc=state.trunc)
-
-
-def propagate(state: DoubledFockState, t, params: ModelParams, observe=None):
-    """Apply the interaction-picture propagator at time t, or over a 1-d
-    time grid t.
-
-    The physical factor uses the closed-form block elements; the tilde factor
-    is their elementwise complex conjugate (the tilde Hamiltonian enters with
-    the opposite sign of i t).  At a time the result is the propagated
-    state, or ``observe`` of it.  A grid needs ``observe``: one eigenvalue
-    table serves the grid, whose samples are propagated one at a time, each
-    state handed to ``observe``, and its results, a number or a tuple of
-    numbers, are joined into an array or a tuple of arrays over the grid;
-    ``propagate(state, grid, params, reduce_atom)`` gives the arrays (rho00,
-    rho01).  Raises at the first sample whose population within l levels of
-    either cutoff exceeds the leakage budget.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    state.trunc.check(params, t_arr)
-    table = EigenvalueTable(params, state.trunc.n_fock - 1)
-    if t_arr.ndim == 0:
-        out = _propagate_block(state, table, float(t_arr))
-        return out if observe is None else observe(out)
-    if t_arr.ndim != 1 or observe is None:
-        raise ValueError("time must be a scalar, or a 1-d array with observe")
-    # an empty grid observes the input state for the results' structure and
-    # keeps none of it
-    values = [observe(_propagate_block(state, table, float(x))) for x in t_arr]
-    values = values or [observe(state)]
-    if isinstance(values[0], tuple):
-        return tuple(np.array(v)[: t_arr.size] for v in zip(*values))
-    return np.array(values)[: t_arr.size]
+    return DoubledFockState(amp=amp, trunc=trunc)
 
 
 def reduce_atom(state: DoubledFockState):

@@ -42,8 +42,9 @@ def block_element_pe(params, thermal, t, rho):
     populations rho, with |A_n| = 1 where |g, n + l> is past the cutoff."""
     n, l = rho.size, params.l
     ncpl = n - l
-    diag_e, _, coup = oracle._block_elements(EigenvalueTable(params, n - 1),
-                                             np.asarray(t, dtype=float))
+    table = EigenvalueTable(params, n - 1)
+    diag_e, _, coup = map(np.array, zip(*(oracle._block_elements(table, x)
+                                          for x in np.asarray(t, dtype=float))))
     abs_e = diag_e.real * diag_e.real + diag_e.imag * diag_e.imag
     abs_e[:, ncpl:] = 1.0
     summand = thermal.sin_atom**2 * abs_e * rho

@@ -480,19 +480,18 @@ class TestCoherenceMap:
                 assert float(vals[2]) == 0.0
                 assert float(vals[4]) == 0.0
 
-    def test_memory_holds_one_temperature_at_a_time(self, tmp_path):
-        # 20 001 samples: main writes one temperature's rows and lets them go
-        # before the next are made, so eight temperatures peak where two and
-        # one do, within a quarter of one temperature's six columns
-        samples = 20_001
+    @staticmethod
+    def peaks(tmp_path, out_format):
+        """The traced peaks of coherence-map at 1, 2 and 8 temperatures of
+        20 001 samples, written to ``--out``, and that file."""
+        out = tmp_path / f"map.{out_format}"
 
         def peak(temperatures):
             doc = {"model": {"l": 1, "g": 1.0, "omega0": 1.0, "omega": 1.0, "alpha": 2.0},
                    "thermal": {"inv_beta_grid": [0.02 * i for i in range(temperatures)]},
                    "grid": {"t_start": 0.0, "t_stop": 400.0, "dt": 0.02},
-                   "truncation": {"n_max": 40}}
-            argv = ["coherence-map", "--config", write_config(tmp_path, doc),
-                    "--out", str(tmp_path / "map.csv")]
+                   "truncation": {"n_max": 40}, "output": {"format": out_format}}
+            argv = ["coherence-map", "--config", write_config(tmp_path, doc), "--out", str(out)]
             tracemalloc.start()
             try:
                 assert main(argv) == EXIT_OK
@@ -501,8 +500,23 @@ class TestCoherenceMap:
                 tracemalloc.stop()
 
         peak(1)  # warm: one-time allocations are in no peak
-        one, two, eight = peak(1), peak(2), peak(8)
-        assert (tmp_path / "map.csv").read_text().count("\n") == 1 + 8 * samples
+        return peak(1), peak(2), peak(8), out
+
+    def test_memory_holds_one_temperature_at_a_time(self, tmp_path):
+        # 20 001 samples: main writes one temperature's rows and lets them go
+        # before the next are made, so eight temperatures peak where two and
+        # one do, within a quarter of one temperature's six columns
+        samples = 20_001
+        one, two, eight, out = self.peaks(tmp_path, "csv")
+        assert out.read_text().count("\n") == 1 + 8 * samples
+        quarter_block = 6 * 8 * samples / 4
+        assert eight <= two + quarter_block and two <= one + quarter_block
+
+    def test_json_memory_holds_one_temperature_at_a_time(self, tmp_path):
+        # the same bound: the JSON writer streams its rows as CSV does
+        samples = 20_001
+        one, two, eight, out = self.peaks(tmp_path, "json")
+        assert len(json.loads(out.read_text())["rows"]) == 8 * samples
         quarter_block = 6 * 8 * samples / 4
         assert eight <= two + quarter_block and two <= one + quarter_block
 
@@ -1620,6 +1634,24 @@ class TestCsvWriter:
         assert json.loads(as_json)["rows"][2][:3] == [None, None, 0]
         assert write(split(1, 5, 9), "json") == as_json
         assert write(iter(split(4, 7)), "json") == as_json
+
+        def dumped(names, cols):  # the document json.dump writes in one piece
+            rows = [[cli._coerce_json(v) for v in row]
+                    for row in zip(*(np.asarray(c).tolist() for c in cols))]
+            out = io.StringIO()
+            json.dump({"columns": names, "rows": rows}, out, indent=2, sort_keys=True)
+            return out.getvalue() + "\n"
+
+        assert as_json == dumped(names, cols)
+        odd = [np.array([np.nan, -0.0, 1e16, 0.1 + 0.2, -1e-300]),
+               np.array([True, False, True, False, True]), np.array([0, -1, 2**53, 7, 3]),
+               ['say "ok"', "back\\slash", "tab\tline\n", "\u00e9", ""]]
+        names = ["x", "flag", "n", "label"]
+        cuts = [[c[lo:hi] for c in odd] for lo, hi in ((0, 2), (2, 2), (2, 5))]
+        assert write(cuts, "json") == dumped(names, odd)
+        empty = [c[:0] for c in odd]
+        assert write([empty], "json") == write([], "json") == dumped(names, empty)
+        assert json.loads(write([empty], "json")) == {"columns": names, "rows": []}
 
     def test_memory_does_not_grow_with_the_rows(self):
         def peak(rows):

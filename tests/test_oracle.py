@@ -364,6 +364,53 @@ class TestPropagation:
         out = propagate(state, 0.0, p)
         np.testing.assert_array_equal(out.amp, state.amp)
 
+    @pytest.mark.parametrize("t", [[0.5], [0.5, 1.0], np.zeros((2, 2)), np.array([])])
+    def test_time_must_be_a_scalar(self, t):
+        p = make_params(l=1, alpha=1.0)
+        init = build_initial_state(p, COLD, FockTruncation.auto(p))
+        with pytest.raises(ValueError, match="time must be a scalar"):
+            propagate(init, t, p)
+
+    @pytest.mark.parametrize("n_fock", [2, 3, 5, 64, 2048])
+    @pytest.mark.parametrize("omega0", [1.0, 2.5])
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_shifted_block_elements_equal_direct_evaluation(self, l, omega0, n_fock):
+        # A'(m) = A(m - l) for m >= l; omega0 = l is resonant, where the
+        # structural columns of D' are zero and take the (1, t) limit
+        for w0 in (float(l), omega0):
+            p = make_params(l=l, g=0.7, omega0=w0, omega=1.0)
+            table = EigenvalueTable(p, n_fock - 1)
+            # D'_m = (delta/2)^2 + g^2 prod_{k=0..l-1} (m - k), zero product for m < l
+            mm = np.arange(n_fock, dtype=float)
+            prod = np.prod(mm[:, None] - np.arange(l)[None, :], axis=1)
+            prod[:l] = 0.0
+            d_prime = (p.delta / 2.0) ** 2 + p.g * p.g * prod
+            nn = np.arange(max(n_fock - l, 0), dtype=float)
+            beta = np.sqrt(np.prod(nn[:, None] + np.arange(1, l + 1)[None, :], axis=1))
+            for t in (0.0, 0.3, 1.7, 12.5, 400.0):
+                diag_e, diag_g, coup = oracle._block_elements(table, t)
+                a, b = osc_pair(table.sqrt_d, table.d, t, p.delta / 2.0)
+                ap, _ = osc_pair(np.sqrt(d_prime), d_prime, t, p.delta / 2.0)
+                np.testing.assert_array_equal(diag_e, np.conj(a))
+                np.testing.assert_array_equal(diag_g, ap)
+                np.testing.assert_array_equal(coup, -1j * p.g * beta * b[: nn.size])
+
+    def test_one_call_holds_at_most_three_states(self):
+        # n_fock 120: a state is 0.9 MB.  A call holds the state after the
+        # physical factor, the new state and at most one state of
+        # temporaries: a coupling product of under half a state with numpy's
+        # 8192-element ufunc buffer, or reduce_atom's conjugate and product,
+        # or the abs temporaries.  The input state is the caller's
+        p = make_params(l=2, alpha=6.0)
+        init = build_initial_state(p, thermal_from_inv_beta(0.1, p), FockTruncation(120))
+        tracemalloc.start()
+        try:
+            reduce_atom(propagate(init, 3.0, p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * init.amp.nbytes
+
     @pytest.mark.parametrize("inv_beta", [0.0, 0.2])
     @pytest.mark.parametrize("alpha", [1.2, 0.8 - 0.6j])
     @pytest.mark.parametrize("detuning", [0.0, 0.3])
@@ -389,6 +436,22 @@ class TestPropagation:
             u = expm(-1j * h * t)
             want = (u @ amp @ np.conj(u).T).reshape(2, n, 2, n).transpose(0, 2, 1, 3)
             assert np.max(np.abs(propagate(init, t, p).amp - want)) <= 1e-13
+
+    @pytest.mark.parametrize("inv_beta", [0.0, 0.2])
+    @pytest.mark.parametrize("alpha", [1.5, 1.3 + 0.7j])
+    @pytest.mark.parametrize("detuning", [0.0, 0.3])
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_times_compose(self, l, detuning, alpha, inv_beta):
+        # U(t) U(s) = U(s + t): a call at t on the state a call at s returns
+        # is a call at s + t, to at most 3.5e-15 over these cases.  omega0 = 1
+        # and l omega = 1 + detuning
+        p = make_params(l=l, omega0=1.0, omega=(1.0 + detuning) / l, alpha=alpha)
+        thermal = thermal_from_inv_beta(inv_beta, p)
+        trunc = FockTruncation(FockTruncation.auto(p, thermal).n_fock + 12)
+        init = build_initial_state(p, thermal, trunc)
+        for s, t in ((0.4, 1.1), (1.7, 2.3)):
+            twice = propagate(propagate(init, s, p), t, p)
+            assert np.max(np.abs(twice.amp - propagate(init, s + t, p).amp)) <= 1e-14
 
     @pytest.mark.parametrize("t", [0.5, 5.0, 50.0])
     def test_norm_preserved(self, t):
@@ -432,7 +495,7 @@ class TestPropagation:
         trunc = FockTruncation(40)
         init = build_initial_state(p, COLD, trunc)
         grid = 1e17 + 1e6 * np.arange(11)
-        for call in (lambda: propagate(init, grid, p, reduce_atom),
+        for call in (lambda: propagate(init, grid[-1], p),
                      lambda: pe_curve(p, COLD, grid, trunc),
                      lambda: atom_block_matrices(grid[0], p, 40)):
             with pytest.raises(LimitError, match="its largest phase") as exc:
@@ -748,143 +811,10 @@ class TestOneSinPe:
         assert threaded.tobytes() == serial.tobytes()
 
 
-def per_sample(init, times, p):
-    """(rho00, rho01, norm^2) sample by sample, one scalar propagate each."""
-    states = [propagate(init, float(t), p) for t in times]
-    return ([reduce_atom(s)[0] for s in states], [reduce_atom(s)[1] for s in states],
-            [s.norm_sq for s in states])
-
-
-def first_leak(init, times, p):
-    """The message of the LeakageError the per-sample loop stops at."""
-    for t in times:
-        try:
-            propagate(init, float(t), p)
-        except LeakageError as exc:
-            return str(exc)
-    return None
-
-
-class TestGridPropagation:
-    @pytest.mark.parametrize("inv_beta", [0.0, 0.2])
-    @pytest.mark.parametrize("alpha", [1.5, 1.3 + 0.7j])
-    @pytest.mark.parametrize("detuning", [0.0, 0.3])
-    @pytest.mark.parametrize("l", [1, 2, 3, 4])
-    def test_grid_equals_per_sample_bitwise(self, l, detuning, alpha, inv_beta):
-        # omega0 = 1 and l omega = 1 + detuning
-        p = make_params(l=l, omega0=1.0, omega=(1.0 + detuning) / l, alpha=alpha)
-        thermal = thermal_from_inv_beta(inv_beta, p)
-        trunc = FockTruncation(FockTruncation.auto(p, thermal).n_fock + 12)
-        init = build_initial_state(p, thermal, trunc)
-        t = np.linspace(0.0, 4.0, 11)
-        rho00, rho01 = propagate(init, t, p, reduce_atom)
-        norms = propagate(init, t, p, lambda s: s.norm_sq)
-        want00, want01, want_norms = per_sample(init, t, p)
-        np.testing.assert_array_equal(rho00, want00)
-        np.testing.assert_array_equal(rho01, want01)
-        np.testing.assert_array_equal(norms, want_norms)
-
-    def test_one_time_is_the_grid_path_without_a_time_axis(self):
-        p = make_params(l=2, omega0=1.0, omega=0.8, alpha=1.1 - 0.4j)
-        init = build_initial_state(p, thermal_from_inv_beta(0.1, p),
-                                   FockTruncation.auto(p, thermal_from_inv_beta(0.1, p)))
-        out = propagate(init, 1.3, p)
-        assert out.amp.shape == init.amp.shape
-        rho00, rho01 = propagate(init, 1.3, p, reduce_atom)
-        assert (type(rho00), type(rho01)) == (float, complex)
-        assert (rho00, rho01) == reduce_atom(out)
-        assert propagate(init, np.array([]), p, reduce_atom)[0].shape == (0,)
-
-    def test_grid_needs_observe_and_one_state(self):
-        p = make_params(l=1, alpha=1.0)
-        init = build_initial_state(p, COLD, FockTruncation.auto(p))
-        with pytest.raises(ValueError, match="observe"):
-            propagate(init, [0.5, 1.0], p)
-        with pytest.raises(ValueError, match="1-d"):
-            propagate(init, np.zeros((2, 2)), p, reduce_atom)
-        with pytest.raises(ValueError, match="shape"):
-            DoubledFockState(amp=np.stack([init.amp, init.amp]), trunc=init.trunc)
-
-    @pytest.mark.parametrize("l, omega, alpha, inv_beta, n_fock, t, tol", [
-        # the edge population grows along these grids, the second descending
-        (3, 0.7, 1.3 + 0.7j, 0.3, 16, np.linspace(1.25, 2.5, 5), 2.5e-3),
-        (2, 0.7, 2.0, 0.2, 22, np.linspace(2.5, 0.0, 9), 5e-6),
-    ])
-    def test_leak_inside_the_grid_raises_the_per_sample_error(self, l, omega, alpha, inv_beta,
-                                                              n_fock, t, tol):
-        p = make_params(l=l, omega0=1.0, omega=omega, alpha=alpha)
-        thermal = thermal_from_inv_beta(inv_beta, p)
-        edges = np.array([doubled_space_edge(p, thermal, x, n_fock) for x in t])
-        # the first sample past the budget is not among the first two, which
-        # the grid propagates before it raises
-        assert np.flatnonzero(edges > tol)[0] >= 2
-        init = build_initial_state(p, thermal, FockTruncation(n_fock, leak_tol=tol))
-        message = first_leak(init, t, p)
-        assert message is not None and "Fock cutoff" in message
-        with pytest.raises(LeakageError) as exc:
-            propagate(init, t, p, reduce_atom)
-        assert str(exc.value) == message
-
-    @pytest.mark.parametrize("n_fock", [2, 3, 5, 64, 2048])
-    @pytest.mark.parametrize("omega0", [1.0, 2.5])
-    @pytest.mark.parametrize("l", [1, 2, 3, 4])
-    def test_shifted_block_elements_equal_direct_evaluation(self, l, omega0, n_fock):
-        # A'(m) = A(m - l) for m >= l; omega0 = l is resonant, where the
-        # structural columns of D' are zero and take the (1, t) limit
-        for w0 in (float(l), omega0):
-            p = make_params(l=l, g=0.7, omega0=w0, omega=1.0)
-            table = EigenvalueTable(p, n_fock - 1)
-            t = np.array([0.0, 0.3, 1.7, 12.5, 400.0])
-            diag_e, diag_g, coup = oracle._block_elements(table, t)
-            a, b = osc_pair(table.sqrt_d, table.d, t[:, None], p.delta / 2.0)
-            # D'_m = (delta/2)^2 + g^2 prod_{k=0..l-1} (m - k), zero product for m < l
-            mm = np.arange(n_fock, dtype=float)
-            prod = np.prod(mm[:, None] - np.arange(l)[None, :], axis=1)
-            prod[:l] = 0.0
-            d_prime = (p.delta / 2.0) ** 2 + p.g * p.g * prod
-            ap, _ = osc_pair(np.sqrt(d_prime), d_prime, t[:, None], p.delta / 2.0)
-            nn = np.arange(max(n_fock - l, 0), dtype=float)
-            beta = np.sqrt(np.prod(nn[:, None] + np.arange(1, l + 1)[None, :], axis=1))
-            np.testing.assert_array_equal(diag_e, np.conj(a))
-            np.testing.assert_array_equal(diag_g, ap)
-            np.testing.assert_array_equal(coup, -1j * p.g * beta * b[:, : nn.size])
-            # a time is the row of the grid
-            one = oracle._block_elements(table, 1.7)
-            for piece, row in zip(one, (diag_e[2], diag_g[2], coup[2])):
-                np.testing.assert_array_equal(piece, row)
-
-
-def propagate_peak(init, times, p):
-    """tracemalloc peak of one grid propagation reduced to the atom."""
-    tracemalloc.start()
-    try:
-        propagate(init, times, p, reduce_atom)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_grid_propagation_memory_does_not_grow_with_the_grid():
-    # n_fock 120: a state is 0.9 MB and 2 000 of them 1.8 GB.  One sample
-    # holds the state after the physical factor, the new state and at most
-    # one state of temporaries: a coupling product of under half a state with
-    # numpy's 8192-element ufunc buffer, or reduce_atom's conjugate and
-    # product, or the abs temporaries.  The input state is the caller's
-    p = make_params(l=2, alpha=6.0)
-    trunc = FockTruncation(120)
-    init = build_initial_state(p, thermal_from_inv_beta(0.1, p), trunc)
-    short = propagate_peak(init, np.linspace(0.0, 3.0, 200), p)
-    long = propagate_peak(init, np.linspace(0.0, 3.0, 2000), p)
-    assert long <= 3 * init.amp.nbytes + 2000 * 128
-    # beyond one sample a grid holds its output, a float and a complex in a
-    # tuple per sample until they are joined: ~100 bytes a sample here
-    assert long - short <= (2000 - 200) * 128
-
-
 class TestPropagateCallCount:
     @staticmethod
     def count_propagate(monkeypatch):
-        """The time argument of each propagate call: a time or a grid."""
+        """The time argument of each propagate call."""
         calls = []
         real = oracle.propagate
         monkeypatch.setattr(oracle, "propagate",
@@ -906,13 +836,12 @@ class TestPropagateCallCount:
         assert calls == []
 
     def test_validation_suite_makes_231(self, monkeypatch):
-        # 231 samples: 2 l values x 7 angles x 2 times for the scaling fits,
-        # 3 unitarity samples, 2 l values x 100 zero-temperature samples;
-        # one call per grid: 2 x 7 angles, 1 unitarity grid, 2 degeneracy grids
+        # one call per time: 2 l values x 7 angles x 2 times for the scaling
+        # fits, 3 unitarity samples, 2 l values x 100 zero-temperature samples
         calls = self.count_propagate(monkeypatch)
         assert run_validation_suite()["passed"]
-        assert sum(np.size(t) for t in calls) == 2 * 7 * 2 + 3 + 2 * 100
-        assert len(calls) == 2 * 7 + 1 + 2
+        assert len(calls) == 2 * 7 * 2 + 3 + 2 * 100
+        assert all(np.ndim(t) == 0 for t in calls)
 
 
 def test_zero_angle_is_zero_temperature():
