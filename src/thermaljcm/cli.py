@@ -8,13 +8,14 @@ with 12 significant digits and all reductions run in fixed order.  A
 ``cmd_*`` handler writes nothing: it refuses first, then returns its exit
 code and its output, the validation report or a table in row blocks.
 ``main`` alone writes that to stdout or ``--out`` alike, CSV a block at a
-time (``coherence-map`` makes one per temperature), JSON too.
+time (``coherence-map`` makes one per temperature), JSON too.  A stdout
+closed early ends the run with exit 1 and nothing on stderr.
 
 Limits: ``parse_config`` checks the document's form only, and the one size
 rule here is the time grid this module allocates.  Every other rule is the
 layer's that applies it, to the build it makes, which raises a
-:class:`~thermaljcm.model.LimitError` before it builds; ``main`` alone names
-the field that set the value and exits 2.
+:class:`~thermaljcm.model.LimitError` before it builds (the exact solver's
+leak, as it runs); ``main`` alone names the field that set it and exits 2.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -80,16 +82,17 @@ class RunConfig:
     def field(self, param: str, command: str | None = None) -> str:
         """The document field that set ``param`` (a :class:`LimitError`'s):
         the field itself when the document set it, else the one its default
-        follows, alpha but for an automatic oracle cutoff at a temperature.
-        A time span follows g's periods unless ``command`` reads it from
-        ``grid.t_stop`` and the document sets that."""
+        follows: alpha, the temperature for a hot automatic oracle cutoff, l
+        for ``oracle-validate``'s own.  A time span follows g's periods unless
+        ``command`` reads it from ``grid.t_stop`` and the document sets that."""
         if param == "dt" and self.dt is not None:
             return "grid.dt"
+        if param == "n_fock" and command == "oracle-validate":
+            return "model.l"
         if param == "n_fock" and self.n_fock:
             return "oracle.n_fock"
-        if param == "n_fock" and thermal_from_inv_beta(max(self.inv_betas), self.params).theta:
-            return "thermal.inv_beta"
-        if param == "inv_beta":
+        if param == "inv_beta" or param == "n_fock" and thermal_from_inv_beta(
+                max(self.inv_betas), self.params).theta:
             return "thermal.inv_beta"
         if param == "n_max" and not self.adaptive:
             return "truncation.n_max"
@@ -398,11 +401,7 @@ def cmd_pe_series(config: RunConfig) -> tuple[int, tuple]:
                "pe_order2_contrib", "physicality_flag"]
     cols = [t, pe, order0, order1, order2, flags]
     if config.with_oracle:
-        try:  # a leak is found as the solver runs: the cutoff was too small
-            cols.append(oracle.pe_curve(params, thermal, t, ftrunc))
-        except oracle.LeakageError as exc:
-            raise ConfigError(f"{config.field('n_fock')}: oracle cutoff n_fock = "
-                              f"{ftrunc.n_fock} is too small, {exc}") from None
+        cols.append(oracle.pe_curve(params, thermal, t, ftrunc))
         columns.append("pe_oracle")
     return EXIT_OK, (columns, [cols])
 
@@ -561,7 +560,12 @@ def main(argv=None) -> int:
                 stream.write("\n")
             else:
                 _write_table(stream, *output, config.out_format)
+            stream.flush()
         return code
+    except BrokenPipeError:  # stdout closed early, as by ``| head``: end quietly
+        # the interpreter's last flush of stdout would raise it again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

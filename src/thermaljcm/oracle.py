@@ -40,10 +40,10 @@ This module is the validation oracle for every perturbative series in
 :mod:`thermaljcm.perturbation`.  It owns the cutoff rules: a cutoff past 2048
 levels or the float range, at or below l, or whose eigenvalues overflow is
 refused with a :class:`~thermaljcm.model.LimitError` before any state is
-built; a leak found while it runs raises :class:`LeakageError`.  Its matrix
-exponentials are scipy's (:func:`expm`), and scipy is imported on the first
-one: importing this module, as ``import thermaljcm`` does, loads no scipy
-module.
+built, and a leak found while it runs is a ``LimitError("n_fock")`` too
+(:class:`LeakageError`).  Its matrix exponentials are scipy's (:func:`expm`),
+and scipy is imported on the first one: importing this module, as ``import
+thermaljcm`` does, loads no scipy module.
 
 Two BLAS thread pools: scipy's wheel and numpy's wheel each bundle their own
 OpenBLAS.  In :func:`expm` the Pade step runs on scipy's and the squaring
@@ -114,8 +114,11 @@ __all__ = [
 _N_FOCK_MAX = 2048
 
 
-class LeakageError(RuntimeError):
-    """Truncated-basis population leaked past the tolerated norm budget."""
+class LeakageError(LimitError):
+    """``LimitError("n_fock")`` found as the solver runs: ``leak`` leaked past the budget."""
+
+    def __init__(self, n_fock: int, leak: str):
+        super().__init__("n_fock", f"oracle cutoff n_fock = {n_fock} is too small, {leak}")
 
 
 @dataclass(frozen=True)
@@ -196,10 +199,10 @@ def _flat_sum(x: np.ndarray):
     return np.add.reduce(x.reshape(-1)).item()
 
 
-def _check_norm(norm_sq: float, leak_tol: float, what: str) -> None:
-    if abs(norm_sq - 1.0) > leak_tol:
-        raise LeakageError(f"{what}: |norm^2 - 1| = {abs(norm_sq - 1.0):.3e} "
-                           f"exceeds leak_tol = {leak_tol:.1e}")
+def _check_norm(norm_sq: float, trunc: FockTruncation, what: str) -> None:
+    if abs(norm_sq - 1.0) > trunc.leak_tol:
+        raise LeakageError(trunc.n_fock, f"{what}: |norm^2 - 1| = {abs(norm_sq - 1.0):.3e} "
+                           f"exceeds leak_tol = {trunc.leak_tol:.1e}")
 
 
 def two_mode_squeezed_vacuum(theta: float, trunc: FockTruncation) -> np.ndarray:
@@ -213,7 +216,7 @@ def two_mode_squeezed_vacuum(theta: float, trunc: FockTruncation) -> np.ndarray:
     tanh = math.tanh(theta)
     tail = tanh ** (2 * n)  # exact mass above the cutoff of the geometric law
     if tail > trunc.leak_tol:
-        raise LeakageError(f"squeezed-vacuum tail {tail:.3e} exceeds leak_tol")
+        raise LeakageError(n, f"squeezed-vacuum tail {tail:.3e} exceeds leak_tol")
     diag = tanh ** np.arange(n) / math.cosh(theta)
     diag /= math.sqrt(np.sum(diag**2))
     return diag
@@ -296,7 +299,7 @@ def displacement_matrix(gamma: complex, trunc: FockTruncation) -> np.ndarray:
     d = expm(k)
     if abs(d[n - 1, 0]) ** 2 > trunc.leak_tol:
         raise LeakageError(
-            f"displaced-vacuum mass at the cutoff {abs(d[n-1, 0])**2:.3e} exceeds leak_tol")
+            n, f"displaced-vacuum mass at the cutoff {abs(d[n-1, 0])**2:.3e} exceeds leak_tol")
     return d
 
 
@@ -333,7 +336,7 @@ def thermal_coherent_state(alpha: complex, theta: float, trunc: FockTruncation) 
         # the tilde leak check would repeat the physical one: |conj(d)| = |d|
         d_tilde = np.conj(d_phys)
         phi = (d_phys * vacuum) @ d_tilde.T
-    _check_norm(float(np.sum(np.abs(phi) ** 2)), trunc.leak_tol, "thermal coherent state")
+    _check_norm(float(np.sum(np.abs(phi) ** 2)), trunc, "thermal coherent state")
     return phi
 
 
@@ -367,7 +370,7 @@ def build_initial_state(params: ModelParams, thermal: ThermalParams,
     amp[0, 0] = thermal.cos_atom * phi
     amp[1, 1] = thermal.sin_atom * phi
     state = DoubledFockState(amp=amp, trunc=trunc)
-    _check_norm(state.norm_sq, trunc.leak_tol, "initial state")
+    _check_norm(state.norm_sq, trunc, "initial state")
     return state
 
 
@@ -439,7 +442,7 @@ def propagate(state: DoubledFockState, t: float, params: ModelParams) -> Doubled
     edge = (_flat_sum(np.abs(amp[:, :, n - l :]) ** 2)
             + _flat_sum(np.abs(amp[..., n - l :]) ** 2))
     if edge > trunc.leak_tol:
-        raise LeakageError(f"population {edge:.3e} within {l} levels of the "
+        raise LeakageError(n, f"population {edge:.3e} within {l} levels of the "
                            f"Fock cutoff exceeds leak_tol at t = {t:g}")
     return DoubledFockState(amp=amp, trunc=trunc)
 
@@ -483,7 +486,7 @@ def pe_curve(params: ModelParams, thermal: ThermalParams, times,
     l = params.l
     pop = np.abs(thermal_coherent_state(params.alpha, thermal.theta, trunc)) ** 2
     s2, c2 = thermal.sin_atom**2, thermal.cos_atom**2
-    _check_norm((c2 + s2) * float(np.sum(pop)), trunc.leak_tol, "initial state")
+    _check_norm((c2 + s2) * float(np.sum(pop)), trunc, "initial state")
     rho = np.sum(pop, axis=1)
     a = rho + np.sum(pop, axis=0)  # physical plus tilde populations
     ncpl = trunc.n_fock - l
@@ -498,8 +501,8 @@ def pe_curve(params: ModelParams, thermal: ThermalParams, times,
     edge += (s2 + c2) * np.add.reduce(a[ncpl:])
     bad = np.flatnonzero(edge > trunc.leak_tol)
     if bad.size:
-        raise LeakageError(f"population {edge[bad[0]]:.3e} within {l} levels of the Fock "
-                           f"cutoff exceeds leak_tol at t = {t_arr[bad[0]]:g}")
+        raise LeakageError(trunc.n_fock, f"population {edge[bad[0]]:.3e} within {l} levels "
+                           f"of the Fock cutoff exceeds leak_tol at t = {t_arr[bad[0]]:g}")
     return pe
 
 

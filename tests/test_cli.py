@@ -601,6 +601,16 @@ class TestOracleValidate:
         assert main(["oracle-validate", "--config", path]) == EXIT_CONFIG
         assert "model.l" in capsys.readouterr().err
 
+    def test_leaking_suite_cutoff_names_l(self, tmp_path, capsys):
+        # the suite sizes its own cutoffs, which leave l's shift unbounded: at
+        # l 8 propagation lifts the population within 8 levels of the warm
+        # 28-level cutoff from 3.4e-13 to 3.8e-8 (an uncaught traceback before)
+        doc = {"model": {"l": 8, "g": 1, "omega0": 1, "omega": 1, "alpha": 1}}
+        assert main(["oracle-validate", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: model.l: oracle cutoff n_fock = 28 is too small, population 3.761e-08 "
+            "within 8 levels of the Fock cutoff exceeds leak_tol at t = 0.5\n")
+
     def test_error_after_sizing_is_not_a_config_error(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
             raise ValueError("raised inside the suite")
@@ -733,6 +743,15 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert field in err and "leak" in err
         assert out.read_text() == ""
+
+    def test_leak_names_the_field_then_the_cutoff(self, tmp_path, capsys):
+        doc = {"model": {"l": 1, "g": 1, "omega0": 1, "omega": 1, "alpha": 2},
+               "thermal": {"inv_beta": 5}, "grid": {"t_start": 0, "t_stop": 1, "dt": 0.1},
+               "truncation": {"n_max": 40}, "oracle": {"with_oracle": True}}
+        assert main(["pe-series", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: thermal.inv_beta: oracle cutoff n_fock = 165 is too small, population "
+            "4.338e-03 within 1 levels of the Fock cutoff exceeds leak_tol at t = 0\n")
 
     @pytest.mark.parametrize("model, inv_beta, n_fock, field", [
         ({}, 1000.0, None, "thermal.inv_beta"),  # automatic n_fock 18 050
@@ -1596,6 +1615,28 @@ class TestOutFile:
         assert to_file <= to_stdout + (1 << 20)
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ["pe-series", "--preset", "fig1a"],  # one CSV block of 314 kB
+        ["coherence-map", "--preset", "fig4a"],  # a block per temperature
+        ["coherence-map", "--preset", "fig4a", "--format", "json"],
+    ])
+    def test_a_reader_that_stops_early_ends_the_run_quietly(self, argv):
+        # as `| head -c 10`: exit 1 and nothing on stderr, neither the
+        # writer's BrokenPipeError nor the interpreter's at its last flush.
+        # stdout is buffered, as a shell pipeline gives it: unbuffered, one
+        # write the reader cuts short is not reported to the writer at all
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.Popen([sys.executable, "-m", "thermaljcm.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (len(head), proc.returncode, err) == (10, 1, b"")
+
+
 class _Sink:
     """A text stream that keeps nothing."""
 
@@ -1605,6 +1646,9 @@ class _Sink:
     def writelines(self, lines):
         for _ in lines:
             pass
+
+    def flush(self):
+        pass
 
 
 class TestCsvWriter:

@@ -844,6 +844,31 @@ class TestPropagateCallCount:
         assert all(np.ndim(t) == 0 for t in calls)
 
 
+LEAK_P = make_params(l=1, alpha=3.0)
+
+
+@pytest.mark.parametrize("call, n_fock, leaked", [
+    # the norm check, at a budget below the norm's rounding (1.8e-15)
+    (lambda: thermal_coherent_state(1.0, 0.1, FockTruncation(40, leak_tol=1e-17)), 40,
+     "thermal coherent state: |norm^2 - 1| = "),
+    (lambda: two_mode_squeezed_vacuum(1.5, FockTruncation(4, leak_tol=1e-10)), 4,
+     "squeezed-vacuum tail "),
+    (lambda: displacement_matrix(5.0, FockTruncation(10)), 10,
+     "displaced-vacuum mass at the cutoff "),
+    (lambda: propagate(build_initial_state(LEAK_P, COLD, FockTruncation(24, leak_tol=1e-4)),
+                       2.0, LEAK_P), 24, "population "),
+    (lambda: pe_curve(LEAK_P, COLD, [0.0, 2.0], FockTruncation(24, leak_tol=1e-4)), 24,
+     "population "),
+], ids=["norm", "squeezed_vacuum", "displacement", "propagate", "pe_curve"])
+def test_a_leak_is_the_cutoffs_refusal(call, n_fock, leaked):
+    # every site that finds a leak refuses the cutoff as any layer refuses an
+    # input, so main names the field that set n_fock with no handler's help
+    with pytest.raises(LimitError) as exc:
+        call()
+    assert isinstance(exc.value, LeakageError) and exc.value.param == "n_fock"
+    assert str(exc.value).startswith(f"oracle cutoff n_fock = {n_fock} is too small, {leaked}")
+
+
 def test_zero_angle_is_zero_temperature():
     thermal = theta_for_angle(0.0, 1.0, 1.0)
     assert thermal == bogoliubov_angles(math.inf, 1.0, 1.0)

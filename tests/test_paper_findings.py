@@ -4,8 +4,10 @@ its measured value.
 The spectrum: with g = omega = 1, D_n = (delta/2)^2 + (n+1)...(n+l) is a
 perfect square at l 2, |delta| = g (the figures' detuning), and at l 4,
 |delta| = 2g, so every Rabi frequency is a half-odd or a whole multiple of g
-and the reduced state repeats after 2 pi / g.  At the figures' l 4 detuning,
-|delta| = 3g, the frequencies are only near integers, and it does not.
+and the reduced state repeats after 2 pi / g: the exact P_e, and (rho00,
+|rho01|, C) through the doubled-space reference.  At the figures' l 4
+detuning, |delta| = 3g, the frequencies are only near integers, and it does
+not.
 
 The series against the exact solver on the fig3 rows (alpha 12, l 1-4): at
 1/beta 0.16 P_e is off by up to 0.11, yet the extracted periods agree to
@@ -19,8 +21,9 @@ import pytest
 
 from thermaljcm import analysis, perturbation
 from thermaljcm.cli import build_preset, parse_config
+from thermaljcm.coherence import coherence_values
 from thermaljcm.model import EigenvalueTable, ModelParams, t0_prime_period, thermal_from_inv_beta
-from thermaljcm.oracle import FockTruncation, pe_curve
+from thermaljcm.oracle import FockTruncation, build_initial_state, pe_curve, propagate, reduce_atom
 
 
 def spectrum_params(l, omega0, alpha=12.0):
@@ -67,6 +70,47 @@ class TestPerfectSquareSpectrum:
         t = np.linspace(0.0, 3.0, 301)
         shifted = pe_curve(p, thermal, t + 2.0 * math.pi, trunc)
         assert np.max(np.abs(shifted - pe_curve(p, thermal, t, trunc))) >= 1e-5
+
+
+def reference_state(params, times):
+    """(rho00, |rho01|, C) at ``times`` through the doubled-space reference,
+    at 1/beta 0.16 and the automatic cutoff."""
+    thermal = thermal_from_inv_beta(0.16, params)
+    init = build_initial_state(params, thermal, FockTruncation.auto(params, thermal))
+    rho00, rho01 = zip(*(reduce_atom(propagate(init, float(t), params)) for t in times))
+    rho00, abs_rho01 = np.array(rho00), np.abs(rho01)
+    return rho00, abs_rho01, coherence_values(rho00, abs_rho01)
+
+
+class TestReducedStateRepeats:
+    # max |x(t + 2 pi k) - x(t)| of (rho00, |rho01|, C) on 7 samples of
+    # [0, 3] at alpha 3, measured: at l 2, |delta| = g (44 levels) 7.8e-16 /
+    # 2.5e-15 / 6.7e-16 (k 1), 9.1e-14 / 4.8e-14 / 8.8e-14 (k 100) and
+    # 1.3e-11 / 1.3e-11 / 4.5e-12 (k 10^4); at l 4, |delta| = 2g (46 levels)
+    # 2.4e-14 / 1.9e-14 / 3.1e-15, 8.3e-13 / 2.1e-12 / 2.7e-13 and 7.7e-11 /
+    # 2.3e-10 / 4.1e-11.  As for P_e, what is left is the phases' rounding;
+    # each bound is about three times its measured value
+    @pytest.mark.parametrize("l, omega0, k, bounds", [
+        (2, 1.0, 1, (2.5e-15, 7.5e-15, 2e-15)),
+        (2, 1.0, 100, (3e-13, 1.5e-13, 3e-13)),
+        (2, 1.0, 10**4, (4e-11, 4e-11, 1.5e-11)),
+        (4, 2.0, 1, (7e-14, 6e-14, 1e-14)),
+        (4, 2.0, 100, (2.5e-12, 6e-12, 8e-13)),
+        (4, 2.0, 10**4, (2.5e-10, 7e-10, 1.2e-10)),
+    ])
+    def test_rho00_rho01_and_coherence_repeat_after_2pi(self, l, omega0, k, bounds):
+        p = spectrum_params(l, omega0, alpha=3.0)
+        t = np.linspace(0.0, 3.0, 7)
+        shifted, base = reference_state(p, t + 2.0 * math.pi * k), reference_state(p, t)
+        assert all(np.max(np.abs(a - b)) <= bound
+                   for a, b, bound in zip(shifted, base, bounds))
+
+    def test_l4_at_the_figures_detuning_does_not_repeat(self):
+        # |delta| = 3g: measured 4.3e-2 / 7.6e-2 / 3.0e-2 at k 1
+        p = spectrum_params(4, 1.0, alpha=3.0)
+        t = np.linspace(0.0, 3.0, 7)
+        shifted, base = reference_state(p, t + 2.0 * math.pi), reference_state(p, t)
+        assert all(np.max(np.abs(a - b)) >= 1e-2 for a, b in zip(shifted, base))
 
 
 class TestFig3SeriesAgainstExact:

@@ -105,12 +105,14 @@ def test_cli_uses_no_private_name_of_another_layer():
 def test_cli_handlers_leave_each_rule_to_its_layer():
     # a layer refuses an input with a LimitError, which main maps to the
     # document field; a handler that names a model field itself, or catches
-    # and re-wraps a layer's refusal, keeps a second copy of that rule.  A
-    # leak is the one exception: the exact solver finds it as it runs.
-    tree = ast.parse((ROOT / "src" / "thermaljcm" / "cli.py").read_text())
+    # and re-wraps a layer's refusal, keeps a second copy of that rule
+    source = (ROOT / "src" / "thermaljcm" / "cli.py").read_text()
+    tree = ast.parse(source)
     copies = [f"imports {alias.name}" for node in ast.walk(tree)
               if isinstance(node, ast.ImportFrom) for alias in node.names
               if alias.name == "EigenvalueTable"]
+    if "LeakageError" in source:
+        copies.append("names LeakageError")
     handlers = [node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
     assert len(handlers) == 5
@@ -119,10 +121,8 @@ def test_cli_handlers_leave_each_rule_to_its_layer():
             if (isinstance(node, ast.Constant) and isinstance(node.value, str)
                     and node.value.startswith("model.")):
                 copies.append(f"{handler.name} names {node.value!r}")
-            if (isinstance(node, ast.ExceptHandler)
-                    and (node.type is None or ast.unparse(node.type) != "oracle.LeakageError")):
-                caught = "everything" if node.type is None else ast.unparse(node.type)
-                copies.append(f"{handler.name} catches {caught}")
+            if isinstance(node, ast.Try):
+                copies.append(f"{handler.name} has a try at line {node.lineno}")
     assert copies == []
 
 
