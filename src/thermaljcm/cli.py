@@ -7,9 +7,10 @@ Identical configuration yields byte-identical output: floats are printed
 with 12 significant digits and all reductions run in fixed order.  A
 ``cmd_*`` handler writes nothing: it refuses first, then returns its exit
 code and its output, the validation report or a table in row blocks.
-``main`` alone writes that to stdout or ``--out`` alike, CSV a block at a
-time (``coherence-map`` makes one per temperature), JSON too.  A stdout
-closed early ends the run with exit 1 and nothing on stderr.
+``main`` alone writes that, CSV or JSON a block at a time (``coherence-map``
+makes one per temperature), through one buffered stream to ``--out`` or to
+stdout when it is the process's own: ``PYTHONUNBUFFERED`` changes neither
+bytes nor exit status, and a stdout closed early ends the run quietly, exit 1.
 
 Limits: ``parse_config`` checks the document's form only, and the one size
 rule here is the time grid this module allocates.  Every other rule is the
@@ -24,7 +25,6 @@ import argparse
 import contextlib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -542,13 +542,15 @@ def main(argv=None) -> int:
         config = _load_config(args)
         if config is None and args.command != "oracle-validate":
             raise ConfigError("config: pass --preset or --config")
-        # --out is opened for appending before any work: an unwritable path
-        # exits 2 at once, a handler's refusal or traceback leaves an earlier
-        # result as it was, a new path is created empty, and a row block that
-        # raises as it is made leaves the blocks before it, like a failed write
+        # --out, or stdout when it is the process's own, is opened for appending
+        # before any work: an unwritable path exits 2 at once, a handler's refusal
+        # or traceback leaves an earlier result, a raising row block those before it
+        if sys.stdout is sys.__stdout__ and not args.out:
+            sys.stdout.flush()  # what the process printed before comes first
         try:
-            out = (open(args.out, "a", encoding="utf-8", newline="") if args.out
-                   else contextlib.nullcontext(sys.stdout))
+            out = (open(args.out or sys.stdout.fileno(), "a", encoding="utf-8", newline="",
+                        closefd=bool(args.out)) if args.out or sys.stdout is sys.__stdout__
+                   else contextlib.nullcontext(sys.stdout))  # replaced in-process: as given
         except OSError as exc:
             raise ConfigError(f"--out: cannot write {args.out}: {exc.strerror}") from exc
         with out as stream:
@@ -563,8 +565,6 @@ def main(argv=None) -> int:
             stream.flush()
         return code
     except BrokenPipeError:  # stdout closed early, as by ``| head``: end quietly
-        # the interpreter's last flush of stdout would raise it again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -168,6 +168,17 @@ def run_capped_cli(argv):
         capture_output=True, text=True, env=env, timeout=120)
 
 
+def cli_env(unbuffered):
+    """The environment of a CLI child process: this checkout's sources, and
+    stdout buffered, as a shell pipeline gives it, or unbuffered."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 def run_cli(argv):
     """Exit code and stdout of an in-process run; stderr is dropped."""
     out = io.StringIO()
@@ -1213,6 +1224,78 @@ class TestErrorPaths:
         assert field in err and "series prefactors" in err
 
 
+#: run in a child process whose imports refuse scipy: each argv through
+#: ``main`` in turn, its exit code and stderr printed as JSON
+NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is not importable here")
+
+sys.meta_path.insert(0, NoScipy())
+from thermaljcm.cli import main
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        results.append((main(argv), err.getvalue()))
+print(json.dumps(results))
+"""
+
+#: beta * omega underflows to 0: the cavity's Bogoliubov angle is past the
+#: float range
+UNDERFLOW_DOC = {"model": {"l": 1, "g": 1, "omega0": 1, "omega": 1e-200, "alpha": 2},
+                 "thermal": {"inv_beta_grid": [1e200]}, "grid": {"t_stop": 1, "dt": 0.1},
+                 "truncation": {"n_max": 40}}
+
+#: (command, document, exit code, the field stderr names): each refusal
+#: comes before anything imports scipy, which the exact solver imports on
+#: its first exponential
+REFUSALS_WITHOUT_SCIPY = [
+    # an exact-solver cutoff past its limit, the suite's own and the document's
+    ("oracle-validate", {"model": {"l": 1, "g": 1, "omega0": 1, "omega": 1, "alpha": 50}},
+     EXIT_CONFIG, "model.alpha"),
+    ("pe-series", {"model": {"l": 2, "g": 1, "omega0": 1, "omega": 1, "alpha": 2},
+                   "oracle": {"with_oracle": True, "n_fock": 5000}},
+     EXIT_CONFIG, "oracle.n_fock"),
+    # t^2 and 1/D_m both past the float range
+    ("pe-series", {"model": {"l": 1, "g": 0, "omega0": 1, "omega": 1, "alpha": 2},
+                   "grid": {"t_start": 0, "t_stop": 1e200, "dt": 2.5e199},
+                   "truncation": {"n_max": 40}}, EXIT_CONFIG, "grid"),
+    *[(command, UNDERFLOW_DOC, EXIT_CONFIG, "thermal.inv_beta")
+      for command in ("pe-series", "coherence-map", "period-sweep")],
+    ("pe-series", WORK_1E9, EXIT_CONFIG, "grid"),  # it ran for about 30 s before the limit
+    ("pe-series", PHASE_1E17, EXIT_CONFIG, "grid"),  # the exact solver's table
+    ("approx-check", {"model": {"l": 1, "g": 1, "omega0": 1, "omega": 1, "alpha": 2},
+                      "grid": {"t_start": 0, "t_stop": 1e308, "dt": 1e307}},
+     EXIT_CONFIG, "grid"),
+    # |alpha|^l underflows to 0
+    ("period-sweep", {"model": {"l": 4, "g": 1, "omega0": 1, "omega": 1, "alpha": 1e-160},
+                      "thermal": {"inv_beta": 0.1}, "truncation": {"n_max": 40}},
+     EXIT_CONFIG, "model.alpha"),
+    # approx-check builds no series, so no series limit refuses it: at l 150,
+    # where (m + 1)...(m + 150) overflows from m = 47, and n_max 10^9 it runs
+    ("approx-check", {"model": {"l": 150, "g": 1, "omega0": 1, "omega": 1, "alpha": 2},
+                      "grid": {"t_start": 0, "t_stop": 2e-130, "dt": 1e-130},
+                      "truncation": {"n_max": 1_000_000_000}}, EXIT_OK, None),
+]
+
+
+def test_refusals_need_no_scipy(tmp_path):
+    runs = [[command, "--config", write_config(tmp_path, doc, f"doc{i}.json")]
+            for i, (command, doc, *_) in enumerate(REFUSALS_WITHOUT_SCIPY)]
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(runs)],
+                          capture_output=True, text=True, env=cli_env(False), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for (rc, err), (command, _, code, field) in zip(json.loads(proc.stdout),
+                                                     REFUSALS_WITHOUT_SCIPY):
+        assert rc == code, (command, err)
+        assert err.startswith(f"error: {field}: ") if field else err == ""
+
+
 #: the (command, flag) pairs that change no output, so are not registered
 UNREAD_FLAGS = [
     ("period-sweep", ["--with-oracle"]),
@@ -1615,26 +1698,53 @@ class TestOutFile:
         assert to_file <= to_stdout + (1 << 20)
 
 
+#: run in a child process: each command once to --out, then once to the
+#: process's own stdout, after a marker line printed through sys.stdout
+STDOUT_AND_OUT_SCRIPT = """
+import json, sys
+from thermaljcm.cli import main
+for i, argv in enumerate(json.loads(sys.argv[1])):
+    print(f"== {i}")
+    assert main([*argv, "--out", f"{sys.argv[2]}/{i}.out"]) == main(argv)
+"""
+
+
 class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("argv", [
         ["pe-series", "--preset", "fig1a"],  # one CSV block of 314 kB
+        ["approx-check", "--preset", "fig1a"],  # one CSV block of 256 kB
         ["coherence-map", "--preset", "fig4a"],  # a block per temperature
         ["coherence-map", "--preset", "fig4a", "--format", "json"],
     ])
-    def test_a_reader_that_stops_early_ends_the_run_quietly(self, argv):
-        # as `| head -c 10`: exit 1 and nothing on stderr, neither the
+    def test_a_reader_that_stops_early_ends_the_run_quietly(self, argv, unbuffered):
+        # as `| head -c 100`: exit 1 and nothing on stderr, neither the
         # writer's BrokenPipeError nor the interpreter's at its last flush.
-        # stdout is buffered, as a shell pipeline gives it: unbuffered, one
-        # write the reader cuts short is not reported to the writer at all
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.Popen([sys.executable, "-m", "thermaljcm.cli", *argv], env=env,
+        # 100 bytes are more than a CSV header, so the reader leaves in the
+        # middle of the rows' first write, which the writer must not lose
+        proc = subprocess.Popen([sys.executable, "-m", "thermaljcm.cli", *argv],
+                                env=cli_env(unbuffered),
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        head = proc.stdout.read(10)
+        head = proc.stdout.read(100)
         proc.stdout.close()
         _, err = proc.communicate(timeout=120)
-        assert (len(head), proc.returncode, err) == (10, 1, b"")
+        assert (len(head), proc.returncode, err) == (100, 1, b"")
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_stdout_gives_the_bytes_of_out(self, tmp_path, unbuffered):
+        # every table command on a small document, in both formats; what the
+        # process printed before a run comes before its table
+        path = write_config(tmp_path, small_config())
+        runs = [[command, "--config", path, "--format", fmt]
+                for command in ("pe-series", "period-sweep", "coherence-map", "approx-check")
+                for fmt in ("csv", "json")]
+        proc = subprocess.run(
+            [sys.executable, "-c", STDOUT_AND_OUT_SCRIPT, json.dumps(runs), str(tmp_path)],
+            capture_output=True, env=cli_env(unbuffered), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        expected = b"".join(b"== %d\n" % i + (tmp_path / f"{i}.out").read_bytes()
+                            for i in range(len(runs)))
+        assert proc.stdout == expected
 
 
 class _Sink:
