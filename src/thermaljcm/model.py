@@ -126,8 +126,6 @@ class ThermalParams:
 
     beta: float
     theta: float
-    cosh_theta: float
-    sinh_theta: float
     cos_atom: float
     sin_atom: float
 
@@ -151,8 +149,7 @@ def bogoliubov_angles(beta: float, omega: float, omega0: float) -> ThermalParams
     if omega <= 0 or omega0 <= 0:
         raise ValueError("frequencies must be positive")
     if math.isinf(beta) and beta > 0:
-        return ThermalParams(beta=math.inf, theta=0.0, cosh_theta=1.0,
-                             sinh_theta=0.0, cos_atom=1.0, sin_atom=0.0)
+        return ThermalParams(beta=math.inf, theta=0.0, cos_atom=1.0, sin_atom=0.0)
     if not beta > 0:
         raise ValueError("inverse temperature must be positive (or math.inf)")
     if beta * omega == 0.0:
@@ -167,8 +164,7 @@ def bogoliubov_angles(beta: float, omega: float, omega0: float) -> ThermalParams
     boltz = math.exp(-beta * omega0)
     cos_atom = 1.0 / math.sqrt(1.0 + boltz)
     sin_atom = math.exp(-beta * omega0 / 2.0) * cos_atom
-    return ThermalParams(beta=beta, theta=theta, cosh_theta=cosh_theta,
-                         sinh_theta=sinh_theta, cos_atom=cos_atom, sin_atom=sin_atom)
+    return ThermalParams(beta=beta, theta=theta, cos_atom=cos_atom, sin_atom=sin_atom)
 
 
 def thermal_from_inv_beta(inv_beta: float, params: ModelParams) -> ThermalParams:

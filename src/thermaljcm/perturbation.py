@@ -417,17 +417,14 @@ class SeriesTables:
         return _theta_sum(thermal, *self.pe_terms)
 
     def rho01(self, thermal: ThermalParams) -> np.ndarray:
-        """Atomic coherence through second order in the Bogoliubov angle, at
-        the temperature of ``thermal``, raw.
-
-        Note on orientation: this is the expansion of the expectation of
-        (u00^dag u10, u01^dag u11), which is the conjugate of the
-        excited-ground matrix element the exact reduced state yields;
-        magnitudes agree, complex comparisons against the oracle must
-        conjugate one side (verified in the test suite rather than asserted
-        symbolically).
+        """Atomic coherence <e|rho|g> through second order in the Bogoliubov
+        angle, at the temperature of ``thermal``, raw: the orientation of
+        ``oracle.reduce_atom``.  :attr:`tilde` and the order terms keep the
+        printed series, the expectations of (u00^dag u10, u01^dag u11),
+        which expand the conjugate; the sum is conjugated here, in place.
         """
-        return _theta_sum(thermal, *self._rho01_arrays)
+        x = _theta_sum(thermal, *self._rho01_arrays)
+        return np.conjugate(x, out=x)
 
 
 def _theta_sum(thermal: ThermalParams, channel1, channel2) -> np.ndarray:

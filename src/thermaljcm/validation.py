@@ -104,15 +104,14 @@ def _fit_slope(theta: np.ndarray, residual: np.ndarray):
 
 def _angle_residuals(cut: SuiteCutoffs, tables: SeriesTables,
                      init: oracle.DoubledFockState, thermal: ThermalParams) -> list:
-    """Residuals (pe, |rho01|, conjugate orientation) at one angle, one row
-    per time of ``T_VALUES``, from the angle's initial state ``init``."""
+    """Residuals (pe, |rho01|, complex rho01) at one angle, one row per time
+    of ``T_VALUES``, from the angle's initial state ``init``."""
     pe, series = tables.pe(thermal)[1:], tables.rho01(thermal)[1:]
     exact = [oracle.reduce_atom(oracle.propagate(init, t, cut.params)) for t in T_VALUES]
-    # the series expands the conjugate orientation of <e|rho|g>; the full
-    # complex residual in that orientation must stay cubic-small.  |rho01| is
-    # Python's abs (libm hypot), which numpy's complex abs differs from in
-    # the last bit for about a third of all values
-    return [(abs(p - rho00), abs(abs(s) - abs(rho01)), abs(s - np.conj(rho01)))
+    # the full complex residual must stay cubic-small.  |rho01| is Python's
+    # abs (libm hypot), which numpy's complex abs differs from in the last
+    # bit for about a third of all values
+    return [(abs(p - rho00), abs(abs(s) - abs(rho01)), abs(s - rho01))
             for p, s, (rho00, rho01) in zip(pe, series, exact)]
 
 
@@ -129,7 +128,7 @@ def _check_theta_scaling(cut: SuiteCutoffs, tables: SeriesTables):
     # [angle, time, kind] -> [time, kind, angle]
     res = np.array(rows).transpose(1, 2, 0)
     checks = []
-    for t, (pe_res, rho_res, conv_res) in zip(T_VALUES, res):
+    for t, (pe_res, rho_res, complex_res) in zip(T_VALUES, res):
         for name, r in (("pe", pe_res), ("rho01", rho_res)):
             slope = _fit_slope(THETA_GRID, r)
             checks.append({
@@ -138,7 +137,9 @@ def _check_theta_scaling(cut: SuiteCutoffs, tables: SeriesTables):
                 "slope": slope,
                 "max_residual": float(np.max(r)),
             })
-        ratio = float(conv_res[0] / THETA_GRID[0] ** 3)
+        ratio = float(complex_res[0] / THETA_GRID[0] ** 3)
+        # named for the conjugate the series once returned: the report's
+        # pinned hash holds the name, and every value is the same bits
         checks.append({
             "name": f"rho01_conjugate_orientation[l={params.l},t={t}]",
             "passed": ratio < 100.0,

@@ -51,3 +51,75 @@ def block_element_pe(params, thermal, t, rho):
     summand[:, :ncpl] += thermal.cos_atom**2 * (coup.real * coup.real
                                                 + coup.imag * coup.imag) * rho[l:]
     return np.add.reduce(summand, axis=-1)
+
+
+def jet_mul(a, b):
+    """Cauchy product of two Taylor jets (coefficients of theta^0..theta^K),
+    truncated after K + 1 coefficients."""
+    return np.convolve(a, b)[: len(a)]
+
+
+def jet_exp(a):
+    """The jet of e^a: e_0 = e^(a_0), k e_k = sum_(j=1..k) j a_j e_(k-j)."""
+    e = np.zeros(len(a))
+    e[0] = np.exp(a[0])
+    for k in range(1, len(a)):
+        e[k] = sum(j * a[j] * e[k - j] for j in range(1, k + 1)) / k
+    return e
+
+
+def jet_inv(a):
+    """The jet of 1/a: r_0 = 1/a_0, r_k = -r_0 sum_(j=1..k) a_j r_(k-j)."""
+    r = np.zeros(len(a))
+    r[0] = 1.0 / a[0]
+    for k in range(1, len(a)):
+        r[k] = -r[0] * sum(a[j] * r[k - j] for j in range(1, k + 1))
+    return r
+
+
+def population_jets(alpha, n_top, order=2):
+    """Taylor coefficients in theta, orders 0..order (order >= 1), of the photon populations
+    rho_n(theta), n = 0..n_top, of the thermal coherent state: the displaced
+    thermal state D(gamma) rho_th D(gamma)^dag, gamma = alpha e^theta, of mean
+    thermal photon number sinh^2 theta.  Shape (n_top + 1, order + 1).
+
+    The generalized-Laguerre recurrence at l = 0, with q = tanh^2 theta and
+    z = |gamma|^2/cosh^4 theta, every scalar carried as a jet:
+    g_0 = 1, g_1 = q + z, (n + 1) g_(n+1) = (q (2n + 1) + z) g_n - q^2 n g_(n-1),
+    rho_n = e^(-|gamma|^2/cosh^2 theta)/cosh^2 theta g_n.  Every term is
+    positive at real theta, so the forward recurrence is stable; at theta = 0
+    it is the Poisson law z^n/n! e^(-|alpha|^2).
+    """
+    theta = np.zeros(order + 1)
+    theta[1] = 1.0
+    e_plus, e_minus = jet_exp(theta), jet_exp(-theta)
+    cosh, sinh = (e_plus + e_minus) / 2.0, (e_plus - e_minus) / 2.0
+    sech2 = jet_inv(jet_mul(cosh, cosh))
+    q = jet_mul(jet_mul(sinh, sinh), sech2)
+    q2 = jet_mul(q, q)
+    gamma2 = abs(alpha) ** 2 * jet_exp(2.0 * theta)
+    z = jet_mul(gamma2, jet_mul(sech2, sech2))
+    g = np.zeros((n_top + 1, order + 1))
+    g[0, 0] = 1.0
+    g[1] = q + z
+    for n in range(1, n_top):
+        g[n + 1] = (jet_mul((2 * n + 1) * q + z, g[n]) - n * jet_mul(q2, g[n - 1])) / (n + 1)
+    prefactor = jet_mul(jet_exp(-jet_mul(gamma2, sech2)), sech2)
+    return np.array([jet_mul(prefactor, row) for row in g])
+
+
+def exact_channel_jets(params, t, n_top, order=2):
+    """Taylor coefficients in theta of the two exact atomic channels on the
+    1-d grid t, shape (2, order + 1, t.size): E1 = sum_n |A_n|^2 rho_n (the
+    atom starts excited) and E2 = sum_n |c_n|^2 rho_(n+l) (it starts in the
+    ground level), n up to n_top, with |A_n|^2 = cos^2 + (delta/2)^2 sin^2/D_n
+    and |c_n|^2 = g^2 prod_n sin^2/D_n of sqrt(D_n) t.  Coefficient k times
+    k! is the k-th theta-derivative, the series' order-k term."""
+    l = params.l
+    rho = population_jets(params.alpha, n_top, order)
+    table = EigenvalueTable(params, n_top)
+    arg = np.asarray(t, dtype=float)[:, None] * table.sqrt_d[None, :]
+    sin_sq_d = np.sin(arg) ** 2 / table.d
+    abs_a = np.cos(arg) ** 2 + (params.delta / 2.0) ** 2 * sin_sq_d
+    abs_c = params.g ** 2 * table.prod * sin_sq_d
+    return np.stack([(abs_a @ rho).T, (abs_c[:, : n_top + 1 - l] @ rho[l:]).T])

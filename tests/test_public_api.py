@@ -1,6 +1,7 @@
 """Public API: every exported name resolves, and the README examples run."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import re
@@ -68,6 +69,29 @@ def test_every_public_function_and_class_has_a_reader(name):
     for block in re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S):
         read |= referenced_names(ast.parse(block))
     assert sorted(public - read) == []
+
+
+def attributes_read(tree):
+    """Every attribute name an AST reads: ``x.name``, loaded."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_public_dataclass_field_has_a_reader(name):
+    # a field of a public dataclass is read as an attribute by the package's
+    # own code, its class's methods included, or by a README example: no
+    # field that only tests read
+    mod = importlib.import_module(f"thermaljcm.{name}")
+    exported = [getattr(mod, attr) for attr in mod.__all__]
+    classes = [obj for obj in exported if inspect.isclass(obj) and dataclasses.is_dataclass(obj)]
+    read = set()
+    for path in sorted((ROOT / "src" / "thermaljcm").glob("*.py")):
+        read |= attributes_read(ast.parse(path.read_text()))
+    for block in re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S):
+        read |= attributes_read(ast.parse(block))
+    assert [f"{cls.__name__}.{field.name}" for cls in classes
+            for field in dataclasses.fields(cls) if field.name not in read] == []
 
 
 def test_readme_python_blocks_run_in_order(capsys):
